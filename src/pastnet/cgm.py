@@ -88,22 +88,24 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
 
     Projections v_sp = v_s W_sp, v_tp = v_t W_tp and gates v_sg = v_s W_sg,
     v_tg = v_t W_tg; each projection is scaled by sigmoid of its own gate
-    and tanh of the opposite gate, then added back onto its stream.
+    and tanh of the opposite gate, then added back onto its stream.  The two
+    streams broadcast against each other: each is projected at its own shape
+    and both outputs take the broadcast shape, so a (1, 1, N, d) node stream
+    and a (B, L, 1, d) timestamp stream cost N and B*L rows of projection.
     """
     v_s = v_s if isinstance(v_s, Tensor) else constant(v_s)
     v_t = v_t if isinstance(v_t, Tensor) else constant(v_t)
-    if v_s.shape != v_t.shape:
-        raise ValueError("stream shapes must match")
-    d = v_s.shape[-1]
-    flat_s = v_s.reshape(-1, d)
-    flat_t = v_t.reshape(-1, d)
-    v_sp = flat_s @ w_sp
-    v_tp = flat_t @ w_tp
-    v_sg = flat_s @ w_sg
-    v_tg = flat_t @ w_tg
-    gated_s = v_sp * sigmoid(v_sg) * tanh(v_tg)
-    gated_t = v_tp * sigmoid(v_tg) * tanh(v_sg)
-    return v_s + gated_s.reshape(v_s.shape), v_t + gated_t.reshape(v_t.shape)
+    shape = np.broadcast_shapes(v_s.shape, v_t.shape)  # ValueError if they do not broadcast
+    # matmul needs 2-d operands: a 1-d stream rides as a single row
+    s = v_s.reshape(1, -1) if v_s.ndim == 1 else v_s
+    t = v_t.reshape(1, -1) if v_t.ndim == 1 else v_t
+    v_sg = s @ w_sg
+    v_tg = t @ w_tg
+    out_s = s + (s @ w_sp) * sigmoid(v_sg) * tanh(v_tg)
+    out_t = t + (t @ w_tp) * sigmoid(v_tg) * tanh(v_sg)
+    if out_s.shape != shape:  # two 1-d streams
+        out_s, out_t = out_s.reshape(shape), out_t.reshape(shape)
+    return out_s, out_t
 
 
 def hidden_export(s_u, t_u, proj_w, proj_b) -> Tensor:
@@ -154,8 +156,9 @@ class CgmModule:
     ) -> tuple[Tensor, list[Tensor]]:
         """(B, L) calendar indices -> ((B, L, N) surface, n x (B, N, d) hiddens).
 
-        Layer 0 broadcasts the node embedding over time and the timestamp
-        embedding over nodes; gating then makes every (t, u) pair distinct.
+        Layer 0 takes the node embedding as a (1, 1, N, d) stream and the
+        timestamp embedding as a (B, L, 1, d) stream; its gating broadcasts
+        them to (B, L, N, d) and makes every (t, u) pair distinct.
         """
         cfg = self.config
         week = _check_range("week", np.asarray(week, dtype=np.int64), WEEK_CARD)
@@ -170,7 +173,7 @@ class CgmModule:
         p = self.params
 
         node_rows = embedding(p["cgm/embed/node"], np.arange(N))
-        s_stream = node_rows.reshape(1, 1, N, d).broadcast_to((B, L, N, d))
+        s_stream = node_rows.reshape(1, 1, N, d)
         stamp = concat(
             [
                 embedding(p["cgm/embed/week"], week),
@@ -179,7 +182,7 @@ class CgmModule:
             ],
             axis=2,
         )
-        t_stream = stamp.reshape(B, L, 1, d).broadcast_to((B, L, N, d))
+        t_stream = stamp.reshape(B, L, 1, d)
 
         hiddens: list[Tensor] = []
         for i in range(n):
@@ -194,11 +197,10 @@ class CgmModule:
             )
             pair = concat([s_stream, t_stream], axis=3)
             pooled = pair.mean(axis=1)  # (B, N, 2d)
-            h_i = (pooled.reshape(B * N, 2 * d) @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
-            hiddens.append(h_i.reshape(B, N, d))
+            hiddens.append(pooled @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
 
         pair = concat([s_stream, t_stream], axis=3)
-        y = (pair.reshape(B * L * N, 2 * d) @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(B, L, N)
+        y = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(B, L, N)
         return y, hiddens
 
 

@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     build_spatial_adjacency,
@@ -84,14 +86,12 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="RMSE/MAE of an imputed file on hidden entries")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--mask", required=True, help="observation mask; zeros are scored")
     p.add_argument("--json-out")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("experiment", help="run an experiment plan from a JSON config")
     p.add_argument("--config", required=True)
@@ -175,6 +175,8 @@ def _cmd_impute(args) -> int:
     out = impute_span(model, values * mask, mask, week, hour, bucket)
     if model.norm_stats is not None:
         out = out * std + mean
+    # denormalizing can move an observed value by an ulp; pass the input through
+    out = np.where(mask == 1.0, ds.values, out)
     save_values_csv(args.out, out, ds.node_ids)
     print(f"wrote {args.out}")
     return 0

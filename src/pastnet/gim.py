@@ -270,9 +270,7 @@ class GimModule:
                 per_step, self.spatial_op, p[f"{prefix}/spatial/W"], p[f"{prefix}/spatial/b"]
             ).reshape(B, L, N, d)
 
-        flat = h.reshape(B * L * N, d)
-        out = flat @ p["gim/head/W"] + p["gim/head/b"]
-        return out.reshape(B, L, N)
+        return (h @ p["gim/head/W"] + p["gim/head/b"]).reshape(B, L, N)
 
 
 def gim_forward(

@@ -7,6 +7,13 @@ into ``.grad`` buffers.  Everything is double precision and every operation
 is a plain numpy expression, so a forward pass repeated on identical inputs
 is bitwise reproducible.
 
+Adjoint ownership: a VJP may return views of its input adjoint (a reshape,
+a transpose, a read-only broadcast, one piece of a concat split), and one
+such view may reach several parents.  ``backward()`` therefore never writes
+into an interior node's adjoint: the first contribution is kept as is and a
+later one is added out of place.  Only leaf accumulators are written in
+place; a leaf without one gets a writable copy of its first contribution.
+
 Only the operations the models need are implemented: broadcasting
 arithmetic, batched matmul, axis reductions, shape moves, gather, concat,
 and the four activations (relu, sigmoid, tanh, softplus).  Gradients flow
@@ -89,7 +96,9 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable ``.grad``.
 
         ``self`` must hold a single element.  Existing leaf accumulators are
-        added to, not overwritten.
+        added to in place, so they keep their identity; a leaf without one
+        receives a fresh writable array.  Interior adjoints may be views
+        shared with other nodes and are only ever replaced, never written.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -119,9 +128,13 @@ class Tensor:
             for parent, g in zip(node._parents, parent_grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                np.add(parent.grad, g, out=parent.grad)
+                if parent._vjp is not None:
+                    # interior: g may be a read-only or shared view, never write into it
+                    parent.grad = g if parent.grad is None else parent.grad + g
+                elif parent.grad is None:
+                    parent.grad = np.array(g)  # the leaf's own writable accumulator
+                else:
+                    np.add(parent.grad, g, out=parent.grad)
             if node is not self:
                 node.grad = None  # free interior adjoints as soon as consumed
 
@@ -255,10 +268,17 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         a = self
         data = a.data[index]
+        basic = all(
+            isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
+            for i in (index if isinstance(index, tuple) else (index,))
+        )
 
         def vjp(g):
             full = np.zeros_like(a.data)
-            full[index] += g
+            if basic:
+                full[index] = g  # a basic index selects each element at most once
+            else:
+                np.add.at(full, index, g)  # integer arrays may repeat an element
             return (full,)
 
         return Tensor._make(data, (a,), vjp)
@@ -274,7 +294,13 @@ def constant(x) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting; operands must be >= 2-d."""
+    """Matrix product with numpy batch broadcasting; operands must be >= 2-d.
+
+    A 2-d ``b`` is shared by every leading index of ``a``, so its adjoint
+    folds ``a``'s leading axes into rows: one GEMM instead of one per batch
+    entry plus a sum.  The forward pass and ``a``'s adjoint stay batched,
+    which OpenBLAS runs faster than one tall GEMM at the models' widths.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
     data = np.matmul(a.data, b.data)
@@ -283,7 +309,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ga = gb = None
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
+        if b.requires_grad and b.ndim == 2:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
             gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
         return ga, gb
 

@@ -264,8 +264,10 @@ def test_criterion_8_desk_scale_directional(tmp_path):
 
 
 def timed_forwards(cases, reps=5):
-    """Median seconds per forward for each (L, N); reps interleaved so CPU
-    frequency or cache drift hits every configuration equally."""
+    """Median CPU seconds per forward for each (L, N); reps interleaved so
+    CPU frequency or cache drift hits every configuration equally.  Process
+    time, not wall time, so steal time and other processes' load on a
+    shared host stay out of the ratios."""
     runs = []
     for L, N in cases:
         op = build_spatial_operator(ring(N), K=1)
@@ -280,9 +282,9 @@ def timed_forwards(cases, reps=5):
     for _ in range(reps):
         for slot, (module, x, m) in zip(times, runs):
             module.forward(x, m, None)  # prime caches for this working set
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             module.forward(x, m, None)
-            slot.append(time.perf_counter() - t0)
+            slot.append(time.process_time() - t0)
     return [float(np.median(t)) for t in times]
 
 

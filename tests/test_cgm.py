@@ -175,6 +175,28 @@ def test_cross_gate_matches_per_pair_loop():
             assert np.allclose(out_t.data[i, j], et.data, atol=1e-12)
 
 
+def test_cross_gate_broadcast_streams_match_full_streams():
+    rng = np.random.default_rng(7)
+    d = 3
+    w0 = [rng.normal(size=(d, d)) for _ in range(4)]
+    node = rng.normal(size=(1, 1, 4, d))
+    stamp = rng.normal(size=(2, 5, 1, d))
+    full = (2, 5, 4, d)
+    results = []
+    for v_s, v_t in ((node, stamp), (np.broadcast_to(node, full), np.broadcast_to(stamp, full))):
+        weights = [Tensor(w, requires_grad=True) for w in w0]
+        out_s, out_t = cross_gate_layer(v_s, v_t, *weights)
+        assert out_s.shape == out_t.shape == full
+        (out_s * out_t).sum().backward()
+        results.append((out_s.data, out_t.data, [w.grad for w in weights]))
+    (s_b, t_b, g_b), (s_f, t_f, g_f) = results
+    assert np.allclose(s_b, s_f, atol=1e-12) and np.allclose(t_b, t_f, atol=1e-12)
+    for a, b in zip(g_b, g_f):
+        assert np.allclose(a, b, atol=1e-12)
+    with pytest.raises(ValueError):
+        cross_gate_layer(np.zeros((2, d)), np.zeros((3, d)), *map(constant, w0))
+
+
 def test_hidden_export_cases():
     proj_w = constant(np.array([[1.0], [1.0]]))
     proj_b = constant(np.zeros(1))

@@ -78,6 +78,32 @@ def test_matmul_adjoints_including_batch_broadcast():
         matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+def test_folded_matmul_matches_numpy_and_broadcast_vjps():
+    rng = np.random.default_rng(8)
+    cases = [
+        # 4-d a against a 2-d b, whose adjoint folds a's rows; a is a strided view
+        (rng.normal(size=(4, 3, 2, 5)).transpose(2, 1, 0, 3), rng.normal(size=(5, 6))),
+        # 2-d a broadcast against a 3-d b (the batched path)
+        (rng.normal(size=(4, 5)), rng.normal(size=(3, 5, 6))),
+    ]
+    for a0, b0 in cases:
+        a = Tensor(a0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        out = matmul(a, b)
+        expected = np.matmul(a0, b0)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+        g = rng.normal(size=expected.shape)
+        (out * constant(g)).sum().backward()
+        # reference adjoints: full broadcast products summed over leading axes
+        ga = np.matmul(g, np.swapaxes(b0, -1, -2))
+        gb = np.matmul(np.swapaxes(a0, -1, -2), g)
+        ga = ga.reshape((-1,) + a0.shape).sum(axis=0)
+        gb = gb.reshape((-1,) + b0.shape).sum(axis=0)
+        assert np.max(np.abs(a.grad - ga)) < 1e-12
+        assert np.max(np.abs(b.grad - gb)) < 1e-12
+
+
 def test_matmul_against_einsum():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 4, 5))
@@ -105,6 +131,11 @@ def test_getitem_and_concat_adjoints():
     concat([a, b], axis=1).sum().backward()
     assert np.array_equal(a.grad, np.ones((2, 3)))
     assert np.array_equal(b.grad, np.ones((2, 2)))
+    # repeated integer-array indices accumulate one contribution per repeat
+    a = Tensor(np.arange(4.0), requires_grad=True)
+    a[np.array([1, 1, 2])].sum().backward()
+    assert np.array_equal(a.grad, np.array([0.0, 2.0, 1.0, 0.0]))
+    check_op(lambda a: (a[np.array([0, 2, 2]), 1:] * a[np.array([2, 0, 2]), 1:]).sum(), (4, 3))
 
 
 def test_activation_values():
@@ -169,6 +200,62 @@ def test_backward_requires_scalar_and_accumulates():
     first = a.grad.copy()
     (a * 3.0).sum().backward()
     assert np.array_equal(a.grad, 2.0 * first)
+
+
+def test_grad_check_through_shared_adjoint_views():
+    # y fans out through ops whose adjoints are views of their input adjoint
+    # (reshape, transpose, read-only broadcasts, concat pieces, u + v and
+    # y + y hand one buffer to both parents), so several parents receive
+    # views of one buffer; none may be written into
+    store = ParamStore(seed=4)
+    store.add("x", (2, 3, 4), init="normal", std=1.0)
+    store.add("w", (4, 4), init="uniform_fan_in")
+
+    def loss_fn(params):
+        y = tanh(params["x"] @ params["w"])
+        flat = y.reshape(6, 4)
+        swapped = y.transpose((1, 0, 2))
+        spread = y.broadcast_to((5, 2, 3, 4))
+        joined = concat([y, y + y, swapped.transpose((1, 0, 2))], axis=2)
+        u, v = sigmoid(y), tanh(y)
+        return (
+            ((u + v) * y).sum()
+            + (u * v * v).sum()
+            + (sigmoid(flat) * flat).sum()
+            + (swapped * swapped).sum() * 0.5
+            + (spread * y).mean()
+            + (joined * joined).sum() * 0.25
+            + (y + y).sum()
+        )
+
+    assert grad_check(loss_fn, store, n_samples=64) < 1e-8
+
+
+def test_leaf_accumulators_keep_identity_and_add_up():
+    store = ParamStore(seed=5)
+    w = store.add("w", (3, 2), init="uniform_fan_in")
+    accumulator = w.grad
+    x = constant(np.arange(24.0).reshape(2, 4, 3))
+
+    def loss():
+        # the reshape path hands the leaf a read-only broadcast view
+        return (x @ w).sum() + w.reshape(6).sum()
+
+    loss().backward()
+    assert w.grad is accumulator
+    first = accumulator.copy()
+    assert np.allclose(first, x.data.reshape(-1, 3).sum(axis=0)[:, None] + 1.0, atol=1e-12)
+    loss().backward()
+    assert w.grad is accumulator
+    assert np.array_equal(accumulator, 2.0 * first)
+    adam_step(store, AdamState.for_params(store, lr=1e-3))
+    assert w.grad is accumulator
+    assert np.array_equal(accumulator, np.zeros((3, 2)))
+    # a bare leaf gets its own writable accumulator on first contact
+    b = Tensor(np.ones(3), requires_grad=True)
+    b.reshape(3, 1).sum().backward()
+    b.reshape(3, 1).sum().backward()
+    assert np.array_equal(b.grad, np.full(3, 2.0))
 
 
 def test_constant_branches_are_pruned_from_tape():
