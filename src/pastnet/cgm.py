@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, constant, embedding, sigmoid, tanh
+from .numcore import ParamStore, Tensor, concat, constant, embedding
+from .numcore.tensor import _unbroadcast, _wrap
 
 WEEK_CARD = 7
 HOUR_CARD = 24
@@ -92,20 +94,77 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     streams broadcast against each other: each is projected at its own shape
     and both outputs take the broadcast shape, so a (1, 1, N, d) node stream
     and a (B, L, 1, d) timestamp stream cost N and B*L rows of projection.
+
+    Each stream's [projection | gate] comes from one GEMM against its
+    concatenated weights.  The two outputs are two tape nodes sharing one
+    forward pass; saved for backward, per stream: the concatenated weights,
+    the projection next to the sigmoid of the gate, the tanh of the gate
+    and the product projection * sigmoid.
     """
-    v_s = v_s if isinstance(v_s, Tensor) else constant(v_s)
-    v_t = v_t if isinstance(v_t, Tensor) else constant(v_t)
-    shape = np.broadcast_shapes(v_s.shape, v_t.shape)  # ValueError if they do not broadcast
-    # matmul needs 2-d operands: a 1-d stream rides as a single row
-    s = v_s.reshape(1, -1) if v_s.ndim == 1 else v_s
-    t = v_t.reshape(1, -1) if v_t.ndim == 1 else v_t
-    v_sg = s @ w_sg
-    v_tg = t @ w_tg
-    out_s = s + (s @ w_sp) * sigmoid(v_sg) * tanh(v_tg)
-    out_t = t + (t @ w_tp) * sigmoid(v_tg) * tanh(v_sg)
-    if out_s.shape != shape:  # two 1-d streams
-        out_s, out_t = out_s.reshape(shape), out_t.reshape(shape)
-    return out_s, out_t
+    s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
+    np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
+    side_s = _GateSide(s, w_sp, w_sg)
+    side_t = _GateSide(t, w_tp, w_tg)
+    return side_s.output(side_t), side_t.output(side_s)
+
+
+class _GateSide:
+    """One stream's half of a cross gate: v, [v W_p | sigmoid(v W_g)], tanh(v W_g)."""
+
+    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
+        self.v, self.w_p, self.w_g = v, w_p, w_g
+        d = v.shape[-1]
+        self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
+        self.proj_sig = np.matmul(v.data, self.w_cat)
+        self.proj = self.proj_sig[..., :d]
+        gate = self.proj_sig[..., d:]
+        self.tanh = np.tanh(gate)
+        self.sig = expit(gate, out=gate)  # the raw gate is not needed again
+        self.update = self.proj * self.sig
+
+    def output(self, other: "_GateSide") -> Tensor:
+        """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate), one tape node."""
+        v, d = self.v, self.v.shape[-1]
+        out = self.update * other.tanh
+        out += v.data
+
+        def vjp(g):
+            # every array written below is allocated here; g and the saved
+            # forward arrays are only read
+            gv = go = gw_p = gw_g = gw_og = None
+            prod = g * other.tanh
+            g_update = _unbroadcast(prod, self.update.shape)
+            if v.requires_grad or self.w_p.requires_grad or self.w_g.requires_grad:
+                g_proj_sig = np.empty(self.proj_sig.shape)
+                g_gate = g_proj_sig[..., d:]
+                np.multiply(g_update, self.sig, out=g_proj_sig[..., :d])
+                np.multiply(g_update, self.proj, out=g_gate)
+                g_gate *= self.sig
+                g_gate *= np.subtract(1.0, self.sig, out=g_update)  # g_update is spent
+                if v.requires_grad:
+                    gv = np.matmul(g_proj_sig, self.w_cat.T)
+                    gv += _unbroadcast(g, v.shape)
+                if self.w_p.requires_grad or self.w_g.requires_grad:
+                    gw = _fold(v.data).T @ _fold(g_proj_sig)
+                    gw_p, gw_g = gw[:, :d], gw[:, d:]
+            if other.v.requires_grad or other.w_g.requires_grad:
+                spare = prod if g_update is not prod else None  # prod was reduced away
+                g_tanh = _unbroadcast(np.multiply(g, self.update, out=spare), other.tanh.shape)
+                scratch = g_update if g_update.shape == g_tanh.shape else None
+                dtanh = np.multiply(other.tanh, other.tanh, out=scratch)
+                g_tanh *= np.subtract(1.0, dtanh, out=dtanh)
+                if other.v.requires_grad:
+                    go = np.matmul(g_tanh, other.w_g.data.T)
+                if other.w_g.requires_grad:
+                    gw_og = _fold(other.v.data).T @ _fold(g_tanh)
+            return gv, go, gw_p, gw_g, gw_og
+
+        return Tensor._make(out, (v, other.v, self.w_p, self.w_g, other.w_g), vjp)
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Fold every leading axis into rows: (..., k) -> (rows, k)."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def hidden_export(s_u, t_u, proj_w, proj_b) -> Tensor:

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, constant, relu, softplus
+from .numcore import ParamStore, Tensor, concat, constant
+from .numcore.tensor import _unbroadcast, _wrap
 
 DEGREE_EPS = 1e-6
 
@@ -83,40 +85,61 @@ def _batch_interval_dropout(
     return out
 
 
-def apply_interval_dropout(
-    adj_mask: np.ndarray,
-    mask_column: np.ndarray,
-    alpha: float,
-    beta: float,
-    training: bool,
-    seed: int,
-) -> np.ndarray:
-    """Training-time edge dropout on one graph; eval returns the input as is."""
-    if not training:
-        return adj_mask
-    col = np.asarray(mask_column, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    return _batch_interval_dropout(adj_mask[None], col[None, :], alpha, beta, rng)[0]
-
-
 # ---- forward operators ----
 
 
 def temporal_forward(vertex_states, adj_mask, edge_logits, w, b) -> Tensor:
-    """Row-normalized aggregation then linear + relu.
+    """Row-normalized aggregation then linear + relu, as one tape node.
 
     A = adj_mask * softplus(edge_logits); each vertex averages its sources
     by incoming weight, H' = (D + eps I)^-1 A H; output relu(H' W + b).
     Zero-degree rows (the injection vertex, fully dropped vertices) give
     H' = 0 and hence relu(b).  Accepts a leading batch axis on states and
     adjacency.
+
+    Saved for backward: the weighted adjacency A, the row degrees plus
+    eps, the aggregate H' and the output, whose sign is relu's mask.
     """
-    states = vertex_states if isinstance(vertex_states, Tensor) else constant(vertex_states)
-    logits = edge_logits if isinstance(edge_logits, Tensor) else constant(edge_logits)
-    a = constant(np.asarray(adj_mask, dtype=np.float64)) * softplus(logits)
-    degree = a.sum(axis=a.ndim - 1, keepdims=True)
-    aggregated = (a @ states) / (degree + DEGREE_EPS)
-    return relu(aggregated @ w + b)
+    states, logits, w, b = (_wrap(t) for t in (vertex_states, edge_logits, w, b))
+    adj = np.asarray(adj_mask, dtype=np.float64)
+    x = states.data
+    a = adj * np.logaddexp(0.0, logits.data)
+    denom = a.sum(axis=-1, keepdims=True)
+    denom += DEGREE_EPS
+    agg = np.matmul(a, x)
+    agg /= denom
+    out = np.matmul(agg, w.data)
+    out += b.data
+    np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        gx = gl = gw = gb = None
+        gz = g * (out > 0.0)
+        if w.requires_grad:
+            gw = agg.reshape(-1, agg.shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
+        if b.requires_grad:
+            gb = _unbroadcast(gz, b.shape)
+        if not (states.requires_grad or logits.requires_grad):
+            return gx, gl, gw, gb
+        g_agg = np.matmul(gz, w.data.T)
+        if logits.requires_grad:
+            # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom
+            spare = gz if gz.shape == agg.shape and gb is not gz else None  # gz is spent
+            g_denom = np.multiply(g_agg, agg, out=spare)
+            g_denom /= denom
+            g_denom = -_unbroadcast(g_denom, denom.shape)
+        g_agg /= denom  # now the adjoint of num = A @ H
+        if states.requires_grad:
+            gx = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g_agg), x.shape)
+        if logits.requires_grad:
+            ga = np.matmul(g_agg, np.swapaxes(x, -1, -2))
+            ga += g_denom  # every entry of a row feeds that row's degree
+            ga *= adj
+            gl = _unbroadcast(ga, logits.shape)
+            gl *= expit(logits.data)
+        return gx, gl, gw, gb
+
+    return Tensor._make(out, (states, logits, w, b), vjp)
 
 
 @dataclass
@@ -151,11 +174,40 @@ def build_spatial_operator(a_s: np.ndarray, K: int) -> SpatialOperator:
 
 
 def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
-    """Concatenate every normalized-power aggregation, then linear + relu."""
-    h = h_nodes if isinstance(h_nodes, Tensor) else constant(h_nodes)
-    parts = [constant(p) @ h for p in op.normalized_powers]
-    stacked = concat(parts, axis=h.ndim - 1)
-    return relu(stacked @ w + b)
+    """Concatenate every normalized-power aggregation, then linear + relu.
+
+    One tape node: each P_k @ h is written straight into its slice of the
+    stacked buffer.  Saved for backward: the stacked aggregations and the
+    output, whose sign is relu's mask.
+    """
+    h, w, b = (_wrap(t) for t in (h_nodes, w, b))
+    x = h.data
+    d = x.shape[-1]
+    powers = op.normalized_powers
+    stacked = np.empty(x.shape[:-1] + (len(powers) * d,))
+    for k, p in enumerate(powers):
+        np.matmul(p, x, out=stacked[..., k * d : (k + 1) * d])
+    out = np.matmul(stacked, w.data)
+    out += b.data
+    np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        gh = gw = gb = None
+        gz = g * (out > 0.0)
+        if w.requires_grad:
+            gw = stacked.reshape(-1, stacked.shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
+        if b.requires_grad:
+            gb = _unbroadcast(gz, b.shape)
+        if h.requires_grad:
+            g_stacked = np.matmul(gz, w.data.T)
+            gh = np.matmul(powers[0].T, g_stacked[..., :d])
+            part = np.empty_like(gh) if len(powers) > 1 else None
+            for k in range(1, len(powers)):
+                np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)
+                gh += part
+        return gh, gw, gb
+
+    return Tensor._make(out, (h, w, b), vjp)
 
 
 # ---- full branch ----
@@ -271,30 +323,3 @@ class GimModule:
             ).reshape(B, L, N, d)
 
         return (h @ p["gim/head/W"] + p["gim/head/b"]).reshape(B, L, N)
-
-
-def gim_forward(
-    module: GimModule,
-    x_window: np.ndarray,
-    m_window: np.ndarray,
-    hidden_per_layer: list | None = None,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Single-window entry point: (L, N) in, (L, N) tensor out."""
-    x = np.asarray(x_window, dtype=np.float64)
-    m = np.asarray(m_window, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x_window must be (L, N)")
-    hiddens = None
-    if hidden_per_layer is not None:
-        hiddens = []
-        for item in hidden_per_layer:
-            if item is None:
-                hiddens.append(None)
-            elif isinstance(item, Tensor):
-                hiddens.append(item.reshape(1, *item.shape))
-            else:
-                hiddens.append(np.asarray(item, dtype=np.float64)[None])
-    out = module.forward(x[None], m[None], hiddens, training=training, rng=rng)
-    return out.reshape(out.shape[1], out.shape[2])

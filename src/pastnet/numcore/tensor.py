@@ -14,6 +14,13 @@ into an interior node's adjoint: the first contribution is kept as is and a
 later one is added out of place.  Only leaf accumulators are written in
 place; a leaf without one gets a writable copy of its first contribution.
 
+Layer kernels with hand-written VJPs live next to their models in gim and
+cgm (temporal aggregation, spatial mixing, cross gate), each one or two
+tape nodes built with ``Tensor._make``.  They follow the same rule: a VJP
+writes only into arrays it allocated itself in that call, never into its
+incoming adjoint (possibly a read-only broadcast view) and never into the
+arrays its forward pass saved, so ``backward()`` can run more than once.
+
 Only the operations the models need are implemented: broadcasting
 arithmetic, batched matmul, axis reductions, shape moves, gather, concat,
 and the four activations (relu, sigmoid, tanh, softplus).  Gradients flow

@@ -1,0 +1,86 @@
+"""Shared checks for the fused layer kernels of gim and cgm.
+
+A kernel is one or two tape nodes with a hand-written VJP.  ``check_kernel``
+compares it with a composite reference built from numcore primitives: the
+forward values and every parent adjoint must agree to 1e-12.  It also runs a
+finite-difference check through the kernel, hands it the read-only
+broadcast adjoint that ``sum()`` produces, and backpropagates twice through
+one graph, which must give the same gradients both times.
+"""
+import numpy as np
+
+from pastnet.numcore import ParamStore, Tensor, grad_check
+
+TOL = 1e-12
+
+
+def _outputs(fn, tensors) -> tuple:
+    out = fn(*tensors)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _weighted_sum(outs, cotangents=None) -> Tensor:
+    """sum(out_i * c_i), or sum(out_i) when no cotangents are given."""
+    terms = [o.sum() for o in outs] if cotangents is None else [
+        (o * c).sum() for o, c in zip(outs, cotangents)
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _values_and_grads(fn, arrays, cotangents=None):
+    """Forward values of fn and the adjoints of its weighted sum for its inputs."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    outs = _outputs(fn, tensors)
+    _weighted_sum(outs, cotangents).backward()
+    return [o.data for o in outs], [t.grad for t in tensors]
+
+
+def _assert_close(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.shape == b.shape
+        assert np.allclose(a, b, rtol=TOL, atol=TOL), np.max(np.abs(a - b))
+
+
+def check_kernel(kernel, reference, arrays, seed=0, fd_tol=1e-6):
+    """Run every check on ``kernel`` against ``reference``.
+
+    Both take one tensor per entry of ``arrays`` (every one differentiable)
+    and return a tensor or a tuple of tensors.
+    """
+    rng = np.random.default_rng(seed)
+    ref_outs = _outputs(reference, [Tensor(a) for a in arrays])
+    cotangents = [rng.normal(size=o.shape) for o in ref_outs]
+
+    # forward values and parent adjoints against the composite reference
+    got_vals, got_grads = _values_and_grads(kernel, arrays, cotangents)
+    ref_vals, ref_grads = _values_and_grads(reference, arrays, cotangents)
+    _assert_close(got_vals, ref_vals)
+    _assert_close(got_grads, ref_grads)
+
+    # out.sum() hands each kernel node a read-only np.broadcast_to adjoint
+    _assert_close(_values_and_grads(kernel, arrays)[1], _values_and_grads(reference, arrays)[1])
+
+    # two backward passes through one graph: the VJPs must leave saved arrays intact
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    outs = _outputs(kernel, tensors)
+    _weighted_sum(outs, cotangents).backward()
+    first = [t.grad for t in tensors]
+    for t in tensors:
+        t.grad = None
+    _weighted_sum(outs, cotangents).backward()
+    for t, g in zip(tensors, first):
+        assert np.array_equal(g + t.grad, 2.0 * g)
+
+    # central differences through the kernel
+    store = ParamStore(seed=0)
+    names = [f"in{i}" for i in range(len(arrays))]
+    for name, a in zip(names, arrays):
+        store.add(name, a.shape).data[...] = a
+
+    def loss_fn(params):
+        return _weighted_sum(_outputs(kernel, [params[n] for n in names]), cotangents)
+
+    assert grad_check(loss_fn, store, n_samples=64) < fd_tol

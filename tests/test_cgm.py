@@ -1,8 +1,10 @@
-"""Cross-gated branch: lookups, gating arithmetic, hidden export, forward."""
+"""Cross-gated branch: lookups, gating arithmetic against hand cases and a
+composite reference, hidden export, forward."""
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from kernel_check import check_kernel
 from pastnet.cgm import (
     CgmConfig,
     CgmModule,
@@ -13,7 +15,7 @@ from pastnet.cgm import (
     hidden_export,
 )
 from pastnet.data import TimeFeatures
-from pastnet.numcore import ParamStore, Tensor, constant, grad_check, masked_mse
+from pastnet.numcore import ParamStore, Tensor, constant, grad_check, masked_mse, sigmoid, tanh
 
 
 def build_module(N=3, d=4, n=2, seed=0):
@@ -195,6 +197,31 @@ def test_cross_gate_broadcast_streams_match_full_streams():
         assert np.allclose(a, b, atol=1e-12)
     with pytest.raises(ValueError):
         cross_gate_layer(np.zeros((2, d)), np.zeros((3, d)), *map(constant, w0))
+
+
+def cross_gate_reference(v_s, v_t, w_sp, w_tp, w_sg, w_tg):
+    """The cross gate composed from numcore primitives."""
+    shape = np.broadcast_shapes(v_s.shape, v_t.shape)
+    s = v_s.reshape(1, -1) if v_s.ndim == 1 else v_s
+    t = v_t.reshape(1, -1) if v_t.ndim == 1 else v_t
+    v_sg = s @ w_sg
+    v_tg = t @ w_tg
+    out_s = s + (s @ w_sp) * sigmoid(v_sg) * tanh(v_tg)
+    out_t = t + (t @ w_tp) * sigmoid(v_tg) * tanh(v_sg)
+    return out_s.reshape(shape), out_t.reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "s_shape, t_shape",
+    [((1, 1, 4, 3), (2, 5, 1, 3)), ((2, 5, 3), (2, 5, 3)), ((3,), (3,))],
+    ids=["broadcast", "equal", "one-d"],
+)
+def test_cross_gate_kernel_matches_composite(s_shape, t_shape):
+    rng = np.random.default_rng(len(s_shape))
+    d = s_shape[-1]
+    arrays = [rng.normal(size=s_shape), rng.normal(size=t_shape)]
+    arrays += [rng.normal(size=(d, d)) for _ in range(4)]
+    check_kernel(cross_gate_layer, cross_gate_reference, arrays, seed=len(s_shape))
 
 
 def test_hidden_export_cases():

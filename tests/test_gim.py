@@ -1,21 +1,31 @@
 """Temporal-graph branch: adjacency rules, dropout calibration, forward
-operators against hand arithmetic and an independent dense reference."""
+operators against hand arithmetic, composite references and an independent
+dense reference."""
 import numpy as np
 import pytest
 
+from kernel_check import check_kernel
 from pastnet.gim import (
+    DEGREE_EPS,
     GimConfig,
     GimModule,
-    apply_interval_dropout,
     build_spatial_operator,
     build_temporal_adjacency,
     dropout_beta,
-    gim_forward,
     spatial_forward,
     temporal_forward,
+    _batch_interval_dropout,
     _batch_temporal_adjacency,
 )
-from pastnet.numcore import ParamStore, Tensor, grad_check, masked_mse
+from pastnet.numcore import (
+    ParamStore,
+    concat,
+    constant,
+    grad_check,
+    masked_mse,
+    relu,
+    softplus,
+)
 
 
 def test_adjacency_hand_cases():
@@ -97,18 +107,31 @@ def test_dropout_beta_validation():
         dropout_beta(0.1, 0.1, 0)
 
 
+def drop_one(adj, col, alpha, beta, seed):
+    """Edge dropout on one graph through the batched sampler (G=1)."""
+    return _batch_interval_dropout(adj[None], col[None, :], alpha, beta, np.random.default_rng(seed))[0]
+
+
 def test_interval_dropout_eval_passthrough():
-    col = np.array([1.0, 0.0, 1.0])
-    adj = build_temporal_adjacency(col)
-    out = apply_interval_dropout(adj, col, 0.1, -0.5, training=False, seed=3)
-    assert np.array_equal(out, adj)
+    # eval mode samples no dropout: it matches a dropout-free module in
+    # training mode bit for bit and leaves the generator untouched
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(1, 8, 3))
+    m = (rng.random((1, 8, 3)) > 0.5).astype(float)
+    module, _ = build_module(L=8, N=3, n=2, d=4, K=1, seed=3, p_dropout=0.5)
+    free, _ = build_module(L=8, N=3, n=2, d=4, K=1, seed=3, p_dropout=0.0)
+    gen = np.random.default_rng(7)
+    state = gen.bit_generator.state
+    out = module.forward(x, m, None, training=False, rng=gen).data
+    assert gen.bit_generator.state == state
+    assert np.array_equal(out, free.forward(x, m, None, training=True, rng=gen).data)
 
 
 def test_interval_dropout_only_hits_observed_to_missing():
     col = np.array([1.0, 0.0, 1.0])
     adj = build_temporal_adjacency(col)
     # beta so large every eligible edge has drop probability 1
-    out = apply_interval_dropout(adj, col, 0.1, 50.0, training=True, seed=0)
+    out = drop_one(adj, col, 0.1, 50.0, seed=0)
     expected = adj.copy()
     expected[1, 0] = 0.0  # observed 0 -> missing 1
     expected[1, 2] = 0.0  # observed 2 -> missing 1
@@ -120,9 +143,9 @@ def test_interval_dropout_only_hits_observed_to_missing():
 def test_interval_dropout_deterministic_per_seed():
     col = (np.random.default_rng(1).random(24) > 0.5).astype(float)
     adj = build_temporal_adjacency(col)
-    a = apply_interval_dropout(adj, col, 0.05, -0.2, training=True, seed=9)
-    b = apply_interval_dropout(adj, col, 0.05, -0.2, training=True, seed=9)
-    c = apply_interval_dropout(adj, col, 0.05, -0.2, training=True, seed=10)
+    a = drop_one(adj, col, 0.05, -0.2, seed=9)
+    b = drop_one(adj, col, 0.05, -0.2, seed=9)
+    c = drop_one(adj, col, 0.05, -0.2, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -135,7 +158,7 @@ def test_interval_dropout_single_edge_monte_carlo():
     trials = 10_000
     dropped = 0
     for seed in range(trials):
-        out = apply_interval_dropout(adj, col, 0.0, beta, training=True, seed=seed)
+        out = drop_one(adj, col, 0.0, beta, seed=seed)
         dropped += int(out[1, 0] == 0.0)
     assert abs(dropped / trials - 0.1) < 0.01
 
@@ -262,6 +285,88 @@ def test_spatial_forward_two_node_hand_case():
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
+def temporal_reference(adj):
+    """The temporal layer composed from numcore primitives."""
+
+    def reference(states, logits, w, b):
+        a = constant(adj) * softplus(logits)
+        degree = a.sum(axis=a.ndim - 1, keepdims=True)
+        return relu(((a @ states) / (degree + DEGREE_EPS)) @ w + b)
+
+    return reference
+
+
+def spatial_reference(op):
+    """The spatial layer composed from numcore primitives."""
+
+    def reference(h, w, b):
+        parts = [constant(p) @ h for p in op.normalized_powers]
+        return relu(concat(parts, axis=h.ndim - 1) @ w + b)
+
+    return reference
+
+
+def temporal_case(adj, d_in=4, d_out=3, batch=None, seed=0):
+    L1 = adj.shape[-1]
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    arrays = [
+        rng.normal(size=lead + (L1, d_in)),
+        rng.normal(size=(L1, L1)),
+        rng.normal(scale=0.5, size=(d_in, d_out)),
+        rng.normal(scale=0.1, size=d_out),
+    ]
+    check_kernel(
+        lambda s, lg, w, b: temporal_forward(s, adj, lg, w, b),
+        temporal_reference(adj),
+        arrays,
+        seed=seed,
+    )
+
+
+def test_temporal_kernel_matches_composite_batched_with_zero_degree_row():
+    rng = np.random.default_rng(21)
+    cols = (rng.random((3, 6)) > 0.4).astype(float)
+    cols[2] = 0.0
+    cols[2, 4] = 1.0  # the lone observed vertex has no source without injection
+    adj = _batch_temporal_adjacency(cols, include_injection=False)
+    assert adj[2, 4].sum() == 0.0
+    temporal_case(adj, batch=3, seed=1)
+
+
+def test_temporal_kernel_matches_composite_unbatched():
+    adj = build_temporal_adjacency(np.array([1.0, 0.0, 1.0, 1.0, 0.0]))
+    temporal_case(adj, seed=2)
+
+
+def test_temporal_kernel_matches_composite_with_dropped_edges():
+    rng = np.random.default_rng(22)
+    cols = (rng.random((4, 7)) > 0.5).astype(float)
+    base = _batch_temporal_adjacency(cols, include_injection=True)
+    adj = _batch_interval_dropout(base, cols, 0.1, 0.0, np.random.default_rng(5))
+    assert adj.sum() < base.sum()
+    temporal_case(adj, batch=4, seed=3)
+
+
+@pytest.mark.parametrize("K", [0, 2])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_spatial_kernel_matches_composite(K, lead):
+    rng = np.random.default_rng(23 + K)
+    a = rng.random((4, 4))
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    op = build_spatial_operator(a, K)
+    d = 3
+    arrays = [
+        rng.normal(size=lead + (4, d)),
+        rng.normal(scale=0.5, size=((K + 1) * d, 2)),
+        rng.normal(scale=0.1, size=2),
+    ]
+    check_kernel(
+        lambda h, w, b: spatial_forward(h, op, w, b), spatial_reference(op), arrays, seed=K
+    )
+
+
 def build_module(L, N, n, d, K, seed=0, include_injection=True, p_dropout=0.1):
     rng = np.random.default_rng(seed + 100)
     a = rng.random((N, N))
@@ -280,8 +385,8 @@ def test_gim_forward_shape_contract():
     x = rng.normal(size=(96, 20))
     m = (rng.random((96, 20)) > 0.4).astype(float)
     hiddens = [rng.normal(size=(20, 64)) for _ in range(3)]
-    y = gim_forward(module, x, m, hiddens)
-    assert y.shape == (96, 20)
+    y = module.forward(x[None], m[None], [h[None] for h in hiddens])
+    assert y.shape == (1, 96, 20)
     assert np.all(np.isfinite(y.data))
 
 
@@ -293,7 +398,7 @@ def test_gim_forward_zero_params_give_head_bias():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(8, 3))
     m = (rng.random((8, 3)) > 0.5).astype(float)
-    y = gim_forward(module, x, m, [rng.normal(size=(3, 4)) for _ in range(2)])
+    y = module.forward(x[None], m[None], [rng.normal(size=(1, 3, 4)) for _ in range(2)])
     assert np.allclose(y.data, 0.7, atol=1e-15)
 
 
@@ -349,7 +454,7 @@ def test_gim_forward_matches_dense_reference():
     x = rng.normal(size=(L, N))
     m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     hidden = rng.normal(size=(N, d))
-    got = gim_forward(module, x, m, [hidden]).data
+    got = module.forward(x[None], m[None], [hidden[None]]).data[0]
     arrays = {p.removeprefix("gim/"): t.data for p, t in params.items()}
     expected = dense_reference(x, m, hidden, a_s, K, arrays)
     assert np.allclose(got, expected, atol=1e-10)
@@ -360,11 +465,11 @@ def test_gim_forward_ignores_values_at_missing_positions():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(10, 4))
     m = (rng.random((10, 4)) > 0.5).astype(float)
-    hiddens = [rng.normal(size=(4, 6)) for _ in range(2)]
-    y1 = gim_forward(module, x, m, hiddens).data
+    hiddens = [rng.normal(size=(1, 4, 6)) for _ in range(2)]
+    y1 = module.forward(x[None], m[None], hiddens).data
     x_junk = x.copy()
     x_junk[m == 0.0] = 1e6  # garbage where nothing is observed
-    y2 = gim_forward(module, x_junk, m, hiddens).data
+    y2 = module.forward(x_junk[None], m[None], hiddens).data
     assert np.array_equal(y1, y2)
 
 
@@ -389,14 +494,15 @@ def test_gim_hidden_injection_matters_only_when_enabled():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 3))
     m = (rng.random((8, 3)) > 0.5).astype(float)
-    hiddens = [rng.normal(size=(3, 4)) for _ in range(2)]
+    hiddens = [rng.normal(size=(1, 3, 4)) for _ in range(2)]
+    x, m = x[None], m[None]
     with_inj, _ = build_module(L=8, N=3, n=2, d=4, K=1, seed=2)
-    y_zero = gim_forward(with_inj, x, m, None).data
-    y_hidden = gim_forward(with_inj, x, m, hiddens).data
+    y_zero = with_inj.forward(x, m, None).data
+    y_hidden = with_inj.forward(x, m, hiddens).data
     assert not np.array_equal(y_zero, y_hidden)
     without, _ = build_module(L=8, N=3, n=2, d=4, K=1, seed=2, include_injection=False)
-    y_off_zero = gim_forward(without, x, m, None).data
-    y_off_hidden = gim_forward(without, x, m, hiddens).data
+    y_off_zero = without.forward(x, m, None).data
+    y_off_hidden = without.forward(x, m, hiddens).data
     assert np.array_equal(y_off_zero, y_off_hidden)
 
 
@@ -410,17 +516,6 @@ def test_gim_forward_shape_validation():
         module.forward(np.zeros((2, 8, 3)), np.zeros((2, 8, 2)), None)
     with pytest.raises(ValueError):
         module.forward(np.zeros((2, 8, 3)), np.zeros((2, 8, 3)), [np.zeros((2, 3, 4))] * 3)
-
-
-def test_gim_window_wrapper_matches_batched():
-    module, _ = build_module(L=6, N=3, n=2, d=4, K=1, seed=6)
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(6, 3))
-    m = (rng.random((6, 3)) > 0.4).astype(float)
-    hiddens = [rng.normal(size=(3, 4)) for _ in range(2)]
-    single = gim_forward(module, x, m, hiddens).data
-    batched = module.forward(x[None], m[None], [h[None] for h in hiddens]).data[0]
-    assert np.allclose(single, batched, atol=1e-12)
 
 
 def test_gim_gradients_pass_finite_difference_check():
