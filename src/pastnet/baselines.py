@@ -66,18 +66,16 @@ def _similarity_ranking(x: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
     return rankings
 
 
-def baseline_knn(x: np.ndarray, m: np.ndarray, k: int, adjacency=None) -> np.ndarray:
+def baseline_knn(x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     """Average of the k most value-similar nodes observed at the same step.
 
-    Similarity is the mean squared difference over co-observed steps, so the
-    road-graph adjacency plays no role here; the argument exists to keep the
-    baseline call signature uniform.  Entries with no ranked neighbor
+    Similarity is the mean squared difference over co-observed steps; the
+    road-graph adjacency plays no role.  Entries with no ranked neighbor
     observed at their step fall back to the linear baseline.
     """
     x, m = _check_inputs(x, m)
     if k < 1:
         raise ValueError("k must be at least 1")
-    del adjacency
     fallback = baseline_linear(x, m)
     out = x.copy()
     rankings = _similarity_ranking(x, m)

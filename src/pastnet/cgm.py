@@ -13,12 +13,12 @@ in the per-layer hidden projection and the output head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, constant, embedding
+from .numcore import ParamStore, Tensor, concat, embedding
 from .numcore.tensor import _unbroadcast, _wrap
 
 WEEK_CARD = 7
@@ -39,29 +39,6 @@ class CgmConfig:
     N: int
     d: int
     n: int
-    d_week: int | None = None
-    d_hour: int | None = None
-    d_minute: int | None = None
-
-    def __post_init__(self):
-        if self.d_week is None or self.d_hour is None or self.d_minute is None:
-            self.d_week, self.d_hour, self.d_minute = default_partition(self.d)
-        if self.d_week + self.d_hour + self.d_minute != self.d:
-            raise ValueError("timestamp embedding partition must sum to d")
-        if min(self.d_week, self.d_hour, self.d_minute) < 1:
-            raise ValueError("each timestamp embedding needs at least one dimension")
-
-
-@dataclass
-class EmbeddingTables:
-    node: Tensor
-    week: Tensor
-    hour: Tensor
-    minute: Tensor
-
-    @property
-    def d(self) -> int:
-        return self.node.shape[1]
 
 
 def _check_range(name: str, idx: np.ndarray, cardinality: int) -> np.ndarray:
@@ -69,20 +46,6 @@ def _check_range(name: str, idx: np.ndarray, cardinality: int) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= cardinality):
         raise ValueError(f"{name} index out of range [0, {cardinality})")
     return idx
-
-
-def embed_external(node_index: int, tf, tables: EmbeddingTables) -> tuple[Tensor, Tensor]:
-    """Single lookup: v_s = node row, v_t = concat(week, hour, minute) rows."""
-    u = _check_range("node", np.array([node_index]), tables.node.shape[0])
-    w = _check_range("week", np.array([tf.week]), WEEK_CARD)
-    h = _check_range("hour", np.array([tf.hour]), HOUR_CARD)
-    b = _check_range("minute_bucket", np.array([tf.minute_bucket]), MINUTE_CARD)
-    v_s = embedding(tables.node, u).reshape(tables.d)
-    v_t = concat(
-        [embedding(tables.week, w), embedding(tables.hour, h), embedding(tables.minute, b)],
-        axis=1,
-    ).reshape(tables.d)
-    return v_s, v_t
 
 
 def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
@@ -167,15 +130,6 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def hidden_export(s_u, t_u, proj_w, proj_b) -> Tensor:
-    """Time-mean of concat(S, T) rows, projected 2d -> d."""
-    s_u = s_u if isinstance(s_u, Tensor) else constant(s_u)
-    t_u = t_u if isinstance(t_u, Tensor) else constant(t_u)
-    pooled = concat([s_u, t_u], axis=1).mean(axis=0)
-    d = s_u.shape[1]
-    return (pooled.reshape(1, 2 * d) @ proj_w + proj_b).reshape(d)
-
-
 class CgmModule:
     """Owns the branch parameters inside a shared store under ``cgm/``."""
 
@@ -186,10 +140,11 @@ class CgmModule:
     @classmethod
     def build(cls, params: ParamStore, config: CgmConfig) -> "CgmModule":
         d = config.d
+        d_week, d_hour, d_minute = default_partition(d)
         params.add("cgm/embed/node", (config.N, d), init="normal")
-        params.add("cgm/embed/week", (WEEK_CARD, config.d_week), init="normal")
-        params.add("cgm/embed/hour", (HOUR_CARD, config.d_hour), init="normal")
-        params.add("cgm/embed/minute", (MINUTE_CARD, config.d_minute), init="normal")
+        params.add("cgm/embed/week", (WEEK_CARD, d_week), init="normal")
+        params.add("cgm/embed/hour", (HOUR_CARD, d_hour), init="normal")
+        params.add("cgm/embed/minute", (MINUTE_CARD, d_minute), init="normal")
         for i in range(config.n):
             prefix = f"cgm/layer{i}"
             for name in ("W_sp", "W_tp", "W_sg", "W_tg"):
@@ -199,16 +154,6 @@ class CgmModule:
         params.add("cgm/head/W", (2 * d, 1), init="uniform_fan_in")
         params.add("cgm/head/b", (1,))
         return cls(params, config)
-
-    @property
-    def tables(self) -> EmbeddingTables:
-        p = self.params
-        return EmbeddingTables(
-            node=p["cgm/embed/node"],
-            week=p["cgm/embed/week"],
-            hour=p["cgm/embed/hour"],
-            minute=p["cgm/embed/minute"],
-        )
 
     def forward(
         self, week: np.ndarray, hour: np.ndarray, minute_bucket: np.ndarray
@@ -258,22 +203,7 @@ class CgmModule:
             pooled = pair.mean(axis=1)  # (B, N, 2d)
             hiddens.append(pooled @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
 
-        pair = concat([s_stream, t_stream], axis=3)
+        # the head reads the last layer's pair, as its hidden projection does
         y = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(B, L, N)
         return y, hiddens
 
-
-def cgm_forward(
-    module: CgmModule, week: np.ndarray, hour: np.ndarray, minute_bucket: np.ndarray
-) -> tuple[Tensor, list[Tensor]]:
-    """Single-window entry point: (L,) features -> ((L, N), n x (N, d))."""
-    week = np.asarray(week)
-    if week.ndim != 1:
-        raise ValueError("expected 1-d per-step features")
-    y, hiddens = module.forward(
-        week[None, :], np.asarray(hour)[None, :], np.asarray(minute_bucket)[None, :]
-    )
-    L = week.shape[0]
-    N = module.config.N
-    d = module.config.d
-    return y.reshape(L, N), [h.reshape(N, d) for h in hiddens]

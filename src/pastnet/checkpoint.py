@@ -37,9 +37,7 @@ MAGIC = b"PASTCKPT"
 VERSION = 1
 
 _CONFIG_FIELDS = [
-    "L", "N", "d", "n", "K", "alpha", "p_dropout",
-    "d_week", "d_hour", "d_minute",
-    "use_gim", "use_cgm", "residual_literal_sign", "seed",
+    "L", "N", "d", "n", "K", "alpha", "p_dropout", "use_gim", "use_cgm", "seed",
 ]
 
 

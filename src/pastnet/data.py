@@ -1,8 +1,8 @@
 """Datasets for traffic-network imputation.
 
-Synthetic generation, CSV/JSON ingestion, window-average down-sampling,
-z-score normalization, calendar feature extraction, distance-kernel spatial
-adjacency, and windowing into fixed-length training slices.
+Synthetic generation, CSV/JSON ingestion, z-score normalization, calendar
+feature extraction, distance-kernel spatial adjacency, and windowing into
+fixed-length training slices.
 
 Ground truth stays complete: every "missing" value exists in ``values`` and
 missingness lives only in mask matrices, so simulated gaps can be scored
@@ -103,10 +103,6 @@ class WindowBatch:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def window_length(self) -> int:
-        return self.values.shape[1]
 
 
 def build_spatial_adjacency(n_nodes: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -241,21 +237,6 @@ def synthesize_dataset(
     )
 
 
-def downsample_window_average(ds: TrafficDataset, target_minutes: int) -> TrafficDataset:
-    """Average non-overlapping k-step windows, k = target/step; drop the tail."""
-    k, rem = divmod(target_minutes, ds.step_minutes)
-    if rem != 0:
-        raise ValueError("target_minutes must be divisible by step_minutes")
-    if k <= 0:
-        raise ValueError("target_minutes must be positive")
-    if k == 1:
-        return replace(ds, values=ds.values.copy())
-    t_out = ds.n_steps // k
-    trimmed = ds.values[: t_out * k]
-    averaged = trimmed.reshape(t_out, k, ds.n_nodes).mean(axis=1)
-    return replace(ds, values=averaged, step_minutes=target_minutes)
-
-
 def normalize(ds: TrafficDataset, train_fraction: float, mask: np.ndarray) -> TrafficDataset:
     """Z-score the whole grid using observed entries of the training span.
 
@@ -275,11 +256,6 @@ def normalize(ds: TrafficDataset, train_fraction: float, mask: np.ndarray) -> Tr
     mean = float(observed.mean())
     std = max(float(observed.std()), STD_FLOOR)
     return replace(ds, values=(ds.values - mean) / std, norm_stats=(mean, std))
-
-
-def denormalize_values(values: np.ndarray, norm_stats: tuple[float, float]) -> np.ndarray:
-    mean, std = norm_stats
-    return values * std + mean
 
 
 def time_features_at(ds: TrafficDataset, step_index: int) -> TimeFeatures:

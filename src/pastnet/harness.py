@@ -14,7 +14,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -116,6 +116,18 @@ class ExperimentPlan:
         bad = [k for k in self.train_overrides if k not in ("random", "fiber", "block")]
         if bad:
             raise ValueError(f"train_overrides keyed by unknown scenario kinds {bad}")
+        model_keys = {f.name for f in fields(ModelConfig)}
+        train_keys = {f.name for f in fields(TrainConfig)}
+        _check_keys("model", self.model, model_keys)
+        _check_keys("train", self.train, train_keys)
+        for kind, override in self.train_overrides.items():
+            _check_keys(f"train_overrides.{kind}", override, train_keys | {"window_stride"})
+
+
+def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
+    unknown = sorted(set(given) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {section} keys {unknown}; choose from {sorted(allowed)}")
 
 
 def plan_from_dict(raw: dict) -> ExperimentPlan:
@@ -247,7 +259,7 @@ def _impute_all_spans(
         if method == "linear":
             pred = baseline_linear(masked_values[sl], mask[sl])
         elif method == "knn":
-            pred = baseline_knn(masked_values[sl], mask[sl], plan.knn_k, adjacency)
+            pred = baseline_knn(masked_values[sl], mask[sl], plan.knn_k)
         else:
             week, hour, bucket = time_feature_arrays(ds, span.lo, span.hi - span.lo)
             pred = impute_span(model, masked_values[sl], mask[sl], week, hour, bucket)

@@ -35,12 +35,8 @@ class ModelConfig:
     K: int = 2
     alpha: float = 0.1
     p_dropout: float = 0.1
-    d_week: int | None = None
-    d_hour: int | None = None
-    d_minute: int | None = None
     use_gim: bool = True
     use_cgm: bool = True
-    residual_literal_sign: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -72,18 +68,17 @@ def compute_losses(
     y_gim: Tensor,
     y_cgm: Tensor,
     sever_residual: bool = True,
-    literal_sign: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """Dual objectives on observed entries.
 
     loss1 = masked_mse(y_gim, x, m).  loss2 = masked_mse(y_cgm, r, m) with
-    r = x - y_gim (or y_gim - x under the literal sign flag); by default
-    y_gim enters r as a constant so loss2 cannot move the first branch.
+    r = x - y_gim; by default y_gim enters r as a constant so loss2 cannot
+    move the first branch.
     """
     x_c = constant(np.asarray(x, dtype=np.float64))
     loss1 = masked_mse(y_gim, x_c, m)
     gim_term = y_gim.detach() if sever_residual else y_gim
-    residual = (gim_term - x_c) if literal_sign else (x_c - gim_term)
+    residual = x_c - gim_term
     loss2 = masked_mse(y_cgm, residual, m)
     return loss1, loss2
 
@@ -125,17 +120,7 @@ class PastModel:
         params = ParamStore(seed=config.seed)
         cgm = None
         if config.use_cgm:
-            cgm = CgmModule.build(
-                params,
-                CgmConfig(
-                    N=config.N,
-                    d=config.d,
-                    n=config.n,
-                    d_week=config.d_week,
-                    d_hour=config.d_hour,
-                    d_minute=config.d_minute,
-                ),
-            )
+            cgm = CgmModule.build(params, CgmConfig(N=config.N, d=config.d, n=config.n))
         gim = None
         if config.use_gim:
             gim = GimModule.build(
@@ -197,20 +182,16 @@ class PastModel:
             values, masks, week, hour, minute_bucket, training=training, rng=rng, sever=sever
         )
         w1, w2 = loss_weights
-        x_c = constant(np.asarray(values, dtype=np.float64))
-        literal = self.config.residual_literal_sign
         if y_gim is not None and y_cgm is not None:
-            loss1, loss2 = compute_losses(
-                values, masks, y_gim, y_cgm, sever_residual=sever, literal_sign=literal
-            )
+            loss1, loss2 = compute_losses(values, masks, y_gim, y_cgm, sever_residual=sever)
             total = loss1 * w1 + loss2 * w2
             return total, float(loss1.data), float(loss2.data)
+        x_c = constant(np.asarray(values, dtype=np.float64))
         if y_gim is not None:
             loss1 = masked_mse(y_gim, x_c, masks)
             return loss1 * w1, float(loss1.data), float("nan")
         # cgm alone fits the values directly: the absent branch contributes 0
-        target = (x_c * -1.0) if literal else x_c
-        loss2 = masked_mse(y_cgm, target, masks)
+        loss2 = masked_mse(y_cgm, x_c, masks)
         return loss2 * w2, float("nan"), float(loss2.data)
 
     def impute(

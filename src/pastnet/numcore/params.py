@@ -68,10 +68,6 @@ class ParamStore:
     def items(self) -> list[tuple[str, Tensor]]:
         return [(p, self._entries[p]) for p in self.paths()]
 
-    def subset(self, prefix: str) -> list[tuple[str, Tensor]]:
-        """Parameters whose path starts with ``prefix`` (sorted)."""
-        return [(p, t) for p, t in self.items() if p.startswith(prefix)]
-
     def count_parameters(self, prefix: str = "") -> int:
         return sum(t.data.size for p, t in self.items() if p.startswith(prefix))
 

@@ -5,6 +5,9 @@ gate status is visible even under pytest's capture, then asserts.
 """
 import dataclasses
 import gc
+import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -288,9 +291,27 @@ def timed_forwards(cases, reps=5):
     return [float(np.median(t)) for t in times]
 
 
+def timed_forwards_in_child(cases, reps=5):
+    """timed_forwards in a fresh interpreter with one BLAS thread and a
+    fixed mmap threshold, so the ratios measure the forward's cost and not
+    the heap state or BLAS threads that earlier tests leave behind."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MALLOC_MMAP_THRESHOLD_="131072")
+    paths = [str(REPO / "src"), str(REPO / "tests"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = (
+        "import json; from test_acceptance import timed_forwards; "
+        f"print(json.dumps(timed_forwards({cases!r}, reps={reps})))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 def test_criterion_9_forward_cost_scaling():
     """Doubling nodes scales cost linearly; doubling window superlinearly."""
-    base, twice_n, twice_l = timed_forwards([(512, 8), (512, 16), (1024, 8)])
+    base, twice_n, twice_l = timed_forwards_in_child([(512, 8), (512, 16), (1024, 8)])
     n_factor = twice_n / base
     l_factor = twice_l / base
     ok = 1.5 <= n_factor <= 2.5 and l_factor >= 3.0

@@ -177,12 +177,6 @@ def test_knn_sparse_pair_excluded_from_ranking():
     assert out[3, 0] == pytest.approx(3.0)  # linear fill, not the twin
 
 
-def test_knn_adjacency_argument_is_inert():
-    x, m = knn_fixture()
-    with_adj = baseline_knn(x, m, k=2, adjacency=np.ones((3, 3)))
-    assert np.array_equal(with_adj, baseline_knn(x, m, k=2))
-
-
 def test_knn_observed_passthrough_and_validation():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(25, 5))

@@ -1,20 +1,11 @@
-"""Cross-gated branch: lookups, gating arithmetic against hand cases and a
-composite reference, hidden export, forward."""
+"""Cross-gated branch: gating arithmetic against hand cases and a composite
+reference, lookups and hidden export through the batched forward."""
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from kernel_check import check_kernel
-from pastnet.cgm import (
-    CgmConfig,
-    CgmModule,
-    cgm_forward,
-    cross_gate_layer,
-    default_partition,
-    embed_external,
-    hidden_export,
-)
-from pastnet.data import TimeFeatures
+from pastnet.cgm import CgmConfig, CgmModule, cross_gate_layer, default_partition
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check, masked_mse, sigmoid, tanh
 
 
@@ -30,61 +21,6 @@ def test_default_partition():
     assert sum(default_partition(10)) == 10
     with pytest.raises(ValueError):
         default_partition(3)
-
-
-def test_config_partition_validation():
-    with pytest.raises(ValueError):
-        CgmConfig(N=2, d=8, n=1, d_week=4, d_hour=4, d_minute=4)
-    cfg = CgmConfig(N=2, d=8, n=1, d_week=2, d_hour=4, d_minute=2)
-    assert (cfg.d_week, cfg.d_hour, cfg.d_minute) == (2, 4, 2)
-
-
-def test_embed_external_structure():
-    module, params = build_module(N=3, d=4)
-    tables = module.tables
-    tf = TimeFeatures(week=2, hour=13, minute_bucket=3)
-    v_s, v_t = embed_external(1, tf, tables)
-    assert np.array_equal(v_s.data, params["cgm/embed/node"].data[1])
-    assert v_t.shape == (4,)
-    expected = np.concatenate(
-        [
-            params["cgm/embed/week"].data[2],
-            params["cgm/embed/hour"].data[13],
-            params["cgm/embed/minute"].data[3],
-        ]
-    )
-    assert np.array_equal(v_t.data, expected)
-    again_s, again_t = embed_external(1, tf, tables)
-    assert np.array_equal(again_s.data, v_s.data)
-    assert np.array_equal(again_t.data, v_t.data)
-
-
-def test_embed_external_minute_change_touches_only_tail():
-    module, _ = build_module(N=2, d=8)
-    cfg = module.config
-    t1 = TimeFeatures(week=1, hour=5, minute_bucket=0)
-    t2 = TimeFeatures(week=1, hour=5, minute_bucket=2)
-    _, v1 = embed_external(0, t1, module.tables)
-    _, v2 = embed_external(0, t2, module.tables)
-    head = cfg.d_week + cfg.d_hour
-    assert np.array_equal(v1.data[:head], v2.data[:head])
-    assert not np.array_equal(v1.data[head:], v2.data[head:])
-
-
-def test_embed_external_range_errors():
-    module, _ = build_module(N=2, d=4)
-    tables = module.tables
-    ok = TimeFeatures(week=0, hour=0, minute_bucket=0)
-    with pytest.raises(ValueError):
-        embed_external(2, ok, tables)
-    with pytest.raises(ValueError):
-        embed_external(0, TimeFeatures(week=7, hour=0, minute_bucket=0), tables)
-    with pytest.raises(ValueError):
-        embed_external(0, TimeFeatures(week=0, hour=24, minute_bucket=0), tables)
-    with pytest.raises(ValueError):
-        embed_external(0, TimeFeatures(week=0, hour=0, minute_bucket=4), tables)
-    with pytest.raises(ValueError):
-        embed_external(-1, ok, tables)
 
 
 def gate_args(d, rng=None, zeros=False):
@@ -224,22 +160,6 @@ def test_cross_gate_kernel_matches_composite(s_shape, t_shape):
     check_kernel(cross_gate_layer, cross_gate_reference, arrays, seed=len(s_shape))
 
 
-def test_hidden_export_cases():
-    proj_w = constant(np.array([[1.0], [1.0]]))
-    proj_b = constant(np.zeros(1))
-    # L=2, d=1 hand case: mean concat = (2, 1) -> 3
-    s = np.array([[1.0], [3.0]])
-    t = np.array([[0.0], [2.0]])
-    out = hidden_export(s, t, proj_w, proj_b)
-    assert out.data[0] == pytest.approx(3.0, abs=1e-15)
-    # L=1: mean of a single row is that row
-    one = hidden_export(np.array([[5.0]]), np.array([[7.0]]), proj_w, proj_b)
-    assert one.data[0] == pytest.approx(12.0, abs=1e-15)
-    # constant streams pool to the constant
-    const = hidden_export(np.full((4, 1), 2.5), np.full((4, 1), -1.0), proj_w, proj_b)
-    assert const.data[0] == pytest.approx(1.5, abs=1e-12)
-
-
 def test_forward_shapes_and_determinism():
     module, _ = build_module(N=4, d=8, n=3)
     rng = np.random.default_rng(5)
@@ -288,6 +208,71 @@ def test_forward_zero_gates_is_layer0_broadcast():
             assert np.allclose(hiddens[i].data[0, u], expected, atol=1e-12)
 
 
+def layer0_pairs(week, hour, bucket, d=8):
+    """Embed node and calendar features and read the layer-0 pairs back.
+
+    Zero gates leave every (t, u) pair at concat(node row u, stamp row t);
+    a one-hot head reads one coordinate of that pair back out per forward.
+    Returns the (L, N, 2d) readout and the parameters it came from.
+    """
+    module, params = build_module(N=3, d=d, n=1, seed=1)
+    for name in ("W_sp", "W_tp", "W_sg", "W_tg"):
+        params[f"cgm/layer0/{name}"].data[...] = 0.0
+    head = params["cgm/head/W"].data
+    readout = []
+    for j in range(2 * d):
+        head[...] = 0.0
+        head[j, 0] = 1.0
+        y, _ = module.forward(week, hour, bucket)
+        readout.append(y.data[0])  # (L, N)
+    return np.stack(readout, axis=-1), params
+
+
+def test_embed_external_structure():
+    week = np.array([[2, 2, 6]])
+    hour = np.array([[13, 13, 0]])
+    bucket = np.array([[0, 3, 1]])
+    readout, params = layer0_pairs(week, hour, bucket)
+    node = params["cgm/embed/node"].data
+    stamp = np.concatenate(
+        [
+            params["cgm/embed/week"].data[week[0]],
+            params["cgm/embed/hour"].data[hour[0]],
+            params["cgm/embed/minute"].data[bucket[0]],
+        ],
+        axis=1,
+    )
+    assert readout.shape == (3, 3, 16)
+    for t in range(3):
+        for u in range(3):
+            assert np.array_equal(readout[t, u], np.concatenate([node[u], stamp[t]]))
+    again, _ = layer0_pairs(week, hour, bucket)
+    assert np.array_equal(again, readout)
+
+
+def test_embed_external_minute_change_touches_only_tail():
+    # steps 0 and 1 differ in minute bucket only
+    readout, _ = layer0_pairs(np.array([[1, 1]]), np.array([[5, 5]]), np.array([[0, 2]]))
+    d_week, d_hour, _ = default_partition(8)
+    head_end = 8 + d_week + d_hour
+    assert np.array_equal(readout[0, :, :head_end], readout[1, :, :head_end])
+    assert not np.array_equal(readout[0, :, head_end:], readout[1, :, head_end:])
+
+
+def test_embed_external_range_errors():
+    module, _ = build_module()
+    zeros = np.zeros((1, 2), int)
+    for bad in ([[0, 7]], [[0, -1]]):
+        with pytest.raises(ValueError, match="week index"):
+            module.forward(np.array(bad), zeros, zeros)
+    for bad in ([[24, 0]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="hour index"):
+            module.forward(zeros, np.array(bad), zeros)
+    for bad in ([[0, 4]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="minute_bucket index"):
+            module.forward(zeros, zeros, np.array(bad))
+
+
 def test_forward_identical_node_embeddings_identical_columns():
     module, params = build_module(N=3, d=4, n=2, seed=9)
     params["cgm/embed/node"].data[2] = params["cgm/embed/node"].data[0]
@@ -317,25 +302,12 @@ def test_gate_matrices_count_exactly_4d2():
     for i in range(2):
         gate_paths = [
             p
-            for p, _ in params.subset(f"cgm/layer{i}/")
-            if p.split("/")[-1].startswith("W_")
+            for p, _ in params.items()
+            if p.startswith(f"cgm/layer{i}/") and p.split("/")[-1].startswith("W_")
         ]
         assert len(gate_paths) == 4
         total = sum(params[p].data.size for p in gate_paths)
         assert total == 4 * d * d
-
-
-def test_window_wrapper_matches_batched():
-    module, _ = build_module(N=3, d=4, n=2, seed=2)
-    rng = np.random.default_rng(7)
-    week = rng.integers(0, 7, size=6)
-    hour = rng.integers(0, 24, size=6)
-    bucket = rng.integers(0, 4, size=6)
-    y, hiddens = cgm_forward(module, week, hour, bucket)
-    yb, hb = module.forward(week[None], hour[None], bucket[None])
-    assert np.allclose(y.data, yb.data[0], atol=1e-14)
-    for a, b in zip(hiddens, hb):
-        assert np.allclose(a.data, b.data[0], atol=1e-14)
 
 
 def test_cgm_gradients_pass_finite_difference_check():

@@ -9,8 +9,6 @@ from pastnet.data import (
     TimeFeatures,
     TrafficDataset,
     build_spatial_adjacency,
-    denormalize_values,
-    downsample_window_average,
     load_dataset,
     load_values_csv,
     normalize,
@@ -132,24 +130,6 @@ def test_synthesize_preconditions():
         synthesize_dataset(n_nodes=3, n_days=1)
 
 
-def test_downsample_hand_values():
-    ds = TrafficDataset(values=np.array([[1.0], [2.0], [3.0]]), step_minutes=5)
-    out = downsample_window_average(ds, 15)
-    assert np.array_equal(out.values, np.array([[2.0]]))
-    assert out.step_minutes == 15
-
-
-def test_downsample_identity_and_tail_drop():
-    ds = TrafficDataset(values=np.arange(7.0).reshape(7, 1), step_minutes=5)
-    same = downsample_window_average(ds, 5)
-    assert np.array_equal(same.values, ds.values)
-    out = downsample_window_average(ds, 15)
-    assert out.values.shape == (2, 1)  # floor(7/3), last value dropped
-    assert np.array_equal(out.values[:, 0], np.array([1.0, 4.0]))
-    with pytest.raises(ValueError):
-        downsample_window_average(ds, 7)
-
-
 def test_normalize_statistics_and_roundtrip():
     rng = np.random.default_rng(0)
     values = rng.normal(50.0, 9.0, size=(100, 4))
@@ -160,7 +140,8 @@ def test_normalize_statistics_and_roundtrip():
     observed = out.values[:boundary][mask[:boundary] == 1.0]
     assert abs(observed.mean()) < 1e-9
     assert abs(observed.std() - 1.0) < 1e-9
-    back = denormalize_values(out.values, out.norm_stats)
+    mean, std = out.norm_stats
+    back = out.values * std + mean
     assert np.max(np.abs(back - values)) < 1e-9
 
 

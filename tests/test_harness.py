@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,26 @@ def test_plan_from_dict_defaults_scenario_seeds():
     )
     assert [sc.seed for sc in plan.scenarios] == [5000, 5001]
     assert plan.scenarios[1].l == 8
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("model", {"d_wek": 2}, "d_wek"),
+        ("model", {"residual_literal_sign": True}, "residual_literal_sign"),
+        ("train", {"epoch": 3}, "epoch"),
+        ("train_overrides", {"fiber": {"lr": 1e-2, "stride": 24}}, "stride"),
+    ],
+)
+def test_plan_from_dict_rejects_unknown_config_keys(section, value, key):
+    raw = {
+        "dataset": {"kind": "synthetic", "n_nodes": 6, "n_days": 2},
+        "scenarios": [{"kind": "random", "r": 0.2}],
+        "methods": ["past"],
+        section: value,
+    }
+    with pytest.raises(ValueError, match=re.escape(f"keys [{key!r}]")):
+        plan_from_dict(raw)
 
 
 def test_load_plan_round_trip(tmp_path):
