@@ -13,13 +13,16 @@ in the per-layer hidden projection and the output head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import expit
 
 from .numcore import ParamStore, Tensor, concat, embedding
 from .numcore.tensor import _unbroadcast, _wrap
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 WEEK_CARD = 7
 HOUR_CARD = 24
@@ -32,13 +35,6 @@ def default_partition(d: int) -> tuple[int, int, int]:
         raise ValueError("d must be at least 4 to partition the timestamp embedding")
     quarter = d // 4
     return quarter, d - 2 * quarter, quarter
-
-
-@dataclass
-class CgmConfig:
-    N: int
-    d: int
-    n: int
 
 
 def _check_range(name: str, idx: np.ndarray, cardinality: int) -> np.ndarray:
@@ -133,12 +129,12 @@ def _fold(a: np.ndarray) -> np.ndarray:
 class CgmModule:
     """Owns the branch parameters inside a shared store under ``cgm/``."""
 
-    def __init__(self, params: ParamStore, config: CgmConfig):
+    def __init__(self, params: ParamStore, config: ModelConfig):
         self.params = params
         self.config = config
 
     @classmethod
-    def build(cls, params: ParamStore, config: CgmConfig) -> "CgmModule":
+    def build(cls, params: ParamStore, config: ModelConfig) -> "CgmModule":
         d = config.d
         d_week, d_hour, d_minute = default_partition(d)
         params.add("cgm/embed/node", (config.N, d), init="normal")

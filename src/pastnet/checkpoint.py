@@ -9,36 +9,36 @@ Single-file container, little-endian throughout:
     u32          array count
     per array:
         u16      byte length of the key
-        ...      key, UTF-8 (namespaced: param/, adam/m/, adam/v/,
-                 spatial/<k>, norm/stats)
+        ...      key, UTF-8 (namespaced: param/, spatial/<k>, norm/stats)
         u8       ndim
         ndim*u32 dimensions
         ...      raw float64 data, C order
 
-Covers everything inference and resumed training need: model config,
-every parameter, Adam moments and step count when training state exists,
-the normalized spatial powers, and normalization statistics.  Loading a
-file that is truncated, has the wrong magic, or carries trailing bytes
-fails with a descriptive error before any model is built.
+Covers everything inference needs: every ModelConfig field, every
+parameter, the normalized spatial powers and normalization statistics.
+No optimizer state is stored, as training starts a fresh one; config lines
+and arrays the loader does not know, such as older files' Adam moments,
+are ignored.  A file that is truncated, has the wrong magic, a config
+value of the wrong type or trailing bytes fails with a descriptive
+ValueError before any model is built.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .gim import SpatialOperator
 from .model import ModelConfig, PastModel
-from .numcore import AdamState
 
 MAGIC = b"PASTCKPT"
 VERSION = 1
 
-_CONFIG_FIELDS = [
-    "L", "N", "d", "n", "K", "alpha", "p_dropout", "use_gim", "use_cgm", "seed",
-]
+_CONFIG_FIELDS = [f.name for f in fields(ModelConfig)]
 
 
 def _write_array(out, key: str, arr: np.ndarray):
@@ -55,21 +55,12 @@ def _write_array(out, key: str, arr: np.ndarray):
 def save_checkpoint(model: PastModel, path: str):
     cfg = model.config
     lines = [f"{k}={json.dumps(getattr(cfg, k))}" for k in _CONFIG_FIELDS]
-    opt = model.optimizer_state
-    lines.append(f"has_optimizer={json.dumps(opt is not None)}")
-    if opt is not None:
-        for k in ("lr", "beta1", "beta2", "epsilon", "step_count"):
-            lines.append(f"optim_{k}={json.dumps(getattr(opt, k))}")
     lines.append(f"has_norm_stats={json.dumps(model.norm_stats is not None)}")
     config_block = ("\n".join(lines) + "\n").encode("utf-8")
 
     arrays: list[tuple[str, np.ndarray]] = []
     for p in model.params.paths():
         arrays.append((f"param/{p}", model.params[p].data))
-    if opt is not None:
-        for p in model.params.paths():
-            arrays.append((f"adam/m/{p}", opt.first_moment[p]))
-            arrays.append((f"adam/v/{p}", opt.second_moment[p]))
     for k, mat in enumerate(model.spatial_op.normalized_powers):
         arrays.append((f"spatial/{k}", mat))
     if model.norm_stats is not None:
@@ -85,8 +76,9 @@ def save_checkpoint(model: PastModel, path: str):
             _write_array(out, key, arr)
 
 
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
+def _read_exact(f: io.BytesIO, n: int) -> bytes:
+    # a corrupt length can exceed what read() accepts; never ask for more than is left
+    buf = f.read(min(n, f.getbuffer().nbytes - f.tell()))
     if len(buf) != n:
         raise ValueError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
     return buf
@@ -117,8 +109,7 @@ def load_checkpoint(path: str) -> PastModel:
         key = _read_exact(f, key_len).decode("utf-8")
         (ndim,) = struct.unpack("<B", _read_exact(f, 1))
         shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
-        n_items = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(_read_exact(f, 8 * n_items), dtype="<f8")
+        data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
         arrays[key] = data.reshape(shape).astype(np.float64)
     if f.read(1):
         raise ValueError("corrupt checkpoint: trailing data after the last array")
@@ -126,7 +117,10 @@ def load_checkpoint(path: str) -> PastModel:
     missing = [k for k in _CONFIG_FIELDS if k not in kv]
     if missing:
         raise ValueError(f"corrupt checkpoint: config lacks {missing}")
-    config = ModelConfig(**{k: kv[k] for k in _CONFIG_FIELDS})
+    try:
+        config = ModelConfig(**{k: kv[k] for k in _CONFIG_FIELDS})
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. d=[]
+        raise ValueError(f"corrupt checkpoint: bad config value ({exc})") from None
 
     powers = []
     for k in range(config.K + 1):
@@ -144,27 +138,6 @@ def load_checkpoint(path: str) -> PastModel:
         norm_stats = (float(mean), float(std))
 
     model = PastModel.build(config, spatial_op=spatial_op, norm_stats=norm_stats)
-    params = {
-        key[len("param/"):]: arr for key, arr in arrays.items() if key.startswith("param/")
-    }
+    params = {k.removeprefix("param/"): a for k, a in arrays.items() if k.startswith("param/")}
     model.params.load_state_arrays(params)
-
-    if kv.get("has_optimizer"):
-        first = {p: None for p in model.params.paths()}
-        second = {p: None for p in model.params.paths()}
-        for p in model.params.paths():
-            mk, vk = f"adam/m/{p}", f"adam/v/{p}"
-            if mk not in arrays or vk not in arrays:
-                raise ValueError(f"corrupt checkpoint: missing optimizer moments for {p}")
-            first[p] = arrays[mk].copy()
-            second[p] = arrays[vk].copy()
-        model.optimizer_state = AdamState(
-            lr=kv["optim_lr"],
-            beta1=kv["optim_beta1"],
-            beta2=kv["optim_beta2"],
-            epsilon=kv["optim_epsilon"],
-            step_count=kv["optim_step_count"],
-            first_moment=first,
-            second_moment=second,
-        )
     return model

@@ -66,17 +66,17 @@ def build_parser() -> _Parser:
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=96)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--p-dropout", type=float, default=0.1)
+    p.add_argument("--dim", type=int, default=ModelConfig.d)
+    p.add_argument("--layers", type=int, default=ModelConfig.n)
+    p.add_argument("--order", type=int, default=ModelConfig.K)
+    p.add_argument("--alpha", type=float, default=ModelConfig.alpha)
+    p.add_argument("--p-dropout", type=float, default=ModelConfig.p_dropout)
     p.add_argument("--no-cgm", action="store_true")
     p.add_argument("--no-gim", action="store_true")
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.early_stop_patience)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
 

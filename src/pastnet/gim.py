@@ -14,12 +14,16 @@ by a multi-order spatial convolution over the road graph and a linear head.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import expit
 
 from .numcore import ParamStore, Tensor, concat, constant
 from .numcore.tensor import _unbroadcast, _wrap
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 DEGREE_EPS = 1e-6
 
@@ -213,21 +217,10 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
 # ---- full branch ----
 
 
-@dataclass
-class GimConfig:
-    L: int
-    d: int
-    n: int
-    K: int
-    alpha: float = 0.1
-    p_dropout: float = 0.1
-    include_injection: bool = True
-
-
 class GimModule:
     """Owns the branch parameters inside a shared store under ``gim/``."""
 
-    def __init__(self, params: ParamStore, config: GimConfig, spatial_op: SpatialOperator):
+    def __init__(self, params: ParamStore, config: ModelConfig, spatial_op: SpatialOperator):
         self.params = params
         self.config = config
         self.spatial_op = spatial_op
@@ -238,7 +231,7 @@ class GimModule:
         )
 
     @classmethod
-    def build(cls, params: ParamStore, config: GimConfig, spatial_op: SpatialOperator) -> "GimModule":
+    def build(cls, params: ParamStore, config: ModelConfig, spatial_op: SpatialOperator) -> "GimModule":
         d, K = config.d, config.K
         params.add("gim/embed/w", (d,), init="uniform_fan_in", fan_in=1)
         params.add("gim/embed/b", (d,))
@@ -293,7 +286,8 @@ class GimModule:
         ) * p["gim/embed/mask_token"]
 
         columns = np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(B * N, L)
-        adj_base = _batch_temporal_adjacency(columns, cfg.include_injection)
+        # the injection vertex exists only when a cgm branch supplies its context
+        adj_base = _batch_temporal_adjacency(columns, cfg.use_cgm)
 
         h = embedded  # (B, L, N, d)
         for i in range(cfg.n):

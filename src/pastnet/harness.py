@@ -116,7 +116,8 @@ class ExperimentPlan:
         bad = [k for k in self.train_overrides if k not in ("random", "fiber", "block")]
         if bad:
             raise ValueError(f"train_overrides keyed by unknown scenario kinds {bad}")
-        model_keys = {f.name for f in fields(ModelConfig)}
+        # the dataset sets N and the method picks the branches
+        model_keys = {f.name for f in fields(ModelConfig)} - {"N", "use_gim", "use_cgm"}
         train_keys = {f.name for f in fields(TrainConfig)}
         _check_keys("model", self.model, model_keys)
         _check_keys("train", self.train, train_keys)
@@ -190,8 +191,13 @@ def _score_grid(pred, truth, obs_mask, span: _Span, raw_space, norm_stats):
 
 
 def run_experiment(plan: ExperimentPlan) -> list[EvalResult]:
-    os.makedirs(plan.output_dir, exist_ok=True)
     ds_raw = plan.dataset.realize(plan.seed)
+    # every config is built before any cell runs, so a bad value fails the run
+    model_cfgs = {
+        m: _model_config(plan, ds_raw.n_nodes, m) for m in plan.methods if m in LEARNED_METHODS
+    }
+    train_cfgs = {sc.kind: _train_config(plan, sc) for sc in plan.scenarios}
+    os.makedirs(plan.output_dir, exist_ok=True)
     adjacency = build_spatial_adjacency(ds_raw.n_nodes, ds_raw.edges)
     results: list[EvalResult] = []
     errors: list[dict] = []
@@ -209,7 +215,7 @@ def run_experiment(plan: ExperimentPlan) -> list[EvalResult]:
             try:
                 preds = _impute_all_spans(
                     plan, ds, mask, masked_values, adjacency, scenario, method, spans,
-                    histories, train_seconds,
+                    model_cfgs.get(method), train_cfgs[scenario.kind], histories, train_seconds,
                 )
             except Exception as exc:  # noqa: BLE001 - cell failure must not kill the run
                 errors.append(
@@ -236,12 +242,10 @@ def run_experiment(plan: ExperimentPlan) -> list[EvalResult]:
 
 def _impute_all_spans(
     plan, ds, mask, masked_values, adjacency, scenario, method, spans,
-    histories, train_seconds,
+    model_cfg, train_cfg, histories, train_seconds,
 ):
     """One method on one scenario: returns [(pred, seconds), ...] per span."""
     if method in LEARNED_METHODS:
-        model_cfg = _model_config(plan, ds.n_nodes, method)
-        train_cfg = _train_config(plan, scenario)
         stride = _window_stride(plan, scenario, model_cfg.L)
         train_w, _ = window_split(ds, model_cfg.L, stride, plan.train_fraction, mask)
         model = PastModel.build(model_cfg, adjacency=adjacency, norm_stats=ds.norm_stats)
@@ -276,7 +280,7 @@ def _write_reports(plan, results, errors, histories, train_seconds):
     payload = {
         "version": __version__,
         "numpy_version": np.__version__,
-        "plan": _plan_as_dict(plan),
+        "plan": asdict(plan),
         "results": [
             {
                 "scenario": r.scenario.label,
@@ -296,7 +300,3 @@ def _write_reports(plan, results, errors, histories, train_seconds):
         json.dump(payload, fh, indent=2)
     if errors:
         warnings.warn(f"{len(errors)} experiment cell(s) failed; see results.json")
-
-
-def _plan_as_dict(plan: ExperimentPlan) -> dict:
-    return asdict(plan)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgm import CgmConfig, CgmModule
-from .gim import GimConfig, GimModule, SpatialOperator, build_spatial_operator
+from .cgm import CgmModule, default_partition
+from .gim import GimModule, SpatialOperator, build_spatial_operator
 from .numcore import AdamState, ParamStore, Tensor, adam_step, constant, masked_mse
 
 
@@ -42,12 +42,20 @@ class ModelConfig:
     def __post_init__(self):
         if self.L < 1 or self.N < 1:
             raise ValueError("L and N must be positive")
+        if self.d < 1:
+            raise ValueError("d must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.K < 0:
             raise ValueError("K must be non-negative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0.0 <= self.p_dropout < 1.0:
+            raise ValueError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
         if not (self.use_gim or self.use_cgm):
             raise ValueError("at least one branch must be enabled")
+        if self.use_cgm:
+            default_partition(self.d)  # raises when d is too small to split
 
 
 def fuse(x: np.ndarray, m: np.ndarray, y_gim: np.ndarray, y_cgm: np.ndarray) -> np.ndarray:
@@ -101,7 +109,6 @@ class PastModel:
         self.cgm = cgm
         self.spatial_op = spatial_op
         self.norm_stats = norm_stats
-        self.optimizer_state: AdamState | None = None
 
     @classmethod
     def build(
@@ -118,25 +125,9 @@ class PastModel:
         if spatial_op.n_nodes != config.N or spatial_op.order != config.K:
             raise ValueError("spatial operator does not match the configuration")
         params = ParamStore(seed=config.seed)
-        cgm = None
-        if config.use_cgm:
-            cgm = CgmModule.build(params, CgmConfig(N=config.N, d=config.d, n=config.n))
-        gim = None
-        if config.use_gim:
-            gim = GimModule.build(
-                params,
-                GimConfig(
-                    L=config.L,
-                    d=config.d,
-                    n=config.n,
-                    K=config.K,
-                    alpha=config.alpha,
-                    p_dropout=config.p_dropout,
-                    # context injection exists only when the other branch does
-                    include_injection=config.use_cgm,
-                ),
-                spatial_op,
-            )
+        # cgm first: the store draws initial values in the order parameters are added
+        cgm = CgmModule.build(params, config) if config.use_cgm else None
+        gim = GimModule.build(params, config, spatial_op) if config.use_gim else None
         return cls(config, params, gim, cgm, spatial_op, norm_stats)
 
     # ---- forward passes ----
@@ -297,7 +288,6 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     if cfg.epochs == 0:
         return model, history
     adam = AdamState.for_params(model.params, lr=cfg.lr)
-    model.optimizer_state = adam
     dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
     best = np.inf
     stall = 0

@@ -17,14 +17,13 @@ import pytest
 
 from pastnet.data import WindowBatch, build_spatial_adjacency, synthesize_dataset
 from pastnet.gim import (
-    GimConfig,
     GimModule,
     _batch_interval_dropout,
     build_spatial_operator,
     build_temporal_adjacency,
     dropout_beta,
 )
-from pastnet.cgm import CgmConfig, CgmModule, cross_gate_layer
+from pastnet.cgm import CgmModule, cross_gate_layer
 from pastnet.harness import load_plan, run_experiment
 from pastnet.masking import ScenarioConfig, generate_mask
 from pastnet.model import ModelConfig, PastModel, TrainConfig, train
@@ -222,7 +221,7 @@ def test_criterion_7_cross_gate_identity_and_size():
     identity_ok = np.array_equal(out_s.data, v_s.data) and np.array_equal(out_t.data, v_t.data)
 
     params = ParamStore(seed=7)
-    CgmModule.build(params, CgmConfig(N=5, d=d, n=3))
+    CgmModule.build(params, ModelConfig(L=1, N=5, d=d, n=3))
     count_ok = True
     for i in range(3):
         gates = sum(
@@ -275,7 +274,9 @@ def timed_forwards(cases, reps=5):
     for L, N in cases:
         op = build_spatial_operator(ring(N), K=1)
         params = ParamStore(seed=9)
-        module = GimModule.build(params, GimConfig(L=L, d=32, n=2, K=1, p_dropout=0.0), op)
+        module = GimModule.build(
+            params, ModelConfig(L=L, N=N, d=32, n=2, K=1, p_dropout=0.0), op
+        )
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, L, N))
         m = (rng.random((1, L, N)) < 0.5).astype(float)

@@ -5,13 +5,14 @@ import pytest
 from scipy.special import expit
 
 from kernel_check import check_kernel
-from pastnet.cgm import CgmConfig, CgmModule, cross_gate_layer, default_partition
+from pastnet.cgm import CgmModule, cross_gate_layer, default_partition
+from pastnet.model import ModelConfig
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check, masked_mse, sigmoid, tanh
 
 
 def build_module(N=3, d=4, n=2, seed=0):
     params = ParamStore(seed=seed)
-    module = CgmModule.build(params, CgmConfig(N=N, d=d, n=n))
+    module = CgmModule.build(params, ModelConfig(L=1, N=N, d=d, n=n))
     return module, params
 
 

@@ -171,3 +171,33 @@ def test_experiment_cli_seed_override(tmp_path):
 def test_experiment_cli_missing_config_exits_2(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_experiment_cli_bad_model_value_exits_2(tmp_path, capsys):
+    plan = {
+        "dataset": {"kind": "synthetic", "n_nodes": 5, "n_days": 2},
+        "scenarios": [{"kind": "random", "r": 0.3}],
+        "methods": ["linear", "past"],
+        "model": {"L": 24, "d": 3, "n": 1},
+        "output_dir": str(tmp_path / "out"),
+        "dump_series": False,
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert "d must be at least 4" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_train_out_of_range_dropout_exits_2(tmp_path, capsys):
+    values_path, graph_path = synth(tmp_path)
+    mask_path = str(tmp_path / "mask.csv")
+    assert main(["mask", "--values", values_path, "--kind", "random",
+                 "--rate", "0.3", "--out", mask_path]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["train", "--values", values_path, "--graph", graph_path,
+                 "--mask", mask_path, "--out", str(ckpt), "--window", "24",
+                 "--p-dropout", "-0.5"])
+    assert code == 2
+    assert "p_dropout must be in [0, 1)" in capsys.readouterr().err
+    assert not ckpt.exists()

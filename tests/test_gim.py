@@ -7,7 +7,6 @@ import pytest
 from kernel_check import check_kernel
 from pastnet.gim import (
     DEGREE_EPS,
-    GimConfig,
     GimModule,
     build_spatial_operator,
     build_temporal_adjacency,
@@ -17,6 +16,7 @@ from pastnet.gim import (
     _batch_interval_dropout,
     _batch_temporal_adjacency,
 )
+from pastnet.model import ModelConfig
 from pastnet.numcore import (
     ParamStore,
     concat,
@@ -367,14 +367,14 @@ def test_spatial_kernel_matches_composite(K, lead):
     )
 
 
-def build_module(L, N, n, d, K, seed=0, include_injection=True, p_dropout=0.1):
+def build_module(L, N, n, d, K, seed=0, use_cgm=True, p_dropout=0.1):
     rng = np.random.default_rng(seed + 100)
     a = rng.random((N, N))
     a = (a + a.T) / 2.0
     np.fill_diagonal(a, 0.0)
     op = build_spatial_operator(a, K)
     params = ParamStore(seed=seed)
-    cfg = GimConfig(L=L, d=d, n=n, K=K, p_dropout=p_dropout, include_injection=include_injection)
+    cfg = ModelConfig(L=L, N=N, d=d, n=n, K=K, p_dropout=p_dropout, use_cgm=use_cgm)
     module = GimModule.build(params, cfg, op)
     return module, params
 
@@ -442,11 +442,11 @@ def dense_reference(x, m, hidden, a_s, K, arrays):
 
 
 def test_gim_forward_matches_dense_reference():
-    L, N, n, d, K = 4, 2, 1, 3, 1
+    L, N, n, d, K = 4, 2, 1, 4, 1
     a_s = np.array([[0.0, 0.8], [0.8, 0.0]])
     op = build_spatial_operator(a_s, K)
     params = ParamStore(seed=5)
-    module = GimModule.build(params, GimConfig(L=L, d=d, n=n, K=K), op)
+    module = GimModule.build(params, ModelConfig(L=L, N=N, d=d, n=n, K=K), op)
     rng = np.random.default_rng(8)
     # randomize everything, including logits that start at zero
     for path, t in params.items():
@@ -500,7 +500,7 @@ def test_gim_hidden_injection_matters_only_when_enabled():
     y_zero = with_inj.forward(x, m, None).data
     y_hidden = with_inj.forward(x, m, hiddens).data
     assert not np.array_equal(y_zero, y_hidden)
-    without, _ = build_module(L=8, N=3, n=2, d=4, K=1, seed=2, include_injection=False)
+    without, _ = build_module(L=8, N=3, n=2, d=4, K=1, seed=2, use_cgm=False)
     y_off_zero = without.forward(x, m, None).data
     y_off_hidden = without.forward(x, m, hiddens).data
     assert np.array_equal(y_off_zero, y_off_hidden)
@@ -526,7 +526,7 @@ def test_gim_gradients_pass_finite_difference_check():
     np.fill_diagonal(a, 0.0)
     op = build_spatial_operator(a, K)
     params = ParamStore(seed=7)
-    module = GimModule.build(params, GimConfig(L=L, d=d, n=n, K=K, p_dropout=0.0), op)
+    module = GimModule.build(params, ModelConfig(L=L, N=N, d=d, n=n, K=K, p_dropout=0.0), op)
     x = rng.normal(size=(2, L, N))
     m = (rng.random((2, L, N)) > 0.4).astype(float)
     hiddens = [rng.normal(size=(2, N, d)) for _ in range(n)]

@@ -82,6 +82,10 @@ def test_plan_from_dict_defaults_scenario_seeds():
         ("model", {"residual_literal_sign": True}, "residual_literal_sign"),
         ("train", {"epoch": 3}, "epoch"),
         ("train_overrides", {"fiber": {"lr": 1e-2, "stride": 24}}, "stride"),
+        # the dataset sets N and the method picks the branches
+        ("model", {"use_cgm": False}, "use_cgm"),
+        ("model", {"use_gim": True}, "use_gim"),
+        ("model", {"N": 6}, "N"),
     ],
 )
 def test_plan_from_dict_rejects_unknown_config_keys(section, value, key):
@@ -217,3 +221,24 @@ def test_run_experiment_failed_cell_records_error(tmp_path):
     assert len(payload["errors"]) == 1
     assert payload["errors"][0]["method"] == "past"
     assert "shorter than the window length" in payload["errors"][0]["error"]
+
+
+def test_run_experiment_bad_model_value_fails_before_any_cell(tmp_path):
+    # d=3 cannot partition cgm's timestamp embedding: the whole run fails
+    # before the linear cells run or any report is written
+    plan = tiny_plan(
+        tmp_path / "out",
+        methods=("linear", "past"),
+        model={"L": 24, "d": 3, "n": 1, "K": 1},
+        train={"epochs": 1},
+    )
+    with pytest.raises(ValueError, match="d must be at least 4"):
+        run_experiment(plan)
+    assert not os.path.exists(plan.output_dir)
+
+
+def test_run_experiment_bad_train_value_fails_before_any_cell(tmp_path):
+    plan = tiny_plan(tmp_path / "out", methods=("linear", "past"), train={"lr": -1.0})
+    with pytest.raises(ValueError, match="lr, batch_size must be positive"):
+        run_experiment(plan)
+    assert not os.path.exists(plan.output_dir)

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from pastnet import checkpoint
 from pastnet.checkpoint import load_checkpoint, save_checkpoint
 from pastnet.data import synthesize_dataset, window_split
 from pastnet.masking import ScenarioConfig, generate_mask
@@ -137,10 +141,31 @@ def test_config_validation():
         PastModel.build(tiny_config(), adjacency=ring_adjacency(7))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p_dropout", -0.5, "p_dropout must be in"),
+        ("p_dropout", 1.0, "p_dropout must be in"),
+        ("d", 0, "d must be at least 1"),
+        ("alpha", -1.0, "alpha must be finite and non-negative"),
+        ("alpha", np.inf, "alpha must be finite and non-negative"),
+        ("d", 3, "d must be at least 4"),  # too narrow for cgm's timestamp split
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(L=4, N=2, **{field: value})
+
+
+def test_config_narrow_width_needs_no_cgm():
+    cfg = ModelConfig(L=4, N=2, d=3, use_cgm=False)
+    assert PastModel.build(cfg, adjacency=ring_adjacency(2)).gim.config.d == 3
+
+
 def test_ablation_builds():
     wo_cgm = tiny_model(use_cgm=False)
     assert wo_cgm.cgm is None and wo_cgm.gim is not None
-    assert not wo_cgm.gim.config.include_injection
+    assert not wo_cgm.gim.config.use_cgm  # no injection vertex without cgm
     wo_gim = tiny_model(use_gim=False)
     assert wo_gim.gim is None and wo_gim.cgm is not None
     v, m, w, h, b = random_window_inputs(tiny_config(), batch=2)
@@ -437,10 +462,6 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert all(np.array_equal(orig[p], back[p]) for p in orig)
     for p0, p1 in zip(model.spatial_op.normalized_powers, loaded.spatial_op.normalized_powers):
         assert np.array_equal(p0, p1)
-    opt0, opt1 = model.optimizer_state, loaded.optimizer_state
-    assert opt1.step_count == opt0.step_count and opt1.lr == opt0.lr
-    assert all(np.array_equal(opt0.first_moment[p], opt1.first_moment[p]) for p in opt0.first_moment)
-    assert all(np.array_equal(opt0.second_moment[p], opt1.second_moment[p]) for p in opt0.second_moment)
 
     v, m, w, h, b = random_window_inputs(model.config, batch=1, seed=7)
     assert np.array_equal(
@@ -448,13 +469,106 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     )
 
 
-def test_checkpoint_without_optimizer(tmp_path):
+def test_checkpoint_without_norm_stats_or_cgm(tmp_path):
     model = tiny_model(use_cgm=False)
     path = str(tmp_path / "fresh.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert loaded.optimizer_state is None and loaded.norm_stats is None
+    assert loaded.norm_stats is None
     assert loaded.cgm is None
+
+
+def write_legacy_checkpoint(model, path):
+    """A checkpoint as files written with optimizer state still carry it:
+    has_optimizer and optim_* config lines and adam/m|v arrays."""
+    lines = [f"{k}={json.dumps(getattr(model.config, k))}" for k in checkpoint._CONFIG_FIELDS]
+    lines.append("has_optimizer=true")
+    for k, v in (("lr", 1e-3), ("beta1", 0.9), ("beta2", 0.999), ("epsilon", 1e-8),
+                 ("step_count", 7)):
+        lines.append(f"optim_{k}={json.dumps(v)}")
+    lines.append(f"has_norm_stats={json.dumps(model.norm_stats is not None)}")
+    block = ("\n".join(lines) + "\n").encode("utf-8")
+    rng = np.random.default_rng(0)
+    arrays = []
+    for p in model.params.paths():
+        data = model.params[p].data
+        arrays.append((f"param/{p}", data))
+        arrays.append((f"adam/m/{p}", rng.normal(size=data.shape)))
+        arrays.append((f"adam/v/{p}", rng.random(data.shape)))
+    arrays += [(f"spatial/{k}", mat) for k, mat in enumerate(model.spatial_op.normalized_powers)]
+    arrays.append(("norm/stats", np.asarray(model.norm_stats)))
+    with open(path, "wb") as out:
+        out.write(checkpoint.MAGIC + struct.pack("<IQ", checkpoint.VERSION, len(block)) + block)
+        out.write(struct.pack("<I", len(arrays)))
+        for key, arr in arrays:
+            checkpoint._write_array(out, key, arr)
+
+
+def test_checkpoint_with_legacy_optimizer_state_loads_bitwise(tmp_path):
+    _, train_w, _ = training_windows()
+    model = tiny_model()
+    model.norm_stats = (1.5, 2.25)
+    model, _ = train(model, train_w, TrainConfig(lr=1e-3, batch_size=4, epochs=1))
+    legacy, fresh = str(tmp_path / "legacy.ckpt"), str(tmp_path / "fresh.ckpt")
+    write_legacy_checkpoint(model, legacy)
+    loaded = load_checkpoint(legacy)
+
+    assert loaded.config == model.config and loaded.norm_stats == model.norm_stats
+    orig, back = model.params.state_arrays(), loaded.params.state_arrays()
+    assert sorted(orig) == sorted(back)
+    assert all(np.array_equal(orig[p], back[p]) for p in orig)
+    v, m, w, h, b = random_window_inputs(model.config, batch=2, seed=7)
+    assert np.array_equal(model.impute(v, m, w, h, b), loaded.impute(v, m, w, h, b))
+    # saved again, the optimizer state is gone and nothing else changed
+    save_checkpoint(model, fresh)
+    resaved = str(tmp_path / "resaved.ckpt")
+    save_checkpoint(loaded, resaved)
+    assert open(resaved, "rb").read() == open(fresh, "rb").read()
+    assert b"adam/" not in open(fresh, "rb").read()
+
+
+def test_checkpoint_huge_config_length_raises(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(tiny_model(), path)
+    blob = bytearray(open(path, "rb").read())
+    blob[12:20] = struct.pack("<Q", 0xFFFF_FFFF_FFFF_FFFF)  # the u64 config length
+    with open(path, "wb") as f:
+        f.write(blob)
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_value_of_wrong_type_raises(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(tiny_model(), path)
+    blob = open(path, "rb").read()
+    (cfg_len,) = struct.unpack("<Q", blob[12:20])
+    block = blob[20 : 20 + cfg_len].replace(b"\nd=8\n", b"\nd=[]\n")
+    with open(path, "wb") as f:
+        f.write(blob[:12] + struct.pack("<Q", len(block)) + block + blob[20 + cfg_len :])
+    with pytest.raises(ValueError, match="bad config value"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_corruption_fuzz_raises_only_value_error(tmp_path):
+    # 1-3 random bytes overwritten in the header, config block and first
+    # arrays; with no checksum some files still load, the rest must raise
+    # ValueError and nothing else
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(tiny_model(), path)
+    blob = open(path, "rb").read()
+    rng = np.random.default_rng(3)
+    corrupt = str(tmp_path / "corrupt.ckpt")
+    for _ in range(400):
+        b = bytearray(blob)
+        for _ in range(rng.integers(1, 4)):
+            b[rng.integers(0, 400)] = rng.integers(0, 256)
+        with open(corrupt, "wb") as f:
+            f.write(b)
+        try:
+            load_checkpoint(corrupt)
+        except ValueError:
+            pass
 
 
 def test_checkpoint_truncated_raises(tmp_path):
