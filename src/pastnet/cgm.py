@@ -8,6 +8,14 @@ own imputation surface plus, per layer, one context vector per node
 (time-mean of the concatenated streams, linearly projected) that the
 temporal-graph branch injects into its per-node graphs.
 
+Because no measurement enters, every value at (window b, step l, node u)
+depends only on u and on the time-of-week slot of stamp (b, l), one of
+7 * 24 * 4 = 672.  The forward pass therefore runs its layers on the
+batch's S distinct slots, as (S, N, d) streams: the (B, L, N) surface is a
+row gather of the (S, N) slot surface, and each window's context vector is
+a count-weighted mean of slot rows, one GEMM against the (B, S) matrix of
+slot shares.  S <= min(B * L, 672).
+
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
 """
@@ -126,6 +134,21 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def pool_slots(share: np.ndarray, pair: Tensor) -> Tensor:
+    """(B, S) slot shares x (S, ...) slot rows -> (B, ...) pooled rows.
+
+    One tape node: share @ rows forward and share.T @ g backward, each one
+    GEMM over the rows folded to (S, k).
+    """
+    S = pair.shape[0]
+    out = (share @ pair.data.reshape(S, -1)).reshape(share.shape[:1] + pair.shape[1:])
+
+    def vjp(g):
+        return ((share.T @ g.reshape(g.shape[0], -1)).reshape(pair.shape),)
+
+    return Tensor._make(out, (pair,), vjp)
+
+
 class CgmModule:
     """Owns the branch parameters inside a shared store under ``cgm/``."""
 
@@ -156,9 +179,15 @@ class CgmModule:
     ) -> tuple[Tensor, list[Tensor]]:
         """(B, L) calendar indices -> ((B, L, N) surface, n x (B, N, d) hiddens).
 
-        Layer 0 takes the node embedding as a (1, 1, N, d) stream and the
-        timestamp embedding as a (B, L, 1, d) stream; its gating broadcasts
-        them to (B, L, N, d) and makes every (t, u) pair distinct.
+        The stamps are encoded as slot codes (week * 24 + hour) * 4 + minute
+        after a range check, since an out-of-range field would alias the
+        next slot, and the layers run once per distinct slot.  Layer 0
+        takes the node embedding as a (1, N, d) stream and the slot
+        embedding as an (S, 1, d) stream; its gating broadcasts them to
+        (S, N, d) and makes every (slot, node) pair distinct.  The surface
+        gathers each stamp's slot row, and window b's hidden state pools
+        the slot rows weighted by their share of b's L stamps, which is the
+        time-mean over the window's stamps.
         """
         cfg = self.config
         week = _check_range("week", np.asarray(week, dtype=np.int64), WEEK_CARD)
@@ -172,17 +201,26 @@ class CgmModule:
         N, d, n = cfg.N, cfg.d, cfg.n
         p = self.params
 
+        code = (week * HOUR_CARD + hour) * MINUTE_CARD + minute_bucket
+        slots, inverse = np.unique(code, return_inverse=True)
+        inverse = inverse.reshape(B, L)
+        S = slots.size
+        # share[b, s]: the fraction of window b's stamps that fall in slot s
+        share = np.bincount(
+            (np.arange(B)[:, None] * S + inverse).ravel(), minlength=B * S
+        ).reshape(B, S) / L
+
         node_rows = embedding(p["cgm/embed/node"], np.arange(N))
-        s_stream = node_rows.reshape(1, 1, N, d)
+        s_stream = node_rows.reshape(1, N, d)
         stamp = concat(
             [
-                embedding(p["cgm/embed/week"], week),
-                embedding(p["cgm/embed/hour"], hour),
-                embedding(p["cgm/embed/minute"], minute_bucket),
+                embedding(p["cgm/embed/week"], slots // (HOUR_CARD * MINUTE_CARD)),
+                embedding(p["cgm/embed/hour"], slots // MINUTE_CARD % HOUR_CARD),
+                embedding(p["cgm/embed/minute"], slots % MINUTE_CARD),
             ],
-            axis=2,
+            axis=1,
         )
-        t_stream = stamp.reshape(B, L, 1, d)
+        t_stream = stamp.reshape(S, 1, d)
 
         hiddens: list[Tensor] = []
         for i in range(n):
@@ -195,11 +233,10 @@ class CgmModule:
                 p[f"{prefix}/W_sg"],
                 p[f"{prefix}/W_tg"],
             )
-            pair = concat([s_stream, t_stream], axis=3)
-            pooled = pair.mean(axis=1)  # (B, N, 2d)
+            pair = concat([s_stream, t_stream], axis=2)  # (S, N, 2d)
+            pooled = pool_slots(share, pair)  # (B, N, 2d)
             hiddens.append(pooled @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
 
         # the head reads the last layer's pair, as its hidden projection does
-        y = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(B, L, N)
-        return y, hiddens
-
+        surface = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(S, N)
+        return embedding(surface, inverse), hiddens

@@ -119,7 +119,7 @@ def load_checkpoint(path: str) -> PastModel:
         raise ValueError(f"corrupt checkpoint: config lacks {missing}")
     try:
         config = ModelConfig(**{k: kv[k] for k in _CONFIG_FIELDS})
-    except TypeError as exc:  # a value of the wrong JSON type, e.g. d=[]
+    except (TypeError, ValueError) as exc:  # a value ModelConfig rejects, e.g. d=[] or d=0
         raise ValueError(f"corrupt checkpoint: bad config value ({exc})") from None
 
     powers = []

@@ -162,8 +162,6 @@ def _train_config(plan: ExperimentPlan, scenario: ScenarioConfig) -> TrainConfig
     kw.update(plan.train_overrides.get(scenario.kind, {}))
     kw.pop("window_stride", None)
     kw.setdefault("seed", plan.seed)
-    if "loss_weights" in kw:
-        kw["loss_weights"] = tuple(kw["loss_weights"])
     return TrainConfig(**kw)
 
 

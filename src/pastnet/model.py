@@ -18,6 +18,7 @@ fully differentiable for finite-difference validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "L", "N", "d", "n", "K", "seed")
         if self.L < 1 or self.N < 1:
             raise ValueError("L and N must be positive")
         if self.d < 1:
@@ -48,14 +50,26 @@ class ModelConfig:
             raise ValueError("n must be at least 1")
         if self.K < 0:
             raise ValueError("K must be non-negative")
-        if not 0.0 <= self.alpha < np.inf:
+        if not (_is_number(self.alpha) and 0.0 <= self.alpha < np.inf):
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
-        if not 0.0 <= self.p_dropout < 1.0:
+        if not (_is_number(self.p_dropout) and 0.0 <= self.p_dropout < 1.0):
             raise ValueError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
         if not (self.use_gim or self.use_cgm):
             raise ValueError("at least one branch must be enabled")
         if self.use_cgm:
             default_partition(self.d)  # raises when d is too small to split
+
+
+def _check_integers(config, *names: str) -> None:
+    """Raise naming the first field that is not an integer (bool is not one)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def fuse(x: np.ndarray, m: np.ndarray, y_gim: np.ndarray, y_cgm: np.ndarray) -> np.ndarray:
@@ -259,8 +273,27 @@ class TrainConfig:
     early_stop_patience: int = 10
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("lr, batch_size must be positive and epochs non-negative")
+        _check_integers(self, "batch_size", "epochs", "seed", "early_stop_patience")
+        lr_ok = _is_number(self.lr) and 0.0 < self.lr < np.inf
+        if not lr_ok or self.batch_size < 1 or self.epochs < 0:
+            raise ValueError(
+                "lr, batch_size must be positive and epochs non-negative, lr finite; "
+                f"got lr={self.lr!r}, batch_size={self.batch_size}, epochs={self.epochs}"
+            )
+        weights = self.loss_weights
+        if not (
+            isinstance(weights, (tuple, list))
+            and len(weights) == 2
+            and all(_is_number(w) and 0.0 <= w < np.inf for w in weights)
+        ):
+            raise ValueError(
+                f"loss_weights must be two finite non-negative numbers, got {weights!r}"
+            )
+        self.loss_weights = tuple(weights)  # plans give a JSON list
+        if self.early_stop_patience < 1:
+            raise ValueError(
+                f"early_stop_patience must be at least 1, got {self.early_stop_patience}"
+            )
 
 
 @dataclass

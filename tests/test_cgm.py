@@ -1,13 +1,24 @@
 """Cross-gated branch: gating arithmetic against hand cases and a composite
-reference, lookups and hidden export through the batched forward."""
+reference, lookups and hidden export through the batched forward, and the
+slot-path forward against the full (B, L, N, d) grid it replaces."""
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from kernel_check import check_kernel
-from pastnet.cgm import CgmModule, cross_gate_layer, default_partition
+from pastnet.cgm import CgmModule, cross_gate_layer, default_partition, pool_slots
 from pastnet.model import ModelConfig
-from pastnet.numcore import ParamStore, Tensor, constant, grad_check, masked_mse, sigmoid, tanh
+from pastnet.numcore import (
+    ParamStore,
+    Tensor,
+    concat,
+    constant,
+    embedding,
+    grad_check,
+    masked_mse,
+    sigmoid,
+    tanh,
+)
 
 
 def build_module(N=3, d=4, n=2, seed=0):
@@ -287,6 +298,29 @@ def test_forward_identical_node_embeddings_identical_columns():
         assert np.allclose(h.data[0, 0], h.data[0, 2], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, stamp, alias",
+    [
+        ("hour", (3, 24, 0), (4, 0, 0)),
+        ("minute_bucket", (3, 5, 4), (3, 6, 0)),
+        ("hour", (2, -1, 1), (1, 23, 1)),
+        ("minute_bucket", (3, 5, -1), (3, 4, 3)),
+    ],
+    ids=["hour-24", "minute-4", "hour-neg", "minute-neg"],
+)
+def test_out_of_range_stamp_raises_instead_of_aliasing_a_slot(field, stamp, alias):
+    # each bad stamp encodes to the slot code of a valid stamp, so only the
+    # range check keeps it from silently reading that other slot
+    def code(week, hour, minute):
+        return (week * 24 + hour) * 4 + minute
+
+    assert code(*stamp) == code(*alias)
+    module, _ = build_module()
+    week, hour, bucket = (np.array([[v, a]]) for v, a in zip(stamp, alias))
+    with pytest.raises(ValueError, match=f"{field} index"):
+        module.forward(week, hour, bucket)
+
+
 def test_forward_validation():
     module, _ = build_module()
     with pytest.raises(ValueError):
@@ -330,3 +364,114 @@ def test_cgm_gradients_pass_finite_difference_check():
 
     err = grad_check(loss_fn, params, probe_eps=1e-5, n_samples=48, seed=2)
     assert err < 1e-4
+
+
+def full_grid_forward(module, week, hour, bucket):
+    """Reference cgm forward: every layer over the full (B, L, N, d) grid.
+
+    Layer 0 gates a (1, 1, N, d) node stream against a (B, L, 1, d) stamp
+    stream; the surface is the head over every (b, l, u) pair and each
+    hidden state projects the time-mean of its layer's pairs.
+    """
+    cfg, p = module.config, module.params
+    B, L = week.shape
+    N, d = cfg.N, cfg.d
+    s_stream = embedding(p["cgm/embed/node"], np.arange(N)).reshape(1, 1, N, d)
+    stamp = concat(
+        [
+            embedding(p["cgm/embed/week"], week),
+            embedding(p["cgm/embed/hour"], hour),
+            embedding(p["cgm/embed/minute"], bucket),
+        ],
+        axis=2,
+    )
+    t_stream = stamp.reshape(B, L, 1, d)
+    hiddens = []
+    for i in range(cfg.n):
+        prefix = f"cgm/layer{i}"
+        s_stream, t_stream = cross_gate_layer(
+            s_stream, t_stream, *(p[f"{prefix}/{w}"] for w in ("W_sp", "W_tp", "W_sg", "W_tg"))
+        )
+        pair = concat([s_stream, t_stream], axis=3)
+        pooled = pair.mean(axis=1)
+        hiddens.append(pooled @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
+    y = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(B, L, N)
+    return y, hiddens
+
+
+def whole_days(days, L=96):
+    """Calendar of one stride-L window per day index, 15-minute steps from midnight."""
+    step = np.arange(L)
+    week = np.repeat(np.asarray(days)[:, None] % 7, L, axis=1)
+    hour = np.broadcast_to(step // 4 % 24, week.shape)
+    bucket = np.broadcast_to(step % 4, week.shape)
+    return week, hour, bucket
+
+
+def random_calendar(B, L, seed, cards=(7, 24, 4)):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(0, c, size=(B, L)) for c in cards)
+
+
+def distinct_slots(B, L, seed):
+    codes = np.random.default_rng(seed).choice(672, size=(B, L), replace=False)
+    return codes // 96, codes // 4 % 24, codes % 4
+
+
+def _outputs_and_grads(forward, module, params, calendar, cotangents):
+    params.zero_grads()
+    y, hiddens = forward(module, *calendar)
+    total = (y * cotangents[0]).sum()
+    for h, c in zip(hiddens, cotangents[1:]):
+        total = total + (h * c).sum()
+    total.backward()
+    grads = {path: t.grad.copy() for path, t in params.items()}
+    return y.data, [h.data for h in hiddens], grads
+
+
+@pytest.mark.parametrize(
+    "calendar, n_slots",
+    [
+        # days 0-8: windows 7 and 8 repeat the slots of windows 0 and 1
+        (whole_days(np.arange(9)), 672),
+        # three weekdays and four hours: slots repeat within each window
+        (random_calendar(3, 40, seed=10, cards=(3, 4, 4)), None),
+        (distinct_slots(4, 24, seed=11), 96),  # S = B * L
+    ],
+    ids=["across-windows", "within-window", "all-distinct"],
+)
+def test_slot_forward_matches_full_grid(calendar, n_slots):
+    module, params = build_module(N=3, d=8, n=3, seed=12)
+    week, hour, bucket = calendar
+    codes = (week * 24 + hour) * 4 + bucket
+    if n_slots is None:
+        assert all(np.unique(row).size < row.size for row in codes)
+    else:
+        assert np.unique(codes).size == n_slots
+    B, L = week.shape
+    rng = np.random.default_rng(13)
+    cotangents = [rng.normal(size=(B, L, 3))] + [rng.normal(size=(B, 3, 8)) for _ in range(3)]
+    y, hiddens, grads = _outputs_and_grads(
+        lambda m, *c: m.forward(*c), module, params, calendar, cotangents
+    )
+    y_ref, hiddens_ref, grads_ref = _outputs_and_grads(
+        full_grid_forward, module, params, calendar, cotangents
+    )
+    assert np.array_equal(y, y_ref)
+    for h, h_ref in zip(hiddens, hiddens_ref, strict=True):
+        assert np.allclose(h, h_ref, rtol=0.0, atol=1e-15)
+    assert grads.keys() == grads_ref.keys()
+    for path, g_ref in grads_ref.items():
+        assert path.startswith("cgm/")
+        assert np.max(np.abs(grads[path] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref)), path
+
+
+def test_pool_slots_kernel_matches_composite():
+    # B == S and an asymmetric share, so a transposed VJP would still run
+    share = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.75, 0.0, 0.25]])
+    rows = np.random.default_rng(14).normal(size=(3, 2, 4))
+
+    def reference(pair):
+        return (constant(share) @ pair.reshape(3, 8)).reshape(3, 2, 4)
+
+    check_kernel(lambda pair: pool_slots(share, pair), reference, [rows], seed=14)

@@ -242,3 +242,21 @@ def test_run_experiment_bad_train_value_fails_before_any_cell(tmp_path):
     with pytest.raises(ValueError, match="lr, batch_size must be positive"):
         run_experiment(plan)
     assert not os.path.exists(plan.output_dir)
+
+
+@pytest.mark.parametrize(
+    "section, values, message",
+    [
+        ("train", {"lr": float("nan")}, "lr, batch_size must be positive"),
+        ("train", {"loss_weights": [1.0]}, "loss_weights must be two"),
+        ("model", {"L": 24, "d": 8.5, "n": 1, "K": 1}, "d must be an integer"),
+    ],
+    ids=["lr-nan", "one-loss-weight", "d-fractional"],
+)
+def test_run_experiment_non_finite_or_fractional_value_fails_before_any_cell(
+    tmp_path, section, values, message
+):
+    plan = tiny_plan(tmp_path / "out", methods=("linear", "past"), **{section: values})
+    with pytest.raises(ValueError, match=message):
+        run_experiment(plan)
+    assert not os.path.exists(plan.output_dir)

@@ -157,6 +157,65 @@ def test_config_rejects_out_of_range_values(field, value, message):
         ModelConfig(L=4, N=2, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("L", 4.0), ("N", "2"), ("d", 8.5), ("n", True), ("K", 2.0), ("seed", None)],
+)
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ModelConfig(**{"L": 4, "N": 2, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ModelConfig(L=np.int64(4), N=np.int32(2), d=np.int64(8), n=np.int16(1), seed=np.int64(3))
+    assert PastModel.build(cfg, adjacency=ring_adjacency(2)).cgm is not None
+
+
+TRAIN_CONFIG_MESSAGES = {
+    "lr": "lr, batch_size must be positive",
+    "loss_weights": "loss_weights must be two finite non-negative numbers",
+    "early_stop_patience": "early_stop_patience must be at least 1",
+    "batch_size": "batch_size must be an integer",
+    "epochs": "epochs must be an integer",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("lr", 0.0),
+        ("lr", "0.01"),
+        ("loss_weights", (1.0,)),
+        ("loss_weights", (1.0, 1.0, 1.0)),
+        ("loss_weights", (1.0, float("nan"))),
+        ("loss_weights", (-1.0, 1.0)),
+        ("loss_weights", (1.0, "1")),
+        ("loss_weights", 1.0),
+        ("early_stop_patience", 0),
+        ("early_stop_patience", -3),
+        ("batch_size", 4.5),
+        ("batch_size", True),
+        ("epochs", 2.0),
+    ],
+    ids=[
+        "lr-nan", "lr-inf", "lr-zero", "lr-string",
+        "weights-one", "weights-three", "weights-nan", "weights-negative", "weights-string",
+        "weights-scalar", "patience-zero", "patience-negative",
+        "batch-fractional", "batch-bool", "epochs-float",
+    ],
+)
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=TRAIN_CONFIG_MESSAGES[field]):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers_and_list_weights():
+    cfg = TrainConfig(batch_size=np.int64(4), epochs=np.int32(2), loss_weights=[1, 0.5])
+    assert cfg.batch_size == 4 and cfg.epochs == 2 and cfg.loss_weights == (1, 0.5)
+
+
 def test_config_narrow_width_needs_no_cgm():
     cfg = ModelConfig(L=4, N=2, d=3, use_cgm=False)
     assert PastModel.build(cfg, adjacency=ring_adjacency(2)).gim.config.d == 3
