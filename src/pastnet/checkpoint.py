@@ -19,8 +19,9 @@ parameter, the normalized spatial powers and normalization statistics.
 No optimizer state is stored, as training starts a fresh one; config lines
 and arrays the loader does not know, such as older files' Adam moments,
 are ignored.  A file that is truncated, has the wrong magic, a config
-value of the wrong type or trailing bytes fails with a descriptive
-ValueError before any model is built.
+value of the wrong type, a spatial power that is not (N, N), normalization
+statistics that are not a finite mean and a positive std, or trailing bytes
+fails with a descriptive ValueError before any model is built.
 """
 from __future__ import annotations
 
@@ -127,15 +128,30 @@ def load_checkpoint(path: str) -> PastModel:
         key = f"spatial/{k}"
         if key not in arrays:
             raise ValueError(f"corrupt checkpoint: missing {key}")
+        if arrays[key].shape != (config.N, config.N):
+            raise ValueError(
+                f"corrupt checkpoint: {key} has shape {arrays[key].shape}, "
+                f"expected ({config.N}, {config.N})"
+            )
         powers.append(arrays[key])
     spatial_op = SpatialOperator(normalized_powers=powers)
 
     norm_stats = None
     if kv.get("has_norm_stats"):
-        if "norm/stats" not in arrays:
+        stats = arrays.get("norm/stats")
+        if stats is None:
             raise ValueError("corrupt checkpoint: missing norm/stats")
-        mean, std = arrays["norm/stats"]
-        norm_stats = (float(mean), float(std))
+        if stats.shape != (2,):
+            raise ValueError(
+                f"corrupt checkpoint: norm/stats has shape {stats.shape}, expected (2,)"
+            )
+        mean, std = float(stats[0]), float(stats[1])
+        if not (math.isfinite(mean) and 0.0 < std < math.inf):
+            raise ValueError(
+                "corrupt checkpoint: norm/stats needs a finite mean and std > 0, "
+                f"got ({mean}, {std})"
+            )
+        norm_stats = (mean, std)
 
     model = PastModel.build(config, spatial_op=spatial_op, norm_stats=norm_stats)
     params = {k.removeprefix("param/"): a for k, a in arrays.items() if k.startswith("param/")}

@@ -195,27 +195,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .harness import load_plan, run_experiment
+    from .harness import plan_from_dict, run_experiment
 
-    plan = load_plan(args.config)
+    with open(args.config) as fh:
+        raw = json.load(fh)
+    # the plan loader derives the scenario seeds, so a --seed override follows its rule
     if args.seed is not None:
-        plan = _reseed_plan(plan, args.seed)
+        raw["seed"] = args.seed
     if args.output_dir is not None:
-        plan.output_dir = args.output_dir
+        raw["output_dir"] = args.output_dir
+    plan = plan_from_dict(raw)
     results = run_experiment(plan)
     for r in results:
         print(r.csv_row())
     print(f"wrote {os.path.join(plan.output_dir, 'results.csv')}")
     return 0
-
-
-def _reseed_plan(plan, seed: int):
-    from dataclasses import replace
-
-    scenarios = [
-        replace(sc, seed=seed * 1000 + i) for i, sc in enumerate(plan.scenarios)
-    ]
-    return replace(plan, seed=seed, scenarios=scenarios)
 
 
 _COMMANDS = {

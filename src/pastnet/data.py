@@ -35,13 +35,6 @@ class StartTime:
             raise ValueError(f"invalid start time {self}")
 
 
-@dataclass(frozen=True)
-class TimeFeatures:
-    week: int
-    hour: int
-    minute_bucket: int
-
-
 @dataclass
 class TrafficDataset:
     """Complete measurement grid plus road-graph metadata.
@@ -258,25 +251,11 @@ def normalize(ds: TrafficDataset, train_fraction: float, mask: np.ndarray) -> Tr
     return replace(ds, values=(ds.values - mean) / std, norm_stats=(mean, std))
 
 
-def time_features_at(ds: TrafficDataset, step_index: int) -> TimeFeatures:
-    """Calendar features of one step under a cyclic 7-day clock."""
-    if not (0 <= step_index < ds.n_steps):
-        raise ValueError("step_index out of range")
-    start = ds.start_time
-    total = start.hour * 60 + start.minute + step_index * ds.step_minutes
-    week = (start.week + total // MINUTES_PER_DAY) % 7
-    minute_of_day = total % MINUTES_PER_DAY
-    return TimeFeatures(
-        week=int(week),
-        hour=int(minute_of_day // 60),
-        minute_bucket=int(minute_of_day % 60 // 15),
-    )
-
-
 def time_feature_arrays(
     ds: TrafficDataset, start_index: int, length: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized time_features_at over [start_index, start_index + length)."""
+    """Weekday (0 = Monday), hour and 15-minute bucket of each step in
+    [start_index, start_index + length), on a cyclic 7-day clock."""
     start = ds.start_time
     idx = np.arange(start_index, start_index + length, dtype=np.int64)
     total = start.hour * 60 + start.minute + idx * ds.step_minutes

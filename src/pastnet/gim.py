@@ -299,8 +299,7 @@ class GimModule:
             if inj is None:
                 inj_t = constant(np.zeros((B * N, 1, d)))
             else:
-                inj_t = inj if isinstance(inj, Tensor) else constant(np.asarray(inj, dtype=np.float64))
-                inj_t = inj_t.reshape(B * N, 1, d)
+                inj_t = constant(inj).reshape(B * N, 1, d)
             vertices = concat([states, inj_t], axis=1)
             prefix = f"gim/layer{i}"
             after_temporal = temporal_forward(

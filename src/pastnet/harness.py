@@ -15,6 +15,7 @@ import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -121,14 +122,25 @@ class ExperimentPlan:
         train_keys = {f.name for f in fields(TrainConfig)}
         _check_keys("model", self.model, model_keys)
         _check_keys("train", self.train, train_keys)
+        _check_positive_int("knn_k", self.knn_k)
+        strides = {"window_stride": self.window_stride}
         for kind, override in self.train_overrides.items():
             _check_keys(f"train_overrides.{kind}", override, train_keys | {"window_stride"})
+            strides[f"train_overrides.{kind}.window_stride"] = override.get("window_stride")
+        for key, stride in strides.items():
+            if stride is not None:  # null falls back to the plan stride, then to L
+                _check_positive_int(key, stride)
 
 
 def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ValueError(f"unknown {section} keys {unknown}; choose from {sorted(allowed)}")
+
+
+def _check_positive_int(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
 
 
 def plan_from_dict(raw: dict) -> ExperimentPlan:

@@ -207,16 +207,9 @@ class PastModel:
         hour: np.ndarray,
         minute_bucket: np.ndarray,
     ) -> np.ndarray:
-        """Fused output for one (L, N) window or a (B, L, N) batch; eval mode."""
+        """Fused output for a (B, L, N) batch of windows; eval mode."""
         values = np.asarray(values, dtype=np.float64)
         masks = np.asarray(masks, dtype=np.float64)
-        squeeze = values.ndim == 2
-        if squeeze:
-            values = values[None]
-            masks = masks[None]
-            week = np.asarray(week)[None]
-            hour = np.asarray(hour)[None]
-            minute_bucket = np.asarray(minute_bucket)[None]
         y_gim, y_cgm = self.forward(values, masks, week, hour, minute_bucket, training=False)
         zeros = np.zeros(values.shape)
         out = fuse(
@@ -225,7 +218,7 @@ class PastModel:
             y_gim.data if y_gim is not None else zeros,
             y_cgm.data if y_cgm is not None else zeros,
         )
-        return out[0] if squeeze else out
+        return out
 
 
 def impute_span(
@@ -254,8 +247,8 @@ def impute_span(
     counts = np.zeros((T, 1))
     for s in starts:
         sl = slice(s, s + L)
-        out = model.impute(values[sl], mask[sl], week[sl], hour[sl], minute_bucket[sl])
-        acc[sl] += out
+        window = (x[None, sl] for x in (values, mask, week, hour, minute_bucket))
+        acc[sl] += model.impute(*window)[0]
         counts[sl] += 1.0
     return acc / counts
 

@@ -2,17 +2,7 @@
 from .losses import EmptyMaskError, masked_mse
 from .optim import AdamState, NonFiniteGradientError, adam_step
 from .params import ParamStore
-from .tensor import (
-    Tensor,
-    concat,
-    constant,
-    embedding,
-    matmul,
-    relu,
-    sigmoid,
-    softplus,
-    tanh,
-)
+from .tensor import Tensor, concat, constant, embedding, matmul
 from .verify import NonDeterministicObjectiveError, grad_check
 
 __all__ = [
@@ -29,8 +19,4 @@ __all__ = [
     "grad_check",
     "masked_mse",
     "matmul",
-    "relu",
-    "sigmoid",
-    "softplus",
-    "tanh",
 ]

@@ -21,15 +21,16 @@ writes only into arrays it allocated itself in that call, never into its
 incoming adjoint (possibly a read-only broadcast view) and never into the
 arrays its forward pass saved, so ``backward()`` can run more than once.
 
-Only the operations the models need are implemented: broadcasting
-arithmetic, batched matmul, axis reductions, shape moves, gather, concat,
-and the four activations (relu, sigmoid, tanh, softplus).  Gradients flow
-only into tensors created with ``requires_grad=True`` or derived from one.
+Only the operations the models run are implemented: broadcasting ``+``,
+``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
+moves, indexing, gather and concat.  The activations exist only inside the
+fused kernels; the composite references the tests compare them with build
+their own on ``Tensor._make``.  Gradients flow only into tensors created
+with ``requires_grad=True`` or derived from one.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 Array = np.ndarray
 
@@ -76,9 +77,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -159,9 +157,6 @@ class Tensor:
 
         return Tensor._make(data, (a, b), vjp)
 
-    def __radd__(self, other):
-        return _wrap(other).__add__(self)
-
     def __sub__(self, other):
         a, b = self, _wrap(other)
         data = a.data - b.data
@@ -173,9 +168,6 @@ class Tensor:
             )
 
         return Tensor._make(data, (a, b), vjp)
-
-    def __rsub__(self, other):
-        return _wrap(other).__sub__(self)
 
     def __mul__(self, other):
         a, b = self, _wrap(other)
@@ -189,38 +181,8 @@ class Tensor:
 
         return Tensor._make(data, (a, b), vjp)
 
-    def __rmul__(self, other):
-        return _wrap(other).__mul__(self)
-
-    def __truediv__(self, other):
-        a, b = self, _wrap(other)
-        data = a.data / b.data
-
-        def vjp(g):
-            ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-            gb = None
-            if b.requires_grad:
-                gb = _unbroadcast(-g * data / b.data, b.data.shape)
-            return ga, gb
-
-        return Tensor._make(data, (a, b), vjp)
-
-    def __rtruediv__(self, other):
-        return _wrap(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-
-        def vjp(g):
-            return (-g,)
-
-        return Tensor._make(-a.data, (a,), vjp)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def __rmatmul__(self, other):
-        return matmul(_wrap(other), self)
 
     # ---- reductions ----
 
@@ -235,10 +197,6 @@ class Tensor:
             return (np.broadcast_to(gg, a.data.shape),)
 
         return Tensor._make(data, (a,), vjp)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # ---- shape moves ----
 
@@ -260,15 +218,6 @@ class Tensor:
 
         def vjp(g):
             return (np.transpose(g, inverse),)
-
-        return Tensor._make(data, (a,), vjp)
-
-    def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
-        a = self
-        data = np.broadcast_to(a.data, shape)
-
-        def vjp(g):
-            return (_unbroadcast(g, a.data.shape),)
 
         return Tensor._make(data, (a,), vjp)
 
@@ -338,50 +287,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
         )
 
     return Tensor._make(data, tuple(parts), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-    positive = x.data > 0
-
-    def vjp(g):
-        return (g * positive,)
-
-    return Tensor._make(data, (x,), vjp)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    s = expit(x.data)
-
-    def vjp(g):
-        return (g * s * (1.0 - s),)
-
-    return Tensor._make(s, (x,), vjp)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    y = np.tanh(x.data)
-
-    def vjp(g):
-        return (g * (1.0 - y * y),)
-
-    return Tensor._make(y, (x,), vjp)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + e^x) computed as logaddexp(0, x); stays finite and positive
-    across the whole float64 range instead of overflowing past x ~ 700."""
-    x = _wrap(x)
-    data = np.logaddexp(0.0, x.data)
-    s = expit(x.data)
-
-    def vjp(g):
-        return (g * s,)
-
-    return Tensor._make(data, (x,), vjp)
 
 
 def embedding(table: Tensor, indices) -> Tensor:

@@ -6,12 +6,91 @@ forward values and every parent adjoint must agree to 1e-12.  It also runs a
 finite-difference check through the kernel, hands it the read-only
 broadcast adjoint that ``sum()`` produces, and backpropagates twice through
 one graph, which must give the same gradients both times.
+
+The composite references use operations the library does not run: the four
+activations, division, ``mean`` and ``broadcast_to``.  They are defined here
+as plain tape nodes on ``Tensor._make``, each with its own numpy VJP.
 """
 import numpy as np
+from scipy.special import expit
 
-from pastnet.numcore import ParamStore, Tensor, grad_check
+from pastnet.numcore import ParamStore, Tensor, constant, grad_check
+from pastnet.numcore.tensor import _unbroadcast
 
 TOL = 1e-12
+
+
+def divide(a: Tensor, b) -> Tensor:
+    """a / b with numpy broadcasting."""
+    b = constant(b)
+    data = a.data / b.data
+
+    def vjp(g):
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = None
+        if b.requires_grad:
+            gb = _unbroadcast(-g * data / b.data, b.data.shape)
+        return ga, gb
+
+    return Tensor._make(data, (a, b), vjp)
+
+
+def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return a.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    data = np.broadcast_to(a.data, shape)
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape),)
+
+    return Tensor._make(data, (a,), vjp)
+
+
+def relu(x: Tensor) -> Tensor:
+    x = constant(x)
+    data = np.maximum(x.data, 0.0)
+    positive = x.data > 0
+
+    def vjp(g):
+        return (g * positive,)
+
+    return Tensor._make(data, (x,), vjp)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    x = constant(x)
+    s = expit(x.data)
+
+    def vjp(g):
+        return (g * s * (1.0 - s),)
+
+    return Tensor._make(s, (x,), vjp)
+
+
+def tanh(x: Tensor) -> Tensor:
+    x = constant(x)
+    y = np.tanh(x.data)
+
+    def vjp(g):
+        return (g * (1.0 - y * y),)
+
+    return Tensor._make(y, (x,), vjp)
+
+
+def softplus(x: Tensor) -> Tensor:
+    """log(1 + e^x) computed as logaddexp(0, x); stays finite and positive
+    across the whole float64 range instead of overflowing past x ~ 700."""
+    x = constant(x)
+    data = np.logaddexp(0.0, x.data)
+    s = expit(x.data)
+
+    def vjp(g):
+        return (g * s,)
+
+    return Tensor._make(data, (x,), vjp)
 
 
 def _outputs(fn, tensors) -> tuple:

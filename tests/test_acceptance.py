@@ -175,7 +175,7 @@ def test_criterion_5_observed_passthrough():
         m = generate_mask((12, 5), sc, adjacency=adjacency)
         x = rng.normal(size=(12, 5))
         week, hour, bucket = calendar(rng, 1, 12)
-        pred = model.impute(x * m, m, week[0], hour[0], bucket[0])
+        pred = model.impute((x * m)[None], m[None], week, hour, bucket)[0]
         sel = m == 1.0
         ok = ok and np.array_equal(pred[sel], x[sel])
         checked += int(sel.sum())
@@ -343,7 +343,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
             model, windows, TrainConfig(lr=1e-3, batch_size=4, epochs=3, seed=101)
         )
         week, hour, bucket = calendar(np.random.default_rng(3), 1, 16)
-        pred = model.impute((ds.values * mask)[:16], mask[:16], week[0], hour[0], bucket[0])
+        pred = model.impute((ds.values * mask)[None, :16], mask[None, :16], week, hour, bucket)[0]
         return model, hist, pred
 
     model_a, hist_a, pred_a = run()
@@ -358,7 +358,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         np.array_equal(loaded.params[p].data, t.data) for p, t in model_a.params.items()
     )
     week, hour, bucket = calendar(np.random.default_rng(3), 1, 16)
-    pred_l = loaded.impute((ds.values * mask)[:16], mask[:16], week[0], hour[0], bucket[0])
+    pred_l = loaded.impute((ds.values * mask)[None, :16], mask[None, :16], week, hour, bucket)[0]
     roundtrip = np.array_equal(pred_l, pred_a)
     ok = same_hist and same_pred and same_params and roundtrip
     report(10, "determinism and persistence", ok, "bitwise history, imputation, checkpoint")

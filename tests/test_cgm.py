@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from kernel_check import check_kernel
+from kernel_check import check_kernel, mean, sigmoid, tanh
 from pastnet.cgm import CgmModule, cross_gate_layer, default_partition, pool_slots
 from pastnet.model import ModelConfig
 from pastnet.numcore import (
@@ -16,8 +16,6 @@ from pastnet.numcore import (
     embedding,
     grad_check,
     masked_mse,
-    sigmoid,
-    tanh,
 )
 
 
@@ -393,7 +391,7 @@ def full_grid_forward(module, week, hour, bucket):
             s_stream, t_stream, *(p[f"{prefix}/{w}"] for w in ("W_sp", "W_tp", "W_sg", "W_tg"))
         )
         pair = concat([s_stream, t_stream], axis=3)
-        pooled = pair.mean(axis=1)
+        pooled = mean(pair, axis=1)
         hiddens.append(pooled @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
     y = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(B, L, N)
     return y, hiddens

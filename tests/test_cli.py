@@ -168,6 +168,27 @@ def test_experiment_cli_seed_override(tmp_path):
     assert score_cols != score_cols_b
 
 
+def test_experiment_cli_seed_matches_plan_seed(tmp_path):
+    # --seed 5 is the plan file with "seed": 5, so a scenario's own seed stays
+    plan = {
+        "dataset": {"kind": "synthetic", "n_nodes": 6, "n_days": 2},
+        "scenarios": [{"kind": "fiber", "r": 0.4, "l": 8, "seed": 77}],
+        "methods": ["linear"],
+        "seed": 3,
+        "dump_series": False,
+    }
+    flagged, edited = tmp_path / "plan.json", tmp_path / "plan_seed5.json"
+    flagged.write_text(json.dumps(plan))
+    edited.write_text(json.dumps({**plan, "seed": 5}))
+    assert main(["experiment", "--config", str(flagged), "--seed", "5",
+                 "--output-dir", str(tmp_path / "a")]) == 0
+    assert main(["experiment", "--config", str(edited), "--output-dir", str(tmp_path / "b")]) == 0
+    rows_a = open(tmp_path / "a" / "results.csv").read().splitlines()[1:]
+    rows_b = open(tmp_path / "b" / "results.csv").read().splitlines()[1:]
+    assert len(rows_a) == 2
+    assert [r.split(",")[:5] for r in rows_a] == [r.split(",")[:5] for r in rows_b]
+
+
 def test_experiment_cli_missing_config_exits_2(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

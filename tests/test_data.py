@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pastnet.data import (
+    MINUTES_PER_DAY,
     StartTime,
-    TimeFeatures,
     TrafficDataset,
     build_spatial_adjacency,
     load_dataset,
@@ -16,7 +16,6 @@ from pastnet.data import (
     save_values_csv,
     synthesize_dataset,
     time_feature_arrays,
-    time_features_at,
     window_split,
 )
 
@@ -160,26 +159,35 @@ def test_normalize_errors():
         normalize(ds, 0.5, np.zeros_like(ds.values))  # nothing observed
 
 
+def features_at(ds, step_index):
+    """(week, hour, minute bucket) of one step, read through the batched path."""
+    return tuple(int(f[0]) for f in time_feature_arrays(ds, step_index, 1))
+
+
+def scalar_time_features(ds, step_index):
+    """Reference: the calendar features of one step, one step at a time."""
+    start = ds.start_time
+    total = start.hour * 60 + start.minute + step_index * ds.step_minutes
+    week = (start.week + total // MINUTES_PER_DAY) % 7
+    minute_of_day = total % MINUTES_PER_DAY
+    return week, minute_of_day // 60, minute_of_day % 60 // 15
+
+
 def test_time_features_hand_values():
     ds = TrafficDataset(values=np.zeros((96 * 8, 2)), step_minutes=15)
-    assert time_features_at(ds, 0) == TimeFeatures(0, 0, 0)
-    f5 = time_features_at(ds, 5)  # 75 minutes in
-    assert (f5.week, f5.hour, f5.minute_bucket) == (0, 1, 1)
-    f_wrap = time_features_at(ds, 96 * 7)
-    assert f_wrap.week == 0
+    assert features_at(ds, 0) == (0, 0, 0)
+    assert features_at(ds, 5) == (0, 1, 1)  # 75 minutes in
+    assert features_at(ds, 96 * 7)[0] == 0
 
 
 def test_time_features_midweek_start_and_periodicity():
     ds = TrafficDataset(
         values=np.zeros((96 * 15, 1)), step_minutes=15, start_time=StartTime(4, 23, 45)
     )
-    f1 = time_features_at(ds, 1)  # crosses midnight into Saturday
-    assert (f1.week, f1.hour, f1.minute_bucket) == (5, 0, 0)
+    assert features_at(ds, 1) == (5, 0, 0)  # crosses midnight into Saturday
     period = 7 * 96
     for idx in (0, 13, 250):
-        a = time_features_at(ds, idx)
-        b = time_features_at(ds, idx + period)
-        assert a == b
+        assert features_at(ds, idx) == features_at(ds, idx + period)
 
 
 def test_time_feature_arrays_match_scalar():
@@ -188,8 +196,7 @@ def test_time_feature_arrays_match_scalar():
     )
     week, hour, bucket = time_feature_arrays(ds, 3, 400)
     for k in range(400):
-        f = time_features_at(ds, 3 + k)
-        assert (week[k], hour[k], bucket[k]) == (f.week, f.hour, f.minute_bucket)
+        assert (week[k], hour[k], bucket[k]) == scalar_time_features(ds, 3 + k)
 
 
 def test_window_split_counts():

@@ -13,6 +13,7 @@ from pastnet.harness import (
     ExperimentPlan,
     load_plan,
     plan_from_dict,
+    _window_stride,
     run_experiment,
 )
 from pastnet.masking import ScenarioConfig, generate_mask
@@ -97,6 +98,51 @@ def test_plan_from_dict_rejects_unknown_config_keys(section, value, key):
     }
     with pytest.raises(ValueError, match=re.escape(f"keys [{key!r}]")):
         plan_from_dict(raw)
+
+
+def stride_override(kind, stride):
+    return {"train_overrides": {kind: {"window_stride": stride}}}
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"window_stride": 0}, "window_stride"),
+        ({"window_stride": -3}, "window_stride"),
+        ({"window_stride": 2.5}, "window_stride"),
+        (stride_override("fiber", 0), "train_overrides.fiber.window_stride"),
+        (stride_override("block", -3), "train_overrides.block.window_stride"),
+        (stride_override("random", 2.5), "train_overrides.random.window_stride"),
+        ({"knn_k": 0}, "knn_k"),
+        ({"knn_k": 2.5}, "knn_k"),
+    ],
+    ids=["stride-0", "stride-neg", "stride-frac", "fiber-0", "block-neg", "random-frac",
+         "knn-0", "knn-frac"],
+)
+def test_plan_from_dict_rejects_bad_stride_and_knn_k(extra, key):
+    raw = {
+        "dataset": {"kind": "synthetic", "n_nodes": 6, "n_days": 2},
+        "scenarios": [{"kind": "random", "r": 0.2}],
+        "methods": ["past", "knn"],
+        **extra,
+    }
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a positive integer"):
+        plan_from_dict(raw)
+
+
+def test_plan_null_stride_means_window_length():
+    plan = plan_from_dict(
+        {
+            "dataset": {"kind": "synthetic", "n_nodes": 6, "n_days": 2},
+            "scenarios": [{"kind": "random", "r": 0.2}, {"kind": "fiber", "r": 0.2, "l": 8}],
+            "methods": ["past"],
+            "window_stride": None,
+            "train_overrides": {"fiber": {"window_stride": None}, "random": {"window_stride": 24}},
+        }
+    )
+    random, fiber = plan.scenarios
+    assert _window_stride(plan, fiber, 96) == 96
+    assert _window_stride(plan, random, 96) == 24
 
 
 def test_load_plan_round_trip(tmp_path):

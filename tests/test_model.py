@@ -416,7 +416,7 @@ def test_train_rejects_empty_batch():
 def test_impute_observed_passthrough_exact():
     model = tiny_model()
     v, m, w, h, b = random_window_inputs(model.config, batch=1, seed=9)
-    out = model.impute(v[0], m[0], w[0], h[0], b[0])
+    out = model.impute(v, m, w, h, b)[0]
     assert out.shape == (12, 4)
     assert np.array_equal(out[m[0] == 1.0], v[0][m[0] == 1.0])
 
@@ -426,21 +426,21 @@ def test_impute_batched_matches_single():
     v, m, w, h, b = random_window_inputs(model.config, batch=3, seed=4)
     batched = model.impute(v, m, w, h, b)
     for i in range(3):
-        single = model.impute(v[i], m[i], w[i], h[i], b[i])
+        single = model.impute(v[i, None], m[i, None], w[i, None], h[i, None], b[i, None])[0]
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
 def test_impute_is_deterministic_and_ignores_dropout():
     model = tiny_model(p_dropout=0.9)
     v, m, w, h, b = random_window_inputs(model.config, batch=1)
-    a = model.impute(v[0], m[0], w[0], h[0], b[0])
-    assert np.array_equal(a, model.impute(v[0], m[0], w[0], h[0], b[0]))
+    a = model.impute(v, m, w, h, b)[0]
+    assert np.array_equal(a, model.impute(v, m, w, h, b)[0])
 
 
 def test_impute_ablation_without_cgm():
     model = tiny_model(use_cgm=False)
     v, m, w, h, b = random_window_inputs(model.config, batch=1)
-    out = model.impute(v[0], m[0], w[0], h[0], b[0])
+    out = model.impute(v, m, w, h, b)[0]
     y_gim = model.gim.forward(v, m, None).data[0]
     assert np.allclose(out, m[0] * v[0] + (1 - m[0]) * y_gim, atol=1e-15)
 
@@ -448,7 +448,7 @@ def test_impute_ablation_without_cgm():
 def test_impute_ablation_without_gim():
     model = tiny_model(use_gim=False)
     v, m, w, h, b = random_window_inputs(model.config, batch=1)
-    out = model.impute(v[0], m[0], w[0], h[0], b[0])
+    out = model.impute(v, m, w, h, b)[0]
     y_cgm = model.cgm.forward(w, h, b)[0].data[0]
     assert np.allclose(out, m[0] * v[0] + (1 - m[0]) * y_cgm, atol=1e-15)
 
@@ -469,8 +469,8 @@ def test_impute_span_aligned_matches_windows():
     L = model.config.L
     v, m, w, h, b = span_inputs(model, 2 * L)
     out = impute_span(model, v, m, w, h, b)
-    first = model.impute(v[:L], m[:L], w[:L], h[:L], b[:L])
-    second = model.impute(v[L:], m[L:], w[L:], h[L:], b[L:])
+    first = model.impute(v[None, :L], m[None, :L], w[None, :L], h[None, :L], b[None, :L])[0]
+    second = model.impute(v[None, L:], m[None, L:], w[None, L:], h[None, L:], b[None, L:])[0]
     assert np.array_equal(out, np.concatenate([first, second], axis=0))
 
 
@@ -480,8 +480,8 @@ def test_impute_span_overlap_averages():
     T = L + 3  # windows start at 0 and at T-L, overlapping on L-3 rows
     v, m, w, h, b = span_inputs(model, T, seed=1)
     out = impute_span(model, v, m, w, h, b)
-    a = model.impute(v[:L], m[:L], w[:L], h[:L], b[:L])
-    c = model.impute(v[3:], m[3:], w[3:], h[3:], b[3:])
+    a = model.impute(v[None, :L], m[None, :L], w[None, :L], h[None, :L], b[None, :L])[0]
+    c = model.impute(v[None, 3:], m[None, 3:], w[None, 3:], h[None, 3:], b[None, 3:])[0]
     assert np.array_equal(out[:3], a[:3])
     assert np.array_equal(out[L:], c[-3:])
     assert np.allclose(out[3:L], (a[3:] + c[: L - 3]) / 2.0, atol=1e-15)
@@ -523,9 +523,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert np.array_equal(p0, p1)
 
     v, m, w, h, b = random_window_inputs(model.config, batch=1, seed=7)
-    assert np.array_equal(
-        model.impute(v[0], m[0], w[0], h[0], b[0]), loaded.impute(v[0], m[0], w[0], h[0], b[0])
-    )
+    assert np.array_equal(model.impute(v, m, w, h, b)[0], loaded.impute(v, m, w, h, b)[0])
 
 
 def test_checkpoint_without_norm_stats_or_cgm(tmp_path):
@@ -628,6 +626,28 @@ def test_checkpoint_corruption_fuzz_raises_only_value_error(tmp_path):
             load_checkpoint(corrupt)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize(
+    "spatial_1, norm_stats, message",
+    [
+        (np.zeros((16, 1)), (1.5, 2.25), r"spatial/1 has shape \(16, 1\), expected \(4, 4\)"),
+        (None, (1.0, 0.0), r"norm/stats needs a finite mean and std > 0, got \(1.0, 0.0\)"),
+        (None, (np.nan, 2.0), r"norm/stats needs a finite mean and std > 0, got \(nan, 2.0\)"),
+        (None, (1.0, 2.0, 3.0), r"norm/stats has shape \(3,\), expected \(2,\)"),
+    ],
+    ids=["spatial-shape", "zero-std", "nan-mean", "three-stats"],
+)
+def test_checkpoint_malformed_arrays_raise(tmp_path, spatial_1, norm_stats, message):
+    # a well-formed container whose arrays no model of its config can use
+    model = tiny_model()
+    if spatial_1 is not None:
+        model.spatial_op.normalized_powers[1] = spatial_1
+    model.norm_stats = norm_stats
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError, match="corrupt checkpoint: " + message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_truncated_raises(tmp_path):
