@@ -14,7 +14,9 @@ depends only on u and on the time-of-week slot of stamp (b, l), one of
 batch's S distinct slots, as (S, N, d) streams: the (B, L, N) surface is a
 row gather of the (S, N) slot surface, and each window's context vector is
 a count-weighted mean of slot rows, one GEMM against the (B, S) matrix of
-slot shares.  S <= min(B * L, 672).
+slot shares.  S <= min(B * L, 672).  ``slot_rows`` is that layer stack
+alone, so ``model.impute_span`` can compute a whole span's slots once and
+pool every window from the same rows.
 
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
@@ -50,6 +52,22 @@ def _check_range(name: str, idx: np.ndarray, cardinality: int) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= cardinality):
         raise ValueError(f"{name} index out of range [0, {cardinality})")
     return idx
+
+
+def slot_codes(week, hour, minute_bucket) -> np.ndarray:
+    """Time-of-week slot code (week * 24 + hour) * 4 + minute of each stamp.
+
+    The fields are range-checked first, since an out-of-range field would
+    alias another slot.  The three arrays must share one shape.
+    """
+    week = _check_range("week", np.asarray(week, dtype=np.int64), WEEK_CARD)
+    hour = _check_range("hour", np.asarray(hour, dtype=np.int64), HOUR_CARD)
+    minute_bucket = _check_range(
+        "minute_bucket", np.asarray(minute_bucket, dtype=np.int64), MINUTE_CARD
+    )
+    if week.shape != hour.shape or week.shape != minute_bucket.shape:
+        raise ValueError("week, hour, minute_bucket must share one shape")
+    return (week * HOUR_CARD + hour) * MINUTE_CARD + minute_bucket
 
 
 def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
@@ -179,29 +197,15 @@ class CgmModule:
     ) -> tuple[Tensor, list[Tensor]]:
         """(B, L) calendar indices -> ((B, L, N) surface, n x (B, N, d) hiddens).
 
-        The stamps are encoded as slot codes (week * 24 + hour) * 4 + minute
-        after a range check, since an out-of-range field would alias the
-        next slot, and the layers run once per distinct slot.  Layer 0
-        takes the node embedding as a (1, N, d) stream and the slot
-        embedding as an (S, 1, d) stream; its gating broadcasts them to
-        (S, N, d) and makes every (slot, node) pair distinct.  The surface
-        gathers each stamp's slot row, and window b's hidden state pools
-        the slot rows weighted by their share of b's L stamps, which is the
-        time-mean over the window's stamps.
+        The layers run once per distinct slot of the batch (``slot_rows``).
+        The surface gathers each stamp's slot row, and window b's hidden
+        state pools the slot rows weighted by their share of b's L stamps,
+        which is the time-mean over the window's stamps.
         """
-        cfg = self.config
-        week = _check_range("week", np.asarray(week, dtype=np.int64), WEEK_CARD)
-        hour = _check_range("hour", np.asarray(hour, dtype=np.int64), HOUR_CARD)
-        minute_bucket = _check_range(
-            "minute_bucket", np.asarray(minute_bucket, dtype=np.int64), MINUTE_CARD
-        )
-        if week.ndim != 2 or week.shape != hour.shape or week.shape != minute_bucket.shape:
+        code = slot_codes(week, hour, minute_bucket)
+        if code.ndim != 2:
             raise ValueError("week, hour, minute_bucket must share a (B, L) shape")
-        B, L = week.shape
-        N, d, n = cfg.N, cfg.d, cfg.n
-        p = self.params
-
-        code = (week * HOUR_CARD + hour) * MINUTE_CARD + minute_bucket
+        B, L = code.shape
         slots, inverse = np.unique(code, return_inverse=True)
         inverse = inverse.reshape(B, L)
         S = slots.size
@@ -209,7 +213,22 @@ class CgmModule:
         share = np.bincount(
             (np.arange(B)[:, None] * S + inverse).ravel(), minlength=B * S
         ).reshape(B, S) / L
+        pairs, surface = self.slot_rows(slots)
+        return embedding(surface, inverse), self.pooled_hiddens(share, pairs)
 
+    def slot_rows(self, slots: np.ndarray) -> tuple[list[Tensor], Tensor]:
+        """Sorted distinct slot codes (S,) -> (n x (S, N, 2d) pair rows, (S, N) surface).
+
+        Layer 0 takes the node embedding as a (1, N, d) stream and the slot
+        embedding as an (S, 1, d) stream; its gating broadcasts them to
+        (S, N, d) and makes every (slot, node) pair distinct.  Every GEMM
+        here is batched over the slot axis, so a slot's rows do not depend
+        on which other slots are computed with it.
+        """
+        cfg = self.config
+        N, d = cfg.N, cfg.d
+        p = self.params
+        S = slots.size
         node_rows = embedding(p["cgm/embed/node"], np.arange(N))
         s_stream = node_rows.reshape(1, N, d)
         stamp = concat(
@@ -222,8 +241,8 @@ class CgmModule:
         )
         t_stream = stamp.reshape(S, 1, d)
 
-        hiddens: list[Tensor] = []
-        for i in range(n):
+        pairs: list[Tensor] = []
+        for i in range(cfg.n):
             prefix = f"cgm/layer{i}"
             s_stream, t_stream = cross_gate_layer(
                 s_stream,
@@ -233,10 +252,16 @@ class CgmModule:
                 p[f"{prefix}/W_sg"],
                 p[f"{prefix}/W_tg"],
             )
-            pair = concat([s_stream, t_stream], axis=2)  # (S, N, 2d)
-            pooled = pool_slots(share, pair)  # (B, N, 2d)
-            hiddens.append(pooled @ p[f"{prefix}/hidden/W"] + p[f"{prefix}/hidden/b"])
+            pairs.append(concat([s_stream, t_stream], axis=2))
 
         # the head reads the last layer's pair, as its hidden projection does
-        surface = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(S, N)
-        return embedding(surface, inverse), hiddens
+        surface = (pairs[-1] @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(S, N)
+        return pairs, surface
+
+    def pooled_hiddens(self, share: np.ndarray, pairs: list[Tensor]) -> list[Tensor]:
+        """(B, S) slot shares and n x (S, N, 2d) pair rows -> n x (B, N, d) hiddens."""
+        p = self.params
+        return [
+            pool_slots(share, pair) @ p[f"cgm/layer{i}/hidden/W"] + p[f"cgm/layer{i}/hidden/b"]
+            for i, pair in enumerate(pairs)
+        ]

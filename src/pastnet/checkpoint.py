@@ -3,7 +3,7 @@
 Single-file container, little-endian throughout:
 
     bytes 0..7   magic b"PASTCKPT"
-    u32          format version (currently 1)
+    u32          format version (currently 2)
     u64          byte length of the config block
     ...          config block: UTF-8 text, one "key=<json>" per line
     u32          array count
@@ -13,15 +13,23 @@ Single-file container, little-endian throughout:
         u8       ndim
         ndim*u32 dimensions
         ...      raw float64 data, C order
+    u32          zlib.crc32 of the bytes from the version to the last array
+                 (version 2 only)
+
+Version 1 files, which end after the last array, still load.
 
 Covers everything inference needs: every ModelConfig field, every
 parameter, the normalized spatial powers and normalization statistics.
 No optimizer state is stored, as training starts a fresh one; config lines
 and arrays the loader does not know, such as older files' Adam moments,
 are ignored.  A file that is truncated, has the wrong magic, a config
-value of the wrong type, a spatial power that is not (N, N), normalization
-statistics that are not a finite mean and a positive std, or trailing bytes
-fails with a descriptive ValueError before any model is built.
+value of the wrong type, a CRC that does not match, a parameter or spatial
+power that holds NaN or inf, a spatial power that is not (N, N),
+normalization statistics that are not a finite mean and a positive std, or
+trailing bytes fails with a descriptive ValueError before any model is
+built.  The structure is read first, so truncation and trailing bytes are
+reported as such; the CRC is checked before the config is decoded or any
+array is checked.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ import io
 import json
 import math
 import struct
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -37,7 +46,7 @@ from .gim import SpatialOperator
 from .model import ModelConfig, PastModel
 
 MAGIC = b"PASTCKPT"
-VERSION = 1
+VERSION = 2  # 2 added the CRC trailer
 
 _CONFIG_FIELDS = [f.name for f in fields(ModelConfig)]
 
@@ -67,14 +76,18 @@ def save_checkpoint(model: PastModel, path: str):
     if model.norm_stats is not None:
         arrays.append(("norm/stats", np.asarray(model.norm_stats, dtype=np.float64)))
 
+    body = io.BytesIO()
+    body.write(struct.pack("<I", VERSION))
+    body.write(struct.pack("<Q", len(config_block)))
+    body.write(config_block)
+    body.write(struct.pack("<I", len(arrays)))
+    for key, arr in arrays:
+        _write_array(body, key, arr)
+    payload = body.getbuffer()
     with open(path, "wb") as out:
         out.write(MAGIC)
-        out.write(struct.pack("<I", VERSION))
-        out.write(struct.pack("<Q", len(config_block)))
-        out.write(config_block)
-        out.write(struct.pack("<I", len(arrays)))
-        for key, arr in arrays:
-            _write_array(out, key, arr)
+        out.write(payload)
+        out.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def _read_exact(f: io.BytesIO, n: int) -> bytes:
@@ -92,17 +105,10 @@ def load_checkpoint(path: str) -> PastModel:
     if _read_exact(f, len(MAGIC)) != MAGIC:
         raise ValueError("not a pastnet checkpoint (bad magic)")
     (version,) = struct.unpack("<I", _read_exact(f, 4))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<Q", _read_exact(f, 8))
-    config_block = _read_exact(f, cfg_len).decode("utf-8")
-    kv: dict = {}
-    for line in config_block.splitlines():
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        kv[key] = json.loads(value)
-
+    config_bytes = _read_exact(f, cfg_len)
     (count,) = struct.unpack("<I", _read_exact(f, 4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -112,8 +118,20 @@ def load_checkpoint(path: str) -> PastModel:
         shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
         data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
         arrays[key] = data.reshape(shape).astype(np.float64)
+    body_end = f.tell()
+    if version >= 2:
+        (crc,) = struct.unpack("<I", _read_exact(f, 4))
     if f.read(1):
         raise ValueError("corrupt checkpoint: trailing data after the last array")
+    if version >= 2 and zlib.crc32(raw[len(MAGIC) : body_end]) != crc:
+        raise ValueError("corrupt checkpoint: CRC-32 does not match the contents")
+
+    kv: dict = {}
+    for line in config_bytes.decode("utf-8").splitlines():
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        kv[key] = json.loads(value)
 
     missing = [k for k in _CONFIG_FIELDS if k not in kv]
     if missing:
@@ -122,6 +140,14 @@ def load_checkpoint(path: str) -> PastModel:
         config = ModelConfig(**{k: kv[k] for k in _CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:  # a value ModelConfig rejects, e.g. d=[] or d=0
         raise ValueError(f"corrupt checkpoint: bad config value ({exc})") from None
+
+    non_finite = [
+        key
+        for key, arr in arrays.items()
+        if key.startswith(("param/", "spatial/")) and not np.isfinite(arr).all()
+    ]
+    if non_finite:
+        raise ValueError(f"corrupt checkpoint: NaN or inf in {', '.join(non_finite)}")
 
     powers = []
     for k in range(config.K + 1):

@@ -22,9 +22,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .cgm import CgmModule, default_partition
+from .cgm import CgmModule, default_partition, slot_codes
 from .gim import GimModule, SpatialOperator, build_spatial_operator
-from .numcore import AdamState, ParamStore, Tensor, adam_step, constant, masked_mse
+from .numcore import AdamState, ParamStore, Tensor, adam_step, constant, masked_mse, no_grad
 
 
 @dataclass
@@ -73,7 +73,11 @@ def _is_number(value) -> bool:
 
 
 def fuse(x: np.ndarray, m: np.ndarray, y_gim: np.ndarray, y_cgm: np.ndarray) -> np.ndarray:
-    """M * X + (1 - M) * (Y_cgm + Y_gim), shapes equal, M binary."""
+    """M * X + (1 - M) * (Y_cgm + Y_gim), shapes equal, M binary.
+
+    Computed as a selection, so an observed entry passes through exactly
+    even where a branch output is not finite.
+    """
     x, m = np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64)
     y_gim = np.asarray(y_gim, dtype=np.float64)
     y_cgm = np.asarray(y_cgm, dtype=np.float64)
@@ -81,7 +85,7 @@ def fuse(x: np.ndarray, m: np.ndarray, y_gim: np.ndarray, y_cgm: np.ndarray) -> 
         raise ValueError("fuse inputs must share one shape")
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
-    return m * x + (1.0 - m) * (y_cgm + y_gim)
+    return np.where(m == 1.0, x, y_cgm + y_gim)
 
 
 def compute_losses(
@@ -207,18 +211,21 @@ class PastModel:
         hour: np.ndarray,
         minute_bucket: np.ndarray,
     ) -> np.ndarray:
-        """Fused output for a (B, L, N) batch of windows; eval mode."""
+        """Fused output for a (B, L, N) batch of windows; eval mode, no tape."""
         values = np.asarray(values, dtype=np.float64)
         masks = np.asarray(masks, dtype=np.float64)
-        y_gim, y_cgm = self.forward(values, masks, week, hour, minute_bucket, training=False)
-        zeros = np.zeros(values.shape)
-        out = fuse(
-            values,
-            masks,
-            y_gim.data if y_gim is not None else zeros,
-            y_cgm.data if y_cgm is not None else zeros,
-        )
-        return out
+        with no_grad():
+            branches = self.forward(values, masks, week, hour, minute_bucket)
+        y_gim, y_cgm = (None if y is None else y.data for y in branches)
+        return _fuse_branches(values, masks, y_gim, y_cgm)
+
+
+def _fuse_branches(values, masks, y_gim: np.ndarray | None, y_cgm: np.ndarray | None):
+    """``fuse`` with an absent (None) branch contributing zeros."""
+    zeros = np.zeros(values.shape)
+    return fuse(
+        values, masks, zeros if y_gim is None else y_gim, zeros if y_cgm is None else y_cgm
+    )
 
 
 def impute_span(
@@ -229,28 +236,92 @@ def impute_span(
     hour: np.ndarray,
     minute_bucket: np.ndarray,
 ) -> np.ndarray:
-    """Impute an arbitrary span by tiling length-L windows.
+    """Impute a (T, N) span with (T,) calendar arrays by tiling length-L windows.
 
     Windows start at 0, L, 2L, ...; an unaligned tail gets one extra window
     ending exactly at the span end.  Overlapping predictions are averaged.
     Observed entries still pass through exactly (every window agrees on
     them).
+
+    The calendar branch's rows depend only on (time-of-week slot, node), so
+    they are computed once per distinct slot of the span, and every window
+    pools the rows of its own slots as ``PastModel.impute`` would.  The
+    output equals that of imputing each window on its own, bit for bit.
+    Runs without a tape.
     """
-    L = model.config.L
+    values = np.asarray(values, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    L, N = model.config.L, model.config.N
+    if values.ndim != 2:
+        raise ValueError(f"values must be a (T, N) array, got shape {values.shape}")
     T = values.shape[0]
+    if values.shape[1] != N:
+        raise ValueError(f"values has {values.shape[1]} nodes (columns), the model has N={N}")
+    if mask.shape != values.shape:
+        raise ValueError(
+            f"mask must have the values' (T, N) shape {values.shape}, got {mask.shape}"
+        )
+    calendar = {"week": week, "hour": hour, "minute_bucket": minute_bucket}
+    for name, arr in calendar.items():
+        if np.shape(arr) != (T,):
+            raise ValueError(f"{name} must have shape (T,) = ({T},), got {np.shape(arr)}")
     if T < L:
         raise ValueError(f"span of {T} steps is shorter than the window length {L}")
     starts = list(range(0, T - L + 1, L))
     if starts[-1] != T - L:
         starts.append(T - L)
-    acc = np.zeros_like(np.asarray(values, dtype=np.float64))
-    counts = np.zeros((T, 1))
-    for s in starts:
-        sl = slice(s, s + L)
-        window = (x[None, sl] for x in (values, mask, week, hour, minute_bucket))
-        acc[sl] += model.impute(*window)[0]
-        counts[sl] += 1.0
+
+    with no_grad():
+        surfaces = hiddens = [None] * len(starts)
+        if model.cgm is not None:
+            surfaces, hiddens = _calendar_windows(
+                model.cgm, slot_codes(**calendar), starts, L, model.gim is not None
+            )
+        acc = np.zeros_like(values)
+        counts = np.zeros((T, 1))
+        for s, y_cgm, injected in zip(starts, surfaces, hiddens):
+            sl = slice(s, s + L)
+            v, m = values[None, sl], mask[None, sl]
+            y_gim = None if model.gim is None else model.gim.forward(v, m, injected).data
+            acc[sl] += _fuse_branches(v, m, y_gim, y_cgm)[0]
+            counts[sl] += 1.0
     return acc / counts
+
+
+def _calendar_windows(
+    cgm: CgmModule, code: np.ndarray, starts: list[int], L: int, with_hiddens: bool
+) -> tuple[list[np.ndarray], list]:
+    """Per window starting at ``starts``: the (1, L, N) calendar surface and
+    n x (1, N, d) hiddens (None unless ``with_hiddens``), from one pass of
+    the layers over the span's distinct slots.
+
+    The slot rows are computed at most L slots at a time, which keeps the
+    live activations at one window's size.  A window pools the rows of its
+    own slots with its own (1, S_b) shares, the GEMM ``CgmModule.forward``
+    runs at B=1.  The span's pair rows are freed before gim runs.
+    """
+    cfg = cgm.config
+    slots, inverse = np.unique(code, return_inverse=True)
+    S = slots.size
+    surface = np.empty((S, cfg.N))
+    pair_rows = [np.empty((S, cfg.N, 2 * cfg.d)) for _ in range(cfg.n)] if with_hiddens else []
+    for lo in range(0, S, L):
+        part = slice(lo, lo + L)
+        pairs, part_surface = cgm.slot_rows(slots[part])
+        surface[part] = part_surface.data
+        for cached, pair in zip(pair_rows, pairs):
+            cached[part] = pair.data
+    surfaces, hiddens = [], []
+    for s in starts:
+        stamps = inverse[s : s + L]
+        surfaces.append(surface[stamps][None])
+        if not with_hiddens:
+            hiddens.append(None)
+            continue
+        own, own_inverse = np.unique(stamps, return_inverse=True)  # indices into ``slots``
+        share = np.bincount(own_inverse, minlength=own.size)[None, :] / L
+        hiddens.append(cgm.pooled_hiddens(share, [constant(c[own]) for c in pair_rows]))
+    return surfaces, hiddens
 
 
 # ---- training ----

@@ -27,12 +27,35 @@ moves, indexing, gather and concat.  The activations exist only inside the
 fused kernels; the composite references the tests compare them with build
 their own on ``Tensor._make``.  Gradients flow only into tensors created
 with ``requires_grad=True`` or derived from one.
+
+Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
+plain tensor with no parents and no VJP, so the arrays a kernel saves for
+its VJP are freed as soon as the kernel returns, and ``backward()`` cannot
+reach anything computed there.  Values
+are the same bits as with recording on.  Inference runs this way.  The
+switch is a context variable, so it holds for the current thread only, and
+the previous state comes back when the block exits, also by an exception.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 Array = np.ndarray
+
+_recording: ContextVar[bool] = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block; restores the previous state on exit."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -90,7 +113,7 @@ class Tensor:
 
     @staticmethod
     def _make(data: Array, parents: tuple["Tensor", ...], vjp) -> "Tensor":
-        if not any(p.requires_grad for p in parents):
+        if not (_recording.get() and any(p.requires_grad for p in parents)):
             return Tensor(data)
         out = Tensor(data, requires_grad=True)
         out._parents = parents

@@ -1,9 +1,11 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+import pastnet.model as model_module
 from pastnet import checkpoint
 from pastnet.checkpoint import load_checkpoint, save_checkpoint
 from pastnet.data import synthesize_dataset, window_split
@@ -17,7 +19,7 @@ from pastnet.model import (
     impute_span,
     train,
 )
-from pastnet.numcore import Tensor, constant, grad_check, masked_mse
+from pastnet.numcore import Tensor, adam_step, constant, grad_check, masked_mse, no_grad
 
 
 def ring_adjacency(n):
@@ -71,6 +73,13 @@ def test_fuse_observed_passthrough_bitwise():
     m = (rng.random((6, 5)) < 0.5).astype(float)
     out = fuse(x, m, rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
     assert np.array_equal(out[m == 1.0], x[m == 1.0])
+
+
+def test_fuse_observed_passes_through_non_finite_branches():
+    m = np.array([1.0, 1.0, 0.0, 1.0])
+    x = np.array([1.5, -2.0, 0.0, 3.0])
+    out = fuse(x, m, np.array([np.nan, np.inf, 1.0, -np.inf]), np.array([0.0, 1.0, 2.0, np.nan]))
+    assert np.array_equal(out, [1.5, -2.0, 3.0, 3.0])
 
 
 def test_fuse_validation():
@@ -488,6 +497,90 @@ def test_impute_span_overlap_averages():
     assert np.array_equal(out[m == 1.0], v[m == 1.0])
 
 
+def weekly_calendar(T, start=0):
+    """Consecutive 15-minute stamps from ``start`` (Monday 00:00 = 0)."""
+    t = np.arange(start, start + T)
+    return t // 96 % 7, t // 4 % 24, t % 4
+
+
+@pytest.mark.parametrize(
+    "branches", [{}, {"use_cgm": False}, {"use_gim": False}], ids=["past", "wo-cgm", "wo-gim"]
+)
+def test_impute_span_longer_than_a_week_matches_per_window_impute(branches):
+    # 8 days and 5 steps from a Sunday-evening start: every slot of the week
+    # occurs, the stamps wrap from week day 6 to 0, and the tail window is
+    # unaligned; the slot cache must reproduce window-by-window imputation
+    model = tiny_model(**branches)
+    L = model.config.L
+    T = 8 * 96 + 5
+    v, m, _, _, _ = span_inputs(model, T, seed=5)
+    w, h, b = weekly_calendar(T, start=6 * 96 + 70)
+    out = impute_span(model, v, m, w, h, b)
+    acc, counts = np.zeros_like(v), np.zeros((T, 1))
+    for s in [*range(0, T - L + 1, L), T - L]:
+        sl = slice(s, s + L)
+        acc[sl] += model.impute(v[None, sl], m[None, sl], w[None, sl], h[None, sl], b[None, sl])[0]
+        counts[sl] += 1.0
+    assert np.array_equal(out, acc / counts)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda a: {**a, "values": a["values"][:, :, None]}, r"values must be a \(T, N\) array"),
+        (lambda a: {**a, "values": a["values"][:, :3], "mask": a["mask"][:, :3]},
+         r"values has 3 nodes \(columns\), the model has N=4"),
+        (lambda a: {**a, "mask": np.ones((a["mask"].shape[0] + 5, 4))},
+         r"mask must have the values' \(T, N\) shape \(24, 4\), got \(29, 4\)"),
+        (lambda a: {**a, "week": np.zeros(31, int)}, r"week must have shape \(T,\) = \(24,\)"),
+        (lambda a: {**a, "hour": np.zeros((24, 1), int)}, r"hour must have shape \(T,\)"),
+        (lambda a: {**a, "minute_bucket": np.zeros(23, int)}, r"minute_bucket must have shape"),
+    ],
+    ids=["values-3d", "wrong-N", "mask-longer", "week-longer", "hour-2d", "minute-shorter"],
+)
+def test_impute_span_rejects_inputs_that_do_not_fit(change, message):
+    model = tiny_model()
+    v, m, w, h, b = span_inputs(model, 2 * model.config.L)
+    args = change({"values": v, "mask": m, "week": w, "hour": h, "minute_bucket": b})
+    with pytest.raises(ValueError, match=message):
+        impute_span(model, **args)
+
+
+def test_forward_under_no_grad_builds_no_graph():
+    model = tiny_model()
+    v, m, w, h, b = random_window_inputs(model.config, batch=2, seed=2)
+    with no_grad():
+        y_gim, y_cgm = model.forward(v, m, w, h, b)
+    for y in (y_gim, y_cgm):
+        assert y._parents == () and y._vjp is None and not y.requires_grad
+    recorded = model.forward(v, m, w, h, b)
+    assert np.array_equal(y_gim.data, recorded[0].data)
+    assert np.array_equal(y_cgm.data, recorded[1].data)
+
+
+def test_train_interleaved_with_impute_span_is_bit_identical(monkeypatch):
+    # impute_span after every optimizer step must leave training's tape,
+    # gradients and random streams exactly as they were
+    _, train_w, _ = training_windows()
+    cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=3, seed=1)
+    plain, plain_history = train(tiny_model(), train_w, cfg)
+
+    model = tiny_model()
+    span = span_inputs(model, 3 * model.config.L + 2, seed=4)
+    calls = []
+
+    def step_then_impute(params, state):
+        adam_step(params, state)
+        calls.append(impute_span(model, *span))
+
+    monkeypatch.setattr(model_module, "adam_step", step_then_impute)
+    model, history = train(model, train_w, cfg)
+    assert len(calls) > 1 and not np.array_equal(calls[0], calls[-1])
+    assert history.loss1 == plain_history.loss1 and history.loss2 == plain_history.loss2
+    a, b = plain.params.state_arrays(), model.params.state_arrays()
+    assert all(np.array_equal(a[p], b[p]) for p in a)
+
+
 def test_impute_span_rejects_short_series():
     model = tiny_model()
     v, m, w, h, b = span_inputs(model, model.config.L - 1)
@@ -537,7 +630,8 @@ def test_checkpoint_without_norm_stats_or_cgm(tmp_path):
 
 def write_legacy_checkpoint(model, path):
     """A checkpoint as files written with optimizer state still carry it:
-    has_optimizer and optim_* config lines and adam/m|v arrays."""
+    a version 1 file (no CRC trailer) with has_optimizer and optim_* config
+    lines and adam/m|v arrays."""
     lines = [f"{k}={json.dumps(getattr(model.config, k))}" for k in checkpoint._CONFIG_FIELDS]
     lines.append("has_optimizer=true")
     for k, v in (("lr", 1e-3), ("beta1", 0.9), ("beta2", 0.999), ("epsilon", 1e-8),
@@ -555,7 +649,7 @@ def write_legacy_checkpoint(model, path):
     arrays += [(f"spatial/{k}", mat) for k, mat in enumerate(model.spatial_op.normalized_powers)]
     arrays.append(("norm/stats", np.asarray(model.norm_stats)))
     with open(path, "wb") as out:
-        out.write(checkpoint.MAGIC + struct.pack("<IQ", checkpoint.VERSION, len(block)) + block)
+        out.write(checkpoint.MAGIC + struct.pack("<IQ", 1, len(block)) + block)
         out.write(struct.pack("<I", len(arrays)))
         for key, arr in arrays:
             checkpoint._write_array(out, key, arr)
@@ -595,6 +689,13 @@ def test_checkpoint_huge_config_length_raises(tmp_path):
         load_checkpoint(path)
 
 
+def resealed(blob):
+    """An edited version 2 file with its CRC trailer recomputed, so that the
+    loader's checks after the CRC see the edit."""
+    body = blob[8:-4]
+    return blob[:8] + body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_checkpoint_config_value_of_wrong_type_raises(tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(tiny_model(), path)
@@ -602,20 +703,38 @@ def test_checkpoint_config_value_of_wrong_type_raises(tmp_path):
     (cfg_len,) = struct.unpack("<Q", blob[12:20])
     block = blob[20 : 20 + cfg_len].replace(b"\nd=8\n", b"\nd=[]\n")
     with open(path, "wb") as f:
-        f.write(blob[:12] + struct.pack("<Q", len(block)) + block + blob[20 + cfg_len :])
+        f.write(resealed(blob[:12] + struct.pack("<Q", len(block)) + block + blob[20 + cfg_len :]))
     with pytest.raises(ValueError, match="bad config value"):
         load_checkpoint(path)
 
 
+def same_model(a, b):
+    sa, sb = a.params.state_arrays(), b.params.state_arrays()
+    return (
+        a.config == b.config
+        and a.norm_stats == b.norm_stats
+        and sorted(sa) == sorted(sb)
+        and all(np.array_equal(sa[p], sb[p]) for p in sa)
+        and len(a.spatial_op.normalized_powers) == len(b.spatial_op.normalized_powers)
+        and all(
+            np.array_equal(p, q)
+            for p, q in zip(a.spatial_op.normalized_powers, b.spatial_op.normalized_powers)
+        )
+    )
+
+
 def test_checkpoint_corruption_fuzz_raises_only_value_error(tmp_path):
     # 1-3 random bytes overwritten in the header, config block and first
-    # arrays; with no checksum some files still load, the rest must raise
-    # ValueError and nothing else
+    # arrays: each file must raise ValueError and nothing else, or load a
+    # model bit-identical to the saved one (a byte overwritten by its own
+    # value); the CRC trailer leaves no silently different load
+    model = tiny_model()
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(tiny_model(), path)
+    save_checkpoint(model, path)
     blob = open(path, "rb").read()
     rng = np.random.default_rng(3)
     corrupt = str(tmp_path / "corrupt.ckpt")
+    outcomes = {"raised": 0, "identical": 0, "different": 0}
     for _ in range(400):
         b = bytearray(blob)
         for _ in range(rng.integers(1, 4)):
@@ -623,9 +742,56 @@ def test_checkpoint_corruption_fuzz_raises_only_value_error(tmp_path):
         with open(corrupt, "wb") as f:
             f.write(b)
         try:
-            load_checkpoint(corrupt)
+            loaded = load_checkpoint(corrupt)
         except ValueError:
-            pass
+            outcomes["raised"] += 1
+            continue
+        outcomes["identical" if same_model(model, loaded) else "different"] += 1
+    assert outcomes["different"] == 0, outcomes
+    assert outcomes["raised"] > 390, outcomes
+
+
+def test_checkpoint_crc_mismatch_raises(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(tiny_model(), path)
+    blob = bytearray(open(path, "rb").read())
+    blob[-10] ^= 0x01  # the low bit of a byte of the last array's last value
+    with open(path, "wb") as f:
+        f.write(blob)
+    with pytest.raises(ValueError, match="CRC-32 does not match"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_1_file_loads_bitwise(tmp_path):
+    # version 1 is version 2 without the CRC trailer
+    model = tiny_model()
+    model.norm_stats = (1.5, 2.25)
+    path, old = str(tmp_path / "model.ckpt"), str(tmp_path / "v1.ckpt")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    assert struct.unpack("<I", blob[8:12]) == (2,)
+    with open(old, "wb") as f:
+        f.write(blob[:8] + struct.pack("<I", 1) + blob[12:-4])
+    assert same_model(model, load_checkpoint(old))
+
+
+def test_checkpoint_non_finite_arrays_raise_and_impute_keeps_observed(tmp_path):
+    # a model whose spatial power is all NaN and whose gim head bias is inf:
+    # imputing with it in memory still passes observed entries through, and
+    # a file saved from it does not load
+    model = tiny_model()
+    model.spatial_op.normalized_powers[1][:] = np.nan
+    model.params["gim/head/b"].data[:] = np.inf
+    v, m, w, h, b = random_window_inputs(model.config, batch=1, seed=9)
+    out = model.impute(v, m, w, h, b)
+    assert np.array_equal(out[m == 1.0], v[m == 1.0])
+    assert not np.isfinite(out[m == 0.0]).any()
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    with pytest.raises(
+        ValueError, match=r"corrupt checkpoint: NaN or inf in param/gim/head/b, spatial/1$"
+    ):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize(

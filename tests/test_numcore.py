@@ -2,6 +2,7 @@
 hand-computed values for the losses and one Adam step, store invariants."""
 import ast
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pastnet.numcore import (
     grad_check,
     masked_mse,
     matmul,
+    no_grad,
 )
 
 
@@ -262,6 +264,42 @@ def test_leaf_accumulators_keep_identity_and_add_up():
 def test_constant_branches_are_pruned_from_tape():
     out = (constant(np.ones(4)) * 2.0).sum()
     assert out._parents == () and out._vjp is None
+
+
+def test_no_grad_records_nothing_and_keeps_values():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    recorded = (concat([a @ w, a[:, :2]], axis=1) * 2.0 + 1.0).sum()
+    with no_grad():
+        plain = (concat([a @ w, a[:, :2]], axis=1) * 2.0 + 1.0).sum()
+    assert plain._parents == () and plain._vjp is None and not plain.requires_grad
+    assert np.array_equal(plain.data, recorded.data)
+    recorded.backward()  # recording is back on after the block
+    assert a.grad is not None and w.grad is not None
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("raised inside no_grad")
+    out = (a * 2.0).sum()
+    assert out._parents and out.requires_grad
+    with no_grad():
+        with no_grad():
+            pass
+        assert (a * 2.0)._parents == ()  # an inner block restores the outer state
+    assert (a * 2.0)._parents
+
+
+def test_no_grad_holds_for_the_current_thread_only():
+    a = Tensor(np.ones(2), requires_grad=True)
+    recorded = []
+    worker = threading.Thread(target=lambda: recorded.append(bool((a * 2.0)._parents)))
+    with no_grad():
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive() and recorded == [True]
 
 
 def test_masked_mse_hand_value():
