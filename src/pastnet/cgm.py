@@ -47,24 +47,30 @@ def default_partition(d: int) -> tuple[int, int, int]:
     return quarter, d - 2 * quarter, quarter
 
 
-def _check_range(name: str, idx: np.ndarray, cardinality: int) -> np.ndarray:
-    idx = np.asarray(idx)
+def _calendar_field(name: str, values, cardinality: int) -> np.ndarray:
+    """``values`` as int64 indices, raising unless each is an integer in [0, cardinality)."""
+    idx = np.asarray(values)
+    if idx.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold integer values, got dtype {idx.dtype}")
+    if idx.dtype.kind == "f":
+        fractional = idx != np.floor(idx)  # NaN included
+        if fractional.any():
+            raise ValueError(f"{name} must hold integer values, got {float(idx[fractional][0])}")
     if idx.size and (idx.min() < 0 or idx.max() >= cardinality):
         raise ValueError(f"{name} index out of range [0, {cardinality})")
-    return idx
+    return idx.astype(np.int64)
 
 
 def slot_codes(week, hour, minute_bucket) -> np.ndarray:
     """Time-of-week slot code (week * 24 + hour) * 4 + minute of each stamp.
 
-    The fields are range-checked first, since an out-of-range field would
-    alias another slot.  The three arrays must share one shape.
+    The fields are checked first: a fractional value would be truncated
+    and an out-of-range one would alias another slot.  The three arrays
+    must share one shape.
     """
-    week = _check_range("week", np.asarray(week, dtype=np.int64), WEEK_CARD)
-    hour = _check_range("hour", np.asarray(hour, dtype=np.int64), HOUR_CARD)
-    minute_bucket = _check_range(
-        "minute_bucket", np.asarray(minute_bucket, dtype=np.int64), MINUTE_CARD
-    )
+    week = _calendar_field("week", week, WEEK_CARD)
+    hour = _calendar_field("hour", hour, HOUR_CARD)
+    minute_bucket = _calendar_field("minute_bucket", minute_bucket, MINUTE_CARD)
     if week.shape != hour.shape or week.shape != minute_bucket.shape:
         raise ValueError("week, hour, minute_bucket must share one shape")
     return (week * HOUR_CARD + hour) * MINUTE_CARD + minute_bucket

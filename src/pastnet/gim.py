@@ -10,6 +10,17 @@ min(1, exp(-alpha*dt + beta)), beta calibrated so the expected drop rate
 over all vertex pairs is p.  Aggregation is row-normalized (in-degree) with
 learned positive edge weights shared across graphs, followed per time step
 by a multi-order spatial convolution over the road graph and a linear head.
+
+State layout: ``GimModule.forward`` transposes its (B, L, N) inputs once
+and keeps every vertex state time-major, as one (L, B*N, d) buffer from the
+embedding to the head; graph g = b*N + n is node n of window b.  The same
+buffer read as (L*B, N, d) is the per-step layout the spatial kernel mixes,
+so every hop between the two kernels is a free view.  The temporal kernel
+reads and writes each graph's rows as strided (L, d) views of that buffer,
+takes the injection state as its own (G, d) input and the dropped edges as
+a bool mask, and returns only the L data rows: the injection vertex has no
+incoming edge, so its row is never computed.  The output is a transposed
+view back to (B, L, N).
 """
 from __future__ import annotations
 
@@ -19,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, constant
+from .numcore import ParamStore, Tensor, constant
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -37,6 +48,8 @@ def build_temporal_adjacency(mask_column: np.ndarray, include_injection: bool = 
     Row/column L is the injection vertex: no incoming edges, outgoing to
     every data vertex when enabled.  Data vertex j emits edges only while
     observed, so column j of the data block equals mask[j] off-diagonal.
+    The model never builds this matrix (``temporal_forward`` applies the
+    rule directly); it is the rule's dense reference.
     """
     col = np.asarray(mask_column, dtype=np.float64)
     if col.ndim != 1:
@@ -47,7 +60,7 @@ def build_temporal_adjacency(mask_column: np.ndarray, include_injection: bool = 
 
 
 def _batch_temporal_adjacency(columns: np.ndarray, include_injection: bool) -> np.ndarray:
-    """Stacked adjacency masks for (G, L) mask columns -> (G, L+1, L+1)."""
+    """Stacked dense adjacency masks for (G, L) mask columns -> (G, L+1, L+1)."""
     G, L = columns.shape
     adj = np.zeros((G, L + 1, L + 1))
     adj[:, :L, :L] = columns[:, None, :]
@@ -74,76 +87,129 @@ def dropout_beta(alpha: float, p: float, L: int) -> float:
     return float(np.log(p * L * L / total))
 
 
-def _batch_interval_dropout(
-    adj: np.ndarray, columns: np.ndarray, alpha: float, beta: float, rng: np.random.Generator
+def interval_dropout_mask(
+    columns: np.ndarray, alpha: float, beta: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Drop observed->missing data edges independently; copies the input."""
-    G, L = columns.shape
+    """Sample the dropped observed->missing data edges of every graph.
+
+    ``columns`` is the (L, G) time-major mask.  Returns a (G, L, L) bool
+    array, True where edge j -> i of graph g is dropped.  Draws
+    ``rng.random((G, L, L))`` once, indexed [g, i, j].
+    """
+    L, G = columns.shape
     idx = np.arange(L)
     delta = np.abs(idx[:, None] - idx[None, :])
     prob = np.minimum(1.0, np.exp(-alpha * delta + beta))
-    eligible = (columns[:, :, None] == 0.0) & (columns[:, None, :] == 1.0)
-    drop = eligible & (rng.random((G, L, L)) < prob)
+    per_graph = columns.T
+    eligible = (per_graph[:, :, None] == 0.0) & (per_graph[:, None, :] == 1.0)
+    return eligible & (rng.random((G, L, L)) < prob)
+
+
+def _batch_interval_dropout(
+    adj: np.ndarray, columns: np.ndarray, alpha: float, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Dense reference: a copy of ``adj`` without the edges sampled for (G, L) columns."""
     out = adj.copy()
-    out[:, :L, :L][drop] = 0.0
+    L = columns.shape[1]
+    out[:, :L, :L][interval_dropout_mask(columns.T, alpha, beta, rng)] = 0.0
     return out
 
 
 # ---- forward operators ----
 
 
-def temporal_forward(vertex_states, adj_mask, edge_logits, w, b) -> Tensor:
-    """Row-normalized aggregation then linear + relu, as one tape node.
+def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Tensor:
+    """Row-normalized aggregation over every node-window graph, then linear
+    + relu, as one tape node.
 
-    A = adj_mask * softplus(edge_logits); each vertex averages its sources
-    by incoming weight, H' = (D + eps I)^-1 A H; output relu(H' W + b).
-    Zero-degree rows (the injection vertex, fully dropped vertices) give
-    H' = 0 and hence relu(b).  Accepts a leading batch axis on states and
-    adjacency.
+    ``states`` are the time-major (L, G, d) data vertex states,
+    ``injection`` the (G, d) injection vertex states (None: the graphs have
+    no injection vertex), ``columns`` the (L, G) 0/1 observation mask and
+    ``drop`` an optional (G, L, L) bool mask of dropped data edges (i <- j).
+    ``edge_logits`` is the shared (L+1, L+1) logit matrix, row/column L
+    the injection vertex.
 
-    Saved for backward: the weighted adjacency A, the row degrees plus
-    eps, the aggregate H' and the output, whose sign is relu's mask.
+    A = softplus(logits) on the graph's edges: j -> i for j != i with j
+    observed and not dropped, and injection -> i.  Each data vertex averages
+    its sources by incoming weight, H' = (D + eps I)^-1 A H, and the output
+    is relu(H' W + b), (L, G, d_out).  Zero-degree rows (fully dropped
+    vertices) give H' = 0 and hence relu(b).  The injection vertex receives
+    nothing, so its row is not returned.
+
+    Saved for backward: the weighted (G, L, L+1) adjacency, whose nonzero
+    entries are the edges, the row degrees plus eps, the aggregate H' and
+    the output, whose sign is relu's mask.
     """
-    states, logits, w, b = (_wrap(t) for t in (vertex_states, edge_logits, w, b))
-    adj = np.asarray(adj_mask, dtype=np.float64)
-    x = states.data
-    a = adj * np.logaddexp(0.0, logits.data)
-    denom = a.sum(axis=-1, keepdims=True)
+    x, logits, w, b = (_wrap(t) for t in (states, edge_logits, w, b))
+    inj = None if injection is None else _wrap(injection)
+    cols = np.asarray(columns, dtype=np.float64)
+    L, G, d = x.shape
+    if cols.shape != (L, G):
+        raise ValueError(f"columns must be (L, G) = ({L}, {G}), got {cols.shape}")
+    if inj is not None and inj.shape != (G, d):
+        raise ValueError(f"injection must be (G, d) = ({G}, {d}), got {inj.shape}")
+    if drop is not None and drop.shape != (G, L, L):
+        raise ValueError(f"drop must be (G, L, L) = ({G}, {L}, {L}), got {drop.shape}")
+    width = L if inj is None else L + 1  # source columns; column L is the injection vertex
+    idx = np.arange(L)
+    weight = np.logaddexp(0.0, logits.data[:L, :width])
+    weight[idx, idx] = 0.0  # no self edges
+    a = np.empty((G, L, width))
+    np.multiply(weight[:, :L], cols.T[:, None, :], out=a[..., :L])  # observed sources only
+    if drop is not None:
+        np.copyto(a[..., :L], 0.0, where=drop)
+    if inj is not None:
+        a[..., L] = weight[:, L]
+    denom = np.ascontiguousarray(a.sum(axis=-1).T)[..., None]  # (L, G, 1)
     denom += DEGREE_EPS
-    agg = np.matmul(a, x)
+    agg = np.empty((L, G, d))
+    np.matmul(a[..., :L], x.data.transpose(1, 0, 2), out=agg.transpose(1, 0, 2))
+    if inj is not None:
+        agg += weight[:, L, None, None] * inj.data
     agg /= denom
     out = np.matmul(agg, w.data)
     out += b.data
     np.maximum(out, 0.0, out=out)
+    parents = (x, logits, w, b) if inj is None else (x, logits, w, b, inj)
 
     def vjp(g):
-        gx = gl = gw = gb = None
+        gx = gi = gl = gw = gb = None
         gz = g * (out > 0.0)
         if w.requires_grad:
-            gw = agg.reshape(-1, agg.shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
+            gw = agg.reshape(-1, d).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
             gb = _unbroadcast(gz, b.shape)
-        if not (states.requires_grad or logits.requires_grad):
-            return gx, gl, gw, gb
+        need_inj = inj is not None and inj.requires_grad
+        if not (x.requires_grad or need_inj or logits.requires_grad):
+            return (gx, gl, gw, gb, gi)[: len(parents)]
         g_agg = np.matmul(gz, w.data.T)
         if logits.requires_grad:
             # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom
             spare = gz if gz.shape == agg.shape and gb is not gz else None  # gz is spent
-            g_denom = np.multiply(g_agg, agg, out=spare)
-            g_denom /= denom
-            g_denom = -_unbroadcast(g_denom, denom.shape)
+            g_denom = np.multiply(g_agg, agg, out=spare).sum(axis=-1)
+            g_denom /= denom[..., 0]
         g_agg /= denom  # now the adjoint of num = A @ H
-        if states.requires_grad:
-            gx = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g_agg), x.shape)
+        if x.requires_grad:
+            gx = np.empty((L, G, d))
+            np.matmul(
+                a[..., :L].transpose(0, 2, 1), g_agg.transpose(1, 0, 2), out=gx.transpose(1, 0, 2)
+            )
+        if need_inj:
+            gi = (weight[:, L] @ g_agg.reshape(L, G * d)).reshape(G, d)
         if logits.requires_grad:
-            ga = np.matmul(g_agg, np.swapaxes(x, -1, -2))
-            ga += g_denom  # every entry of a row feeds that row's degree
-            ga *= adj
-            gl = _unbroadcast(ga, logits.shape)
-            gl *= expit(logits.data)
-        return gx, gl, gw, gb
+            ga = np.empty((G, L, width))
+            per_graph = g_agg.transpose(1, 0, 2)
+            np.matmul(per_graph, x.data.transpose(1, 2, 0), out=ga[..., :L])
+            if inj is not None:
+                np.matmul(per_graph, inj.data[:, :, None], out=ga[..., L:])
+            ga -= g_denom.T[:, :, None]  # every entry of a row feeds that row's degree
+            ga *= a != 0.0  # keep only the graph's edges, where A holds softplus > 0
+            gl = np.zeros(logits.shape)
+            np.sum(ga, axis=0, out=gl[:L, :width])
+            gl[:L, :width] *= expit(logits.data[:L, :width])
+        return (gx, gl, gw, gb, gi)[: len(parents)]
 
-    return Tensor._make(out, (states, logits, w, b), vjp)
+    return Tensor._make(out, parents, vjp)
 
 
 @dataclass
@@ -278,41 +344,41 @@ class GimModule:
             raise ValueError("training with dropout requires an rng")
 
         p = self.params
-        d = cfg.d
-        xz = np.where(m == 1.0, x, 0.0)[..., None]
-        m4 = m[..., None]
+        d, G = cfg.d, B * N
+        m_t = np.ascontiguousarray(m.transpose(1, 0, 2))  # (L, B, N), the only transposes
+        xz = np.where(m_t == 1.0, x.transpose(1, 0, 2), 0.0)[..., None]
+        m4 = m_t[..., None]
         embedded = constant(m4) * (constant(xz) * p["gim/embed/w"] + p["gim/embed/b"]) + constant(
             1.0 - m4
         ) * p["gim/embed/mask_token"]
+        columns = m_t.reshape(L, G)
 
-        columns = np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(B * N, L)
-        # the injection vertex exists only when a cgm branch supplies its context
-        adj_base = _batch_temporal_adjacency(columns, cfg.use_cgm)
-
-        h = embedded  # (B, L, N, d)
+        h = embedded.reshape(L, G, d)
         for i in range(cfg.n):
-            adj = adj_base
+            drop = None
             if use_dropout:
-                adj = _batch_interval_dropout(adj_base, columns, cfg.alpha, self.beta, rng)
-            states = h.transpose((0, 2, 1, 3)).reshape(B * N, L, d)
-            inj = None if hiddens is None else hiddens[i]
-            if inj is None:
-                inj_t = constant(np.zeros((B * N, 1, d)))
-            else:
-                inj_t = constant(inj).reshape(B * N, 1, d)
-            vertices = concat([states, inj_t], axis=1)
+                drop = interval_dropout_mask(columns, cfg.alpha, self.beta, rng)
+            # the injection vertex exists only when a cgm branch supplies its context
+            inj = None
+            if cfg.use_cgm:
+                hidden = None if hiddens is None else hiddens[i]
+                inj = np.zeros((G, d)) if hidden is None else constant(hidden).reshape(G, d)
             prefix = f"gim/layer{i}"
             after_temporal = temporal_forward(
-                vertices,
-                adj,
+                h,
+                inj,
+                columns,
+                drop,
                 p[f"{prefix}/edge_logits"],
                 p[f"{prefix}/temporal/W"],
                 p[f"{prefix}/temporal/b"],
             )
-            data_rows = after_temporal[:, :L, :]
-            per_step = data_rows.reshape(B, N, L, d).transpose((0, 2, 1, 3)).reshape(B * L, N, d)
             h = spatial_forward(
-                per_step, self.spatial_op, p[f"{prefix}/spatial/W"], p[f"{prefix}/spatial/b"]
-            ).reshape(B, L, N, d)
+                after_temporal.reshape(L * B, N, d),
+                self.spatial_op,
+                p[f"{prefix}/spatial/W"],
+                p[f"{prefix}/spatial/b"],
+            ).reshape(L, G, d)
 
-        return (h @ p["gim/head/W"] + p["gim/head/b"]).reshape(B, L, N)
+        y = h @ p["gim/head/W"] + p["gim/head/b"]
+        return y.reshape(L, B, N).transpose((1, 0, 2))

@@ -320,7 +320,9 @@ def _calendar_windows(
             continue
         own, own_inverse = np.unique(stamps, return_inverse=True)  # indices into ``slots``
         share = np.bincount(own_inverse, minlength=own.size)[None, :] / L
-        hiddens.append(cgm.pooled_hiddens(share, [constant(c[own]) for c in pair_rows]))
+        # a window that does not wrap the week owns one run of slots: a view, not a gather
+        rows = slice(own[0], own[-1] + 1) if own[-1] - own[0] + 1 == own.size else own
+        hiddens.append(cgm.pooled_hiddens(share, [constant(c[rows]) for c in pair_rows]))
     return surfaces, hiddens
 
 

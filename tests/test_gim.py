@@ -11,6 +11,7 @@ from pastnet.gim import (
     build_spatial_operator,
     build_temporal_adjacency,
     dropout_beta,
+    interval_dropout_mask,
     spatial_forward,
     temporal_forward,
     _batch_interval_dropout,
@@ -163,42 +164,41 @@ def test_interval_dropout_single_edge_monte_carlo():
 
 def test_temporal_forward_single_edge_is_source_state():
     # v1's only source is v0; normalization cancels the edge weight
-    col = np.array([1.0, 0.0])
-    adj = build_temporal_adjacency(col, include_injection=False)
+    columns = np.array([[1.0], [0.0]])  # (L, G): one graph, no injection vertex
     s0 = np.array([0.4, 0.7])
-    states = np.array([s0, [0.0, 0.0], [0.0, 0.0]])
+    states = np.array([[s0], [[0.0, 0.0]]])
     outs = []
     for logit in (1.7, -1.0):
         logits = np.zeros((3, 3))
         logits[1, 0] = logit
-        out = temporal_forward(states, adj, logits, np.eye(2), np.zeros(2))
+        out = temporal_forward(states, None, columns, None, logits, np.eye(2), np.zeros(2))
         outs.append(out.data)
-        assert np.allclose(out.data[1], s0, atol=1e-5)
+        assert np.allclose(out.data[1, 0], s0, atol=1e-5)
     assert np.allclose(outs[0][1], outs[1][1], atol=1e-5)  # weight-independent
 
 
 def test_temporal_forward_zero_linear_gives_zero():
-    col = np.array([1.0, 1.0, 0.0])
-    adj = build_temporal_adjacency(col)
-    states = np.random.default_rng(2).normal(size=(4, 3))
-    out = temporal_forward(states, adj, np.ones((4, 4)), np.zeros((3, 3)), np.zeros(3))
-    assert np.array_equal(out.data, np.zeros((4, 3)))
+    columns = np.array([[1.0], [1.0], [0.0]])
+    vertices = np.random.default_rng(2).normal(size=(4, 3))
+    states, injection = vertices[:3, None], vertices[3:]
+    out = temporal_forward(
+        states, injection, columns, None, np.ones((4, 4)), np.zeros((3, 3)), np.zeros(3)
+    )
+    assert np.array_equal(out.data, np.zeros((3, 1, 3)))
 
 
 def test_temporal_forward_hand_case_single_vertex_plus_injection():
     # L=1 observed vertex fed only by the injection state
-    col = np.array([1.0])
-    adj = build_temporal_adjacency(col)  # [[0,1],[0,0]]
+    columns = np.array([[1.0]])  # adjacency [[0,1],[0,0]]
     h = np.array([1.0, 2.0])
-    states = np.array([[0.2, -0.3], h])
+    states = np.array([[[0.2, -0.3]]])
     w = np.array([[0.5, -1.0], [0.25, 1.0]])
     b = np.array([0.1, -0.2])
-    out = temporal_forward(states, adj, np.zeros((2, 2)), w, b)
+    out = temporal_forward(states, h[None], columns, None, np.zeros((2, 2)), w, b)
     # hand arithmetic: edge weight softplus(0)=log 2 cancels up to eps
     c = np.log(2.0) / (np.log(2.0) + 1e-6)
-    h_prime = np.array([c * h, [0.0, 0.0]])
-    expected = np.maximum(h_prime @ w + b, 0.0)
-    assert np.allclose(out.data, expected, atol=1e-14)
+    expected = np.maximum(c * h @ w + b, 0.0)
+    assert np.allclose(out.data[0, 0], expected, atol=1e-14)
 
 
 def test_temporal_forward_rows_are_stochastic():
@@ -207,12 +207,13 @@ def test_temporal_forward_rows_are_stochastic():
     adj = build_temporal_adjacency(col)
     logits = rng.normal(size=(13, 13))
     # identity readout of all-ones states exposes the row sums of D^-1 A
-    ones = np.ones((13, 2))
-    out = temporal_forward(ones, adj, logits, np.eye(2), np.zeros(2))
-    degrees = (adj * np.logaddexp(0.0, logits)).sum(axis=1)
+    out = temporal_forward(
+        np.ones((12, 1, 2)), np.ones((1, 2)), col[:, None], None, logits, np.eye(2), np.zeros(2)
+    )
+    degrees = (adj * np.logaddexp(0.0, logits)).sum(axis=1)[:12]
     fed = degrees > 0
-    assert np.allclose(out.data[fed], 1.0, atol=2e-6)
-    assert np.allclose(out.data[~fed], 0.0)
+    assert np.allclose(out.data[fed, 0], 1.0, atol=2e-6)
+    assert np.allclose(out.data[~fed, 0], 0.0)
 
 
 def test_spatial_operator_identity_cases():
@@ -283,13 +284,23 @@ def test_spatial_forward_two_node_hand_case():
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
-def temporal_reference(adj):
-    """The temporal layer composed from numcore primitives."""
+def dense_temporal(adj, vertices, logits, w, b):
+    """The temporal layer on (G, L+1, d) per-graph vertex states and a dense
+    (G, L+1, L+1) adjacency, composed from numcore primitives."""
+    a = constant(adj) * softplus(logits)
+    degree = a.sum(axis=a.ndim - 1, keepdims=True)
+    return relu(divide(a @ vertices, degree + DEGREE_EPS) @ w + b)
 
-    def reference(states, logits, w, b):
-        a = constant(adj) * softplus(logits)
-        degree = a.sum(axis=a.ndim - 1, keepdims=True)
-        return relu(divide(a @ states, degree + DEGREE_EPS) @ w + b)
+
+def temporal_reference(adj):
+    """``temporal_forward``'s contract through ``dense_temporal``: time-major
+    data states in, the injection row appended and sliced away again."""
+
+    def reference(states, injection, logits, w, b):
+        L, G, d = states.shape
+        row = constant(np.zeros((G, d))) if injection is None else constant(injection)
+        vertices = concat([states.transpose((1, 0, 2)), row.reshape(G, 1, d)], axis=1)
+        return dense_temporal(adj, vertices, logits, w, b)[:, :L].transpose((1, 0, 2))
 
     return reference
 
@@ -304,19 +315,42 @@ def spatial_reference(op):
     return reference
 
 
-def temporal_case(adj, d_in=4, d_out=3, batch=None, seed=0):
-    L1 = adj.shape[-1]
+def temporal_case(
+    cols, include_injection, dropped=False, injection_input=False, d_in=4, d_out=3, seed=0
+):
+    """check_kernel on (G, L) mask columns; the reference reads the dense
+    adjacency, the kernel the (L, G) columns and the bool drop mask."""
+    G, L = cols.shape
+    adj = _batch_temporal_adjacency(cols, include_injection)
+    drop = None
+    if dropped:
+        drop = interval_dropout_mask(cols.T, 0.1, 0.0, np.random.default_rng(5))
+        dense = _batch_interval_dropout(adj, cols, 0.1, 0.0, np.random.default_rng(5))
+        assert dense.sum() < adj.sum()
+        adj = dense
     rng = np.random.default_rng(seed)
-    lead = () if batch is None else (batch,)
+    vertices = rng.normal(size=(G, L + 1, d_in))
+    states = np.ascontiguousarray(vertices[:, :L].transpose(1, 0, 2))
+    injection = vertices[:, L] if include_injection else None
     arrays = [
-        rng.normal(size=lead + (L1, d_in)),
-        rng.normal(size=(L1, L1)),
+        states,
+        rng.normal(size=(L + 1, L + 1)),
         rng.normal(scale=0.5, size=(d_in, d_out)),
         rng.normal(scale=0.1, size=d_out),
     ]
+    reference = temporal_reference(adj)
+    if injection_input:
+        arrays.insert(1, injection)
+        check_kernel(
+            lambda s, i, lg, w, b: temporal_forward(s, i, cols.T, drop, lg, w, b),
+            reference,
+            arrays,
+            seed=seed,
+        )
+        return
     check_kernel(
-        lambda s, lg, w, b: temporal_forward(s, adj, lg, w, b),
-        temporal_reference(adj),
+        lambda s, lg, w, b: temporal_forward(s, injection, cols.T, drop, lg, w, b),
+        lambda s, lg, w, b: reference(s, injection, lg, w, b),
         arrays,
         seed=seed,
     )
@@ -327,23 +361,25 @@ def test_temporal_kernel_matches_composite_batched_with_zero_degree_row():
     cols = (rng.random((3, 6)) > 0.4).astype(float)
     cols[2] = 0.0
     cols[2, 4] = 1.0  # the lone observed vertex has no source without injection
-    adj = _batch_temporal_adjacency(cols, include_injection=False)
-    assert adj[2, 4].sum() == 0.0
-    temporal_case(adj, batch=3, seed=1)
+    assert _batch_temporal_adjacency(cols, include_injection=False)[2, 4].sum() == 0.0
+    temporal_case(cols, include_injection=False, seed=1)
 
 
 def test_temporal_kernel_matches_composite_unbatched():
-    adj = build_temporal_adjacency(np.array([1.0, 0.0, 1.0, 1.0, 0.0]))
-    temporal_case(adj, seed=2)
+    # one graph (G=1)
+    temporal_case(np.array([[1.0, 0.0, 1.0, 1.0, 0.0]]), include_injection=True, seed=2)
 
 
 def test_temporal_kernel_matches_composite_with_dropped_edges():
     rng = np.random.default_rng(22)
     cols = (rng.random((4, 7)) > 0.5).astype(float)
-    base = _batch_temporal_adjacency(cols, include_injection=True)
-    adj = _batch_interval_dropout(base, cols, 0.1, 0.0, np.random.default_rng(5))
-    assert adj.sum() < base.sum()
-    temporal_case(adj, batch=4, seed=3)
+    temporal_case(cols, include_injection=True, dropped=True, seed=3)
+
+
+def test_temporal_kernel_matches_composite_with_differentiable_injection():
+    rng = np.random.default_rng(24)
+    cols = (rng.random((4, 7)) > 0.5).astype(float)
+    temporal_case(cols, include_injection=True, dropped=True, injection_input=True, seed=4)
 
 
 @pytest.mark.parametrize("K", [0, 2])
@@ -456,6 +492,69 @@ def test_gim_forward_matches_dense_reference():
     arrays = {p.removeprefix("gim/"): t.data for p, t in params.items()}
     expected = dense_reference(x, m, hidden, a_s, K, arrays)
     assert np.allclose(got, expected, atol=1e-10)
+
+
+def dense_layout_forward(module, x, m, hiddens, rng):
+    """The branch in the per-graph layout: (B*N, L+1, d) vertex states with
+    the injection row appended, a dense adjacency per layer with edges
+    dropped by ``_batch_interval_dropout``, and the composite layers."""
+    cfg, p = module.config, module.params
+    B, L, N = x.shape
+    G, d = B * N, cfg.d
+    xz = np.where(m == 1.0, x, 0.0)[..., None]
+    m4 = m[..., None]
+    h = constant(m4) * (constant(xz) * p["gim/embed/w"] + p["gim/embed/b"]) + constant(
+        1.0 - m4
+    ) * p["gim/embed/mask_token"]
+    columns = np.ascontiguousarray(m.transpose(0, 2, 1)).reshape(G, L)
+    base = _batch_temporal_adjacency(columns, True)
+    for i in range(cfg.n):
+        prefix = f"gim/layer{i}"
+        adj = _batch_interval_dropout(base, columns, cfg.alpha, module.beta, rng)
+        states = h.transpose((0, 2, 1, 3)).reshape(G, L, d)
+        vertices = concat([states, constant(hiddens[i]).reshape(G, 1, d)], axis=1)
+        after = dense_temporal(
+            adj,
+            vertices,
+            p[f"{prefix}/edge_logits"],
+            p[f"{prefix}/temporal/W"],
+            p[f"{prefix}/temporal/b"],
+        )
+        per_step = after[:, :L].reshape(B, N, L, d).transpose((0, 2, 1, 3)).reshape(B * L, N, d)
+        mixed = spatial_reference(module.spatial_op)(
+            per_step, p[f"{prefix}/spatial/W"], p[f"{prefix}/spatial/b"]
+        )
+        h = mixed.reshape(B, L, N, d)
+    return (h @ p["gim/head/W"] + p["gim/head/b"]).reshape(B, L, N)
+
+
+def test_gim_training_forward_matches_dense_layout_reference():
+    module, params = build_module(L=10, N=3, n=2, d=4, K=1, seed=6, p_dropout=0.3)
+    rng = np.random.default_rng(13)
+    for path, t in params.items():  # logits too, which start at zero
+        t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
+    x = rng.normal(size=(2, 10, 3))
+    m = (rng.random((2, 10, 3)) > 0.4).astype(float)
+    hiddens = [rng.normal(size=(2, 3, 4)) for _ in range(2)]
+    cotangent = rng.normal(size=(2, 10, 3))
+
+    def run(forward, gen):
+        y = forward(gen)
+        (y * cotangent).sum().backward()
+        grads = {path: t.grad.copy() for path, t in params.items()}
+        params.zero_grads()
+        return y.data, grads
+
+    gen_kernel, gen_dense = np.random.default_rng(17), np.random.default_rng(17)
+    got, got_grads = run(lambda g: module.forward(x, m, hiddens, training=True, rng=g), gen_kernel)
+    ref, ref_grads = run(lambda g: dense_layout_forward(module, x, m, hiddens, g), gen_dense)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    for path in ref_grads:
+        assert np.max(np.abs(got_grads[path] - ref_grads[path])) <= 1e-12, path
+    assert gen_kernel.bit_generator.state == gen_dense.bit_generator.state
+    # the dropout must have removed edges for this test to cover it
+    free = module.forward(x, m, hiddens).data
+    assert not np.allclose(got, free)
 
 
 def test_gim_forward_ignores_values_at_missing_positions():

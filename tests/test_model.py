@@ -8,7 +8,7 @@ import pytest
 import pastnet.model as model_module
 from pastnet import checkpoint
 from pastnet.checkpoint import load_checkpoint, save_checkpoint
-from pastnet.data import synthesize_dataset, window_split
+from pastnet.data import WindowBatch, synthesize_dataset, window_split
 from pastnet.masking import ScenarioConfig, generate_mask
 from pastnet.model import (
     ModelConfig,
@@ -544,6 +544,31 @@ def test_impute_span_rejects_inputs_that_do_not_fit(change, message):
     args = change({"values": v, "mask": m, "week": w, "hour": h, "minute_bucket": b})
     with pytest.raises(ValueError, match=message):
         impute_span(model, **args)
+
+
+@pytest.mark.parametrize("field", ["week", "hour", "minute_bucket"])
+@pytest.mark.parametrize("entry", ["impute_span", "impute", "train"])
+def test_fractional_calendar_raises_naming_the_field(field, entry):
+    L = tiny_config().L
+    v, m, w, h, b = span_inputs(tiny_model(), 2 * L)
+    calendar = {"week": w, "hour": h, "minute_bucket": b}
+    as_float = {k: a.astype(float) for k, a in calendar.items()}
+    fractional = {**as_float, field: as_float[field] + np.where(np.arange(2 * L) == 5, 0.5, 0.0)}
+
+    def call(cal):
+        model = tiny_model()  # fresh: train moves the parameters
+        if entry == "impute_span":
+            return impute_span(model, v, m, **cal)
+        windows = {k: a.reshape(2, L) for k, a in cal.items()}
+        if entry == "impute":
+            return model.impute(v.reshape(2, L, -1), m.reshape(2, L, -1), **windows)
+        batch = WindowBatch(v.reshape(2, L, -1), m.reshape(2, L, -1), starts=np.arange(2), **windows)
+        return train(model, batch, TrainConfig(epochs=1, batch_size=2))[1].loss1
+
+    with pytest.raises(ValueError, match=f"{field} must hold integer values, got "):
+        call(fractional)
+    # integer values in a float array keep working, with the integer calendar's result
+    assert np.array_equal(call(as_float), call(calendar))
 
 
 def test_forward_under_no_grad_builds_no_graph():
