@@ -1,7 +1,7 @@
-"""Before/after figures for ``impute_span``'s per-span calendar slot cache.
+"""Before/after figures for ``impute_span``, one call at a time.
 
     python3 scripts/bench_span_impute.py --before PARENT_CHECKOUT [--after .] \
-        [--out BENCH_span_slots.json] [--rounds 3] [--repeats 9]
+        [--out BENCH_span_scratch.json] [--rounds 3] [--repeats 9]
 
 Measures two pastnet checkouts, typically a clean clone of the parent
 commit (``--before``) and this one (``--after``), on the same machine and
@@ -21,7 +21,9 @@ block mask, once to warm up and then ``--repeats`` times:
 - ``past_wo_gim``: the calendar branch alone.
 
 Per call it records the CPU time of the process (``impute_ms``,
-``time.process_time``) and its minor page faults (``minor_faults``,
+``time.process_time``), the part of it spent in the kernel (``sys_ms``,
+``ru_stime``; under the fixed mmap threshold mostly page faults on freshly
+mapped arrays) and its minor page faults (``minor_faults``,
 ``ru_minflt``); ``rss_mib`` is the case process's peak resident set after
 the calls.  Each case also hashes its output, and the report says whether
 both checkouts produced the same bytes.
@@ -43,7 +45,7 @@ from bench_cgm_slots import DESK, DESK_MODEL, PINNED, _commit, _machine, _summar
 
 CASES = {"past": {}, "past_wo_cgm": {"use_cgm": False}, "past_wo_gim": {"use_gim": False}}
 SPAN_DAYS = 24
-METRICS = ("impute_ms", "minor_faults", "rss_mib")
+METRICS = ("impute_ms", "sys_ms", "minor_faults", "rss_mib")
 
 
 def run_case(case: str, repeats: int) -> dict:
@@ -61,13 +63,15 @@ def run_case(case: str, repeats: int) -> dict:
     week, hour, bucket = data.time_feature_arrays(raw, 0, raw.n_steps)
     args = (raw.values * mask, mask, week, hour, bucket)
     first = impute_span(model, *args)  # warm-up
-    out: dict = {"impute_ms": [], "minor_faults": []}
+    out: dict = {"impute_ms": [], "sys_ms": [], "minor_faults": []}
     for _ in range(repeats):
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.process_time()
         again = impute_span(model, *args)
         out["impute_ms"].append((time.process_time() - t0) * 1e3)
-        out["minor_faults"].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        out["sys_ms"].append((after.ru_stime - before.ru_stime) * 1e3)
+        out["minor_faults"].append(after.ru_minflt - before.ru_minflt)
         if not np.array_equal(again, first):
             raise RuntimeError(f"{case}: impute_span output differs between identical calls")
     out["rss_mib"] = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
@@ -90,7 +94,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", help="checkout measured as 'before' (the parent commit)")
     parser.add_argument("--after", default=".", help="checkout measured as 'after'")
-    parser.add_argument("--out", default="BENCH_span_slots.json")
+    parser.add_argument("--out", default="BENCH_span_scratch.json")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, embedding
+from .numcore import ParamStore, Tensor, concat, embedding, scratch
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -94,24 +94,35 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
-    side_s = _GateSide(s, w_sp, w_sg)
-    side_t = _GateSide(t, w_tp, w_tg)
+    side_s = _GateSide(s, w_sp, w_sg, "s")
+    side_t = _GateSide(t, w_tp, w_tg, "t")
     return side_s.output(side_t), side_t.output(side_s)
 
 
 class _GateSide:
-    """One stream's half of a cross gate: v, [v W_p | sigmoid(v W_g)], tanh(v W_g)."""
+    """One stream's half of a cross gate: v, [v W_p | sigmoid(v W_g)], tanh(v W_g).
 
-    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
+    Those three arrays are kernel temporaries (``numcore.scratch``): under
+    ``no_grad`` they come from the pool and die with the layer call, and
+    only the outputs, allocated fresh, leave it.
+    """
+
+    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor, side: str):
         self.v, self.w_p, self.w_g = v, w_p, w_g
-        d = v.shape[-1]
+        rows, d = v.shape[:-1], v.shape[-1]
+
+        def buffer(name: str, width: int) -> np.ndarray:
+            # keyed by side and stream shape too, so the two sides and a
+            # broadcast first layer never evict each other's pool buffer
+            return scratch(("cgm.gate", side, rows, name), rows + (width,))
+
         self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
-        self.proj_sig = np.matmul(v.data, self.w_cat)
+        self.proj_sig = np.matmul(v.data, self.w_cat, out=buffer("proj_sig", 2 * d))
         self.proj = self.proj_sig[..., :d]
         gate = self.proj_sig[..., d:]
-        self.tanh = np.tanh(gate)
+        self.tanh = np.tanh(gate, out=buffer("tanh", d))
         self.sig = expit(gate, out=gate)  # the raw gate is not needed again
-        self.update = self.proj * self.sig
+        self.update = np.multiply(self.proj, self.sig, out=buffer("update", d))
 
     def output(self, other: "_GateSide") -> Tensor:
         """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate), one tape node."""

@@ -21,6 +21,14 @@ takes the injection state as its own (G, d) input and the dropped edges as
 a bool mask, and returns only the L data rows: the injection vertex has no
 incoming edge, so its row is never computed.  The output is a transposed
 view back to (B, L, N).
+
+Temporaries: the temporal kernel's (G, L, L+1) adjacency, its aggregate and
+injection product, and the spatial kernel's stacked aggregations come from
+``numcore.scratch``.  Under ``no_grad`` (``impute_span`` running one window
+after another) each is one pool buffer reused by every layer and window;
+while recording they are fresh arrays the VJP keeps.  A kernel's returned
+output is always a fresh array, never a pool buffer, so nothing a caller
+holds is overwritten by a later call.
 """
 from __future__ import annotations
 
@@ -30,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, constant
+from .numcore import ParamStore, Tensor, constant, scratch
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -154,7 +162,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     idx = np.arange(L)
     weight = np.logaddexp(0.0, logits.data[:L, :width])
     weight[idx, idx] = 0.0  # no self edges
-    a = np.empty((G, L, width))
+    a = scratch("gim.temporal.a", (G, L, width))
     np.multiply(weight[:, :L], cols.T[:, None, :], out=a[..., :L])  # observed sources only
     if drop is not None:
         np.copyto(a[..., :L], 0.0, where=drop)
@@ -162,10 +170,12 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
         a[..., L] = weight[:, L]
     denom = np.ascontiguousarray(a.sum(axis=-1).T)[..., None]  # (L, G, 1)
     denom += DEGREE_EPS
-    agg = np.empty((L, G, d))
+    agg = scratch("gim.temporal.agg", (L, G, d))
     np.matmul(a[..., :L], x.data.transpose(1, 0, 2), out=agg.transpose(1, 0, 2))
     if inj is not None:
-        agg += weight[:, L, None, None] * inj.data
+        agg += np.multiply(
+            weight[:, L, None, None], inj.data, out=scratch("gim.temporal.inj", (L, G, d))
+        )
     agg /= denom
     out = np.matmul(agg, w.data)
     out += b.data
@@ -254,7 +264,7 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
     x = h.data
     d = x.shape[-1]
     powers = op.normalized_powers
-    stacked = np.empty(x.shape[:-1] + (len(powers) * d,))
+    stacked = scratch("gim.spatial.stacked", x.shape[:-1] + (len(powers) * d,))
     for k, p in enumerate(powers):
         np.matmul(p, x, out=stacked[..., k * d : (k + 1) * d])
     out = np.matmul(stacked, w.data)

@@ -261,6 +261,8 @@ def impute_span(
         raise ValueError(
             f"mask must have the values' (T, N) shape {values.shape}, got {mask.shape}"
         )
+    if not np.all((mask == 0.0) | (mask == 1.0)):  # NaN included
+        raise ValueError("mask entries must be 0 or 1")
     calendar = {"week": week, "hour": hour, "minute_bucket": minute_bucket}
     for name, arr in calendar.items():
         if np.shape(arr) != (T,):

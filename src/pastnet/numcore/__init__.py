@@ -2,7 +2,7 @@
 from .losses import EmptyMaskError, masked_mse
 from .optim import AdamState, NonFiniteGradientError, adam_step
 from .params import ParamStore
-from .tensor import Tensor, concat, constant, embedding, matmul, no_grad
+from .tensor import Tensor, concat, constant, embedding, matmul, no_grad, scratch
 from .verify import NonDeterministicObjectiveError, grad_check
 
 __all__ = [
@@ -20,4 +20,5 @@ __all__ = [
     "masked_mse",
     "matmul",
     "no_grad",
+    "scratch",
 ]

@@ -35,6 +35,19 @@ reach anything computed there.  Values
 are the same bits as with recording on.  Inference runs this way.  The
 switch is a context variable, so it holds for the current thread only, and
 the previous state comes back when the block exits, also by an exception.
+
+The outermost ``no_grad()`` block also owns a scratch pool, in a second
+context variable, freed when that block exits; nested blocks share it.  A
+kernel asks ``scratch(key, shape)`` for a temporary: inside the block it
+gets the pool's buffer for ``key``, allocated again only when the shape
+changes, so a loop of identical kernel calls (one window after another)
+reuses the same pages instead of mapping, faulting and unmapping fresh
+ones each call.  Outside it, ``scratch`` is ``np.empty(shape)``, because a
+recorded kernel's VJP may read its temporaries long after a later call.
+The rule that makes reuse safe: a pool buffer lives only inside the call
+that asked for it.  A kernel never returns one, never hands one to another
+kernel and never keeps one past its return, so no value a caller holds can
+be overwritten by a later call.
 """
 from __future__ import annotations
 
@@ -46,16 +59,39 @@ import numpy as np
 Array = np.ndarray
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
+_pool: ContextVar[dict | None] = ContextVar("scratch_pool", default=None)
 
 
 @contextmanager
 def no_grad():
-    """Build no tape inside the block; restores the previous state on exit."""
+    """Build no tape inside the block; restores the previous state on exit.
+
+    The outermost block creates the scratch pool and drops it on exit.
+    """
     token = _recording.set(False)
+    pool_token = _pool.set({}) if _pool.get() is None else None
     try:
         yield
     finally:
+        if pool_token is not None:
+            _pool.reset(pool_token)
         _recording.reset(token)
+
+
+def scratch(key, shape: tuple[int, ...]) -> Array:
+    """An uninitialized float64 temporary of ``shape`` for one kernel call.
+
+    Inside ``no_grad()`` the block's buffer for ``key`` (one per key, new
+    only when the shape changes); outside, a fresh array.  The caller must
+    not return it or keep it past the call (see the module docstring).
+    """
+    pool = _pool.get()
+    if pool is None:
+        return np.empty(shape)
+    buf = pool.get(key)
+    if buf is None or buf.shape != shape:
+        buf = pool[key] = np.empty(shape)
+    return buf
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

@@ -16,7 +16,9 @@ from pastnet.numcore import (
     embedding,
     grad_check,
     masked_mse,
+    no_grad,
 )
+from pastnet.numcore.tensor import _pool
 
 
 def build_module(N=3, d=4, n=2, seed=0):
@@ -143,6 +145,31 @@ def test_cross_gate_broadcast_streams_match_full_streams():
         assert np.allclose(a, b, atol=1e-12)
     with pytest.raises(ValueError):
         cross_gate_layer(np.zeros((2, d)), np.zeros((3, d)), *map(constant, w0))
+
+
+def test_cross_gate_outputs_never_alias_the_scratch_pool():
+    # slot_rows' pattern: a broadcast first layer feeding full-shape layers
+    rng = np.random.default_rng(8)
+    d = 3
+    weights = [[constant(rng.normal(size=(d, d))) for _ in range(4)] for _ in range(3)]
+    node, stamp = rng.normal(size=(1, 4, d)), rng.normal(size=(5, 1, d))
+
+    def layers():
+        outs, s, t = [], node, stamp
+        for w in weights:
+            s, t = cross_gate_layer(s, t, *w)
+            outs += [s.data, t.data]
+        return outs
+
+    recorded = layers()
+    with no_grad():
+        outs = layers()
+        pool = list(_pool.get().values())
+    assert pool, "the gate took no temporary from the pool"
+    for i, out in enumerate(outs):
+        assert np.array_equal(out, recorded[i])
+        assert all(not np.shares_memory(out, buf) for buf in pool)
+        assert all(not np.shares_memory(out, other) for other in outs[i + 1 :])
 
 
 def cross_gate_reference(v_s, v_t, w_sp, w_tp, w_sg, w_tg):

@@ -1,6 +1,9 @@
 """Temporal-graph branch: adjacency rules, dropout calibration, forward
 operators against hand arithmetic, composite references and an independent
 dense reference."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,9 @@ from pastnet.numcore import (
     constant,
     grad_check,
     masked_mse,
+    no_grad,
 )
+from pastnet.numcore.tensor import _pool
 
 
 def test_adjacency_hand_cases():
@@ -399,6 +404,90 @@ def test_spatial_kernel_matches_composite(K, lead):
     check_kernel(
         lambda h, w, b: spatial_forward(h, op, w, b), spatial_reference(op), arrays, seed=K
     )
+
+
+def assert_outputs_stay_apart(kernel, inputs):
+    """Two kernel calls in one no_grad block: the first result survives the
+    second and shares memory with neither it nor any scratch pool buffer,
+    and both equal the recorded results bit for bit."""
+    recorded = [kernel(*args).data for args in inputs]
+    with no_grad():
+        first = kernel(*inputs[0]).data
+        kept = first.copy()
+        second = kernel(*inputs[1]).data
+        pool = list(_pool.get().values())
+    assert pool, "the kernel took no temporary from the pool"
+    assert np.array_equal(first, kept) and np.array_equal(first, recorded[0])
+    assert np.array_equal(second, recorded[1])
+    for out in (first, second):
+        assert all(not np.shares_memory(out, buf) for buf in pool)
+    assert not np.shares_memory(first, second)
+
+
+def test_temporal_kernel_outputs_never_alias_the_scratch_pool():
+    rng = np.random.default_rng(31)
+    L, G, d = 6, 3, 4
+    cols = (rng.random((L, G)) > 0.4).astype(float)
+
+    def args(seed):
+        r = np.random.default_rng(seed)
+        return (
+            r.normal(size=(L, G, d)),
+            r.normal(size=(G, d)),
+            cols,
+            None,
+            r.normal(size=(L + 1, L + 1)),
+            r.normal(size=(d, d)),
+            r.normal(size=d),
+        )
+
+    assert_outputs_stay_apart(temporal_forward, [args(1), args(2)])
+
+
+def test_spatial_kernel_outputs_never_alias_the_scratch_pool():
+    rng = np.random.default_rng(32)
+    a = rng.random((4, 4))
+    a = (a + a.T) / 2.0
+    op = build_spatial_operator(a, 2)
+
+    def args(seed):
+        r = np.random.default_rng(seed)
+        return r.normal(size=(5, 4, 3)), op, r.normal(size=(9, 3)), r.normal(size=3)
+
+    assert_outputs_stay_apart(spatial_forward, [args(1), args(2)])
+
+
+def test_threads_imputing_at_once_keep_their_own_scratch():
+    # more workers than cores, switching often: a pool shared between
+    # threads would let one thread's window overwrite another's temporaries
+    module, _ = build_module(L=8, N=5, n=2, d=6, K=2)
+    rng = np.random.default_rng(33)
+    inputs = [
+        (rng.normal(size=(1, 8, 5)), (rng.random((1, 8, 5)) > 0.3).astype(float),
+         [rng.normal(size=(1, 5, 6)) for _ in range(2)])
+        for _ in range(6)
+    ]
+    expected = [module.forward(*args).data for args in inputs]
+    results = {i: [] for i in range(len(inputs))}
+
+    def worker(i):
+        with no_grad():
+            for _ in range(20):
+                results[i].append(module.forward(*inputs[i]).data)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, outs in results.items():
+        assert len(outs) == 20 and all(np.array_equal(y, expected[i]) for y in outs)
 
 
 def build_module(L, N, n, d, K, seed=0, use_cgm=True, p_dropout=0.1):

@@ -535,13 +535,23 @@ def test_impute_span_longer_than_a_week_matches_per_window_impute(branches):
         (lambda a: {**a, "week": np.zeros(31, int)}, r"week must have shape \(T,\) = \(24,\)"),
         (lambda a: {**a, "hour": np.zeros((24, 1), int)}, r"hour must have shape \(T,\)"),
         (lambda a: {**a, "minute_bucket": np.zeros(23, int)}, r"minute_bucket must have shape"),
+        (lambda a: {**a, "mask": np.where(np.arange(24)[:, None] == 23, 0.5, a["mask"])},
+         r"mask entries must be 0 or 1"),
+        (lambda a: {**a, "mask": np.where(np.arange(24)[:, None] == 23, np.nan, a["mask"])},
+         r"mask entries must be 0 or 1"),
     ],
-    ids=["values-3d", "wrong-N", "mask-longer", "week-longer", "hour-2d", "minute-shorter"],
+    ids=["values-3d", "wrong-N", "mask-longer", "week-longer", "hour-2d", "minute-shorter",
+         "mask-half", "mask-nan"],
 )
 def test_impute_span_rejects_inputs_that_do_not_fit(change, message):
     model = tiny_model()
     v, m, w, h, b = span_inputs(model, 2 * model.config.L)
     args = change({"values": v, "mask": m, "week": w, "hour": h, "minute_bucket": b})
+
+    def branch_ran(*_args, **_kwargs):
+        raise AssertionError("a branch ran before the inputs were checked")
+
+    model.gim.forward = model.cgm.slot_rows = branch_ran
     with pytest.raises(ValueError, match=message):
         impute_span(model, **args)
 

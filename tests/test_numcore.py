@@ -3,6 +3,7 @@ hand-computed values for the losses and one Adam step, store invariants."""
 import ast
 import pathlib
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pastnet.numcore import (
     masked_mse,
     matmul,
     no_grad,
+    scratch,
 )
 
 
@@ -300,6 +302,60 @@ def test_no_grad_holds_for_the_current_thread_only():
         worker.start()
         worker.join(timeout=30)
     assert not worker.is_alive() and recorded == [True]
+
+
+def test_scratch_outside_no_grad_is_a_new_array_every_call():
+    first, second = scratch("k", (3, 4)), scratch("k", (3, 4))
+    assert first.shape == second.shape == (3, 4) and first.dtype == np.float64
+    assert first is not second and not np.shares_memory(first, second)
+
+
+def test_scratch_inside_no_grad_keeps_one_buffer_per_key():
+    with no_grad():
+        buf = scratch("k", (3, 4))
+        assert scratch("k", (3, 4)) is buf
+        other = scratch("other", (3, 4))
+        assert not np.shares_memory(other, buf)
+        with no_grad():
+            assert scratch("k", (3, 4)) is buf  # a nested block shares the pool
+        assert scratch("k", (3, 4)) is buf  # ... and leaves it in place on exit
+        resized = scratch("k", (5,))  # a new shape replaces the key's buffer
+        assert resized.shape == (5,) and not np.shares_memory(resized, buf)
+        assert scratch("k", (5,)) is resized and scratch("other", (3, 4)) is other
+
+
+def test_scratch_pool_is_per_thread():
+    seen = []
+
+    def worker():
+        seen.append(scratch("k", (2,)))  # outside no_grad in this thread
+        with no_grad():
+            seen.append(scratch("k", (2,)))
+
+    with no_grad():
+        mine = scratch("k", (2,))
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and len(seen) == 2
+        assert all(not np.shares_memory(mine, b) for b in seen)
+        assert scratch("k", (2,)) is mine
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
+def test_scratch_pool_is_dropped_when_the_outermost_block_exits(raises):
+    refs = []
+    with pytest.raises(RuntimeError) if raises else no_grad():
+        with no_grad():
+            refs.append(weakref.ref(scratch("k", (64, 64))))
+            with no_grad():
+                refs.append(weakref.ref(scratch("inner", (8,))))
+            if raises:
+                raise RuntimeError("raised inside no_grad")
+    assert all(r() is None for r in refs)  # nothing holds the pool's buffers
+    with no_grad():
+        fresh = scratch("k", (64, 64))
+    assert scratch("k", (64, 64)) is not fresh  # outside again: a new array
 
 
 def test_masked_mse_hand_value():
