@@ -11,6 +11,7 @@ exactly against known truth.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -66,8 +67,10 @@ class TrafficDataset:
         for i, j, d in self.edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-            if d < 0:
-                raise ValueError("edge distances must be non-negative")
+            if not (np.isfinite(d) and d >= 0):  # NaN compares False both ways
+                raise ValueError(
+                    f"edge ({i}, {j}) distance must be finite and non-negative, got {d}"
+                )
 
     @property
     def n_steps(self) -> int:
@@ -341,16 +344,50 @@ def save_graph_json(path: str, ds: TrafficDataset) -> None:
         fh.write("\n")
 
 
+def _whole(x) -> bool:
+    """A JSON integer, or a float with an integer value (bool is not one)."""
+    return (isinstance(x, int) and not isinstance(x, bool)) or (
+        isinstance(x, float) and x.is_integer()
+    )
+
+
+def _number(x) -> bool:
+    """A JSON number that fits a float64 (bool is not one)."""
+    return isinstance(x, float) or (_whole(x) and abs(x) <= sys.float_info.max)
+
+
 def load_dataset(values_path: str, graph_path: str) -> TrafficDataset:
     values, node_ids = load_values_csv(values_path)
     with open(graph_path) as fh:
         meta = json.load(fh)
+
+    def require(ok: bool, field: str, want: str) -> None:
+        if not ok:
+            raise ValueError(f"graph JSON {graph_path}: {field} must be {want}")
+
+    require(isinstance(meta, dict), "the top level", "an object")
+    for key in ("nodes", "start", "step_minutes", "edges"):
+        require(key in meta, f"field {key!r}", "present")
     if meta["nodes"] != node_ids:
-        raise ValueError("graph node list does not match values header")
+        raise ValueError(f"graph JSON {graph_path}: node list does not match values header")
     start = meta["start"]
+    require(
+        isinstance(start, dict) and all(_whole(start.get(k)) for k in ("week", "hour", "minute")),
+        "'start'",
+        'an object with integer "week", "hour" and "minute"',
+    )
+    require(_whole(meta["step_minutes"]), "'step_minutes'", "an integer")
+    require(isinstance(meta["edges"], list), "'edges'", "a list")
+    for k, edge in enumerate(meta["edges"]):
+        require(
+            isinstance(edge, list) and len(edge) == 3 and _whole(edge[0]) and _whole(edge[1])
+            and _number(edge[2]),
+            f"edges[{k}]",
+            f"an [i, j, distance] triple of two integers and a number, got {edge!r}",
+        )
     return TrafficDataset(
         values=values,
-        start_time=StartTime(start["week"], start["hour"], start["minute"]),
+        start_time=StartTime(int(start["week"]), int(start["hour"]), int(start["minute"])),
         step_minutes=int(meta["step_minutes"]),
         node_ids=list(node_ids),
         edges=[(int(i), int(j), float(d)) for i, j, d in meta["edges"]],

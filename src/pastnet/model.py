@@ -211,21 +211,32 @@ class PastModel:
         hour: np.ndarray,
         minute_bucket: np.ndarray,
     ) -> np.ndarray:
-        """Fused output for a (B, L, N) batch of windows; eval mode, no tape."""
+        """Fused output for a (B, L, N) batch of windows with (B, L) calendars.
+
+        The windows are laid end to end and imputed by ``impute_span``, the
+        one tape-free inference path.  Its windows then start at 0, L, ...,
+        (B-1)L, with no overlap and no tail, so each window comes out bit for
+        bit as if imputed alone.  Shapes and the mask are checked before any
+        branch runs.
+        """
         values = np.asarray(values, dtype=np.float64)
-        masks = np.asarray(masks, dtype=np.float64)
-        with no_grad():
-            branches = self.forward(values, masks, week, hour, minute_bucket)
-        y_gim, y_cgm = (None if y is None else y.data for y in branches)
-        return _fuse_branches(values, masks, y_gim, y_cgm)
-
-
-def _fuse_branches(values, masks, y_gim: np.ndarray | None, y_cgm: np.ndarray | None):
-    """``fuse`` with an absent (None) branch contributing zeros."""
-    zeros = np.zeros(values.shape)
-    return fuse(
-        values, masks, zeros if y_gim is None else y_gim, zeros if y_cgm is None else y_cgm
-    )
+        L, N = self.config.L, self.config.N
+        if values.ndim != 3 or values.shape[1:] != (L, N):
+            raise ValueError(
+                f"values must be a (B, L, N) = (B, {L}, {N}) array, got shape {values.shape}"
+            )
+        B = values.shape[0]
+        if np.shape(masks) != values.shape:
+            raise ValueError(
+                f"masks must have the values' shape {values.shape}, got {np.shape(masks)}"
+            )
+        calendar = {"week": week, "hour": hour, "minute_bucket": minute_bucket}
+        for name, arr in calendar.items():
+            if np.shape(arr) != (B, L):
+                raise ValueError(f"{name} must have shape (B, L) = ({B}, {L}), got {np.shape(arr)}")
+        rows = {name: np.reshape(arr, B * L) for name, arr in calendar.items()}
+        span = impute_span(self, values.reshape(B * L, N), np.reshape(masks, (B * L, N)), **rows)
+        return span.reshape(B, L, N)
 
 
 def impute_span(
@@ -239,14 +250,14 @@ def impute_span(
     """Impute a (T, N) span with (T,) calendar arrays by tiling length-L windows.
 
     Windows start at 0, L, 2L, ...; an unaligned tail gets one extra window
-    ending exactly at the span end.  Overlapping predictions are averaged.
-    Observed entries still pass through exactly (every window agrees on
-    them).
+    ending exactly at the span end.  Each window adds its branch sum
+    Y_cgm + Y_gim to an accumulator, overlapping sums are averaged, and the
+    span is fused once at the end: observed entries pass through exactly.
 
     The calendar branch's rows depend only on (time-of-week slot, node), so
     they are computed once per distinct slot of the span, and every window
-    pools the rows of its own slots as ``PastModel.impute`` would.  The
-    output equals that of imputing each window on its own, bit for bit.
+    pools the rows of its own slots as ``CgmModule.forward`` would at B=1.
+    The output equals that of imputing each window on its own, bit for bit.
     Runs without a tape.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -283,17 +294,20 @@ def impute_span(
         counts = np.zeros((T, 1))
         for s, y_cgm, injected in zip(starts, surfaces, hiddens):
             sl = slice(s, s + L)
-            v, m = values[None, sl], mask[None, sl]
-            y_gim = None if model.gim is None else model.gim.forward(v, m, injected).data
-            acc[sl] += _fuse_branches(v, m, y_gim, y_cgm)[0]
+            if model.gim is None:
+                acc[sl] += y_cgm
+            else:
+                y_gim = model.gim.forward(values[None, sl], mask[None, sl], injected).data[0]
+                acc[sl] += y_gim if y_cgm is None else y_cgm + y_gim
             counts[sl] += 1.0
-    return acc / counts
+    acc /= counts
+    return np.where(mask == 1.0, values, acc)
 
 
 def _calendar_windows(
     cgm: CgmModule, code: np.ndarray, starts: list[int], L: int, with_hiddens: bool
 ) -> tuple[list[np.ndarray], list]:
-    """Per window starting at ``starts``: the (1, L, N) calendar surface and
+    """Per window starting at ``starts``: the (L, N) calendar surface and
     n x (1, N, d) hiddens (None unless ``with_hiddens``), from one pass of
     the layers over the span's distinct slots.
 
@@ -316,7 +330,7 @@ def _calendar_windows(
     surfaces, hiddens = [], []
     for s in starts:
         stamps = inverse[s : s + L]
-        surfaces.append(surface[stamps][None])
+        surfaces.append(surface[stamps])
         if not with_hiddens:
             hiddens.append(None)
             continue

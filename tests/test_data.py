@@ -1,5 +1,6 @@
 """Dataset construction, transforms, calendar features, windowing, file IO."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -272,3 +273,78 @@ def test_graph_json_roundtrip(tmp_path):
         json.dump(meta, fh)
     with pytest.raises(ValueError):
         load_dataset(vpath, gpath)
+
+
+def saved_dataset_files(tmp_path):
+    ds = synthesize_dataset(n_nodes=5, n_days=2, seed=9)
+    vpath, gpath = str(tmp_path / "v.csv"), str(tmp_path / "g.json")
+    save_values_csv(vpath, ds.values, ds.node_ids)
+    save_graph_json(gpath, ds)
+    with open(gpath) as fh:
+        return vpath, gpath, json.load(fh)
+
+
+@pytest.mark.parametrize("distance", [np.nan, np.inf])
+def test_non_finite_edge_distance_raises_naming_the_edge(tmp_path, distance):
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) distance must be finite and non-neg"):
+        TrafficDataset(values=np.ones((2, 2)), edges=[(0, 1, distance)])
+    vpath, gpath, meta = saved_dataset_files(tmp_path)
+    i, j, _ = meta["edges"][0]
+    meta["edges"][0][2] = distance
+    with open(gpath, "w") as fh:
+        json.dump(meta, fh)  # writes the NaN / Infinity literals that json reads back
+    with pytest.raises(ValueError, match=rf"edge \({i}, {j}\) distance must be finite"):
+        load_dataset(vpath, gpath)
+
+
+def without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def with_field(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+EDGE = r"edges\[0\] must be an \[i, j, distance\] triple"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: list(meta.values()), r"the top level must be an object"),
+        (without("nodes"), r"field 'nodes' must be present"),
+        (without("start"), r"field 'start' must be present"),
+        (without("step_minutes"), r"field 'step_minutes' must be present"),
+        (without("edges"), r"field 'edges' must be present"),
+        (with_field("start", {"week": 0, "hour": 0}), r"'start' must be an object with integer"),
+        (with_field("start", [0, 0, 0]), r"'start' must be an object with integer"),
+        (with_field("step_minutes", "15"), r"'step_minutes' must be an integer"),
+        (with_field("edges", {"0": [0, 1, 1.0]}), r"'edges' must be a list"),
+        (with_field("edges", [[0, 1, 1.0], [0, 1]]), r"edges\[1\] must be an \[i, j, distance\]"),
+        (with_field("edges", [[0, 1, 1.0, 2.0]]), EDGE),
+        (with_field("edges", [[0, 1.5, 1.0]]), EDGE),
+        (with_field("edges", [[0, 1, "far"]]), EDGE),
+        (with_field("edges", [[0, 1, 10**400]]), EDGE),
+        (with_field("nodes", ["x"] * 5), r"node list does not match values header"),
+    ],
+    ids=["list", "no-nodes", "no-start", "no-step", "no-edges", "start-no-minute", "start-list",
+         "step-string", "edges-object", "edge-pair", "edge-quad", "edge-fractional-index",
+         "edge-string-distance", "edge-huge-distance", "nodes-mismatch"],
+)
+def test_graph_json_structure_errors_name_file_and_field(tmp_path, edit, message):
+    vpath, gpath, meta = saved_dataset_files(tmp_path)
+    with open(gpath, "w") as fh:
+        json.dump(edit(meta), fh)
+    with pytest.raises(ValueError, match=f"graph JSON {re.escape(gpath)}: {message}"):
+        load_dataset(vpath, gpath)
+
+
+def test_graph_json_integer_valued_floats_still_load(tmp_path):
+    vpath, gpath, meta = saved_dataset_files(tmp_path)
+    expected = load_dataset(vpath, gpath)
+    meta["step_minutes"] = float(meta["step_minutes"])
+    meta["edges"] = [[float(i), float(j), d] for i, j, d in meta["edges"]]
+    with open(gpath, "w") as fh:
+        json.dump(meta, fh)
+    loaded = load_dataset(vpath, gpath)
+    assert loaded.step_minutes == expected.step_minutes and loaded.edges == expected.edges

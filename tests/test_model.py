@@ -436,7 +436,7 @@ def test_impute_batched_matches_single():
     batched = model.impute(v, m, w, h, b)
     for i in range(3):
         single = model.impute(v[i, None], m[i, None], w[i, None], h[i, None], b[i, None])[0]
-        assert np.allclose(batched[i], single, atol=1e-12)
+        assert np.array_equal(batched[i], single)
 
 
 def test_impute_is_deterministic_and_ignores_dropout():
@@ -473,13 +473,26 @@ def span_inputs(model, T, seed=0):
     return values, mask, week, hour, bucket
 
 
+def reference_window(model, v, m, w, h, b):
+    """One (L, N) window imputed by the training forward at B=1 and ``fuse``.
+
+    Independent of ``impute_span``: the calendar branch runs the batched
+    ``CgmModule.forward`` rather than the span's slot rows, and an absent
+    branch contributes zeros.
+    """
+    with no_grad():
+        branches = model.forward(v[None], m[None], w[None], h[None], b[None])
+    y_gim, y_cgm = (np.zeros((1, *v.shape)) if y is None else y.data for y in branches)
+    return fuse(v[None], m[None], y_gim, y_cgm)[0]
+
+
 def test_impute_span_aligned_matches_windows():
     model = tiny_model()
     L = model.config.L
     v, m, w, h, b = span_inputs(model, 2 * L)
     out = impute_span(model, v, m, w, h, b)
-    first = model.impute(v[None, :L], m[None, :L], w[None, :L], h[None, :L], b[None, :L])[0]
-    second = model.impute(v[None, L:], m[None, L:], w[None, L:], h[None, L:], b[None, L:])[0]
+    first = reference_window(model, v[:L], m[:L], w[:L], h[:L], b[:L])
+    second = reference_window(model, v[L:], m[L:], w[L:], h[L:], b[L:])
     assert np.array_equal(out, np.concatenate([first, second], axis=0))
 
 
@@ -489,8 +502,8 @@ def test_impute_span_overlap_averages():
     T = L + 3  # windows start at 0 and at T-L, overlapping on L-3 rows
     v, m, w, h, b = span_inputs(model, T, seed=1)
     out = impute_span(model, v, m, w, h, b)
-    a = model.impute(v[None, :L], m[None, :L], w[None, :L], h[None, :L], b[None, :L])[0]
-    c = model.impute(v[None, 3:], m[None, 3:], w[None, 3:], h[None, 3:], b[None, 3:])[0]
+    a = reference_window(model, v[:L], m[:L], w[:L], h[:L], b[:L])
+    c = reference_window(model, v[3:], m[3:], w[3:], h[3:], b[3:])
     assert np.array_equal(out[:3], a[:3])
     assert np.array_equal(out[L:], c[-3:])
     assert np.allclose(out[3:L], (a[3:] + c[: L - 3]) / 2.0, atol=1e-15)
@@ -519,7 +532,7 @@ def test_impute_span_longer_than_a_week_matches_per_window_impute(branches):
     acc, counts = np.zeros_like(v), np.zeros((T, 1))
     for s in [*range(0, T - L + 1, L), T - L]:
         sl = slice(s, s + L)
-        acc[sl] += model.impute(v[None, sl], m[None, sl], w[None, sl], h[None, sl], b[None, sl])[0]
+        acc[sl] += reference_window(model, v[sl], m[sl], w[sl], h[sl], b[sl])
         counts[sl] += 1.0
     assert np.array_equal(out, acc / counts)
 
@@ -554,6 +567,41 @@ def test_impute_span_rejects_inputs_that_do_not_fit(change, message):
     model.gim.forward = model.cgm.slot_rows = branch_ran
     with pytest.raises(ValueError, match=message):
         impute_span(model, **args)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda a: {**a, "masks": np.where(np.arange(12)[:, None] == 11, 0.5, a["masks"])},
+         r"mask entries must be 0 or 1"),
+        (lambda a: {**a, "masks": np.where(np.arange(12)[:, None] == 11, np.nan, a["masks"])},
+         r"mask entries must be 0 or 1"),
+        (lambda a: {**a, "masks": a["masks"][:, :11]},
+         r"masks must have the values' shape \(3, 12, 4\), got \(3, 11, 4\)"),
+        (lambda a: {k: x[:, :11] for k, x in a.items()},
+         r"values must be a \(B, L, N\) = \(B, 12, 4\) array, got shape \(3, 11, 4\)"),
+        (lambda a: {**a, "values": a["values"][..., :3], "masks": a["masks"][..., :3]},
+         r"values must be a \(B, L, N\) = \(B, 12, 4\) array, got shape \(3, 12, 3\)"),
+        (lambda a: {**a, "hour": a["hour"].T},
+         r"hour must have shape \(B, L\) = \(3, 12\), got \(12, 3\)"),
+        (lambda a: {**a, "values": a["values"][0], "masks": a["masks"][0]},
+         r"values must be a \(B, L, N\) .* got shape \(12, 4\)"),
+    ],
+    ids=["mask-half", "mask-nan", "masks-shorter", "L-not-config", "N-not-config",
+         "hour-transposed", "values-2d"],
+)
+def test_impute_rejects_inputs_that_do_not_fit(change, message, monkeypatch):
+    model = tiny_model()
+    v, m, w, h, b = random_window_inputs(model.config, batch=3)
+    args = change({"values": v, "masks": m, "week": w, "hour": h, "minute_bucket": b})
+
+    def branch_ran(*_args, **_kwargs):
+        raise AssertionError("a branch ran before the inputs were checked")
+
+    model.gim.forward = model.cgm.slot_rows = branch_ran
+    monkeypatch.setattr(PastModel, "forward", branch_ran)
+    with pytest.raises(ValueError, match=message):
+        model.impute(**args)
 
 
 @pytest.mark.parametrize("field", ["week", "hour", "minute_bucket"])
