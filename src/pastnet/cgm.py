@@ -13,10 +13,11 @@ depends only on u and on the time-of-week slot of stamp (b, l), one of
 7 * 24 * 4 = 672.  The forward pass therefore runs its layers on the
 batch's S distinct slots, as (S, N, d) streams: the (B, L, N) surface is a
 row gather of the (S, N) slot surface, and each window's context vector is
-a count-weighted mean of slot rows, one GEMM against the (B, S) matrix of
-slot shares.  S <= min(B * L, 672).  ``slot_rows`` is that layer stack
-alone, so ``model.impute_span`` can compute a whole span's slots once and
-pool every window from the same rows.
+a count-weighted mean of slot rows, one numcore ``matmul`` against the
+(B, S) matrix of slot shares.  S <= min(B * L, 672).  ``slot_rows`` is that
+layer stack alone, and ``CgmModule.span_windows`` is the span's slot cache:
+it runs the layers once over a whole span's slots and pools every window of
+``model.impute_span`` from the same rows.
 
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, embedding, scratch
+from .numcore import ParamStore, Tensor, concat, constant, embedding, scratch
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -169,19 +170,17 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def pool_slots(share: np.ndarray, pair: Tensor) -> Tensor:
-    """(B, S) slot shares x (S, ...) slot rows -> (B, ...) pooled rows.
+def _window_shares(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, L) slot codes -> (distinct codes (S,), (B, L) indices into them, (B, S) shares).
 
-    One tape node: share @ rows forward and share.T @ g backward, each one
-    GEMM over the rows folded to (S, k).
+    share[b, s] is the fraction of window b's L stamps that fall in slot s.
     """
-    S = pair.shape[0]
-    out = (share @ pair.data.reshape(S, -1)).reshape(share.shape[:1] + pair.shape[1:])
-
-    def vjp(g):
-        return ((share.T @ g.reshape(g.shape[0], -1)).reshape(pair.shape),)
-
-    return Tensor._make(out, (pair,), vjp)
+    B, L = code.shape
+    slots, inverse = np.unique(code, return_inverse=True)
+    inverse = inverse.reshape(B, L)
+    S = slots.size
+    counts = np.bincount((np.arange(B)[:, None] * S + inverse).ravel(), minlength=B * S)
+    return slots, inverse, counts.reshape(B, S) / L
 
 
 class CgmModule:
@@ -222,16 +221,43 @@ class CgmModule:
         code = slot_codes(week, hour, minute_bucket)
         if code.ndim != 2:
             raise ValueError("week, hour, minute_bucket must share a (B, L) shape")
-        B, L = code.shape
-        slots, inverse = np.unique(code, return_inverse=True)
-        inverse = inverse.reshape(B, L)
-        S = slots.size
-        # share[b, s]: the fraction of window b's stamps that fall in slot s
-        share = np.bincount(
-            (np.arange(B)[:, None] * S + inverse).ravel(), minlength=B * S
-        ).reshape(B, S) / L
+        slots, inverse, share = _window_shares(code)
         pairs, surface = self.slot_rows(slots)
         return embedding(surface, inverse), self.pooled_hiddens(share, pairs)
+
+    def span_windows(
+        self, week, hour, minute_bucket, starts: list[int], with_hiddens: bool
+    ) -> tuple[list[np.ndarray], list]:
+        """(T,) span calendar -> per window starting at ``starts``, its (L, N)
+        surface and n x (1, N, d) hiddens (None unless ``with_hiddens``).
+
+        The layers take the span's distinct slots at most L at a time, which
+        keeps live activations at one window's size (all 672 slots at once:
+        traced peak 21.9 -> 60.2 MiB for a 24-day desk-size call, same bits).
+        Each window pools its own slots' rows with its (1, S_b) shares, as
+        ``forward`` does at B=1; the pair rows are freed before gim runs.
+        """
+        cfg = self.config
+        L = cfg.L
+        slots, inverse = np.unique(slot_codes(week, hour, minute_bucket), return_inverse=True)
+        S = slots.size
+        surface = np.empty((S, cfg.N))
+        pair_rows = [np.empty((S, cfg.N, 2 * cfg.d)) for _ in range(cfg.n)] if with_hiddens else []
+        for lo in range(0, S, L):
+            pairs, part_surface = self.slot_rows(slots[lo : lo + L])
+            surface[lo : lo + L] = part_surface.data
+            for cached, pair in zip(pair_rows, pairs):
+                cached[lo : lo + L] = pair.data
+        surfaces = [surface[inverse[s : s + L]] for s in starts]
+        if not with_hiddens:
+            return surfaces, [None] * len(starts)
+        hiddens = []
+        for s in starts:
+            own, _, share = _window_shares(inverse[None, s : s + L])  # own: indices into slots
+            # a window that does not wrap the week owns one run of slots: a view, not a gather
+            rows = slice(own[0], own[-1] + 1) if own[-1] - own[0] + 1 == own.size else own
+            hiddens.append(self.pooled_hiddens(share, [constant(c[rows]) for c in pair_rows]))
+        return surfaces, hiddens
 
     def slot_rows(self, slots: np.ndarray) -> tuple[list[Tensor], Tensor]:
         """Sorted distinct slot codes (S,) -> (n x (S, N, 2d) pair rows, (S, N) surface).
@@ -246,8 +272,7 @@ class CgmModule:
         N, d = cfg.N, cfg.d
         p = self.params
         S = slots.size
-        node_rows = embedding(p["cgm/embed/node"], np.arange(N))
-        s_stream = node_rows.reshape(1, N, d)
+        s_stream = p["cgm/embed/node"].reshape(1, N, d)
         stamp = concat(
             [
                 embedding(p["cgm/embed/week"], slots // (HOUR_CARD * MINUTE_CARD)),
@@ -278,7 +303,10 @@ class CgmModule:
     def pooled_hiddens(self, share: np.ndarray, pairs: list[Tensor]) -> list[Tensor]:
         """(B, S) slot shares and n x (S, N, 2d) pair rows -> n x (B, N, d) hiddens."""
         p = self.params
+        B, S = share.shape
+        w = constant(share)
         return [
-            pool_slots(share, pair) @ p[f"cgm/layer{i}/hidden/W"] + p[f"cgm/layer{i}/hidden/b"]
+            (w @ pair.reshape(S, -1)).reshape(B, *pair.shape[1:]) @ p[f"cgm/layer{i}/hidden/W"]
+            + p[f"cgm/layer{i}/hidden/b"]
             for i, pair in enumerate(pairs)
         ]

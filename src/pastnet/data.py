@@ -107,19 +107,26 @@ def build_spatial_adjacency(n_nodes: int, edges: list[tuple[int, int, float]]) -
     sigma is the population standard deviation of all edge distances.  The
     result is symmetric with zero diagonal and zeros for unlisted pairs.
     When every distance is equal (sigma = 0) connected pairs get weight 1.
+    Distances whose squares overflow (sigma or a weight not finite) raise.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")
     if not edges:
         raise ValueError("at least one edge is required")
     dists = np.array([d for _, _, d in edges], dtype=np.float64)
-    sigma = float(dists.std())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        sigma = float(dists.std())
+        if sigma == 0.0:
+            warnings.warn("all edge distances equal; using unit weights", RuntimeWarning)
+            weights = np.ones_like(dists)
+        else:
+            weights = np.exp(-(dists**2) / sigma**2)
+    if not (np.isfinite(sigma) and np.isfinite(weights).all()):
+        raise ValueError(
+            f"edge distances up to {dists.max():g} leave float64's range in the Gaussian "
+            f"kernel exp(-d^2 / sigma^2) (sigma = {sigma:g}); rescale the distances"
+        )
     a = np.zeros((n_nodes, n_nodes))
-    if sigma == 0.0:
-        warnings.warn("all edge distances equal; using unit weights", RuntimeWarning)
-        weights = np.ones_like(dists)
-    else:
-        weights = np.exp(-(dists**2) / sigma**2)
     for (i, j, _), w in zip(edges, weights):
         a[i, j] = w
         a[j, i] = w
@@ -319,12 +326,19 @@ def save_values_csv(path: str, values: np.ndarray, node_ids: list[str]) -> None:
 
 
 def load_values_csv(path: str) -> tuple[np.ndarray, list[str]]:
+    """A header of node ids, then a (T, N) grid; the mask CSV shares this layout."""
     with open(path) as fh:
         header = fh.readline().strip()
         node_ids = header.split(",") if header else []
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data": raised below, naming the file
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if values.size == 0:
+        raise ValueError(f"{path} has no data rows after its header")
     if values.shape[1] != len(node_ids):
-        raise ValueError("column count does not match header")
+        raise ValueError(
+            f"{path}: column count {values.shape[1]} does not match header ({len(node_ids)} ids)"
+        )
     return values, node_ids
 
 

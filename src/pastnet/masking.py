@@ -6,8 +6,10 @@ of nodes (block).  Masks are (T, N) arrays of exactly 0/1 with 1 meaning
 observed.  Segment and block placement may overlap earlier draws; the
 generators keep drawing until the global missing fraction reaches the
 target r, so the achieved rate lands in [r, r + max_draw_size/(T*N)].
-All draws come from one seeded PCG64 stream in a fixed order (node, start,
-length), making every mask a pure function of (shape, config, seed).
+All draws come from one seeded PCG64 stream, making every mask a pure
+function of (shape, config, seed).  Fiber and block share one draw loop:
+node, start, length, then the group the segment covers, which for fiber is
+the drawn node alone (a block of s = 1).
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import load_values_csv
 
 SCENARIO_KINDS = ("random", "fiber", "block")
 
@@ -71,8 +75,13 @@ def gen_random(shape: tuple[int, int], r: float, seed: int) -> np.ndarray:
     return (rng.random(shape) >= r).astype(np.float64)
 
 
-def gen_fiber(shape: tuple[int, int], r: float, l: int, seed: int) -> np.ndarray:
-    """Per-node missing segments of uniform{1..l} length until rate >= r."""
+def _draw_segments(shape: tuple[int, int], r: float, l: int, seed: int, kind: str, group_of):
+    """Knock out segments until the missing fraction reaches r: (mask, segments).
+
+    Each draw takes a node, a start and a uniform{1..l} length from one
+    stream, then ``group_of(node, rng)`` names the nodes the segment covers
+    (it may draw more from ``rng``).  Each segment is (group, start, length).
+    """
     T, N = shape
     if not (0.0 < r < 1.0):
         raise ValueError("r must be in (0, 1)")
@@ -82,19 +91,24 @@ def gen_fiber(shape: tuple[int, int], r: float, l: int, seed: int) -> np.ndarray
     mask = np.ones(shape)
     target = r * T * N
     missing = 0.0
-    guard = 10_000 + 20 * T * N
-    for _ in range(guard):
+    segments: list[tuple[list[int], int, int]] = []
+    for _ in range(10_000 + 20 * T * N):
         if missing >= target:
-            break
-        u = int(rng.integers(N))
+            return mask, segments
+        node = int(rng.integers(N))
         t0 = int(rng.integers(T))
         length = int(rng.integers(1, l + 1))
-        seg = mask[t0 : t0 + length, u]
-        missing += float(seg.sum())
-        seg[...] = 0.0
-    else:
-        raise RuntimeError("fiber generator failed to reach the target rate")
-    return mask
+        group = group_of(node, rng)
+        rows = mask[t0 : t0 + length]
+        missing += float(rows[:, group].sum())
+        rows[:, group] = 0.0
+        segments.append((group, t0, length))
+    raise RuntimeError(f"{kind} generator failed to reach the target rate")
+
+
+def gen_fiber(shape: tuple[int, int], r: float, l: int, seed: int) -> np.ndarray:
+    """Per-node missing segments of uniform{1..l} length until rate >= r."""
+    return _draw_segments(shape, r, l, seed, "fiber", lambda node, rng: [node])[0]
 
 
 def _bfs_group(adjacency: np.ndarray, start: int, span: int) -> list[int]:
@@ -131,29 +145,16 @@ def gen_block(
     A connected component smaller than the requested span is used whole,
     with a warning.
     """
-    T, N = shape
-    if not (0.0 < r < 1.0):
-        raise ValueError("r must be in (0, 1)")
-    if not (1 <= l <= T):
-        raise ValueError("l must be in [1, T]")
+    N = shape[1]
     if not (1 <= s <= N):
         raise ValueError("s must be in [1, N]")
     adjacency = np.asarray(adjacency)
     if adjacency.shape != (N, N):
         raise ValueError("adjacency shape must be (N, N)")
-    rng = np.random.default_rng(seed)
-    mask = np.ones(shape)
-    target = r * T * N
-    missing = 0.0
-    blocks: list[tuple[list[int], int, int]] = []
     warned_small = False
-    guard = 10_000 + 20 * T * N
-    for _ in range(guard):
-        if missing >= target:
-            break
-        center = int(rng.integers(N))
-        t0 = int(rng.integers(T))
-        length = int(rng.integers(1, l + 1))
+
+    def group_of(center: int, rng: np.random.Generator) -> list[int]:
+        nonlocal warned_small
         span = int(rng.integers(1, s + 1)) if uniform_span else s
         group = _bfs_group(adjacency, center, span)
         if len(group) < span and not warned_small:
@@ -162,15 +163,10 @@ def gen_block(
                 RuntimeWarning,
             )
             warned_small = True
-        rows = mask[t0 : t0 + length]
-        missing += float(rows[:, group].sum())
-        rows[:, group] = 0.0
-        blocks.append((group, t0, length))
-    else:
-        raise RuntimeError("block generator failed to reach the target rate")
-    if return_blocks:
-        return mask, blocks
-    return mask
+        return group
+
+    mask, blocks = _draw_segments(shape, r, l, seed, "block", group_of)
+    return (mask, blocks) if return_blocks else mask
 
 
 def generate_mask(
@@ -228,7 +224,4 @@ def save_mask_csv(path: str, mask: np.ndarray, node_ids: list[str]) -> None:
 
 
 def load_mask_csv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        fh.readline()
-        mask = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return validate_mask(mask)
+    return validate_mask(load_values_csv(path)[0])

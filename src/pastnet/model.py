@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .cgm import CgmModule, default_partition, slot_codes
+from .cgm import CgmModule, default_partition
 from .gim import GimModule, SpatialOperator, build_spatial_operator
 from .numcore import AdamState, ParamStore, Tensor, adam_step, constant, masked_mse, no_grad
 
@@ -255,8 +255,9 @@ def impute_span(
     span is fused once at the end: observed entries pass through exactly.
 
     The calendar branch's rows depend only on (time-of-week slot, node), so
-    they are computed once per distinct slot of the span, and every window
-    pools the rows of its own slots as ``CgmModule.forward`` would at B=1.
+    ``CgmModule.span_windows`` computes them once per distinct slot of the
+    span, and every window pools the rows of its own slots as
+    ``CgmModule.forward`` would at B=1.
     The output equals that of imputing each window on its own, bit for bit.
     Runs without a tape.
     """
@@ -287,8 +288,8 @@ def impute_span(
     with no_grad():
         surfaces = hiddens = [None] * len(starts)
         if model.cgm is not None:
-            surfaces, hiddens = _calendar_windows(
-                model.cgm, slot_codes(**calendar), starts, L, model.gim is not None
+            surfaces, hiddens = model.cgm.span_windows(
+                **calendar, starts=starts, with_hiddens=model.gim is not None
             )
         acc = np.zeros_like(values)
         counts = np.zeros((T, 1))
@@ -302,44 +303,6 @@ def impute_span(
             counts[sl] += 1.0
     acc /= counts
     return np.where(mask == 1.0, values, acc)
-
-
-def _calendar_windows(
-    cgm: CgmModule, code: np.ndarray, starts: list[int], L: int, with_hiddens: bool
-) -> tuple[list[np.ndarray], list]:
-    """Per window starting at ``starts``: the (L, N) calendar surface and
-    n x (1, N, d) hiddens (None unless ``with_hiddens``), from one pass of
-    the layers over the span's distinct slots.
-
-    The slot rows are computed at most L slots at a time, which keeps the
-    live activations at one window's size.  A window pools the rows of its
-    own slots with its own (1, S_b) shares, the GEMM ``CgmModule.forward``
-    runs at B=1.  The span's pair rows are freed before gim runs.
-    """
-    cfg = cgm.config
-    slots, inverse = np.unique(code, return_inverse=True)
-    S = slots.size
-    surface = np.empty((S, cfg.N))
-    pair_rows = [np.empty((S, cfg.N, 2 * cfg.d)) for _ in range(cfg.n)] if with_hiddens else []
-    for lo in range(0, S, L):
-        part = slice(lo, lo + L)
-        pairs, part_surface = cgm.slot_rows(slots[part])
-        surface[part] = part_surface.data
-        for cached, pair in zip(pair_rows, pairs):
-            cached[part] = pair.data
-    surfaces, hiddens = [], []
-    for s in starts:
-        stamps = inverse[s : s + L]
-        surfaces.append(surface[stamps])
-        if not with_hiddens:
-            hiddens.append(None)
-            continue
-        own, own_inverse = np.unique(stamps, return_inverse=True)  # indices into ``slots``
-        share = np.bincount(own_inverse, minlength=own.size)[None, :] / L
-        # a window that does not wrap the week owns one run of slots: a view, not a gather
-        rows = slice(own[0], own[-1] + 1) if own[-1] - own[0] + 1 == own.size else own
-        hiddens.append(cgm.pooled_hiddens(share, [constant(c[rows]) for c in pair_rows]))
-    return surfaces, hiddens
 
 
 # ---- training ----

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from kernel_check import check_kernel, mean, sigmoid, tanh
-from pastnet.cgm import CgmModule, cross_gate_layer, default_partition, pool_slots
+from pastnet.cgm import CgmModule, cross_gate_layer, default_partition
 from pastnet.model import ModelConfig
 from pastnet.numcore import (
     ParamStore,
@@ -489,14 +489,3 @@ def test_slot_forward_matches_full_grid(calendar, n_slots):
     for path, g_ref in grads_ref.items():
         assert path.startswith("cgm/")
         assert np.max(np.abs(grads[path] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref)), path
-
-
-def test_pool_slots_kernel_matches_composite():
-    # B == S and an asymmetric share, so a transposed VJP would still run
-    share = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.75, 0.0, 0.25]])
-    rows = np.random.default_rng(14).normal(size=(3, 2, 4))
-
-    def reference(pair):
-        return (constant(share) @ pair.reshape(3, 8)).reshape(3, 2, 4)
-
-    check_kernel(lambda pair: pool_slots(share, pair), reference, [rows], seed=14)

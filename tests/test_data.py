@@ -70,6 +70,12 @@ def test_spatial_adjacency_degenerate_and_errors():
         build_spatial_adjacency(3, [])
 
 
+def test_spatial_adjacency_overflowing_distances_raise_naming_the_cause():
+    # finite distances, but std and d^2 overflow: the kernel would compute inf / inf = NaN
+    with pytest.raises(ValueError, match=r"leave float64's range .*\(sigma = inf\)"):
+        build_spatial_adjacency(3, [(0, 1, 1e300), (1, 2, 1.0)])
+
+
 def test_synthesize_deterministic_and_seed_sensitive():
     a = synthesize_dataset(n_nodes=5, n_days=2, seed=42)
     b = synthesize_dataset(n_nodes=5, n_days=2, seed=42)
@@ -253,6 +259,14 @@ def test_values_csv_roundtrip(tmp_path):
     loaded, ids = load_values_csv(path)
     assert ids == ["node_0", "node_1", "node_2"]
     assert np.array_equal(loaded, values)  # %.17g preserves float64 exactly
+
+
+@pytest.mark.parametrize("header", ["node_0", "node_0,node_1"], ids=["one-node", "two-nodes"])
+def test_values_csv_without_data_rows_raises_naming_the_file(tmp_path, header):
+    path = tmp_path / "values.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} has no data rows after its header")):
+        load_values_csv(str(path))
 
 
 def test_graph_json_roundtrip(tmp_path):
