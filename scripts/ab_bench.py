@@ -1,0 +1,321 @@
+"""Before/after figures for two pastnet checkouts, from one case table.
+
+    python3 scripts/ab_bench.py --before PARENT_CHECKOUT [--after .] --out BENCH_<topic>.json \
+        [--rounds 2] [--repeats 5] [--case NAME ...]
+
+Measures two checkouts, typically a clean clone of the parent commit
+(``--before``) and this one (``--after``), on the same machine and writes
+one JSON file.  Every case runs in a fresh process that imports pastnet
+from the checkout's ``src/``, under the environment ``perfbench/run.py``
+pins: one BLAS thread and glibc's mmap threshold fixed at 128 KiB.  Rounds
+alternate which checkout goes first.  Times are CPU ms of the measuring
+process (``time.process_time``); the report gives the median and quartiles
+of each metric's samples, and ``rss_mib`` is the case process's peak
+resident set.  ``--case`` selects cases (repeatable; default: all).
+
+Desk size is N=20, L=96, d=32, n=2, K=2, seed 9 (``plans/desk_plan.json``);
+the CLI default is d=64, n=3, K=2, L=96.  Models are untrained, which costs
+the same per call as trained ones.
+
+- ``span_past``, ``span_wo_cgm``, ``span_wo_gim``: ``impute_span`` over 24
+  desk days (2304 steps x 20 nodes, 24 windows) under a block mask, with
+  both branches, without the calendar branch and without the temporal-graph
+  branch.  Per call: ``impute_ms``, ``sys_ms`` (``ru_stime``; under the fixed
+  mmap threshold mostly page faults on freshly mapped arrays) and
+  ``minor_faults`` (``ru_minflt``).
+- ``desk_step``: the desk training windows in shuffled batches of 4, as
+  ``train`` draws them; windows 7 days apart share their slots.
+- ``desk_distinct``: one desk batch of 4 windows whose 384 stamps are 384
+  distinct slots, the slot path's worst case.
+- ``cli_step_n4``, ``cli_step_n16``: one CLI-default batch (B=32, 32
+  stride-96 windows of 40 synthetic days) on 4 and on 16 nodes.
+
+A step is ``PastModel.objective`` plus ``backward`` with dropout on (no Adam
+step).  Per step: ``step_ms`` and ``step_faults``; ``cgm_ms`` is the calendar
+branch's forward plus the backward of its loss on the surface, the gradient
+training takes through it; ``step_peak_mib`` is tracemalloc's peak over one
+more step.
+
+Every case hashes its output outside the timed region: the imputed bytes of
+a span case, the losses and every parameter gradient of a step case's
+warm-up step.  ``outputs_identical`` says whether every run of both
+checkouts gave the same hash.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from functools import partial
+
+import numpy as np
+
+PINNED = {
+    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": str(128 << 10),
+}
+DESK = dict(n_nodes=20, step_minutes=15, seed=9, noise_level=0.1)  # plans/desk_plan.json
+DESK_MODEL = dict(L=96, d=32, n=2, K=2, p_dropout=0.1, seed=9)
+METRIC_SUFFIXES = ("_ms", "_mib", "_faults")
+
+
+# ---- one case, in its own process ----
+
+
+def _cpu_ms(fn) -> float:
+    t0 = time.process_time()
+    fn()
+    return (time.process_time() - t0) * 1e3
+
+
+def _span(repeats: int, **variant) -> dict:
+    import pastnet.data as data
+    import pastnet.masking as masking
+    from pastnet.model import ModelConfig, PastModel, impute_span
+
+    raw = data.synthesize_dataset(n_days=24, **DESK)
+    adjacency = data.build_spatial_adjacency(raw.n_nodes, raw.edges)
+    mask = masking.generate_mask(
+        raw.values.shape, masking.ScenarioConfig("block", 0.4, l=48, s=5, seed=1), adjacency
+    )
+    model = PastModel.build(ModelConfig(N=raw.n_nodes, **DESK_MODEL, **variant), adjacency=adjacency)
+    week, hour, bucket = data.time_feature_arrays(raw, 0, raw.n_steps)
+    args = (raw.values * mask, mask, week, hour, bucket)
+    first = impute_span(model, *args)  # warm-up
+    out: dict = {"impute_ms": [], "sys_ms": [], "minor_faults": []}
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        t0 = time.process_time()
+        again = impute_span(model, *args)
+        out["impute_ms"].append((time.process_time() - t0) * 1e3)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        out["sys_ms"].append((after.ru_stime - before.ru_stime) * 1e3)
+        out["minor_faults"].append(after.ru_minflt - before.ru_minflt)
+        if not np.array_equal(again, first):
+            raise RuntimeError("impute_span output differs between identical calls")
+    out.update(variant, steps_x_nodes=int(raw.values.size),
+               output_sha256=hashlib.sha256(first.tobytes()).hexdigest())
+    return out
+
+
+def _windows(n_nodes, n_days, seed, noise_level=0.2, step_minutes=15):
+    """Masked training windows (fiber, r=0.4) of a synthetic series, and its adjacency."""
+    import pastnet.data as data
+    import pastnet.masking as masking
+
+    raw = data.synthesize_dataset(n_nodes, n_days, step_minutes=step_minutes, seed=seed,
+                                  noise_level=noise_level)
+    adjacency = data.build_spatial_adjacency(raw.n_nodes, raw.edges)
+    mask = masking.generate_mask(
+        raw.values.shape, masking.ScenarioConfig("fiber", 0.4, l=32, seed=seed), adjacency
+    )
+    ds = data.normalize(raw, 0.8, mask)
+    w, _ = data.window_split(ds, 96, 96, 0.8, mask)
+    w.values = w.values * w.masks
+    return w, adjacency
+
+
+# each step set-up returns (windows, adjacency, model config, window indices per batch)
+
+
+def _desk(distinct: bool):
+    from pastnet.model import ModelConfig
+
+    w, adjacency = _windows(n_days=20, **DESK)
+    if distinct:
+        codes = np.random.default_rng(0).choice(672, size=(4, 96), replace=False)
+        w.week[:4], w.hour[:4], w.minute_bucket[:4] = codes // 96, codes // 4 % 24, codes % 4
+        batches = [np.arange(4)]
+    else:
+        order = np.random.default_rng([0, 0]).permutation(len(w))
+        batches = [order[lo : lo + 4] for lo in range(0, len(order), 4)]
+    return w, adjacency, ModelConfig(N=DESK["n_nodes"], **DESK_MODEL), batches
+
+
+def _cli(n_nodes: int):
+    from pastnet.model import ModelConfig
+
+    w, adjacency = _windows(n_nodes=n_nodes, n_days=40, seed=0)
+    return w, adjacency, ModelConfig(L=96, N=n_nodes), [np.arange(len(w))]
+
+
+def _step(model, batch, rng, digest=None) -> None:
+    total, loss1, loss2 = model.objective(*batch, training=True, rng=rng)
+    total.backward()
+    if digest is not None:
+        digest.update(np.array([float(total.data), loss1, loss2]).tobytes())
+        for path, t in model.params.items():
+            digest.update(path.encode() + t.grad.tobytes())
+    model.params.zero_grads()
+
+
+def _cgm_pass(model, masked_mse, batch) -> None:
+    values, masks, week, hour, bucket = batch
+    y, _ = model.cgm.forward(week, hour, bucket)
+    masked_mse(y, values, masks).backward()
+    model.params.zero_grads()
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _steps(setup, repeats: int) -> dict:
+    from pastnet.model import PastModel
+    from pastnet.numcore import masked_mse
+
+    w, adjacency, config, batches = setup()
+    model = PastModel.build(config, adjacency=adjacency)
+    batches = [(w.values[i], w.masks[i], w.week[i], w.hour[i], w.minute_bucket[i]) for i in batches]
+    out: dict = {
+        "windows": len(w),
+        "batch_sizes": [len(b[0]) for b in batches],
+        "slots": [int(np.unique((b[2] * 24 + b[3]) * 4 + b[4]).size) for b in batches],
+    }
+    rng = np.random.default_rng(1)
+    digest = hashlib.sha256()
+    _step(model, batches[0], rng, digest)  # warm-up
+    out.update(step_ms=[], step_faults=[], cgm_ms=[], output_sha256=digest.hexdigest())
+    for _ in range(repeats):
+        for batch in batches:
+            out["cgm_ms"].append(_cpu_ms(lambda: _cgm_pass(model, masked_mse, batch)))
+            faults = _minor_faults()
+            out["step_ms"].append(_cpu_ms(lambda: _step(model, batch, rng)))
+            out["step_faults"].append(_minor_faults() - faults)
+    tracemalloc.start()
+    _step(model, batches[0], rng)
+    out["step_peak_mib"] = [tracemalloc.get_traced_memory()[1] / 2**20]
+    tracemalloc.stop()
+    return out
+
+
+CASES = {
+    "span_past": _span,
+    "span_wo_cgm": partial(_span, use_cgm=False),
+    "span_wo_gim": partial(_span, use_gim=False),
+    "desk_step": partial(_steps, partial(_desk, distinct=False)),
+    "desk_distinct": partial(_steps, partial(_desk, distinct=True)),
+    "cli_step_n4": partial(_steps, partial(_cli, 4)),
+    "cli_step_n16": partial(_steps, partial(_cli, 16)),
+}
+
+
+def run_case(case: str, repeats: int) -> dict:
+    out = CASES[case](repeats)
+    out["rss_mib"] = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+    return out
+
+
+# ---- driver ----
+
+
+def _summary(samples: list[float]) -> dict:
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": round(float(med), 3), "q1": round(float(q1), 3),
+            "q3": round(float(q3), 3), "n": len(samples)}
+
+
+def _commit(tree: str) -> str | None:
+    proc = subprocess.run(["git", "-C", tree, "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None
+    dirty = subprocess.run(["git", "-C", tree, "status", "--porcelain", "--", "src"],
+                           capture_output=True, text=True).stdout.strip()
+    return proc.stdout.strip() + ("+uncommitted src changes" if dirty else "")
+
+
+def _machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cores": os.cpu_count(),
+        "cores_usable": len(os.sched_getaffinity(0)),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": int(PINNED["OPENBLAS_NUM_THREADS"]),
+        "malloc_mmap_threshold": int(PINNED["MALLOC_MMAP_THRESHOLD_"]),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+    }
+
+
+def _run_child(tree: str, case: str, repeats: int) -> dict:
+    env = dict(os.environ, **PINNED, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", case, "--repeats", str(repeats)],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", help="checkout measured as 'before' (the parent commit)")
+    parser.add_argument("--after", default=".", help="checkout measured as 'after'")
+    parser.add_argument("--out", help="JSON report to write")
+    parser.add_argument("--rounds", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--case", action="append", choices=CASES,
+                        help="run only this case; repeat for several (default: all)")
+    parser.add_argument("--child", choices=CASES, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(run_case(args.child, args.repeats)))
+        return 0
+    if not (args.before and args.out):
+        parser.error("--before and --out are required")
+
+    cases = args.case or list(CASES)
+    trees = {"before": args.before, "after": args.after}
+    samples = {case: {side: {} for side in trees} for case in cases}
+    workload = {case: {} for case in cases}
+    hashes = {case: set() for case in cases}
+    for r in range(args.rounds):
+        sides = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for case in cases:
+            for side in sides:
+                result = _run_child(trees[side], case, args.repeats)
+                print(f"round {r} {case:14s} {side:6s}", file=sys.stderr)
+                hashes[case].add(result.pop("output_sha256"))
+                for key, value in result.items():
+                    if key.endswith(METRIC_SUFFIXES):
+                        samples[case][side].setdefault(key, []).extend(value)
+                    else:
+                        workload[case][key] = value  # the script's inputs: same on both sides
+    report_cases = {}
+    for case in cases:
+        entry = {"workload": workload[case], "outputs_identical": len(hashes[case]) == 1}
+        for side in trees:
+            entry[side] = {k: _summary(v) for k, v in samples[case][side].items()}
+        entry["after_over_before"] = {
+            k: round(entry["after"][k]["median"] / entry["before"][k]["median"], 3)
+            for k in entry["before"]
+        }
+        report_cases[case] = entry
+    selected = "".join(f" --case {case}" for case in args.case or ())
+    report = {
+        "command": f"python3 scripts/ab_bench.py --before PARENT --after . --out {args.out} "
+                   f"--rounds {args.rounds} --repeats {args.repeats}{selected}",
+        "commits": {side: _commit(tree) for side, tree in trees.items()},
+        "machine": _machine(),
+        "cases": report_cases,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for case, entry in report_cases.items():
+        for key, ratio in entry["after_over_before"].items():
+            print(f"{case:14s} {key:14s} before {entry['before'][key]['median']:10.2f}  "
+                  f"after {entry['after'][key]['median']:10.2f}  ratio {ratio}")
+        print(f"{case:14s} outputs identical: {entry['outputs_identical']}  "
+              f"{' '.join(sorted(hashes[case]))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

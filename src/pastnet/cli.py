@@ -199,10 +199,11 @@ def _cmd_experiment(args) -> int:
 
     with open(args.config) as fh:
         raw = json.load(fh)
-    # the plan loader derives the scenario seeds, so a --seed override follows its rule
-    if args.seed is not None:
+    # the plan loader derives the scenario seeds, so a --seed override follows its rule;
+    # a plan that is not an object is left for the loader to reject
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-    if args.output_dir is not None:
+    if args.output_dir is not None and isinstance(raw, dict):
         raw["output_dir"] = args.output_dir
     plan = plan_from_dict(raw)
     results = run_experiment(plan)

@@ -106,26 +106,27 @@ def build_spatial_adjacency(n_nodes: int, edges: list[tuple[int, int, float]]) -
 
     sigma is the population standard deviation of all edge distances.  The
     result is symmetric with zero diagonal and zeros for unlisted pairs.
-    When every distance is equal (sigma = 0) connected pairs get weight 1.
-    Distances whose squares overflow (sigma or a weight not finite) raise.
+    When every distance is equal, connected pairs get weight 1.  Distinct
+    distances whose spread leaves float64's range (sigma^2 overflows or
+    underflows to 0, or a weight is not finite) raise.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")
     if not edges:
         raise ValueError("at least one edge is required")
     dists = np.array([d for _, _, d in edges], dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        sigma = float(dists.std())
-        if sigma == 0.0:
-            warnings.warn("all edge distances equal; using unit weights", RuntimeWarning)
-            weights = np.ones_like(dists)
-        else:
+    if (dists == dists[0]).all():  # not sigma == 0: std of equal values may round above 0
+        warnings.warn("all edge distances equal; using unit weights", RuntimeWarning)
+        weights = np.ones_like(dists)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            sigma = float(dists.std())
             weights = np.exp(-(dists**2) / sigma**2)
-    if not (np.isfinite(sigma) and np.isfinite(weights).all()):
-        raise ValueError(
-            f"edge distances up to {dists.max():g} leave float64's range in the Gaussian "
-            f"kernel exp(-d^2 / sigma^2) (sigma = {sigma:g}); rescale the distances"
-        )
+        if not (0.0 < sigma**2 < np.inf and np.isfinite(weights).all()):
+            raise ValueError(
+                f"edge distances up to {dists.max():g} leave float64's range in the Gaussian "
+                f"kernel exp(-d^2 / sigma^2) (sigma = {sigma:g}); rescale the distances"
+            )
     a = np.zeros((n_nodes, n_nodes))
     for (i, j, _), w in zip(edges, weights):
         a[i, j] = w

@@ -114,9 +114,7 @@ class ExperimentPlan:
             raise ValueError(f"unknown methods {unknown}; choose from {METHOD_NAMES}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
-        bad = [k for k in self.train_overrides if k not in ("random", "fiber", "block")]
-        if bad:
-            raise ValueError(f"train_overrides keyed by unknown scenario kinds {bad}")
+        _check_keys("train_overrides", self.train_overrides, {"random", "fiber", "block"})
         # the dataset sets N and the method picks the branches
         model_keys = {f.name for f in fields(ModelConfig)} - {"N", "use_gim", "use_cgm"}
         train_keys = {f.name for f in fields(TrainConfig)}
@@ -133,6 +131,8 @@ class ExperimentPlan:
 
 
 def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
+    if not isinstance(given, dict):
+        raise ValueError(f"{section} must be an object, got {type(given).__name__}")
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ValueError(f"unknown {section} keys {unknown}; choose from {sorted(allowed)}")
@@ -144,14 +144,20 @@ def _check_positive_int(key: str, value) -> None:
 
 
 def plan_from_dict(raw: dict) -> ExperimentPlan:
+    _check_keys("plan", raw, {f.name for f in fields(ExperimentPlan)})
     raw = dict(raw)
-    dataset = DatasetSpec(**raw.pop("dataset", {}))
+    dataset = raw.pop("dataset", {})
+    _check_keys("dataset", dataset, {f.name for f in fields(DatasetSpec)})
+    entries = raw.pop("scenarios", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"scenarios must be a list of objects, got {type(entries).__name__}")
     scenarios = []
-    for i, sc in enumerate(raw.pop("scenarios", [])):
+    for i, sc in enumerate(entries):
+        _check_keys(f"scenarios[{i}]", sc, {f.name for f in fields(ScenarioConfig)})
         sc = dict(sc)
         sc.setdefault("seed", raw.get("seed", 0) * 1000 + i)
         scenarios.append(ScenarioConfig(**sc))
-    return ExperimentPlan(dataset=dataset, scenarios=scenarios, **raw)
+    return ExperimentPlan(dataset=DatasetSpec(**dataset), scenarios=scenarios, **raw)
 
 
 def load_plan(path: str) -> ExperimentPlan:

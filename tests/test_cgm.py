@@ -21,9 +21,9 @@ from pastnet.numcore import (
 from pastnet.numcore.tensor import _pool
 
 
-def build_module(N=3, d=4, n=2, seed=0):
+def build_module(N=3, d=4, n=2, seed=0, L=1):
     params = ParamStore(seed=seed)
-    module = CgmModule.build(params, ModelConfig(L=1, N=N, d=d, n=n))
+    module = CgmModule.build(params, ModelConfig(L=L, N=N, d=d, n=n))
     return module, params
 
 
@@ -489,3 +489,32 @@ def test_slot_forward_matches_full_grid(calendar, n_slots):
     for path, g_ref in grads_ref.items():
         assert path.startswith("cgm/")
         assert np.max(np.abs(grads[path] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref)), path
+
+
+def test_span_windows_match_full_grid_per_window():
+    """Each span window's surface and hiddens equal the full grid on that window alone.
+
+    The reference averages over its own stamps, so it checks the span path's
+    slot shares and which slots each window pools; the calendar repeats slots
+    unevenly within every window, and the last window overlaps the one before.
+    """
+    L, T = 12, 40
+    module, _ = build_module(N=3, d=8, n=3, seed=14, L=L)
+    week, hour, bucket = (c[0] for c in random_calendar(1, T, seed=15, cards=(2, 3, 4)))
+    starts = [0, 12, 24, T - L]  # the tail window starts off the stride
+    codes = (week * 24 + hour) * 4 + bucket
+    assert np.unique(codes).size > L  # the slot rows take more than one chunk
+    for s in starts:
+        counts = np.unique(codes[s : s + L], return_counts=True)[1]
+        assert np.unique(counts).size > 1  # uneven shares within the window
+    with no_grad():
+        surfaces, hiddens = module.span_windows(week, hour, bucket, starts, with_hiddens=True)
+    assert len(surfaces) == len(hiddens) == len(starts)
+    for s, surface, window_hiddens in zip(starts, surfaces, hiddens):
+        window = slice(s, s + L)
+        y_ref, hiddens_ref = full_grid_forward(
+            module, week[None, window], hour[None, window], bucket[None, window]
+        )
+        assert np.allclose(surface, y_ref.data[0], rtol=0.0, atol=1e-12), s
+        for h, h_ref in zip(window_hiddens, hiddens_ref, strict=True):
+            assert np.allclose(h.data, h_ref.data, rtol=0.0, atol=1e-12), s

@@ -189,6 +189,14 @@ def test_experiment_cli_seed_matches_plan_seed(tmp_path):
     assert [r.split(",")[:5] for r in rows_a] == [r.split(",")[:5] for r in rows_b]
 
 
+def test_experiment_cli_plan_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps([{"methods": ["linear"]}]))
+    assert main(["experiment", "--config", str(path), "--seed", "5",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert "plan must be an object, got list" in capsys.readouterr().err
+
+
 def test_experiment_cli_missing_config_exits_2(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Dataset construction, transforms, calendar features, windowing, file IO."""
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,10 @@ def test_spatial_adjacency_degenerate_and_errors():
     with pytest.warns(RuntimeWarning):
         a = build_spatial_adjacency(3, [(0, 1, 2.0), (1, 2, 2.0)])
     assert a[0, 1] == 1.0 and a[1, 2] == 1.0
+    # three 0.1s: their float mean is 0.10000000000000002, so std reads 1.4e-17, not 0
+    with pytest.warns(RuntimeWarning, match="all edge distances equal"):
+        a = build_spatial_adjacency(4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1)])
+    assert a[0, 1] == a[1, 2] == a[2, 3] == 1.0
     with pytest.raises(ValueError):
         build_spatial_adjacency(0, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
@@ -74,6 +79,19 @@ def test_spatial_adjacency_overflowing_distances_raise_naming_the_cause():
     # finite distances, but std and d^2 overflow: the kernel would compute inf / inf = NaN
     with pytest.raises(ValueError, match=r"leave float64's range .*\(sigma = inf\)"):
         build_spatial_adjacency(3, [(0, 1, 1e300), (1, 2, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1, 1e-170), (1, 2, 0.0)], [(0, 1, 1e-150), (1, 2, 1e-150 + 1e-165)]],
+    ids=["tiny-distances", "tiny-spread"],
+)
+def test_spatial_adjacency_underflowing_sigma_raises_for_distinct_distances(edges):
+    # the distances differ, but the squared deviations underflow and sigma reads 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "all edge distances equal" warning either
+        with pytest.raises(ValueError, match=r"\(sigma = 0\); rescale the distances"):
+            build_spatial_adjacency(3, edges)
 
 
 def test_synthesize_deterministic_and_seed_sensitive():

@@ -100,6 +100,37 @@ def test_plan_from_dict_rejects_unknown_config_keys(section, value, key):
         plan_from_dict(raw)
 
 
+def plan_with(**changes):
+    raw = {
+        "dataset": {"kind": "synthetic", "n_nodes": 6, "n_days": 2},
+        "scenarios": [{"kind": "random", "r": 0.2}],
+        "methods": ["past"],
+    }
+    raw.update(changes)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([plan_with()], "plan must be an object, got list"),
+        (plan_with(epochs=3), "unknown plan keys ['epochs']"),
+        (plan_with(dataset=[{"kind": "synthetic"}]), "dataset must be an object, got list"),
+        (plan_with(dataset={"kind": "synthetic", "days": 2}), "unknown dataset keys ['days']"),
+        (plan_with(scenarios=3), "scenarios must be a list of objects, got int"),
+        (plan_with(scenarios=[{"kind": "fiber", "r": 0.2, "l": 8, "span": 2}]),
+         "unknown scenarios[0] keys ['span']"),
+        (plan_with(scenarios=["fiber"]), "scenarios[0] must be an object, got str"),
+        (plan_with(train_overrides=["fiber"]), "train_overrides must be an object, got list"),
+    ],
+    ids=["top-list", "top-key", "dataset-list", "dataset-key", "scenarios-int",
+         "scenario-key", "scenario-str", "overrides-list"],
+)
+def test_plan_from_dict_rejects_bad_sections_naming_them(raw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        plan_from_dict(raw)
+
+
 def stride_override(kind, stride):
     return {"train_overrides": {kind: {"window_stride": stride}}}
 
