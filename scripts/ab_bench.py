@@ -36,10 +36,20 @@ branch's forward plus the backward of its loss on the surface, the gradient
 training takes through it; ``step_peak_mib`` is tracemalloc's peak over one
 more step.
 
+- ``train_desk``, ``train_cli``: ``train()`` itself, 3 epochs at lr 1e-2,
+  on the first 14 of the 16 desk training windows in batches of 4 (so
+  every epoch ends with a batch of 2) and on the CLI-default batch on 4
+  nodes (one batch of 32), the model sizes ``perfbench``'s ``desk_fiber``
+  and ``cli_defaults`` train.  Each of the ``--repeats`` runs trains a
+  freshly built model.  ``train_ms`` and ``train_faults`` cover a whole call;
+  ``step_ms`` and ``step_faults`` each step after a call's first, cut at
+  every ``adam_step`` return; ``rss_mib`` is the peak of the process.
+
 Every case hashes its output outside the timed region: the imputed bytes of
 a span case, the losses and every parameter gradient of a step case's
-warm-up step.  ``outputs_identical`` says whether every run of both
-checkouts gave the same hash.
+warm-up step, the history and trained parameter bytes of a train case.
+``outputs_identical`` says whether every run of both checkouts gave the
+same hash.
 """
 from __future__ import annotations
 
@@ -195,6 +205,61 @@ def _steps(setup, repeats: int) -> dict:
     return out
 
 
+def _train(setup, repeats: int) -> dict:
+    import pastnet.model as model_mod
+    from pastnet.model import PastModel, TrainConfig
+
+    w, adjacency, config, batch_size = setup()
+    epochs = 3
+    cfg = TrainConfig(lr=1e-2, batch_size=batch_size, epochs=epochs, seed=9,
+                      early_stop_patience=epochs)
+    marks = []  # (CPU s, minor faults) at the start of train and after every step
+    real_step = model_mod.adam_step
+
+    def marked_step(params, state):
+        real_step(params, state)
+        marks.append((time.process_time(), _minor_faults()))
+
+    model_mod.adam_step = marked_step
+    out: dict = {"windows": len(w), "batch_size": batch_size, "epochs": epochs,
+                 "train_ms": [], "train_faults": [], "step_ms": [], "step_faults": []}
+    hashes = set()
+    for _ in range(repeats):
+        model = PastModel.build(config, adjacency=adjacency)
+        marks[:] = [(time.process_time(), _minor_faults())]
+        model, history = model_mod.train(model, w, cfg)
+        (t0, f0), (t1, f1) = marks[0], marks[-1]
+        out["train_ms"].append((t1 - t0) * 1e3)
+        out["train_faults"].append(f1 - f0)
+        for (ta, fa), (tb, fb) in zip(marks[1:], marks[2:]):
+            out["step_ms"].append((tb - ta) * 1e3)
+            out["step_faults"].append(fb - fa)
+        digest = hashlib.sha256(np.array(history.loss1 + history.loss2).tobytes())
+        for path, t in model.params.items():
+            digest.update(path.encode() + t.data.tobytes())
+        hashes.add(digest.hexdigest())
+    if len(hashes) != 1:
+        raise RuntimeError("train() gave different parameters between identical runs")
+    out["output_sha256"] = hashes.pop()
+    return out
+
+
+def _train_desk():
+    from pastnet.model import ModelConfig
+
+    from pastnet.data import WindowBatch
+
+    w, adjacency = _windows(n_days=20, **DESK)
+    w = WindowBatch(*(a[:14] for a in (w.values, w.masks, w.week, w.hour, w.minute_bucket,
+                                       w.starts)))
+    return w, adjacency, ModelConfig(N=DESK["n_nodes"], **DESK_MODEL), 4
+
+
+def _train_cli():
+    w, adjacency, config, _ = _cli(4)
+    return w, adjacency, config, 32
+
+
 CASES = {
     "span_past": _span,
     "span_wo_cgm": partial(_span, use_cgm=False),
@@ -203,6 +268,8 @@ CASES = {
     "desk_distinct": partial(_steps, partial(_desk, distinct=True)),
     "cli_step_n4": partial(_steps, partial(_cli, 4)),
     "cli_step_n16": partial(_steps, partial(_cli, 16)),
+    "train_desk": partial(_train, _train_desk),
+    "train_cli": partial(_train, _train_cli),
 }
 
 

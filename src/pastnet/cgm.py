@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, constant, embedding, scratch
+from .numcore import ParamStore, Tensor, concat, constant, embedding, scratch, step_buffer
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -94,28 +94,30 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     and the product projection * sigmoid.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
-    np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
-    side_s = _GateSide(s, w_sp, w_sg, "s")
-    side_t = _GateSide(t, w_tp, w_tg, "t")
+    shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
+    side_s = _GateSide(s, w_sp, w_sg, "s", s.shape == shape)
+    side_t = _GateSide(t, w_tp, w_tg, "t", t.shape == shape)
     return side_s.output(side_t), side_t.output(side_s)
 
 
 class _GateSide:
     """One stream's half of a cross gate: v, [v W_p | sigmoid(v W_g)], tanh(v W_g).
 
-    Those three arrays are kernel temporaries (``numcore.scratch``): under
-    ``no_grad`` they come from the pool and die with the layer call, and
-    only the outputs, allocated fresh, leave it.
+    The projections, the tanh and the product projection * sigmoid are
+    step buffers saved for the VJP (under ``no_grad``, scratch that dies
+    with the layer call), the outputs are step buffers (fresh under
+    ``no_grad``) and the VJP's intermediates are scratch.
     """
 
-    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor, side: str):
-        self.v, self.w_p, self.w_g = v, w_p, w_g
+    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor, side: str, full: bool):
+        self.v, self.w_p, self.w_g, self.side = v, w_p, w_g, side
         rows, d = v.shape[:-1], v.shape[-1]
 
         def buffer(name: str, width: int) -> np.ndarray:
-            # keyed by side and stream shape too, so the two sides and a
-            # broadcast first layer never evict each other's pool buffer
-            return scratch(("cgm.gate", side, rows, name), rows + (width,))
+            # keyed by side and by whether the stream is broadcast, so the
+            # two sides and a broadcast first layer never evict each other
+            key = ("cgm.gate", side, full, name)
+            return step_buffer(key, rows + (width,), vjp_only=True)
 
         self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
         self.proj_sig = np.matmul(v.data, self.w_cat, out=buffer("proj_sig", 2 * d))
@@ -128,17 +130,20 @@ class _GateSide:
     def output(self, other: "_GateSide") -> Tensor:
         """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate), one tape node."""
         v, d = self.v, self.v.shape[-1]
-        out = self.update * other.tanh
+        shape = np.broadcast_shapes(self.update.shape, other.tanh.shape)
+        out = np.multiply(
+            self.update, other.tanh, out=step_buffer(("cgm.gate", self.side, "out"), shape)
+        )
         out += v.data
 
         def vjp(g):
-            # every array written below is allocated here; g and the saved
-            # forward arrays are only read
+            # every array written below is scratch or allocated here; g and
+            # the saved forward arrays are only read
             gv = go = gw_p = gw_g = gw_og = None
-            prod = g * other.tanh
+            prod = np.multiply(g, other.tanh, out=scratch(("cgm.gate", "prod"), shape))
             g_update = _unbroadcast(prod, self.update.shape)
             if v.requires_grad or self.w_p.requires_grad or self.w_g.requires_grad:
-                g_proj_sig = np.empty(self.proj_sig.shape)
+                g_proj_sig = scratch(("cgm.gate", "g_proj_sig"), self.proj_sig.shape)
                 g_gate = g_proj_sig[..., d:]
                 np.multiply(g_update, self.sig, out=g_proj_sig[..., :d])
                 np.multiply(g_update, self.proj, out=g_gate)
@@ -151,10 +156,11 @@ class _GateSide:
                     gw = _fold(v.data).T @ _fold(g_proj_sig)
                     gw_p, gw_g = gw[:, :d], gw[:, d:]
             if other.v.requires_grad or other.w_g.requires_grad:
-                spare = prod if g_update is not prod else None  # prod was reduced away
+                # prod is spent once reduced away; else a scratch of its own
+                spare = prod if g_update is not prod else scratch(("cgm.gate", "g_tanh"), shape)
                 g_tanh = _unbroadcast(np.multiply(g, self.update, out=spare), other.tanh.shape)
-                scratch = g_update if g_update.shape == g_tanh.shape else None
-                dtanh = np.multiply(other.tanh, other.tanh, out=scratch)
+                spare = g_update if g_update.shape == g_tanh.shape else None
+                dtanh = np.multiply(other.tanh, other.tanh, out=spare)
                 g_tanh *= np.subtract(1.0, dtanh, out=dtanh)
                 if other.v.requires_grad:
                     go = np.matmul(g_tanh, other.w_g.data.T)

@@ -22,13 +22,16 @@ a bool mask, and returns only the L data rows: the injection vertex has no
 incoming edge, so its row is never computed.  The output is a transposed
 view back to (B, L, N).
 
-Temporaries: the temporal kernel's (G, L, L+1) adjacency, its aggregate and
-injection product, and the spatial kernel's stacked aggregations come from
-``numcore.scratch``.  Under ``no_grad`` (``impute_span`` running one window
-after another) each is one pool buffer reused by every layer and window;
-while recording they are fresh arrays the VJP keeps.  A kernel's returned
-output is always a fresh array, never a pool buffer, so nothing a caller
-holds is overwritten by a later call.
+Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
+and what a kernel saves for its VJP (the temporal adjacency, degrees and
+aggregate, the spatial stacked aggregations) are step buffers, and the
+dropout mask is one too; the dropout draw, the relu masks and the VJPs'
+intermediate adjoints are scratch.  Inside ``train``'s pool the k-th such
+call of a step reuses the k-th call's buffers of the step before.  Under
+``no_grad`` (``impute_span`` running one window after another) the saved
+arrays are scratch reused by every layer and window, and every output is
+a fresh array, so nothing a caller holds is overwritten by a later call.
+Outside both, every array is fresh.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, constant, scratch
+from .numcore import ParamStore, Tensor, constant, scratch, step_buffer
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -101,16 +104,24 @@ def interval_dropout_mask(
     """Sample the dropped observed->missing data edges of every graph.
 
     ``columns`` is the (L, G) time-major mask.  Returns a (G, L, L) bool
-    array, True where edge j -> i of graph g is dropped.  Draws
-    ``rng.random((G, L, L))`` once, indexed [g, i, j].
+    array, True where edge j -> i of graph g is dropped: a step buffer,
+    valid until a training pool's next rewind.  Draws one (G, L, L) block
+    of ``rng.random`` into a scratch buffer, indexed [g, i, j].
     """
     L, G = columns.shape
     idx = np.arange(L)
     delta = np.abs(idx[:, None] - idx[None, :])
     prob = np.minimum(1.0, np.exp(-alpha * delta + beta))
     per_graph = columns.T
-    eligible = (per_graph[:, :, None] == 0.0) & (per_graph[:, None, :] == 1.0)
-    return eligible & (rng.random((G, L, L)) < prob)
+    eligible = np.bitwise_and(
+        per_graph[:, :, None] == 0.0,
+        per_graph[:, None, :] == 1.0,
+        out=scratch("gim.dropout.eligible", (G, L, L), bool),
+    )
+    draw = rng.random(out=scratch("gim.dropout.draw", (G, L, L)))
+    drop = np.less(draw, prob, out=step_buffer("gim.dropout.mask", (G, L, L), bool))
+    drop &= eligible
+    return drop
 
 
 def _batch_interval_dropout(
@@ -146,7 +157,8 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
 
     Saved for backward: the weighted (G, L, L+1) adjacency, whose nonzero
     entries are the edges, the row degrees plus eps, the aggregate H' and
-    the output, whose sign is relu's mask.
+    the output, whose sign is relu's mask.  Those and the output are step
+    buffers; the VJP's intermediates are scratch.
     """
     x, logits, w, b = (_wrap(t) for t in (states, edge_logits, w, b))
     inj = None if injection is None else _wrap(injection)
@@ -162,40 +174,40 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     idx = np.arange(L)
     weight = np.logaddexp(0.0, logits.data[:L, :width])
     weight[idx, idx] = 0.0  # no self edges
-    a = scratch("gim.temporal.a", (G, L, width))
+    a = step_buffer("gim.temporal.a", (G, L, width), vjp_only=True)
     np.multiply(weight[:, :L], cols.T[:, None, :], out=a[..., :L])  # observed sources only
     if drop is not None:
         np.copyto(a[..., :L], 0.0, where=drop)
     if inj is not None:
         a[..., L] = weight[:, L]
-    denom = np.ascontiguousarray(a.sum(axis=-1).T)[..., None]  # (L, G, 1)
-    denom += DEGREE_EPS
-    agg = scratch("gim.temporal.agg", (L, G, d))
+    denom = step_buffer("gim.temporal.denom", (L, G, 1), vjp_only=True)
+    np.add(a.sum(axis=-1).T, DEGREE_EPS, out=denom[..., 0])
+    agg = step_buffer("gim.temporal.agg", (L, G, d), vjp_only=True)
     np.matmul(a[..., :L], x.data.transpose(1, 0, 2), out=agg.transpose(1, 0, 2))
     if inj is not None:
         agg += np.multiply(
             weight[:, L, None, None], inj.data, out=scratch("gim.temporal.inj", (L, G, d))
         )
     agg /= denom
-    out = np.matmul(agg, w.data)
+    out = np.matmul(agg, w.data, out=step_buffer("gim.temporal.out", (L, G, w.shape[1])))
     out += b.data
     np.maximum(out, 0.0, out=out)
     parents = (x, logits, w, b) if inj is None else (x, logits, w, b, inj)
 
     def vjp(g):
         gx = gi = gl = gw = gb = None
-        gz = g * (out > 0.0)
+        gz = _relu_adjoint("gim.temporal", g, out)
         if w.requires_grad:
             gw = agg.reshape(-1, d).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
-            gb = _unbroadcast(gz, b.shape)
+            gb = _summed_to(gz, b.shape)
         need_inj = inj is not None and inj.requires_grad
         if not (x.requires_grad or need_inj or logits.requires_grad):
             return (gx, gl, gw, gb, gi)[: len(parents)]
-        g_agg = np.matmul(gz, w.data.T)
+        g_agg = np.matmul(gz, w.data.T, out=scratch("gim.temporal.g_agg", (L, G, d)))
         if logits.requires_grad:
             # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom
-            spare = gz if gz.shape == agg.shape and gb is not gz else None  # gz is spent
+            spare = gz if gz.shape == agg.shape else None  # gz is spent
             g_denom = np.multiply(g_agg, agg, out=spare).sum(axis=-1)
             g_denom /= denom[..., 0]
         g_agg /= denom  # now the adjoint of num = A @ H
@@ -207,19 +219,32 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
         if need_inj:
             gi = (weight[:, L] @ g_agg.reshape(L, G * d)).reshape(G, d)
         if logits.requires_grad:
-            ga = np.empty((G, L, width))
+            ga = scratch("gim.temporal.ga", (G, L, width))
             per_graph = g_agg.transpose(1, 0, 2)
             np.matmul(per_graph, x.data.transpose(1, 2, 0), out=ga[..., :L])
             if inj is not None:
                 np.matmul(per_graph, inj.data[:, :, None], out=ga[..., L:])
             ga -= g_denom.T[:, :, None]  # every entry of a row feeds that row's degree
-            ga *= a != 0.0  # keep only the graph's edges, where A holds softplus > 0
+            # keep only the graph's edges, where A holds softplus > 0
+            ga *= np.not_equal(a, 0.0, out=scratch("gim.temporal.edges", a.shape, bool))
             gl = np.zeros(logits.shape)
             np.sum(ga, axis=0, out=gl[:L, :width])
             gl[:L, :width] *= expit(logits.data[:L, :width])
         return (gx, gl, gw, gb, gi)[: len(parents)]
 
     return Tensor._make(out, parents, vjp)
+
+
+def _relu_adjoint(kernel: str, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * (out > 0) in the kernel's scratch: the adjoint through relu."""
+    live = np.greater(out, 0.0, out=scratch(f"{kernel}.live", out.shape, bool))
+    return np.multiply(g, live, out=scratch(f"{kernel}.gz", out.shape))
+
+
+def _summed_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A scratch adjoint summed down to a parent's shape, as a fresh array."""
+    out = _unbroadcast(g, shape)
+    return out.copy() if out is g else out
 
 
 @dataclass
@@ -258,36 +283,73 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
 
     One tape node: each P_k @ h is written straight into its slice of the
     stacked buffer.  Saved for backward: the stacked aggregations and the
-    output, whose sign is relu's mask.
+    output, whose sign is relu's mask; both are step buffers and the VJP's
+    intermediates are scratch.
     """
     h, w, b = (_wrap(t) for t in (h_nodes, w, b))
     x = h.data
     d = x.shape[-1]
     powers = op.normalized_powers
-    stacked = scratch("gim.spatial.stacked", x.shape[:-1] + (len(powers) * d,))
+    stacked = step_buffer(
+        "gim.spatial.stacked", x.shape[:-1] + (len(powers) * d,), vjp_only=True
+    )
     for k, p in enumerate(powers):
         np.matmul(p, x, out=stacked[..., k * d : (k + 1) * d])
-    out = np.matmul(stacked, w.data)
+    out = np.matmul(stacked, w.data, out=step_buffer("gim.spatial.out", x.shape[:-1] + w.shape[1:]))
     out += b.data
     np.maximum(out, 0.0, out=out)
 
     def vjp(g):
         gh = gw = gb = None
-        gz = g * (out > 0.0)
+        gz = _relu_adjoint("gim.spatial", g, out)
         if w.requires_grad:
             gw = stacked.reshape(-1, stacked.shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
-            gb = _unbroadcast(gz, b.shape)
+            gb = _summed_to(gz, b.shape)
         if h.requires_grad:
-            g_stacked = np.matmul(gz, w.data.T)
+            g_stacked = np.matmul(gz, w.data.T, out=scratch("gim.spatial.g_stacked", stacked.shape))
             gh = np.matmul(powers[0].T, g_stacked[..., :d])
-            part = np.empty_like(gh) if len(powers) > 1 else None
+            part = scratch("gim.spatial.part", gh.shape) if len(powers) > 1 else None
             for k in range(1, len(powers)):
                 np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)
                 gh += part
         return gh, gw, gb
 
     return Tensor._make(out, (h, w, b), vjp)
+
+
+def vertex_embedding(xz, m, w, b, mask_token) -> Tensor:
+    """m * (xz * w + b) + (1 - m) * mask_token as one tape node.
+
+    ``xz`` holds the values with zeros where missing and ``m`` the 0/1
+    mask, both (..., 1) arrays; ``w``, ``b`` and ``mask_token`` are (d,).
+    An observed vertex embeds its value linearly and a missing one takes
+    the learned mask token; the output, (..., d), is a step buffer.  The
+    forward products and the VJP's (g * m) * xz, g * m and g * (1 - m),
+    reduced by ``_unbroadcast``, are those of the five-product composite,
+    so values and gradients are its bits.
+    """
+    w, b, tok = (_wrap(t) for t in (w, b, mask_token))
+    xz = np.asarray(xz, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    shape = np.broadcast_shapes(xz.shape, m.shape, w.shape)
+    out = np.multiply(xz, w.data, out=step_buffer("gim.embed.out", shape))
+    out += b.data
+    out *= m
+    unset = 1.0 - m
+    out += np.multiply(unset, tok.data, out=scratch("gim.embed.token", shape))
+
+    def vjp(g):
+        g_set = np.multiply(g, m, out=scratch("gim.embed.g_set", shape))
+        prod = scratch("gim.embed.prod", shape)
+        gw = _summed_to(np.multiply(g_set, xz, out=prod), w.shape) if w.requires_grad else None
+        gb = _summed_to(g_set, b.shape) if b.requires_grad else None
+        gt = None
+        if tok.requires_grad:
+            gt = _summed_to(np.multiply(g, unset, out=prod), tok.shape)
+        return gw, gb, gt
+
+    return Tensor._make(out, (w, b, tok), vjp)
 
 
 # ---- full branch ----
@@ -357,10 +419,9 @@ class GimModule:
         d, G = cfg.d, B * N
         m_t = np.ascontiguousarray(m.transpose(1, 0, 2))  # (L, B, N), the only transposes
         xz = np.where(m_t == 1.0, x.transpose(1, 0, 2), 0.0)[..., None]
-        m4 = m_t[..., None]
-        embedded = constant(m4) * (constant(xz) * p["gim/embed/w"] + p["gim/embed/b"]) + constant(
-            1.0 - m4
-        ) * p["gim/embed/mask_token"]
+        embedded = vertex_embedding(
+            xz, m_t[..., None], p["gim/embed/w"], p["gim/embed/b"], p["gim/embed/mask_token"]
+        )
         columns = m_t.reshape(L, G)
 
         h = embedded.reshape(L, G, d)

@@ -107,6 +107,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.scenarios:
             raise ValueError("plan needs at least one scenario")
+        if not isinstance(self.methods, (list, tuple)):
+            raise ValueError(
+                f"plan key 'methods' must be a list of method names, "
+                f"got {type(self.methods).__name__}"
+            )
         if not self.methods:
             raise ValueError("plan needs at least one method")
         unknown = [m for m in self.methods if m not in METHOD_NAMES]
@@ -130,12 +135,15 @@ class ExperimentPlan:
                 _check_positive_int(key, stride)
 
 
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
+def _check_keys(section: str, given: dict, allowed: set[str], required=()) -> None:
     if not isinstance(given, dict):
         raise ValueError(f"{section} must be an object, got {type(given).__name__}")
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ValueError(f"unknown {section} keys {unknown}; choose from {sorted(allowed)}")
+    for key in required:
+        if key not in given:
+            raise ValueError(f"{section} is missing the required key {key!r}")
 
 
 def _check_positive_int(key: str, value) -> None:
@@ -144,7 +152,8 @@ def _check_positive_int(key: str, value) -> None:
 
 
 def plan_from_dict(raw: dict) -> ExperimentPlan:
-    _check_keys("plan", raw, {f.name for f in fields(ExperimentPlan)})
+    # a missing dataset is the synthetic default; missing scenarios fail as empty ones
+    _check_keys("plan", raw, {f.name for f in fields(ExperimentPlan)}, ("methods",))
     raw = dict(raw)
     dataset = raw.pop("dataset", {})
     _check_keys("dataset", dataset, {f.name for f in fields(DatasetSpec)})
@@ -153,7 +162,7 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         raise ValueError(f"scenarios must be a list of objects, got {type(entries).__name__}")
     scenarios = []
     for i, sc in enumerate(entries):
-        _check_keys(f"scenarios[{i}]", sc, {f.name for f in fields(ScenarioConfig)})
+        _check_keys(f"scenarios[{i}]", sc, {f.name for f in fields(ScenarioConfig)}, ("kind", "r"))
         sc = dict(sc)
         sc.setdefault("seed", raw.get("seed", 0) * 1000 + i)
         scenarios.append(ScenarioConfig(**sc))

@@ -24,7 +24,16 @@ import numpy as np
 
 from .cgm import CgmModule, default_partition
 from .gim import GimModule, SpatialOperator, build_spatial_operator
-from .numcore import AdamState, ParamStore, Tensor, adam_step, constant, masked_mse, no_grad
+from .numcore import (
+    AdamState,
+    ParamStore,
+    Tensor,
+    adam_step,
+    constant,
+    masked_mse,
+    no_grad,
+    training_pool,
+)
 
 
 @dataclass
@@ -359,6 +368,12 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     configured runs produce bit-identical histories.  Stops early when the
     first branch's epoch loss fails to improve for early_stop_patience
     epochs.  Raises on non-finite losses, naming the epoch and batch.
+
+    The run holds one ``numcore.training_pool`` and rewinds it at the start
+    of every optimizer step, so each step's kernels write into the previous
+    step's buffers instead of mapping fresh pages.  A step's kernel outputs
+    and saved arrays are therefore valid only until the next step; nothing
+    that outlives a step (parameters, gradients, moments, history) is one.
     """
     if len(windows) == 0:
         raise ValueError("cannot train on an empty window batch")
@@ -369,41 +384,44 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
     best = np.inf
     stall = 0
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
-        sums = np.zeros(2)
-        batches = 0
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            total, l1, l2 = model.objective(
-                windows.values[idx],
-                windows.masks[idx],
-                windows.week[idx],
-                windows.hour[idx],
-                windows.minute_bucket[idx],
-                loss_weights=cfg.loss_weights,
-                training=True,
-                rng=dropout_rng,
-            )
-            if not np.isfinite(float(total.data)):
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch} batch {batches}: "
-                    f"loss1={l1:g} loss2={l2:g}"
+    with training_pool() as pool:
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
+            sums = np.zeros(2)
+            batches = 0
+            for lo in range(0, len(order), cfg.batch_size):
+                pool.rewind()
+                idx = order[lo : lo + cfg.batch_size]
+                total, l1, l2 = model.objective(
+                    windows.values[idx],
+                    windows.masks[idx],
+                    windows.week[idx],
+                    windows.hour[idx],
+                    windows.minute_bucket[idx],
+                    loss_weights=cfg.loss_weights,
+                    training=True,
+                    rng=dropout_rng,
                 )
-            total.backward()
-            adam_step(model.params, adam)
-            sums += (0.0 if np.isnan(l1) else l1, 0.0 if np.isnan(l2) else l2)
-            batches += 1
-        epoch_l1 = sums[0] / batches
-        epoch_l2 = sums[1] / batches
-        history.loss1.append(epoch_l1)
-        history.loss2.append(epoch_l2)
-        tracked = epoch_l1 if model.config.use_gim else epoch_l2
-        if tracked < best:
-            best = tracked
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.early_stop_patience:
-                break
+                if not np.isfinite(float(total.data)):
+                    raise RuntimeError(
+                        f"training diverged at epoch {epoch} batch {batches}: "
+                        f"loss1={l1:g} loss2={l2:g}"
+                    )
+                total.backward()
+                del total  # free the step's tape before the next step's forward
+                adam_step(model.params, adam)
+                sums += (0.0 if np.isnan(l1) else l1, 0.0 if np.isnan(l2) else l2)
+                batches += 1
+            epoch_l1 = sums[0] / batches
+            epoch_l2 = sums[1] / batches
+            history.loss1.append(epoch_l1)
+            history.loss2.append(epoch_l2)
+            tracked = epoch_l1 if model.config.use_gim else epoch_l2
+            if tracked < best:
+                best = tracked
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.early_stop_patience:
+                    break
     return model, history

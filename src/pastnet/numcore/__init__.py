@@ -2,7 +2,17 @@
 from .losses import EmptyMaskError, masked_mse
 from .optim import AdamState, NonFiniteGradientError, adam_step
 from .params import ParamStore
-from .tensor import Tensor, concat, constant, embedding, matmul, no_grad, scratch
+from .tensor import (
+    Tensor,
+    concat,
+    constant,
+    embedding,
+    matmul,
+    no_grad,
+    scratch,
+    step_buffer,
+    training_pool,
+)
 from .verify import NonDeterministicObjectiveError, grad_check
 
 __all__ = [
@@ -21,4 +31,6 @@ __all__ = [
     "matmul",
     "no_grad",
     "scratch",
+    "step_buffer",
+    "training_pool",
 ]

@@ -15,11 +15,12 @@ later one is added out of place.  Only leaf accumulators are written in
 place; a leaf without one gets a writable copy of its first contribution.
 
 Layer kernels with hand-written VJPs live next to their models in gim and
-cgm (temporal aggregation, spatial mixing, cross gate), each one or two
-tape nodes built with ``Tensor._make``.  They follow the same rule: a VJP
-writes only into arrays it allocated itself in that call, never into its
-incoming adjoint (possibly a read-only broadcast view) and never into the
-arrays its forward pass saved, so ``backward()`` can run more than once.
+cgm (vertex embedding, temporal aggregation, spatial mixing, cross gate),
+each one or two tape nodes built with ``Tensor._make``.  They follow the
+same rule: a VJP writes only into arrays it allocated or took as scratch
+in that call, never into its incoming adjoint (possibly a read-only
+broadcast view) and never into the arrays its forward pass saved, so
+``backward()`` can run more than once.
 
 Only the operations the models run are implemented: broadcasting ``+``,
 ``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
@@ -29,28 +30,45 @@ their own on ``Tensor._make``.  Gradients flow only into tensors created
 with ``requires_grad=True`` or derived from one.
 
 Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
-plain tensor with no parents and no VJP, so the arrays a kernel saves for
-its VJP are freed as soon as the kernel returns, and ``backward()`` cannot
-reach anything computed there.  Values
-are the same bits as with recording on.  Inference runs this way.  The
+plain tensor with no parents and no VJP, so no VJP reads what a kernel
+saved once the kernel returns, and ``backward()`` cannot reach anything
+computed there.  Values are the same bits as with recording on.  Inference runs this way.  The
 switch is a context variable, so it holds for the current thread only, and
 the previous state comes back when the block exits, also by an exception.
 
-The outermost ``no_grad()`` block also owns a scratch pool, in a second
-context variable, freed when that block exits; nested blocks share it.  A
-kernel asks ``scratch(key, shape)`` for a temporary: inside the block it
-gets the pool's buffer for ``key``, allocated again only when the shape
-changes, so a loop of identical kernel calls (one window after another)
-reuses the same pages instead of mapping, faulting and unmapping fresh
-ones each call.  Outside it, ``scratch`` is ``np.empty(shape)``, because a
-recorded kernel's VJP may read its temporaries long after a later call.
-The rule that makes reuse safe: a pool buffer lives only inside the call
-that asked for it.  A kernel never returns one, never hands one to another
-kernel and never keeps one past its return, so no value a caller holds can
-be overwritten by a later call.
+Buffer pools: one pool per thread, in a second context variable, lets a
+kernel reuse buffers instead of mapping, faulting and unmapping fresh
+pages every call.  A pool serves two lifetimes:
+
+- ``scratch(key, shape)`` is a call-local temporary: one buffer per key,
+  which the kernel uses only until it returns (a random draw, a relu mask,
+  a VJP's intermediate adjoints).  Outside any pool it is ``np.empty``.
+- ``step_buffer(key, shape)`` is what a kernel returns or saves for its
+  VJP.  Inside a training pool it is one buffer per (key, occurrence since
+  the last rewind), valid until the pool's next ``rewind()``: the k-th
+  temporal kernel of a step gets the same buffer in every step.  Anywhere
+  else it is a fresh array.  An array saved only for the VJP
+  (``vjp_only=True``) is a call-local temporary when nothing is recorded,
+  since no VJP will read it.
+
+``training_pool()`` opens a pool that ``train()`` holds for a whole run and
+rewinds at the start of every optimizer step, so a step's arrays are valid
+only until the next step.  It keeps each buffer at the largest size
+requested and hands out views, so an epoch's smaller last batch reuses the
+full batch's pages.  The outermost ``no_grad()`` block opens an inference
+pool (also inside a training pool, so imputing mid-run leaves the step's
+buffers alone) and drops it on exit, also by an exception; nested blocks
+share it.  An inference pool never serves step buffers, so every kernel
+output there is a fresh array, and it replaces a slot whose shape changes.
+
+The rules that make reuse safe: a call-local buffer never leaves the call
+that asked for it, and nothing holds a step buffer past the step.  A VJP
+returns fresh adjoints, never a pool buffer or a view of one, because
+``backward()`` keeps them as interior adjoints and leaf gradients.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -59,17 +77,66 @@ import numpy as np
 Array = np.ndarray
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
-_pool: ContextVar[dict | None] = ContextVar("scratch_pool", default=None)
+_pool: ContextVar[ScratchPool | None] = ContextVar("scratch_pool", default=None)
+
+
+class ScratchPool:
+    """One thread's reusable kernel buffers (see the module docstring).
+
+    ``training`` pools also serve step buffers and keep every buffer at its
+    largest size; inference pools serve only call-local temporaries.
+    """
+
+    def __init__(self, training: bool):
+        self.training = training
+        self._temps: dict = {}  # key -> [flat buffer, last view]
+        self._steps: dict = {}  # key -> one [flat buffer, last view] per occurrence
+        self._taken: dict = {}  # key -> step buffers handed out since the last rewind
+
+    def rewind(self) -> None:
+        """Start a new step: step buffers are handed out again from the first."""
+        self._taken.clear()
+
+    def values(self) -> list[Array]:
+        """Every buffer the pool holds."""
+        slots = [*self._temps.values(), *(s for per_key in self._steps.values() for s in per_key)]
+        return [flat for flat, _ in slots]
+
+    def temp(self, key, shape: tuple[int, ...], dtype) -> Array:
+        return self._fit(self._temps.setdefault(key, [None, None]), shape, dtype)
+
+    def step(self, key, shape: tuple[int, ...], dtype) -> Array:
+        n = self._taken.get(key, 0)
+        self._taken[key] = n + 1
+        per_key = self._steps.setdefault(key, [])
+        if n == len(per_key):
+            per_key.append([None, None])
+        return self._fit(per_key[n], shape, dtype)
+
+    def _fit(self, slot: list, shape: tuple[int, ...], dtype) -> Array:
+        """The slot's view of ``shape``, reallocating the slot only when needed."""
+        flat, view = slot
+        dtype = np.dtype(dtype)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape)
+        fits = self.training and flat is not None and flat.dtype == dtype and flat.size >= size
+        if not fits:
+            flat = slot[0] = np.empty(size, dtype)
+        view = slot[1] = flat[:size].reshape(shape)
+        return view
 
 
 @contextmanager
 def no_grad():
     """Build no tape inside the block; restores the previous state on exit.
 
-    The outermost block creates the scratch pool and drops it on exit.
+    The outermost block opens an inference pool and drops it on exit.
     """
     token = _recording.set(False)
-    pool_token = _pool.set({}) if _pool.get() is None else None
+    current = _pool.get()
+    opens = current is None or current.training
+    pool_token = _pool.set(ScratchPool(training=False)) if opens else None
     try:
         yield
     finally:
@@ -78,20 +145,43 @@ def no_grad():
         _recording.reset(token)
 
 
-def scratch(key, shape: tuple[int, ...]) -> Array:
-    """An uninitialized float64 temporary of ``shape`` for one kernel call.
+@contextmanager
+def training_pool():
+    """Open a training pool for this thread and yield it; dropped on exit.
 
-    Inside ``no_grad()`` the block's buffer for ``key`` (one per key, new
-    only when the shape changes); outside, a fresh array.  The caller must
-    not return it or keep it past the call (see the module docstring).
+    The caller rewinds it at the start of every step (see ``train``).
+    """
+    pool = ScratchPool(training=True)
+    token = _pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _pool.reset(token)
+
+
+def scratch(key, shape: tuple[int, ...], dtype=np.float64) -> Array:
+    """An uninitialized temporary of ``shape`` for one kernel call.
+
+    Inside a pool, the pool's buffer for ``key``; outside, a fresh array.
+    The caller must not return it or keep it past the call.
     """
     pool = _pool.get()
-    if pool is None:
-        return np.empty(shape)
-    buf = pool.get(key)
-    if buf is None or buf.shape != shape:
-        buf = pool[key] = np.empty(shape)
-    return buf
+    return np.empty(shape, dtype) if pool is None else pool.temp(key, shape, dtype)
+
+
+def step_buffer(key, shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = False) -> Array:
+    """An uninitialized array a kernel returns or saves for its VJP.
+
+    Inside a training pool, the buffer of (``key``, occurrence) since the
+    last rewind; elsewhere a fresh array.  ``vjp_only`` arrays are never
+    returned: without recording they are ``scratch`` temporaries.
+    """
+    if vjp_only and not _recording.get():
+        return scratch(key, shape, dtype)
+    pool = _pool.get()
+    if pool is None or not pool.training:
+        return np.empty(shape, dtype)
+    return pool.step(key, shape, dtype)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

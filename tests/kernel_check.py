@@ -93,6 +93,11 @@ def softplus(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), vjp)
 
 
+def vertex_embedding_reference(xz, m, w, b, mask_token) -> Tensor:
+    """gim's vertex embedding as the five numcore products and sums it was."""
+    return constant(m) * (constant(xz) * w + b) + constant(1.0 - m) * mask_token
+
+
 def _outputs(fn, tensors) -> tuple:
     out = fn(*tensors)
     return out if isinstance(out, tuple) else (out,)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from kernel_check import check_kernel, divide, relu, softplus
+from kernel_check import check_kernel, divide, relu, softplus, vertex_embedding_reference
 from pastnet.gim import (
     DEGREE_EPS,
     GimModule,
@@ -17,17 +17,20 @@ from pastnet.gim import (
     interval_dropout_mask,
     spatial_forward,
     temporal_forward,
+    vertex_embedding,
     _batch_interval_dropout,
     _batch_temporal_adjacency,
 )
 from pastnet.model import ModelConfig
 from pastnet.numcore import (
     ParamStore,
+    Tensor,
     concat,
     constant,
     grad_check,
     masked_mse,
     no_grad,
+    training_pool,
 )
 from pastnet.numcore.tensor import _pool
 
@@ -165,6 +168,25 @@ def test_interval_dropout_single_edge_monte_carlo():
         out = drop_one(adj, col, 0.0, beta, seed=seed)
         dropped += int(out[1, 0] == 0.0)
     assert abs(dropped / trials - 0.1) < 0.01
+
+
+def test_interval_dropout_mask_draws_one_block_of_the_stream():
+    # the draw goes into a scratch buffer: the same numbers, and the
+    # generator left where a fresh rng.random((G, L, L)) leaves it
+    L, G, alpha, beta = 9, 5, 0.2, -0.5
+    cols = (np.random.default_rng(2).random((L, G)) > 0.4).astype(float)
+    ref_rng = np.random.default_rng(11)
+    idx = np.arange(L)
+    prob = np.minimum(1.0, np.exp(-alpha * np.abs(idx[:, None] - idx[None, :]) + beta))
+    eligible = (cols.T[:, :, None] == 0.0) & (cols.T[:, None, :] == 1.0)
+    expected = [eligible & (ref_rng.random((G, L, L)) < prob) for _ in range(2)]
+    for pool in (no_grad, training_pool):
+        rng = np.random.default_rng(11)
+        with pool():
+            masks = [interval_dropout_mask(cols, alpha, beta, rng) for _ in range(2)]
+            assert not np.shares_memory(masks[0], masks[1])  # the first survives the second
+            assert all(np.array_equal(a, b) for a, b in zip(masks, expected))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_temporal_forward_single_edge_is_source_state():
@@ -404,6 +426,52 @@ def test_spatial_kernel_matches_composite(K, lead):
     check_kernel(
         lambda h, w, b: spatial_forward(h, op, w, b), spatial_reference(op), arrays, seed=K
     )
+
+
+def embedding_case(seed=0, lead=(5, 2, 3)):
+    rng = np.random.default_rng(seed)
+    m = (rng.random(lead + (1,)) > 0.4).astype(float)
+    xz = np.where(m == 1.0, rng.normal(size=m.shape), 0.0)
+    return xz, m, [rng.normal(size=4) for _ in range(3)]
+
+
+def test_vertex_embedding_matches_the_composite_bit_for_bit():
+    xz, m, arrays = embedding_case()
+    cotangent = np.random.default_rng(1).normal(size=xz.shape[:-1] + (4,))
+    results = []
+    for fn in (vertex_embedding, vertex_embedding_reference):
+        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(xz, m, *params)
+        (out * constant(cotangent)).sum().backward()
+        results.append([out.data] + [p.grad for p in params])
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
+    check_kernel(
+        lambda w, b, t: vertex_embedding(xz, m, w, b, t),
+        lambda w, b, t: vertex_embedding_reference(xz, m, w, b, t),
+        arrays,
+    )
+
+
+def test_kernels_match_composites_inside_a_training_pool():
+    # step buffers and scratch VJP temporaries give the same values and
+    # adjoints as fresh arrays, over many calls and repeated backward passes
+    rng = np.random.default_rng(25)
+    cols = (rng.random((4, 7)) > 0.5).astype(float)
+    a = rng.random((4, 4))
+    op = build_spatial_operator((a + a.T) / 2.0, 2)
+    xz, m, arrays = embedding_case(seed=2)
+    with training_pool():
+        temporal_case(cols, include_injection=True, dropped=True, injection_input=True, seed=5)
+        check_kernel(
+            lambda h, w, b: spatial_forward(h, op, w, b),
+            spatial_reference(op),
+            [rng.normal(size=(5, 4, 3)), rng.normal(size=(9, 2)), rng.normal(size=2)],
+        )
+        check_kernel(
+            lambda w, b, t: vertex_embedding(xz, m, w, b, t),
+            lambda w, b, t: vertex_embedding_reference(xz, m, w, b, t),
+            arrays,
+        )
 
 
 def assert_outputs_stay_apart(kernel, inputs):

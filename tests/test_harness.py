@@ -131,6 +131,30 @@ def test_plan_from_dict_rejects_bad_sections_naming_them(raw, message):
         plan_from_dict(raw)
 
 
+def without(raw, key, scenario=None):
+    """``raw`` without the plan key, or without the key of scenario ``scenario``."""
+    raw = json.loads(json.dumps(raw))
+    del (raw if scenario is None else raw["scenarios"][scenario])[key]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (without(plan_with(), "methods"), "plan is missing the required key 'methods'"),
+        (without(plan_with(), "kind", scenario=0),
+         "scenarios[0] is missing the required key 'kind'"),
+        (without(plan_with(), "r", scenario=0), "scenarios[0] is missing the required key 'r'"),
+        (plan_with(methods=5), "plan key 'methods' must be a list of method names, got int"),
+    ],
+    ids=["no-methods", "no-kind", "no-r", "methods-int"],
+)
+def test_plan_from_dict_rejects_missing_or_wrong_typed_keys_naming_them(raw, message):
+    # these raised TypeError from a dataclass constructor or a loop over an int
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        plan_from_dict(raw)
+
+
 def stride_override(kind, stride):
     return {"train_overrides": {kind: {"window_stride": stride}}}
 

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -19,7 +21,16 @@ from pastnet.model import (
     impute_span,
     train,
 )
-from pastnet.numcore import Tensor, adam_step, constant, grad_check, masked_mse, no_grad
+from pastnet.numcore import (
+    AdamState,
+    Tensor,
+    adam_step,
+    constant,
+    grad_check,
+    masked_mse,
+    no_grad,
+)
+from pastnet.numcore.tensor import _pool
 
 
 def ring_adjacency(n):
@@ -417,6 +428,94 @@ def test_train_rejects_empty_batch():
     )
     with pytest.raises(ValueError, match="empty"):
         train(tiny_model(), empty, TrainConfig())
+
+
+def hand_trained(model, windows, cfg):
+    """train()'s loop written out, with its rngs, outside any pool; the history."""
+    adam = AdamState.for_params(model.params, lr=cfg.lr)
+    dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
+    loss1, loss2 = [], []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
+        sums, batches = np.zeros(2), 0
+        for lo in range(0, len(order), cfg.batch_size):
+            assert _pool.get() is None
+            idx = order[lo : lo + cfg.batch_size]
+            total, l1, l2 = model.objective(
+                windows.values[idx], windows.masks[idx], windows.week[idx], windows.hour[idx],
+                windows.minute_bucket[idx], loss_weights=cfg.loss_weights, training=True,
+                rng=dropout_rng,
+            )
+            total.backward()
+            adam_step(model.params, adam)
+            sums += (l1, l2)
+            batches += 1
+        loss1.append(sums[0] / batches)
+        loss2.append(sums[1] / batches)
+    return loss1, loss2
+
+
+@pytest.mark.parametrize(
+    "model_kw, data_kw",
+    [
+        (dict(L=96, N=20, d=32, n=2, K=2, seed=9), dict(n_days=8)),
+        (dict(L=24, N=4, d=64, n=3, K=2, seed=2), dict(n_days=2)),
+    ],
+    ids=["desk-size", "cli-width"],
+)
+def test_train_matches_a_hand_written_loop_outside_any_pool(model_kw, data_kw):
+    # the training pool hands every step the previous step's buffers; the
+    # history and the trained parameter bytes must be those of fresh arrays
+    config = ModelConfig(p_dropout=0.1, **model_kw)
+    _, windows, _ = training_windows(L=config.L, n_nodes=config.N, rate=0.4, **data_kw)
+    assert len(windows) % 4 == 2  # every epoch ends with a partial batch of 2
+    cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5)
+    adjacency = ring_adjacency(config.N)
+    trained, history = train(PastModel.build(config, adjacency=adjacency), windows, cfg)
+    by_hand = PastModel.build(config, adjacency=adjacency)
+    assert (history.loss1, history.loss2) == hand_trained(by_hand, windows, cfg)
+    a, b = trained.params.state_arrays(), by_hand.params.state_arrays()
+    assert list(a) == list(b) and all(a[p].tobytes() == b[p].tobytes() for p in a)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["return", "raise"])
+def test_train_drops_its_pool_when_it_returns_or_raises(raises, monkeypatch):
+    _, train_w, _ = training_windows()
+    refs = []
+
+    def step_and_watch(params, state):
+        adam_step(params, state)
+        refs.extend(weakref.ref(buf) for buf in _pool.get().values())
+        if raises:
+            raise RuntimeError("raised after a step")
+
+    monkeypatch.setattr(model_module, "adam_step", step_and_watch)
+    with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+        train(tiny_model(), train_w, TrainConfig(batch_size=4, epochs=2))
+    assert refs and all(r() is None for r in refs) and _pool.get() is None
+
+
+def test_graphs_built_outside_train_keep_their_own_arrays():
+    # outside a training pool every kernel array is fresh, so a second
+    # forward pass cannot overwrite what the first graph's VJPs read
+    model = tiny_model()
+    first_batch = random_window_inputs(model.config, batch=2, seed=1)
+    second_batch = random_window_inputs(model.config, batch=3, seed=2)
+
+    def objective(batch, seed):
+        return model.objective(*batch, training=True, rng=np.random.default_rng(seed))[0]
+
+    def grads_of(total):
+        total.backward()
+        grads = {p: t.grad.copy() for p, t in model.params.items()}
+        model.params.zero_grads()
+        return grads
+
+    alone = grads_of(objective(first_batch, 0))
+    first = objective(first_batch, 0)
+    objective(second_batch, 1)
+    again = grads_of(first)
+    assert all(np.array_equal(alone[p], again[p]) for p in alone)
 
 
 # ---- inference ----

@@ -26,7 +26,10 @@ from pastnet.numcore import (
     matmul,
     no_grad,
     scratch,
+    step_buffer,
+    training_pool,
 )
+from pastnet.numcore.tensor import _pool
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -356,6 +359,86 @@ def test_scratch_pool_is_dropped_when_the_outermost_block_exits(raises):
     with no_grad():
         fresh = scratch("k", (64, 64))
     assert scratch("k", (64, 64)) is not fresh  # outside again: a new array
+
+
+def test_step_buffers_are_per_occurrence_and_come_back_after_a_rewind():
+    with training_pool() as pool:
+        first, second = step_buffer("k", (3, 4)), step_buffer("k", (3, 4))
+        assert not np.shares_memory(first, second)  # two occurrences in one step
+        temp = scratch("k", (3, 4))  # call-local: one per key, apart from step buffers
+        assert scratch("k", (3, 4)) is temp
+        assert not any(np.shares_memory(temp, b) for b in (first, second))
+        mask = step_buffer("m", (4,), bool)
+        assert mask.dtype == bool and not np.shares_memory(mask, first)
+        pool.rewind()
+        assert step_buffer("k", (3, 4)) is first and step_buffer("k", (3, 4)) is second
+        assert step_buffer("m", (4,), bool) is mask
+        third = step_buffer("k", (3, 4))  # a third occurrence gets its own buffer
+        assert not any(np.shares_memory(third, b) for b in (first, second, temp))
+        pool.rewind()
+        # a smaller request is a view of the slot's buffer, not a new mapping
+        small = step_buffer("k", (2, 5))
+        assert small.shape == (2, 5) and small.base is first.base
+        assert scratch("k", (5,)).base is temp.base
+        larger = step_buffer("k", (4, 4))  # the second slot grows
+        assert larger.shape == (4, 4) and not np.shares_memory(larger, second)
+        pool.rewind()  # back to the first shape: new views of the same pages
+        assert step_buffer("k", (3, 4)).base is first.base
+        assert step_buffer("k", (3, 4)).base is larger.base
+
+
+def test_step_buffers_outside_a_training_pool_are_fresh():
+    def fresh(key, shape, **kw):
+        a, b = step_buffer(key, shape, **kw), step_buffer(key, shape, **kw)
+        return a.shape == shape and not np.shares_memory(a, b)
+
+    assert _pool.get() is None and fresh("k", (3, 4)) and fresh("k", (3, 4), vjp_only=True)
+    with no_grad():
+        assert fresh("k", (3, 4))  # outputs stay fresh under no_grad
+        # an array kept only for a VJP is a call-local temporary without a tape
+        assert step_buffer("v", (3, 4), vjp_only=True) is scratch("v", (3, 4))
+    with training_pool() as pool:
+        kept = step_buffer("k", (3, 4))
+        temp = scratch("k", (3, 4))
+        with no_grad():  # imputing mid-run: its own inference pool, outputs fresh
+            assert _pool.get() is not pool and fresh("k", (3, 4))
+            inner = scratch("k", (3, 4))
+            assert not any(np.shares_memory(inner, b) for b in (kept, temp))
+        assert _pool.get() is pool and scratch("k", (3, 4)) is temp
+        pool.rewind()
+        assert step_buffer("k", (3, 4)) is kept
+    assert _pool.get() is None and fresh("k", (3, 4))
+
+
+def test_training_pool_is_per_thread():
+    seen = []
+
+    def worker():
+        seen.extend([step_buffer("k", (2,)), scratch("k", (2,))])
+        with training_pool():
+            seen.append(step_buffer("k", (2,)))
+
+    with training_pool() as pool:
+        mine = step_buffer("k", (2,))
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and len(seen) == 3
+        assert all(not np.shares_memory(mine, b) for b in seen)
+        pool.rewind()
+        assert step_buffer("k", (2,)) is mine
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
+def test_training_pool_is_dropped_when_its_block_exits(raises):
+    refs = []
+    with pytest.raises(RuntimeError) if raises else training_pool():
+        with training_pool():
+            refs.append(weakref.ref(step_buffer("k", (64, 64))))
+            refs.append(weakref.ref(scratch("t", (8,))))
+            if raises:
+                raise RuntimeError("raised inside training_pool")
+    assert all(r() is None for r in refs) and _pool.get() is None
 
 
 def test_masked_mse_hand_value():
