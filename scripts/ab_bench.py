@@ -41,9 +41,13 @@ more step.
   every epoch ends with a batch of 2) and on the CLI-default batch on 4
   nodes (one batch of 32), the model sizes ``perfbench``'s ``desk_fiber``
   and ``cli_defaults`` train.  Each of the ``--repeats`` runs trains a
-  freshly built model.  ``train_ms`` and ``train_faults`` cover a whole call;
-  ``step_ms`` and ``step_faults`` each step after a call's first, cut at
-  every ``adam_step`` return; ``rss_mib`` is the peak of the process.
+  freshly built model.  ``train_ms``, ``train_faults`` and ``train_sys_ms``
+  (``ru_stime``) cover a whole call; ``step_ms``, ``step_faults`` and
+  ``step_sys_ms`` each step after a call's first, cut at every
+  ``adam_step`` return; ``rss_mib`` is the peak of the process.  Where the
+  training pool has an adjoint arena, ``adjoint_idle_mib`` is what it holds
+  idle at each of those step ends and ``adjoint_peak_mib`` the most it had
+  handed out at once during the step.
 
 Every case hashes its output outside the timed region: the imputed bytes of
 a span case, the losses and every parameter gradient of a step case's
@@ -205,41 +209,63 @@ def _steps(setup, repeats: int) -> dict:
     return out
 
 
+def _usage() -> tuple[float, int, float]:
+    """(CPU s, minor faults, system CPU s) of this process so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return time.process_time(), usage.ru_minflt, usage.ru_stime
+
+
 def _train(setup, repeats: int) -> dict:
     import pastnet.model as model_mod
     from pastnet.model import PastModel, TrainConfig
+    from pastnet.numcore import tensor
 
     w, adjacency, config, batch_size = setup()
     epochs = 3
     cfg = TrainConfig(lr=1e-2, batch_size=batch_size, epochs=epochs, seed=9,
                       early_stop_patience=epochs)
-    marks = []  # (CPU s, minor faults) at the start of train and after every step
+    marks = []  # _usage() at the start of train and after every step
+    arena = []  # (idle, peak live) adjoint MiB after every step, where the pool has an arena
     real_step = model_mod.adam_step
 
     def marked_step(params, state):
         real_step(params, state)
-        marks.append((time.process_time(), _minor_faults()))
+        marks.append(_usage())
+        adjoints = getattr(tensor._pool.get(), "adjoints", None)
+        if adjoints is not None:
+            idle = sum(flat.nbytes for flat in adjoints.idle)
+            arena.append((idle / 2**20, adjoints.peak / 2**20))
 
     model_mod.adam_step = marked_step
-    out: dict = {"windows": len(w), "batch_size": batch_size, "epochs": epochs,
-                 "train_ms": [], "train_faults": [], "step_ms": [], "step_faults": []}
+    out: dict = {"windows": len(w), "batch_size": batch_size, "epochs": epochs}
+    for key in ("train_ms", "train_faults", "train_sys_ms", "step_ms", "step_faults",
+                "step_sys_ms", "adjoint_idle_mib", "adjoint_peak_mib"):
+        out[key] = []
     hashes = set()
     for _ in range(repeats):
         model = PastModel.build(config, adjacency=adjacency)
-        marks[:] = [(time.process_time(), _minor_faults())]
+        marks[:] = [_usage()]
+        arena.clear()
         model, history = model_mod.train(model, w, cfg)
-        (t0, f0), (t1, f1) = marks[0], marks[-1]
+        (t0, f0, s0), (t1, f1, s1) = marks[0], marks[-1]
         out["train_ms"].append((t1 - t0) * 1e3)
         out["train_faults"].append(f1 - f0)
-        for (ta, fa), (tb, fb) in zip(marks[1:], marks[2:]):
+        out["train_sys_ms"].append((s1 - s0) * 1e3)
+        for (ta, fa, sa), (tb, fb, sb) in zip(marks[1:], marks[2:]):
             out["step_ms"].append((tb - ta) * 1e3)
             out["step_faults"].append(fb - fa)
+            out["step_sys_ms"].append((sb - sa) * 1e3)
+        for idle, peak in arena[1:]:
+            out["adjoint_idle_mib"].append(idle)
+            out["adjoint_peak_mib"].append(peak)
         digest = hashlib.sha256(np.array(history.loss1 + history.loss2).tobytes())
         for path, t in model.params.items():
             digest.update(path.encode() + t.data.tobytes())
         hashes.add(digest.hexdigest())
     if len(hashes) != 1:
         raise RuntimeError("train() gave different parameters between identical runs")
+    if not out["adjoint_idle_mib"]:  # a checkout whose training pool has no adjoint arena
+        del out["adjoint_idle_mib"], out["adjoint_peak_mib"]
     out["output_sha256"] = hashes.pop()
     return out
 

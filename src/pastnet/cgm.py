@@ -21,6 +21,12 @@ it runs the layers once over a whole span's slots and pools every window of
 
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
+
+Buffers (see ``numcore.tensor``): inside ``train``'s pool the pair rows
+(numcore ``concat``), the head and pooling products (numcore ``matmul``)
+and the gates' outputs and saved arrays are step buffers, and the stream
+adjoints the gates and the head return are adjoint buffers; ``_GateSide``
+lists its own.  Under ``no_grad`` every output is a fresh array.
 """
 from __future__ import annotations
 
@@ -29,7 +35,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, concat, constant, embedding, scratch, step_buffer
+from .numcore import (
+    ParamStore,
+    Tensor,
+    adjoint_buffer,
+    concat,
+    constant,
+    embedding,
+    scratch,
+    step_buffer,
+)
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -106,7 +121,10 @@ class _GateSide:
     The projections, the tanh and the product projection * sigmoid are
     step buffers saved for the VJP (under ``no_grad``, scratch that dies
     with the layer call), the outputs are step buffers (fresh under
-    ``no_grad``) and the VJP's intermediates are scratch.
+    ``no_grad``), the VJP's intermediates are scratch and the stream
+    adjoints it returns, ``gv`` and ``go``, are adjoint buffers.  The
+    weight adjoints stay fresh arrays: the tape adds them straight into the
+    parameters' accumulators.
     """
 
     def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor, side: str, full: bool):
@@ -150,7 +168,7 @@ class _GateSide:
                 g_gate *= self.sig
                 g_gate *= np.subtract(1.0, self.sig, out=g_update)  # g_update is spent
                 if v.requires_grad:
-                    gv = np.matmul(g_proj_sig, self.w_cat.T)
+                    gv = np.matmul(g_proj_sig, self.w_cat.T, out=adjoint_buffer(v.shape))
                     gv += _unbroadcast(g, v.shape)
                 if self.w_p.requires_grad or self.w_g.requires_grad:
                     gw = _fold(v.data).T @ _fold(g_proj_sig)
@@ -163,7 +181,7 @@ class _GateSide:
                 dtanh = np.multiply(other.tanh, other.tanh, out=spare)
                 g_tanh *= np.subtract(1.0, dtanh, out=dtanh)
                 if other.v.requires_grad:
-                    go = np.matmul(g_tanh, other.w_g.data.T)
+                    go = np.matmul(g_tanh, other.w_g.data.T, out=adjoint_buffer(other.v.shape))
                 if other.w_g.requires_grad:
                     gw_og = _fold(other.v.data).T @ _fold(g_tanh)
             return gv, go, gw_p, gw_g, gw_og

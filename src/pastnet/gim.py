@@ -26,8 +26,11 @@ Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
 and what a kernel saves for its VJP (the temporal adjacency, degrees and
 aggregate, the spatial stacked aggregations) are step buffers, and the
 dropout mask is one too; the dropout draw, the relu masks and the VJPs'
-intermediate adjoints are scratch.  Inside ``train``'s pool the k-th such
-call of a step reuses the k-th call's buffers of the step before.  Under
+intermediate adjoints are scratch, and the state adjoints the VJPs return
+(the temporal ``gx``, the spatial ``gh``) are adjoint buffers.  Inside
+``train``'s pool the k-th such call of a step reuses the k-th call's
+buffers of the step before, and ``backward`` hands each adjoint buffer,
+and each VJP's scratch, on to a later VJP once it is consumed.  Under
 ``no_grad`` (``impute_span`` running one window after another) the saved
 arrays are scratch reused by every layer and window, and every output is
 a fresh array, so nothing a caller holds is overwritten by a later call.
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, constant, scratch, step_buffer
+from .numcore import ParamStore, Tensor, adjoint_buffer, constant, scratch, step_buffer
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -212,7 +215,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
             g_denom /= denom[..., 0]
         g_agg /= denom  # now the adjoint of num = A @ H
         if x.requires_grad:
-            gx = np.empty((L, G, d))
+            gx = adjoint_buffer((L, G, d))
             np.matmul(
                 a[..., :L].transpose(0, 2, 1), g_agg.transpose(1, 0, 2), out=gx.transpose(1, 0, 2)
             )
@@ -308,7 +311,7 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
             gb = _summed_to(gz, b.shape)
         if h.requires_grad:
             g_stacked = np.matmul(gz, w.data.T, out=scratch("gim.spatial.g_stacked", stacked.shape))
-            gh = np.matmul(powers[0].T, g_stacked[..., :d])
+            gh = np.matmul(powers[0].T, g_stacked[..., :d], out=adjoint_buffer(h.shape))
             part = scratch("gim.spatial.part", gh.shape) if len(powers) > 1 else None
             for k in range(1, len(powers)):
                 np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)

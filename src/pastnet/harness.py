@@ -10,12 +10,15 @@ only the runtime columns vary between identical runs.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
+import types
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -151,22 +154,76 @@ def _check_positive_int(key: str, value) -> None:
         raise ValueError(f"{key} must be a positive integer, got {value!r}")
 
 
+_SCALAR_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _fits(value, kind) -> bool:
+    if kind in (int, float):  # JSON true/false is not a number
+        number = Integral if kind is int else Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)  # evaluates the string annotations: slow, so once
+
+
+def _check_types(section: str, given: dict, cls, skip=()) -> None:
+    """Raise naming the section and key of the first value whose JSON type
+    does not fit ``cls``'s field: a number, integer, string, true/false,
+    null where the field is optional, or a list of numbers for a tuple.
+    Other fields (objects, lists, ``skip``) are checked elsewhere."""
+    hints = _field_types(cls)
+    for key, value in given.items():
+        hint = hints.get(key)
+        if key in skip or hint is None:
+            continue
+        nullable = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        if nullable:
+            if value is None:
+                continue
+            hint = next(a for a in typing.get_args(hint) if a is not type(None))
+        if typing.get_origin(hint) is tuple:
+            parts = typing.get_args(hint)
+            ok = isinstance(value, (list, tuple)) and len(value) == len(parts)
+            ok = ok and all(_fits(v, kind) for v, kind in zip(value, parts))
+            wanted = f"a list of {len(parts)} numbers"
+        elif hint in _SCALAR_NAMES:
+            ok, wanted = _fits(value, hint), _SCALAR_NAMES[hint]
+        else:
+            continue
+        if not ok:
+            wanted += " or null" if nullable else ""
+            raise ValueError(f"{section} key {key!r} must be {wanted}, got {value!r}")
+
+
 def plan_from_dict(raw: dict) -> ExperimentPlan:
     # a missing dataset is the synthetic default; missing scenarios fail as empty ones
     _check_keys("plan", raw, {f.name for f in fields(ExperimentPlan)}, ("methods",))
+    # knn_k and window_stride have their own positive-integer checks
+    _check_types("plan", raw, ExperimentPlan, skip=("knn_k", "window_stride"))
     raw = dict(raw)
     dataset = raw.pop("dataset", {})
     _check_keys("dataset", dataset, {f.name for f in fields(DatasetSpec)})
+    _check_types("dataset", dataset, DatasetSpec)
     entries = raw.pop("scenarios", [])
     if not isinstance(entries, list):
         raise ValueError(f"scenarios must be a list of objects, got {type(entries).__name__}")
     scenarios = []
     for i, sc in enumerate(entries):
         _check_keys(f"scenarios[{i}]", sc, {f.name for f in fields(ScenarioConfig)}, ("kind", "r"))
+        _check_types(f"scenarios[{i}]", sc, ScenarioConfig)
         sc = dict(sc)
         sc.setdefault("seed", raw.get("seed", 0) * 1000 + i)
         scenarios.append(ScenarioConfig(**sc))
-    return ExperimentPlan(dataset=DatasetSpec(**dataset), scenarios=scenarios, **raw)
+    plan = ExperimentPlan(dataset=DatasetSpec(**dataset), scenarios=scenarios, **raw)
+    # the plan has checked that these sections are objects with known keys
+    _check_types("model", plan.model, ModelConfig)
+    _check_types("train", plan.train, TrainConfig)
+    for kind, override in plan.train_overrides.items():
+        _check_types(f"train_overrides.{kind}", override, TrainConfig)
+    return plan
 
 
 def load_plan(path: str) -> ExperimentPlan:

@@ -371,9 +371,11 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
 
     The run holds one ``numcore.training_pool`` and rewinds it at the start
     of every optimizer step, so each step's kernels write into the previous
-    step's buffers instead of mapping fresh pages.  A step's kernel outputs
-    and saved arrays are therefore valid only until the next step; nothing
-    that outlives a step (parameters, gradients, moments, history) is one.
+    step's buffers instead of mapping fresh pages, and ``backward`` reuses
+    each adjoint's buffer once the adjoint is consumed.  A step's kernel
+    outputs and saved arrays are therefore valid only until the next step;
+    nothing that outlives a step (parameters, gradients, moments, history)
+    is one.
     """
     if len(windows) == 0:
         raise ValueError("cannot train on an empty window batch")

@@ -4,6 +4,7 @@ from .optim import AdamState, NonFiniteGradientError, adam_step
 from .params import ParamStore
 from .tensor import (
     Tensor,
+    adjoint_buffer,
     concat,
     constant,
     embedding,
@@ -23,6 +24,7 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "adam_step",
+    "adjoint_buffer",
     "concat",
     "constant",
     "embedding",

@@ -9,10 +9,12 @@ is bitwise reproducible.
 
 Adjoint ownership: a VJP may return views of its input adjoint (a reshape,
 a transpose, a read-only broadcast, one piece of a concat split), and one
-such view may reach several parents.  ``backward()`` therefore never writes
-into an interior node's adjoint: the first contribution is kept as is and a
-later one is added out of place.  Only leaf accumulators are written in
-place; a leaf without one gets a writable copy of its first contribution.
+such view may reach several parents.  ``backward()`` therefore writes into
+an interior node's adjoint only where it knows that no other adjoint views
+the same memory: a pool adjoint buffer (below) that this node's adjoint
+alone still views.  Any other second contribution is added out of place,
+into a new adjoint buffer.  Leaf accumulators are written in place; a leaf
+without one gets a writable copy of its first contribution.
 
 Layer kernels with hand-written VJPs live next to their models in gim and
 cgm (vertex embedding, temporal aggregation, spatial mixing, cross gate),
@@ -36,38 +38,58 @@ computed there.  Values are the same bits as with recording on.  Inference runs 
 switch is a context variable, so it holds for the current thread only, and
 the previous state comes back when the block exits, also by an exception.
 
-Buffer pools: one pool per thread, in a second context variable, lets a
-kernel reuse buffers instead of mapping, faulting and unmapping fresh
-pages every call.  A pool serves two lifetimes:
+Buffer pools: one pool per thread, in a second context variable, lets
+kernels reuse buffers instead of mapping, faulting and unmapping fresh
+pages every call.  A pool serves three lifetimes:
 
 - ``scratch(key, shape)`` is a call-local temporary: one buffer per key,
   which the kernel uses only until it returns (a random draw, a relu mask,
-  a VJP's intermediate adjoints).  Outside any pool it is ``np.empty``.
-- ``step_buffer(key, shape)`` is what a kernel returns or saves for its
-  VJP.  Inside a training pool it is one buffer per (key, occurrence since
-  the last rewind), valid until the pool's next ``rewind()``: the k-th
-  temporal kernel of a step gets the same buffer in every step.  Anywhere
-  else it is a fresh array.  An array saved only for the VJP
-  (``vjp_only=True``) is a call-local temporary when nothing is recorded,
-  since no VJP will read it.
+  a VJP's intermediate adjoints, which inside a training pool come from
+  the adjoint buffers below).  Outside any pool it is ``np.empty``.
+- ``step_buffer(key, shape)`` is what a kernel or a generic ``matmul`` or
+  ``concat`` returns, or what a kernel saves for its VJP.  Inside a
+  training pool it is one buffer per (key, occurrence since the last
+  rewind), valid until the pool's next ``rewind()``: the k-th temporal
+  kernel of a step gets the same buffer in every step.  Anywhere else it
+  is a fresh array.  An array saved only for the VJP (``vjp_only=True``) is
+  a call-local temporary when nothing is recorded, since no VJP will read
+  it.
+- ``adjoint_buffer(shape)`` is an adjoint a VJP returns.  While
+  ``backward()`` runs inside a training pool, an adjoint of 128 KiB or more
+  is a view of one of the pool's adjoint buffers, owned by the tape:
+  ``backward()`` counts the interior adjoints that view each buffer (a
+  reshape, transpose, split piece or broadcast of an adjoint views the
+  same buffer) and puts the buffer back on the pool's idle list when the
+  last of them is consumed.  A VJP's own temporaries of 128 KiB or more
+  (its ``scratch``) come from the same buffers and go back when the VJP
+  returns, so a step's backward pass keeps no scratch of its own.  An idle
+  buffer serves the next request it fits, as a view; when none fits, the
+  idle buffers are dropped and a new one is mapped, so the pool never holds
+  more of these buffers than it once had in use at the same time.  Anywhere
+  else, and below 128 KiB, an adjoint buffer is a fresh array.
 
 ``training_pool()`` opens a pool that ``train()`` holds for a whole run and
 rewinds at the start of every optimizer step, so a step's arrays are valid
-only until the next step.  It keeps each buffer at the largest size
+only until the next step.  It keeps each step buffer at the largest size
 requested and hands out views, so an epoch's smaller last batch reuses the
 full batch's pages.  The outermost ``no_grad()`` block opens an inference
 pool (also inside a training pool, so imputing mid-run leaves the step's
 buffers alone) and drops it on exit, also by an exception; nested blocks
-share it.  An inference pool never serves step buffers, so every kernel
+share it.  An inference pool never serves step or adjoint buffers, so every
 output there is a fresh array, and it replaces a slot whose shape changes.
 
 The rules that make reuse safe: a call-local buffer never leaves the call
-that asked for it, and nothing holds a step buffer past the step.  A VJP
-returns fresh adjoints, never a pool buffer or a view of one, because
-``backward()`` keeps them as interior adjoints and leaf gradients.
+that asked for it, and nothing holds a step buffer past the step.  Who may
+write an adjoint: the VJP that took it from ``adjoint_buffer``, until it
+returns it, and then only ``backward()``, which adds into it in place only
+while the node it accumulates for is its only holder.  A VJP never writes
+into its incoming adjoint and returns no scratch or step buffer (nor a
+view of one), because ``backward()`` keeps what it returns as interior
+adjoints and leaf gradients.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -79,12 +101,96 @@ Array = np.ndarray
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
 _pool: ContextVar[ScratchPool | None] = ContextVar("scratch_pool", default=None)
 
+HEAP_ADJOINT_BYTES = 128 << 10  # smaller adjoints stay plain (heap) arrays
+
+
+class AdjointArena:
+    """A training pool's buffers for what ``backward()`` allocates: the
+    adjoints VJPs return and the VJPs' own temporaries.
+
+    ``idle`` holds the flat float64 buffers nothing uses, smallest first.
+    ``viewed`` maps each handed-out buffer to the number of interior
+    adjoints the tape holds that view it.  A buffer goes idle when the VJP
+    that took it returns, unless the tape keeps a view of it, and then when
+    the last such view is consumed.  ``active`` is True while ``backward()``
+    runs: only then do ``adjoint_buffer`` and ``scratch`` draw from here.
+    ``live`` counts the bytes handed out and not yet idle, ``peak`` its
+    largest value since the pool's last rewind.
+    """
+
+    def __init__(self):
+        self.active = False
+        self.idle: list[Array] = []
+        self.viewed: dict[int, list] = {}  # id(flat) -> [flat, interior adjoints viewing it]
+        self._handed: list[Array] = []  # handed out since the last settle()
+        self.live = self.peak = 0
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
+        """A view of ``shape`` on the smallest idle buffer it fits, or a new one."""
+        count = math.prod(shape)
+        size = -(-count * np.dtype(dtype).itemsize // 8)  # in float64 elements
+        i = bisect.bisect_left(self.idle, size, key=len)
+        if i < len(self.idle):
+            flat = self.idle.pop(i)
+        else:
+            self.idle.clear()  # each is too small for this request: drop, do not keep beside
+            flat = np.empty(size)
+        self.viewed[id(flat)] = [flat, 0]
+        self._handed.append(flat)
+        self.live += flat.nbytes
+        self.peak = max(self.peak, self.live)
+        return flat[:size].view(dtype)[:count].reshape(shape)
+
+    def _entry(self, adjoint: Array) -> list | None:
+        base = adjoint.base  # numpy points every view at the array that owns the memory
+        return None if base is None else self.viewed.get(id(base))
+
+    def hold(self, adjoint: Array) -> None:
+        """The tape keeps ``adjoint`` as an interior node's adjoint."""
+        entry = self._entry(adjoint)
+        if entry is not None:
+            entry[1] += 1
+
+    def release(self, adjoint: Array) -> None:
+        """The tape drops ``adjoint``; its buffer is idle once no view is left."""
+        entry = self._entry(adjoint)
+        if entry is not None:
+            entry[1] -= 1
+            if entry[1] == 0:
+                self._idle(entry[0])
+
+    def alone(self, adjoint: Array) -> bool:
+        """Whether ``adjoint`` is writable and the only adjoint viewing its buffer."""
+        entry = self._entry(adjoint)
+        return entry is not None and entry[1] == 1 and adjoint.flags.writeable
+
+    def settle(self) -> None:
+        """Take back what the last VJP handed out and the tape did not keep."""
+        for flat in self._handed:
+            entry = self.viewed.get(id(flat))
+            if entry is not None and entry[1] == 0:
+                self._idle(flat)
+        self._handed.clear()
+
+    def finish(self) -> None:
+        """End a ``backward()``.  Buffers still viewed (it raised) leave the arena."""
+        self.active = False
+        self.viewed.clear()
+        self._handed.clear()
+        self.live = 0
+
+    def _idle(self, flat: Array) -> None:
+        del self.viewed[id(flat)]
+        self.live -= flat.nbytes
+        bisect.insort(self.idle, flat, key=len)
+
 
 class ScratchPool:
     """One thread's reusable kernel buffers (see the module docstring).
 
-    ``training`` pools also serve step buffers and keep every buffer at its
-    largest size; inference pools serve only call-local temporaries.
+    ``training`` pools also serve step and adjoint buffers and keep every
+    step buffer at its largest size; inference pools serve only call-local
+    temporaries.
     """
 
     def __init__(self, training: bool):
@@ -92,15 +198,18 @@ class ScratchPool:
         self._temps: dict = {}  # key -> [flat buffer, last view]
         self._steps: dict = {}  # key -> one [flat buffer, last view] per occurrence
         self._taken: dict = {}  # key -> step buffers handed out since the last rewind
+        self.adjoints = AdjointArena()
 
     def rewind(self) -> None:
         """Start a new step: step buffers are handed out again from the first."""
         self._taken.clear()
+        self.adjoints.peak = self.adjoints.live
 
     def values(self) -> list[Array]:
         """Every buffer the pool holds."""
         slots = [*self._temps.values(), *(s for per_key in self._steps.values() for s in per_key)]
-        return [flat for flat, _ in slots]
+        held = [flat for flat, _ in self.adjoints.viewed.values()]
+        return [flat for flat, _ in slots] + self.adjoints.idle + held
 
     def temp(self, key, shape: tuple[int, ...], dtype) -> Array:
         return self._fit(self._temps.setdefault(key, [None, None]), shape, dtype)
@@ -162,11 +271,18 @@ def training_pool():
 def scratch(key, shape: tuple[int, ...], dtype=np.float64) -> Array:
     """An uninitialized temporary of ``shape`` for one kernel call.
 
-    Inside a pool, the pool's buffer for ``key``; outside, a fresh array.
-    The caller must not return it or keep it past the call.
+    Inside a pool, the pool's buffer for ``key``; while ``backward()`` runs
+    in a training pool, a VJP's temporary of ``HEAP_ADJOINT_BYTES`` or more
+    comes from the adjoint arena instead and goes back when the VJP
+    returns.  Outside any pool, a fresh array.  The caller must not return
+    it or keep it past the call.
     """
     pool = _pool.get()
-    return np.empty(shape, dtype) if pool is None else pool.temp(key, shape, dtype)
+    if pool is None:
+        return np.empty(shape, dtype)
+    if pool.adjoints.active:
+        return _arena_or_heap(pool.adjoints, shape, dtype)
+    return pool.temp(key, shape, dtype)
 
 
 def step_buffer(key, shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = False) -> Array:
@@ -182,6 +298,37 @@ def step_buffer(key, shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = 
     if pool is None or not pool.training:
         return np.empty(shape, dtype)
     return pool.step(key, shape, dtype)
+
+
+def adjoint_buffer(shape: tuple[int, ...]) -> Array:
+    """An uninitialized float64 array a VJP returns as an adjoint.
+
+    While ``backward()`` runs in a training pool, a view of one of its
+    adjoint buffers for arrays of ``HEAP_ADJOINT_BYTES`` or more, which the
+    tape hands back to the pool once no adjoint views it; else a fresh array.
+    """
+    pool = _pool.get()
+    if pool is None or not pool.adjoints.active:
+        return np.empty(shape)
+    return _arena_or_heap(pool.adjoints, shape, np.float64)
+
+
+def _arena_or_heap(arena: AdjointArena, shape: tuple[int, ...], dtype) -> Array:
+    if math.prod(shape) * np.dtype(dtype).itemsize < HEAP_ADJOINT_BYTES:
+        return np.empty(shape, dtype)
+    return arena.take(shape, dtype)
+
+
+def _adjoint_of(op, operands: tuple, full: tuple[int, ...], shape: tuple[int, ...], key) -> Array:
+    """``op(*operands)``, of shape ``full``, summed down to a parent's ``shape``.
+
+    A product of the parent's own shape is the adjoint and goes into an
+    adjoint buffer; a larger one is scratch (``key``) that ``_unbroadcast``
+    sums into a fresh array.
+    """
+    if full == shape:
+        return op(*operands, out=adjoint_buffer(shape))
+    return _unbroadcast(op(*operands, out=scratch(key, full)), shape)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -252,7 +399,10 @@ class Tensor:
         ``self`` must hold a single element.  Existing leaf accumulators are
         added to in place, so they keep their identity; a leaf without one
         receives a fresh writable array.  Interior adjoints may be views
-        shared with other nodes and are only ever replaced, never written.
+        shared with other nodes: a second contribution is added in place
+        only into a pool adjoint buffer that the node alone views, else out
+        of place.  Inside a training pool, every adjoint buffer goes back to
+        the pool once the last interior adjoint viewing it is consumed.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -275,22 +425,38 @@ class Tensor:
             self.grad = np.ones_like(self.data)
         else:
             self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
-                continue
-            parent_grads = node._vjp(node.grad)
-            for parent, g in zip(node._parents, parent_grads):
-                if g is None or not parent.requires_grad:
+        pool = _pool.get()
+        # outside a training pool nothing is pooled, so an unshared arena counts nothing
+        arena = pool.adjoints if pool is not None and pool.training else AdjointArena()
+        arena.active = True
+        try:
+            for node in reversed(topo):
+                if node._vjp is None or node.grad is None:
                     continue
-                if parent._vjp is not None:
-                    # interior: g may be a read-only or shared view, never write into it
-                    parent.grad = g if parent.grad is None else parent.grad + g
-                elif parent.grad is None:
-                    parent.grad = np.array(g)  # the leaf's own writable accumulator
-                else:
-                    np.add(parent.grad, g, out=parent.grad)
-            if node is not self:
-                node.grad = None  # free interior adjoints as soon as consumed
+                for parent, g in zip(node._parents, node._vjp(node.grad)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    if parent._vjp is None:  # a leaf
+                        if parent.grad is None:
+                            parent.grad = np.array(g)  # the leaf's own writable accumulator
+                        else:
+                            np.add(parent.grad, g, out=parent.grad)
+                    elif parent.grad is None:
+                        parent.grad = g
+                        arena.hold(g)
+                    elif arena.alone(parent.grad):
+                        np.add(parent.grad, g, out=parent.grad)
+                    else:  # g or the adjoint so far may be shared: never write into either
+                        total = np.add(parent.grad, g, out=adjoint_buffer(parent.grad.shape))
+                        arena.release(parent.grad)
+                        parent.grad = total
+                        arena.hold(total)
+                arena.settle()
+                if node is not self:
+                    arena.release(node.grad)
+                    node.grad = None  # free interior adjoints as soon as consumed
+        finally:
+            arena.finish()
 
     # ---- arithmetic ----
 
@@ -405,28 +571,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     folds ``a``'s leading axes into rows: one GEMM instead of one per batch
     entry plus a sum.  The forward pass and ``a``'s adjoint stay batched,
     which OpenBLAS runs faster than one tall GEMM at the models' widths.
+    The output is a step buffer and the adjoints are adjoint buffers.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
-    data = np.matmul(a.data, b.data)
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    shape = batch + (a.shape[-2], b.shape[-1])
+    data = np.matmul(a.data, b.data, out=step_buffer("numcore.matmul", shape))
 
     def vjp(g):
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            full = g.shape[:-1] + (b.shape[-2],)
+            operands = (g, np.swapaxes(b.data, -1, -2))
+            ga = _adjoint_of(np.matmul, operands, full, a.shape, "numcore.matmul.ga")
         if b.requires_grad and b.ndim == 2:
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            operands = (a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+            gb = np.matmul(*operands, out=adjoint_buffer(b.shape))
         elif b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            full = g.shape[:-2] + (a.shape[-1], g.shape[-1])
+            operands = (np.swapaxes(a.data, -1, -2), g)
+            gb = _adjoint_of(np.matmul, operands, full, b.shape, "numcore.matmul.gb")
         return ga, gb
 
     return Tensor._make(data, (a, b), vjp)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    """Join along ``axis``; the output is a step buffer, the adjoints views of g."""
     parts = [_wrap(t) for t in tensors]
     datas = [p.data for p in parts]
-    data = np.concatenate(datas, axis=axis)
+    shape = list(datas[0].shape)
+    shape[axis] = sum(d.shape[axis] for d in datas)
+    data = np.concatenate(datas, axis=axis, out=step_buffer("numcore.concat", tuple(shape)))
     sizes = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def vjp(g):

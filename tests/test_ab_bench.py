@@ -1,5 +1,6 @@
 """scripts/ab_bench.py runs against the current API and writes its report schema."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,24 @@ def test_ab_bench_smallest_case_runs(tmp_path):
     assert entry["workload"] == {"use_gim": False, "steps_x_nodes": 2304 * 20}
     metrics = {"impute_ms", "sys_ms", "minor_faults", "rss_mib"}
     assert set(entry["before"]) == set(entry["after"]) == set(entry["after_over_before"]) == metrics
+
+
+def test_ab_bench_train_case_reports_system_time_and_the_adjoint_arena():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_bench.py"), "--child", "train_desk",
+         "--repeats", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    result = json.loads(child.stdout.strip().splitlines()[-1])
+    per_call = {"train_ms", "train_faults", "train_sys_ms"}
+    per_step = {"step_ms", "step_faults", "step_sys_ms", "adjoint_idle_mib", "adjoint_peak_mib"}
+    workload = {"windows", "batch_size", "epochs"}
+    assert set(result) == per_call | per_step | workload | {"output_sha256", "rss_mib"}
+    assert all(len(result[k]) == 1 for k in per_call)
+    steps = len(result["step_ms"])  # 14 windows in batches of 4, 3 epochs, less the first step
+    assert steps == 11 and all(len(result[k]) == steps for k in per_step)
+    # every step ends with the arena holding no more than the step had in use at its peak
+    assert all(0 < idle <= peak for idle, peak in
+               zip(result["adjoint_idle_mib"], result["adjoint_peak_mib"]))

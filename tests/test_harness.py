@@ -155,6 +155,55 @@ def test_plan_from_dict_rejects_missing_or_wrong_typed_keys_naming_them(raw, mes
         plan_from_dict(raw)
 
 
+def changed(section, **values):
+    """A valid plan with ``values`` set in ``section`` ("plan", "dataset", "scenarios[0]", ...)."""
+    raw = plan_with(scenarios=[{"kind": "fiber", "r": 0.2, "l": 8}], model={"d": 8},
+                    train={"epochs": 1}, train_overrides={"fiber": {"lr": 0.01}})
+    if section == "plan":
+        raw.update(values)
+    elif section == "scenarios[0]":
+        raw["scenarios"][0].update(values)
+    elif section == "train_overrides.fiber":
+        raw["train_overrides"]["fiber"].update(values)
+    else:
+        raw[section].update(values)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (changed("plan", seed="9"), "plan key 'seed' must be an integer, got '9'"),
+        (changed("plan", seed=True), "plan key 'seed' must be an integer, got True"),
+        (changed("plan", train_fraction="0.8"),
+         "plan key 'train_fraction' must be a number, got '0.8'"),
+        (changed("plan", raw_space="yes"), "plan key 'raw_space' must be true or false, got 'yes'"),
+        (changed("plan", output_dir=5), "plan key 'output_dir' must be a string, got 5"),
+        (changed("dataset", n_nodes="20"), "dataset key 'n_nodes' must be an integer, got '20'"),
+        (changed("dataset", n_days=2.5), "dataset key 'n_days' must be an integer, got 2.5"),
+        (changed("dataset", values_path=3),
+         "dataset key 'values_path' must be a string or null, got 3"),
+        (changed("scenarios[0]", r="0.4"), "scenarios[0] key 'r' must be a number, got '0.4'"),
+        (changed("scenarios[0]", l="8"), "scenarios[0] key 'l' must be an integer or null, got '8'"),
+        (changed("model", d="32"), "model key 'd' must be an integer, got '32'"),
+        (changed("train", epochs="5"), "train key 'epochs' must be an integer, got '5'"),
+        (changed("train", loss_weights="1,1"),
+         "train key 'loss_weights' must be a list of 2 numbers, got '1,1'"),
+        (changed("train_overrides.fiber", lr="0.01"),
+         "train_overrides.fiber key 'lr' must be a number, got '0.01'"),
+    ],
+    ids=["seed-str", "seed-bool", "fraction-str", "raw-space-str", "output-dir-int",
+         "nodes-str", "days-float", "values-path-int", "r-str", "l-str", "model-d-str",
+         "epochs-str", "loss-weights-str", "override-lr-str"],
+)
+def test_plan_from_dict_rejects_wrong_typed_values_naming_section_and_key(raw, message):
+    # a string seed, train_fraction or r raised TypeError inside the loader;
+    # the other values loaded and failed only when the run or a cell started
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        plan_from_dict(raw)
+    assert plan_from_dict(changed("plan")).train == {"epochs": 1}  # the valid base loads
+
+
 def stride_override(kind, stride):
     return {"train_overrides": {kind: {"window_stride": stride}}}
 

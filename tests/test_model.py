@@ -30,7 +30,7 @@ from pastnet.numcore import (
     masked_mse,
     no_grad,
 )
-from pastnet.numcore.tensor import _pool
+from pastnet.numcore.tensor import AdjointArena, _pool
 
 
 def ring_adjacency(n):
@@ -476,6 +476,39 @@ def test_train_matches_a_hand_written_loop_outside_any_pool(model_kw, data_kw):
     assert (history.loss1, history.loss2) == hand_trained(by_hand, windows, cfg)
     a, b = trained.params.state_arrays(), by_hand.params.state_arrays()
     assert list(a) == list(b) and all(a[p].tobytes() == b[p].tobytes() for p in a)
+
+
+def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
+    # one batch of four desk-size windows, so every step has the same shapes
+    config = ModelConfig(L=96, N=20, d=32, n=2, K=2, p_dropout=0.1, seed=9)
+    _, windows, _ = training_windows(L=96, n_nodes=20, rate=0.4, n_days=8)
+    four = WindowBatch(
+        *(a[:4] for a in (windows.values, windows.masks, windows.week, windows.hour,
+                          windows.minute_bucket, windows.starts))
+    )
+    handed, steps = [], []
+    real_take = AdjointArena.take
+
+    def take_and_note(arena, shape, dtype=np.float64):
+        view = real_take(arena, shape, dtype)
+        handed.append(view.base)
+        return view
+
+    def step_and_look(params, state):
+        adam_step(params, state)
+        pool = _pool.get()
+        steps.append((pool.values(), list(handed), list(pool.adjoints.idle), pool.adjoints.viewed))
+        handed.clear()
+
+    monkeypatch.setattr(AdjointArena, "take", take_and_note)
+    monkeypatch.setattr(model_module, "adam_step", step_and_look)
+    train(PastModel.build(config, adjacency=ring_adjacency(config.N)), four,
+          TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5))
+    (warm, _, _, _), (steady, taken, idle, viewed) = steps
+    assert len(steady) == len(warm) and all(any(b is a for a in warm) for b in steady)
+    # the backward pass drew from the arena and every buffer it took is idle again
+    assert taken and not viewed
+    assert all(any(flat is b for b in idle) for flat in taken)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["return", "raise"])

@@ -1,6 +1,7 @@
 """Checks for the autodiff core: op adjoints against central differences,
 hand-computed values for the losses and one Adam step, store invariants."""
 import ast
+import contextlib
 import pathlib
 import threading
 import weakref
@@ -18,6 +19,7 @@ from pastnet.numcore import (
     ParamStore,
     Tensor,
     adam_step,
+    adjoint_buffer,
     concat,
     constant,
     embedding,
@@ -29,7 +31,7 @@ from pastnet.numcore import (
     step_buffer,
     training_pool,
 )
-from pastnet.numcore.tensor import _pool
+from pastnet.numcore.tensor import AdjointArena, _pool
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -439,6 +441,141 @@ def test_training_pool_is_dropped_when_its_block_exits(raises):
             if raises:
                 raise RuntimeError("raised inside training_pool")
     assert all(r() is None for r in refs) and _pool.get() is None
+
+
+# ---- adjoint ownership: pooled adjoints give the bits of fresh ones ----
+# Shapes are chosen so the adjoints are 128 KiB or more and come from the
+# training pool's adjoint buffers; a buffer that went idle while an adjoint
+# still viewed it would be handed to a later VJP and overwritten.
+
+
+def split_between_parents(x1, x2, w, v):
+    # concat's adjoint is one buffer split into two views for two parents; one
+    # parent is reached through reshapes and has a second consumer
+    y1, y2 = x1 @ w, x2 @ w
+    flat = y2.reshape(512, 48)
+    joined = concat([y1, flat.reshape(8, 64, 48)], axis=2)
+    return (joined @ v).sum() + (flat @ w).sum()
+
+
+def doubled(x, w, v):
+    # h + h hands one view to the same parent twice
+    h, k = x @ w, (x @ w) @ w
+    return ((h + h) @ v).sum() + ((h + k) @ v).sum() + (h @ w @ v).sum()
+
+
+def shared_then_added(x, w, v):
+    # h + k hands one view to two parents; h then takes a second contribution
+    # while k still holds the view, so adding it in place would change k's
+    h, k = x @ w, (x @ w) @ w
+    return ((h + k) @ v).sum() + ((h * k) @ v).sum()
+
+
+def summed_and_broadcast(x, w, q):
+    # sum's adjoint is a read-only broadcast of a pooled buffer, then a
+    # second contribution reaches the same parent
+    h = x @ w
+    return (h.sum(axis=0) @ q).sum() + (h @ q).sum()
+
+
+def three_consumers(x, w, v):
+    h = x @ w
+    ht = h.transpose((0, 2, 1)).reshape(8, 48, 64)
+    return (h @ v).sum() + ((h @ w) @ v).sum() + (ht @ x).sum()
+
+
+OWNERSHIP_GRAPHS = {
+    "reshape-concat-split": (split_between_parents, [(8, 64, 48), (8, 64, 48), (48, 48), (96, 32)]),
+    "x-plus-x": (doubled, [(8, 64, 48), (48, 48), (48, 32)]),
+    "shared-view": (shared_then_added, [(8, 64, 48), (48, 48), (48, 32)]),
+    "sum-broadcast": (summed_and_broadcast, [(4, 256, 48), (48, 64), (64, 8)]),
+    "three-consumers": (three_consumers, [(8, 64, 48), (48, 48), (48, 32)]),
+}
+
+
+def leaf_grads(build, values, runs, pool_context):
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+    with pool_context as pool:
+        out = build(*leaves)
+        for _ in range(runs):
+            out.backward()
+    return [t.grad for t in leaves], pool
+
+
+@pytest.mark.parametrize("runs", [1, 2], ids=["once", "twice"])
+@pytest.mark.parametrize("graph", list(OWNERSHIP_GRAPHS))
+def test_gradients_in_a_training_pool_are_the_bits_of_fresh_adjoints(graph, runs):
+    build, shapes = OWNERSHIP_GRAPHS[graph]
+    rng = np.random.default_rng(7)
+    values = [rng.normal(size=s) for s in shapes]
+    plain, _ = leaf_grads(build, values, runs, contextlib.nullcontext())
+    pooled, pool = leaf_grads(build, values, runs, training_pool())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, pooled))
+    arena = pool.adjoints
+    assert arena.idle and not arena.viewed  # every buffer came back once consumed
+    assert not arena.active and arena.live == 0
+
+
+def test_adjoint_arena_reuses_the_smallest_idle_buffer_that_fits():
+    arena = AdjointArena()
+    small, large = arena.take((4, 8)), arena.take((100,))
+    assert len(arena.viewed) == 2 and arena.peak == 132 * 8
+    arena.settle()  # the tape kept neither
+    assert [flat.size for flat in arena.idle] == [32, 100] and arena.live == 0
+    view = arena.take((5, 5))  # fits both: the smaller buffer serves it, as a view
+    assert view.base is small.base and view.shape == (5, 5)
+    mask = arena.take((6, 50), bool)  # 300 bytes in the 100-element buffer
+    assert mask.base is large.base and mask.dtype == bool
+    arena.settle()
+    bigger = arena.take((200,))  # fits no idle buffer: they are dropped, not kept beside
+    assert arena.idle == [] and not any(np.shares_memory(bigger, b) for b in (small, large))
+
+
+def test_adjoint_arena_counts_the_views_the_tape_holds():
+    arena = AdjointArena()
+    g = arena.take((4, 6))
+    left, right = np.split(g, [3], axis=1)
+    arena.hold(left)
+    arena.hold(right.T)  # a transposed piece views the same buffer
+    arena.settle()  # held: not idle
+    assert not arena.idle and not arena.alone(left)
+    arena.release(right.T)
+    assert not arena.idle and arena.alone(left)
+    assert not arena.alone(np.broadcast_to(left, (2, 4, 3)))  # read-only
+    arena.release(left)  # the last view: the buffer goes idle
+    assert [flat.base for flat in arena.idle] == [None] and arena.idle[0] is g.base
+    plain = np.ones(3)
+    arena.hold(plain)  # arrays the arena never handed out are not counted
+    assert not arena.alone(plain) and not arena.viewed
+
+
+def test_adjoint_buffers_come_from_a_training_pool_only_while_backward_runs():
+    def fresh():
+        a, b = adjoint_buffer((128, 128)), adjoint_buffer((128, 128))
+        return a.base is None and not np.shares_memory(a, b)
+
+    assert _pool.get() is None and fresh()
+    with training_pool() as pool:
+        assert fresh() and fresh() and not pool.adjoints.idle
+        with no_grad():
+            assert fresh()
+    assert not pool.adjoints.viewed
+
+
+def test_backward_that_raises_leaves_no_buffer_counted():
+    x = Tensor(np.ones((8, 64, 48)), requires_grad=True)
+    w = Tensor(np.ones((48, 48)), requires_grad=True)
+
+    def raising(g):
+        raise RuntimeError("raised inside a VJP")
+
+    with training_pool() as pool:
+        h = x @ w
+        broken = Tensor._make(h.data.sum(), (h,), raising)
+        with pytest.raises(RuntimeError, match="inside a VJP"):
+            ((broken + (h @ w).sum()) * 1.0).backward()
+        assert not pool.adjoints.active and not pool.adjoints.viewed
+        assert pool.adjoints.live == 0
 
 
 def test_masked_mse_hand_value():
