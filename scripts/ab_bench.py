@@ -1,17 +1,27 @@
 """Before/after figures for two pastnet checkouts, from one case table.
 
     python3 scripts/ab_bench.py --before PARENT_CHECKOUT [--after .] --out BENCH_<topic>.json \
-        [--rounds 2] [--repeats 5] [--case NAME ...]
+        [--rounds 2] [--repeats 5] [--case NAME ...] [--malloc pinned|default|both]
 
 Measures two checkouts, typically a clean clone of the parent commit
 (``--before``) and this one (``--after``), on the same machine and writes
 one JSON file.  Every case runs in a fresh process that imports pastnet
-from the checkout's ``src/``, under the environment ``perfbench/run.py``
-pins: one BLAS thread and glibc's mmap threshold fixed at 128 KiB.  Rounds
-alternate which checkout goes first.  Times are CPU ms of the measuring
-process (``time.process_time``); the report gives the median and quartiles
-of each metric's samples, and ``rss_mib`` is the case process's peak
-resident set.  ``--case`` selects cases (repeatable; default: all).
+from the checkout's ``src/``, with one BLAS thread.  ``--malloc`` picks
+glibc's allocator setting: ``pinned`` (the default) fixes the mmap
+threshold at 128 KiB, as ``perfbench/run.py`` does; ``default`` leaves
+glibc's own adaptive threshold, which the CLI, the demos and the tests run
+under; ``both`` runs every case under each.  A case run under the default
+setting is reported as ``<case>@default``.  Rounds alternate which
+checkout goes first.  Times are CPU ms of the measuring process
+(``time.process_time``); the report gives the median and quartiles of each
+metric's samples, and ``rss_mib`` is the case process's peak resident
+set.  ``--case`` selects cases (repeatable; default: all).
+
+- ``import_cli``: a fresh interpreter that runs ``import pastnet.cli`` and
+  exits, the start-up every ``pastnet`` command pays.  Per process:
+  ``import_ms`` (user plus system CPU, interpreter start included) and
+  ``rss_mib`` (its peak resident set).  Its output is the sorted list of the
+  top-level modules the import loads.
 
 Desk size is N=20, L=96, d=32, n=2, K=2, seed 9 (``plans/desk_plan.json``);
 the CLI default is d=64, n=3, K=2, L=96.  Models are untrained, which costs
@@ -70,16 +80,34 @@ from functools import partial
 
 import numpy as np
 
-PINNED = {
-    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-    "MALLOC_MMAP_THRESHOLD_": str(128 << 10),
-}
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+MALLOC = {"pinned": {"MALLOC_MMAP_THRESHOLD_": str(128 << 10)}, "default": {}}
 DESK = dict(n_nodes=20, step_minutes=15, seed=9, noise_level=0.1)  # plans/desk_plan.json
 DESK_MODEL = dict(L=96, d=32, n=2, K=2, p_dropout=0.1, seed=9)
 METRIC_SUFFIXES = ("_ms", "_mib", "_faults")
 
 
 # ---- one case, in its own process ----
+
+
+def _import_cli(repeats: int) -> dict:
+    out: dict = {"import_ms": [], "rss_mib": []}
+    for run in range(repeats + 1):  # the first run only warms the file cache
+        proc = subprocess.Popen([sys.executable, "-c", "import pastnet.cli"])
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise RuntimeError(f"import pastnet.cli exited with {proc.returncode}")
+        if run:
+            out["import_ms"].append((usage.ru_utime + usage.ru_stime) * 1e3)
+            out["rss_mib"].append(usage.ru_maxrss / 1024)
+    modules = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pastnet.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"],
+        stdout=subprocess.PIPE, check=True,
+    ).stdout
+    out["output_sha256"] = hashlib.sha256(modules).hexdigest()
+    return out
 
 
 def _cpu_ms(fn) -> float:
@@ -287,6 +315,7 @@ def _train_cli():
 
 
 CASES = {
+    "import_cli": _import_cli,
     "span_past": _span,
     "span_wo_cgm": partial(_span, use_cgm=False),
     "span_wo_gim": partial(_span, use_gim=False),
@@ -301,7 +330,7 @@ CASES = {
 
 def run_case(case: str, repeats: int) -> dict:
     out = CASES[case](repeats)
-    out["rss_mib"] = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+    out.setdefault("rss_mib", [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024])
     return out
 
 
@@ -314,6 +343,11 @@ def _summary(samples: list[float]) -> dict:
             "q3": round(float(q3), 3), "n": len(samples)}
 
 
+def _ratio(after: float, before: float) -> float | None:
+    """after / before, or None where the before median is 0 (no system time, no faults)."""
+    return round(after / before, 3) if before else None
+
+
 def _commit(tree: str) -> str | None:
     proc = subprocess.run(["git", "-C", tree, "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
@@ -324,24 +358,32 @@ def _commit(tree: str) -> str | None:
     return proc.stdout.strip() + ("+uncommitted src changes" if dirty else "")
 
 
-def _machine() -> dict:
+def _machine(settings: list[str]) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cores": os.cpu_count(),
         "cores_usable": len(os.sched_getaffinity(0)),
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": int(PINNED["OPENBLAS_NUM_THREADS"]),
-        "malloc_mmap_threshold": int(PINNED["MALLOC_MMAP_THRESHOLD_"]),
+        "malloc": {setting: MALLOC[setting] for setting in settings},
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
 
 
-def _run_child(tree: str, case: str, repeats: int) -> dict:
-    env = dict(os.environ, **PINNED, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+def _child_env(tree: str, setting: str) -> dict:
+    """This environment with one BLAS thread, the checkout's ``src/`` as the
+    only ``PYTHONPATH`` and, of glibc's allocator settings, only ``setting``'s."""
+    env = {k: v for k, v in os.environ.items()
+           if not (k.startswith("MALLOC_") or k == "GLIBC_TUNABLES")}
+    env.update(PINNED, **MALLOC[setting], PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    return env
+
+
+def _run_child(tree: str, case: str, repeats: int, setting: str) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", case, "--repeats", str(repeats)],
-        env=env, stdout=subprocess.PIPE, text=True, check=True,
+        env=_child_env(tree, setting), stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -355,6 +397,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--case", action="append", choices=CASES,
                         help="run only this case; repeat for several (default: all)")
+    parser.add_argument("--malloc", choices=("pinned", "default", "both"), default="pinned",
+                        help="glibc allocator setting of the case processes (default: pinned)")
     parser.add_argument("--child", choices=CASES, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -363,17 +407,19 @@ def main() -> int:
     if not (args.before and args.out):
         parser.error("--before and --out are required")
 
-    cases = args.case or list(CASES)
+    settings = list(MALLOC) if args.malloc == "both" else [args.malloc]
+    runs = [(case, setting) for case in args.case or list(CASES) for setting in settings]
+    cases = [name if setting == "pinned" else f"{name}@{setting}" for name, setting in runs]
     trees = {"before": args.before, "after": args.after}
     samples = {case: {side: {} for side in trees} for case in cases}
     workload = {case: {} for case in cases}
     hashes = {case: set() for case in cases}
     for r in range(args.rounds):
         sides = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for case in cases:
+        for (name, setting), case in zip(runs, cases):
             for side in sides:
-                result = _run_child(trees[side], case, args.repeats)
-                print(f"round {r} {case:14s} {side:6s}", file=sys.stderr)
+                result = _run_child(trees[side], name, args.repeats, setting)
+                print(f"round {r} {case:22s} {side:6s}", file=sys.stderr)
                 hashes[case].add(result.pop("output_sha256"))
                 for key, value in result.items():
                     if key.endswith(METRIC_SUFFIXES):
@@ -386,16 +432,18 @@ def main() -> int:
         for side in trees:
             entry[side] = {k: _summary(v) for k, v in samples[case][side].items()}
         entry["after_over_before"] = {
-            k: round(entry["after"][k]["median"] / entry["before"][k]["median"], 3)
+            k: _ratio(entry["after"][k]["median"], entry["before"][k]["median"])
             for k in entry["before"]
         }
         report_cases[case] = entry
     selected = "".join(f" --case {case}" for case in args.case or ())
+    if args.malloc != "pinned":
+        selected += f" --malloc {args.malloc}"
     report = {
         "command": f"python3 scripts/ab_bench.py --before PARENT --after . --out {args.out} "
                    f"--rounds {args.rounds} --repeats {args.repeats}{selected}",
         "commits": {side: _commit(tree) for side, tree in trees.items()},
-        "machine": _machine(),
+        "machine": _machine(settings),
         "cases": report_cases,
     }
     with open(args.out, "w") as fh:
@@ -403,9 +451,9 @@ def main() -> int:
         fh.write("\n")
     for case, entry in report_cases.items():
         for key, ratio in entry["after_over_before"].items():
-            print(f"{case:14s} {key:14s} before {entry['before'][key]['median']:10.2f}  "
+            print(f"{case:22s} {key:16s} before {entry['before'][key]['median']:10.2f}  "
                   f"after {entry['after'][key]['median']:10.2f}  ratio {ratio}")
-        print(f"{case:14s} outputs identical: {entry['outputs_identical']}  "
+        print(f"{case:22s} outputs identical: {entry['outputs_identical']}  "
               f"{' '.join(sorted(hashes[case]))}")
     return 0
 

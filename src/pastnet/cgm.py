@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import expit
 
 from .numcore import (
     ParamStore,
@@ -43,6 +42,7 @@ from .numcore import (
     constant,
     embedding,
     scratch,
+    sigmoid,
     step_buffer,
 )
 from .numcore.tensor import _unbroadcast, _wrap
@@ -142,7 +142,7 @@ class _GateSide:
         self.proj = self.proj_sig[..., :d]
         gate = self.proj_sig[..., d:]
         self.tanh = np.tanh(gate, out=buffer("tanh", d))
-        self.sig = expit(gate, out=gate)  # the raw gate is not needed again
+        self.sig = sigmoid(gate, out=gate)  # the raw gate is not needed again
         self.update = np.multiply(self.proj, self.sig, out=buffer("update", d))
 
     def output(self, other: "_GateSide") -> Tensor:

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 MINUTES_PER_DAY = 24 * 60
 STD_FLOOR = 1e-8
@@ -136,15 +134,23 @@ def build_spatial_adjacency(n_nodes: int, edges: list[tuple[int, int, float]]) -
 
 
 def _connected(n: int, edges: list[tuple[int, int, float]]) -> bool:
-    if n == 1:
-        return True
-    if not edges:
-        return False
-    rows = [e[0] for e in edges] + [e[1] for e in edges]
-    cols = [e[1] for e in edges] + [e[0] for e in edges]
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    n_comp, _ = connected_components(graph, directed=False)
-    return n_comp == 1
+    """Whether the undirected graph on nodes 0..n-1 with these edges is connected.
+
+    A breadth-first search from node 0 that moves the whole frontier along
+    the edge list at once.
+    """
+    ends = np.array([e[:2] for e in edges], dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        reached = np.zeros(n, dtype=bool)
+        reached[dst[frontier[src]]] = True
+        frontier = reached & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def synthesize_dataset(

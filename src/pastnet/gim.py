@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import expit
 
-from .numcore import ParamStore, Tensor, adjoint_buffer, constant, scratch, step_buffer
+from .numcore import ParamStore, Tensor, adjoint_buffer, constant, scratch, sigmoid, step_buffer
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -232,7 +231,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
             ga *= np.not_equal(a, 0.0, out=scratch("gim.temporal.edges", a.shape, bool))
             gl = np.zeros(logits.shape)
             np.sum(ga, axis=0, out=gl[:L, :width])
-            gl[:L, :width] *= expit(logits.data[:L, :width])
+            gl[:L, :width] *= sigmoid(logits.data[:L, :width])
         return (gx, gl, gw, gb, gi)[: len(parents)]
 
     return Tensor._make(out, parents, vjp)

@@ -11,6 +11,7 @@ from .tensor import (
     matmul,
     no_grad,
     scratch,
+    sigmoid,
     step_buffer,
     training_pool,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "matmul",
     "no_grad",
     "scratch",
+    "sigmoid",
     "step_buffer",
     "training_pool",
 ]

@@ -27,9 +27,10 @@ broadcast view) and never into the arrays its forward pass saved, so
 Only the operations the models run are implemented: broadcasting ``+``,
 ``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
 moves, indexing, gather and concat.  The activations exist only inside the
-fused kernels; the composite references the tests compare them with build
-their own on ``Tensor._make``.  Gradients flow only into tensors created
-with ``requires_grad=True`` or derived from one.
+fused kernels, which take the logistic function from ``sigmoid`` below; the
+composite references the tests compare them with build their own on
+``Tensor._make``.  Gradients flow only into tensors created with
+``requires_grad=True`` or derived from one.
 
 Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
 plain tensor with no parents and no VJP, so no VJP reads what a kernel
@@ -342,6 +343,20 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def sigmoid(x: Array, out: Array | None = None) -> Array:
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    Saturates to exactly 0 below about -709.8, where exp(-x) overflows, and
+    to exactly 1 above about 37, without a warning; NaN stays NaN.  ``out``
+    may be ``x`` itself.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 class Tensor:

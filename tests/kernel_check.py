@@ -12,7 +12,6 @@ activations, division, ``mean`` and ``broadcast_to``.  They are defined here
 as plain tape nodes on ``Tensor._make``, each with its own numpy VJP.
 """
 import numpy as np
-from scipy.special import expit
 
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check
 from pastnet.numcore.tensor import _unbroadcast
@@ -60,9 +59,15 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), vjp)
 
 
+def logistic(x):
+    """1 / (1 + e^-x) as (1 + tanh(x/2)) / 2: the library computes it from
+    exp, so the reference takes another formula; finite for every x."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = constant(x)
-    s = expit(x.data)
+    s = logistic(x.data)
 
     def vjp(g):
         return (g * s * (1.0 - s),)
@@ -85,7 +90,7 @@ def softplus(x: Tensor) -> Tensor:
     across the whole float64 range instead of overflowing past x ~ 700."""
     x = constant(x)
     data = np.logaddexp(0.0, x.data)
-    s = expit(x.data)
+    s = logistic(x.data)
 
     def vjp(g):
         return (g * s,)

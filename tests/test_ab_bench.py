@@ -1,4 +1,5 @@
 """scripts/ab_bench.py runs against the current API and writes its report schema."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_ab_bench_smallest_case_runs(tmp_path):
@@ -47,3 +55,51 @@ def test_ab_bench_train_case_reports_system_time_and_the_adjoint_arena():
     # every step ends with the arena holding no more than the step had in use at its peak
     assert all(0 < idle <= peak for idle, peak in
                zip(result["adjoint_idle_mib"], result["adjoint_peak_mib"]))
+
+
+def test_ab_bench_import_case_under_both_allocator_settings(tmp_path):
+    out = tmp_path / "ab.json"
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_bench.py"), "--before", str(ROOT),
+         "--after", str(ROOT), "--rounds", "1", "--repeats", "1", "--case", "import_cli",
+         "--malloc", "both", "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    report = json.loads(out.read_text())
+    assert report["command"].endswith("--case import_cli --malloc both")
+    assert report["machine"]["malloc"] == {
+        "pinned": {"MALLOC_MMAP_THRESHOLD_": str(128 << 10)}, "default": {},
+    }
+    assert list(report["cases"]) == ["import_cli", "import_cli@default"]
+    for entry in report["cases"].values():
+        assert entry["outputs_identical"] is True
+        assert entry["workload"] == {}
+        assert set(entry["before"]) == set(entry["after"]) == {"import_ms", "rss_mib"}
+        # one fresh interpreter per repeat: its own CPU and peak, not the case process's
+        assert entry["after"]["import_ms"]["n"] == entry["after"]["rss_mib"]["n"] == 1
+        assert 0 < entry["after"]["import_ms"]["median"]
+        assert 0 < entry["after"]["rss_mib"]["median"]
+
+
+def test_ab_bench_child_environment_carries_only_the_chosen_allocator_setting(monkeypatch):
+    ab_bench = _ab_bench()
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "1")
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1")
+    pinned = ab_bench._child_env(str(ROOT), "pinned")
+    default = ab_bench._child_env(str(ROOT), "default")
+    assert pinned["MALLOC_MMAP_THRESHOLD_"] == str(128 << 10)
+    for env in (pinned, default):
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        assert "MALLOC_ARENA_MAX" not in env and "GLIBC_TUNABLES" not in env
+    assert not any(key.startswith("MALLOC_") for key in default)
+
+
+def test_ab_bench_ratio_of_a_zero_before_median_is_none():
+    # under glibc's default allocator a step's system time reads 0 ms
+    ab_bench = _ab_bench()
+    assert ab_bench._ratio(0.0, 0.0) is None
+    assert ab_bench._ratio(1.5, 0.0) is None
+    assert ab_bench._ratio(1.0, 3.0) == 0.333

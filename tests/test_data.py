@@ -1,4 +1,5 @@
 """Dataset construction, transforms, calendar features, windowing, file IO."""
+import hashlib
 import json
 import re
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 from pastnet.data import (
     MINUTES_PER_DAY,
+    _connected,
     StartTime,
     TrafficDataset,
     build_spatial_adjacency,
@@ -102,6 +104,60 @@ def test_synthesize_deterministic_and_seed_sensitive():
     assert a.edges == b.edges
     assert not np.array_equal(a.values, c.values)
     assert a.values.shape == (2 * 96, 5)
+
+
+def _union_find_connected(n, edges):
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j, _ in edges:
+        parent[root(i)] = root(j)
+    return len({root(i) for i in range(n)}) == 1
+
+
+@pytest.mark.parametrize("n, edges, connected", [
+    (1, [], True),
+    (2, [], False),
+    (3, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)], True),  # duplicate edge
+    (3, [(0, 0, 0.0), (1, 2, 1.0)], False),  # self-loop; node 0 alone
+    (3, [(0, 0, 0.0), (2, 2, 0.0), (0, 2, 1.0), (1, 2, 1.0)], True),
+    (6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)], False),  # two components
+    (6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (2, 5, 1.0)], True),
+])
+def test_connected_hand_cases(n, edges, connected):
+    assert _connected(n, edges) is connected
+    assert _union_find_connected(n, edges) is connected
+
+
+def test_connected_agrees_with_union_find_on_seeded_edge_lists():
+    rng = np.random.default_rng(16)
+    decisions = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 2 * n + 1))
+        edges = [(int(i), int(j), 1.0) for i, j in rng.integers(0, n, size=(m, 2))]
+        expected = _union_find_connected(n, edges)
+        assert _connected(n, edges) is expected, (n, edges)
+        decisions.add(expected)
+    assert decisions == {True, False}
+
+
+def test_synthesize_draws_the_graphs_it_drew_before():
+    # sha256 of the values and edges as drawn at 08f39d6, when connectivity
+    # was decided by scipy.sparse.csgraph; seed 9 rejects two disconnected
+    # draws before it keeps the third
+    ds = synthesize_dataset(n_nodes=20, n_days=20, seed=9)
+    assert hashlib.sha256(ds.values.tobytes()).hexdigest() == (
+        "b36ffdc94d0789fd13ea1a10de00a0d0b5136a454eff1d67dfd8273d5fd1831b"
+    )
+    assert hashlib.sha256(np.array(ds.edges).tobytes()).hexdigest() == (
+        "ed8dd031b3ad98c82c43f6c7e272cf91282e3e257f890a51858fbc8922da8d7e"
+    )
 
 
 def test_synthesize_connected_graph():

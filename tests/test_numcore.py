@@ -2,8 +2,10 @@
 hand-computed values for the losses and one Adam step, store invariants."""
 import ast
 import contextlib
+import math
 import pathlib
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -740,6 +742,46 @@ def test_grad_check_rejects_nondeterministic_objective():
 
     with pytest.raises(NonDeterministicObjectiveError, match="non-deterministic"):
         grad_check(loss_fn, _quadratic_params())
+
+
+def _math_sigmoid(v: float) -> float:
+    """1 / (1 + e^-v) from the math module, one float at a time."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # e^-v past the float range: the value is 0 to the last bit
+        return 0.0
+
+
+def test_sigmoid_matches_a_math_exp_reference():
+    rng = np.random.default_rng(16)
+    x = np.concatenate([rng.uniform(-750.0, 750.0, 20000), rng.uniform(-40.0, 40.0, 20000),
+                        rng.normal(size=20000)])
+    reference = np.array([_math_sigmoid(v) for v in x])
+    assert np.abs(pastnet.numcore.sigmoid(x) - reference).max() <= 2.3e-16
+
+
+def test_sigmoid_saturates_and_keeps_nan_without_warnings():
+    x = np.array([-800.0, 800.0, -np.inf, np.inf, np.nan])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        y = pastnet.numcore.sigmoid(x)
+    assert y[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert np.isnan(y[4])
+
+
+def test_sigmoid_in_place_and_on_strided_views():
+    rng = np.random.default_rng(17)
+    x = rng.normal(scale=30.0, size=(64, 80))
+    expected = pastnet.numcore.sigmoid(x.copy())
+    for view in (x[::3, 1::2], x[:, 40:], x.T):
+        dense = np.ascontiguousarray(view)
+        assert pastnet.numcore.sigmoid(view).tobytes() == pastnet.numcore.sigmoid(dense).tobytes()
+    y = x.copy()
+    assert pastnet.numcore.sigmoid(y, out=y) is y
+    assert y.tobytes() == expected.tobytes()
+    gate = x.copy()[:, 40:]  # cgm's gate: the right half of the projection, in place
+    pastnet.numcore.sigmoid(gate, out=gate)
+    assert gate.tobytes() == np.ascontiguousarray(expected[:, 40:]).tobytes()
 
 
 def test_numcore_exports_only_what_the_library_imports():
