@@ -55,15 +55,22 @@ more step.
   (``ru_stime``) cover a whole call; ``step_ms``, ``step_faults`` and
   ``step_sys_ms`` each step after a call's first, cut at every
   ``adam_step`` return; ``rss_mib`` is the peak of the process.  Where the
-  training pool has an adjoint arena, ``adjoint_idle_mib`` is what it holds
-  idle at each of those step ends and ``adjoint_peak_mib`` the most it had
-  handed out at once during the step.
+  pool ``train`` holds has ``stats()``, each of those step ends also reports
+  ``pool_step_mib`` (its step buffers), ``arena_mib`` (its arena buffers)
+  and ``arena_peak_mib`` (the most the arena had handed out at once during
+  the step).
 
 Every case hashes its output outside the timed region: the imputed bytes of
 a span case, the losses and every parameter gradient of a step case's
 warm-up step, the history and trained parameter bytes of a train case.
 ``outputs_identical`` says whether every run of both checkouts gave the
 same hash.
+
+Every case process also times a fixed host-speed probe at its start and at
+its end, as CPU ms: ``host_numpy_ms`` (a 256 x 256 matrix product, eight
+times) and ``host_python_ms`` (a pure-Python loop of 300k additions).  A
+stretch where another job shares the core shows as a slower probe next to
+the slower figures.
 """
 from __future__ import annotations
 
@@ -253,27 +260,28 @@ def _train(setup, repeats: int) -> dict:
     cfg = TrainConfig(lr=1e-2, batch_size=batch_size, epochs=epochs, seed=9,
                       early_stop_patience=epochs)
     marks = []  # _usage() at the start of train and after every step
-    arena = []  # (idle, peak live) adjoint MiB after every step, where the pool has an arena
+    pools = []  # the pool's stats() after every step, where the pool has them
     real_step = model_mod.adam_step
 
     def marked_step(params, state):
         real_step(params, state)
         marks.append(_usage())
-        adjoints = getattr(tensor._pool.get(), "adjoints", None)
-        if adjoints is not None:
-            idle = sum(flat.nbytes for flat in adjoints.idle)
-            arena.append((idle / 2**20, adjoints.peak / 2**20))
+        stats = getattr(tensor._pool.get(), "stats", None)
+        if stats is not None:
+            pools.append(stats())
 
     model_mod.adam_step = marked_step
     out: dict = {"windows": len(w), "batch_size": batch_size, "epochs": epochs}
+    pool_keys = {"pool_step_mib": "step_bytes", "arena_mib": "arena_bytes",
+                 "arena_peak_mib": "arena_peak_bytes"}
     for key in ("train_ms", "train_faults", "train_sys_ms", "step_ms", "step_faults",
-                "step_sys_ms", "adjoint_idle_mib", "adjoint_peak_mib"):
+                "step_sys_ms", *pool_keys):
         out[key] = []
     hashes = set()
     for _ in range(repeats):
         model = PastModel.build(config, adjacency=adjacency)
         marks[:] = [_usage()]
-        arena.clear()
+        pools.clear()
         model, history = model_mod.train(model, w, cfg)
         (t0, f0, s0), (t1, f1, s1) = marks[0], marks[-1]
         out["train_ms"].append((t1 - t0) * 1e3)
@@ -283,17 +291,18 @@ def _train(setup, repeats: int) -> dict:
             out["step_ms"].append((tb - ta) * 1e3)
             out["step_faults"].append(fb - fa)
             out["step_sys_ms"].append((sb - sa) * 1e3)
-        for idle, peak in arena[1:]:
-            out["adjoint_idle_mib"].append(idle)
-            out["adjoint_peak_mib"].append(peak)
+        for stats in pools[1:]:
+            for key, name in pool_keys.items():
+                out[key].append(stats[name] / 2**20)
         digest = hashlib.sha256(np.array(history.loss1 + history.loss2).tobytes())
         for path, t in model.params.items():
             digest.update(path.encode() + t.data.tobytes())
         hashes.add(digest.hexdigest())
     if len(hashes) != 1:
         raise RuntimeError("train() gave different parameters between identical runs")
-    if not out["adjoint_idle_mib"]:  # a checkout whose training pool has no adjoint arena
-        del out["adjoint_idle_mib"], out["adjoint_peak_mib"]
+    if not pools:  # a checkout whose pool has no stats()
+        for key in pool_keys:
+            del out[key]
     out["output_sha256"] = hashes.pop()
     return out
 
@@ -328,9 +337,26 @@ CASES = {
 }
 
 
+def _python_loop() -> int:
+    total = 0
+    for i in range(300_000):
+        total += i
+    return total
+
+
+def _host_probe() -> tuple[float, float]:
+    """CPU ms of a fixed numpy kernel and of a fixed pure-Python loop."""
+    a = np.linspace(-1.0, 1.0, 256 * 256).reshape(256, 256)
+    a @ a  # BLAS sets itself up on its first call: not part of the probe
+    return _cpu_ms(lambda: [a @ a for _ in range(8)]), _cpu_ms(_python_loop)
+
+
 def run_case(case: str, repeats: int) -> dict:
+    start = _host_probe()
     out = CASES[case](repeats)
     out.setdefault("rss_mib", [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024])
+    end = _host_probe()
+    out["host_numpy_ms"], out["host_python_ms"] = ([s, e] for s, e in zip(start, end))
     return out
 
 
@@ -431,9 +457,9 @@ def main() -> int:
         entry = {"workload": workload[case], "outputs_identical": len(hashes[case]) == 1}
         for side in trees:
             entry[side] = {k: _summary(v) for k, v in samples[case][side].items()}
-        entry["after_over_before"] = {
+        entry["after_over_before"] = {  # a metric only one checkout reports has no ratio
             k: _ratio(entry["after"][k]["median"], entry["before"][k]["median"])
-            for k in entry["before"]
+            for k in entry["before"] if k in entry["after"]
         }
         report_cases[case] = entry
     selected = "".join(f" --case {case}" for case in args.case or ())

@@ -13,24 +13,25 @@ depends only on u and on the time-of-week slot of stamp (b, l), one of
 7 * 24 * 4 = 672.  The forward pass therefore runs its layers on the
 batch's S distinct slots, as (S, N, d) streams: the (B, L, N) surface is a
 row gather of the (S, N) slot surface, and each window's context vector is
-a count-weighted mean of slot rows, one numcore ``matmul`` against the
-(B, S) matrix of slot shares.  S <= min(B * L, 672).  ``slot_rows`` is that
-layer stack alone, and ``CgmModule.span_windows`` is the span's slot cache:
-it runs the layers once over a whole span's slots and pools every window of
-``model.impute_span`` from the same rows.
+a count-weighted mean of slot rows, one numcore ``matmul`` per stream
+against the (B, S) matrix of slot shares.  S <= min(B * L, 672).
+``slot_rows`` is that layer stack alone, and ``CgmModule.span_windows`` is
+the span's slot cache: it runs the layers once over a whole span's slots
+and pools every window of ``model.impute_span`` from the same rows.
 
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
 
-Buffers (see ``numcore.tensor``): inside ``train``'s pool the pair rows
-(numcore ``concat``), the head and pooling products (numcore ``matmul``)
-and the gates' outputs and saved arrays are step buffers, and the stream
+Buffers (see ``numcore.tensor``): inside a pool (``train``,
+``impute_span``) the last layer's pair rows (numcore ``concat``), the head
+and pooling products (numcore ``matmul``) and the gates' outputs and saved
+arrays are step buffers, valid until the pool's next rewind, and the stream
 adjoints the gates and the head return are adjoint buffers; ``_GateSide``
-lists its own.  Under ``no_grad`` every output is a fresh array.
+lists its own.  Under ``no_grad`` the gates' saved arrays are scratch.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -106,13 +107,16 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     concatenated weights.  The two outputs are two tape nodes sharing one
     forward pass; saved for backward, per stream: the concatenated weights,
     the projection next to the sigmoid of the gate, the tanh of the gate
-    and the product projection * sigmoid.
+    and the product projection * sigmoid.  Both outputs are computed before
+    either node is made: making a node hands scratch back, and without a
+    tape each side's saved arrays are scratch that the other side reads.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
     side_s = _GateSide(s, w_sp, w_sg, "s", s.shape == shape)
     side_t = _GateSide(t, w_tp, w_tg, "t", t.shape == shape)
-    return side_s.output(side_t), side_t.output(side_s)
+    out_s, out_t = side_s.output(side_t), side_t.output(side_s)
+    return side_s.node(side_t, out_s), side_t.node(side_s, out_t)
 
 
 class _GateSide:
@@ -120,11 +124,10 @@ class _GateSide:
 
     The projections, the tanh and the product projection * sigmoid are
     step buffers saved for the VJP (under ``no_grad``, scratch that dies
-    with the layer call), the outputs are step buffers (fresh under
-    ``no_grad``), the VJP's intermediates are scratch and the stream
-    adjoints it returns, ``gv`` and ``go``, are adjoint buffers.  The
-    weight adjoints stay fresh arrays: the tape adds them straight into the
-    parameters' accumulators.
+    with the layer call), the outputs are step buffers, the VJP's
+    intermediates are scratch and the stream adjoints it returns, ``gv``
+    and ``go``, are adjoint buffers.  The weight adjoints stay fresh
+    arrays: the tape adds them straight into the parameters' accumulators.
     """
 
     def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor, side: str, full: bool):
@@ -145,23 +148,27 @@ class _GateSide:
         self.sig = sigmoid(gate, out=gate)  # the raw gate is not needed again
         self.update = np.multiply(self.proj, self.sig, out=buffer("update", d))
 
-    def output(self, other: "_GateSide") -> Tensor:
-        """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate), one tape node."""
-        v, d = self.v, self.v.shape[-1]
+    def output(self, other: "_GateSide") -> np.ndarray:
+        """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate)."""
         shape = np.broadcast_shapes(self.update.shape, other.tanh.shape)
         out = np.multiply(
             self.update, other.tanh, out=step_buffer(("cgm.gate", self.side, "out"), shape)
         )
-        out += v.data
+        out += self.v.data
+        return out
+
+    def node(self, other: "_GateSide", out: np.ndarray) -> Tensor:
+        """``out``, this side's ``output``, as one tape node."""
+        v, d, shape = self.v, self.v.shape[-1], out.shape
 
         def vjp(g):
             # every array written below is scratch or allocated here; g and
             # the saved forward arrays are only read
             gv = go = gw_p = gw_g = gw_og = None
-            prod = np.multiply(g, other.tanh, out=scratch(("cgm.gate", "prod"), shape))
+            prod = np.multiply(g, other.tanh, out=scratch(shape))
             g_update = _unbroadcast(prod, self.update.shape)
             if v.requires_grad or self.w_p.requires_grad or self.w_g.requires_grad:
-                g_proj_sig = scratch(("cgm.gate", "g_proj_sig"), self.proj_sig.shape)
+                g_proj_sig = scratch(self.proj_sig.shape)
                 g_gate = g_proj_sig[..., d:]
                 np.multiply(g_update, self.sig, out=g_proj_sig[..., :d])
                 np.multiply(g_update, self.proj, out=g_gate)
@@ -175,7 +182,7 @@ class _GateSide:
                     gw_p, gw_g = gw[:, :d], gw[:, d:]
             if other.v.requires_grad or other.w_g.requires_grad:
                 # prod is spent once reduced away; else a scratch of its own
-                spare = prod if g_update is not prod else scratch(("cgm.gate", "g_tanh"), shape)
+                spare = prod if g_update is not prod else scratch(shape)
                 g_tanh = _unbroadcast(np.multiply(g, self.update, out=spare), other.tanh.shape)
                 spare = g_update if g_update.shape == g_tanh.shape else None
                 dtanh = np.multiply(other.tanh, other.tanh, out=spare)
@@ -246,11 +253,12 @@ class CgmModule:
         if code.ndim != 2:
             raise ValueError("week, hour, minute_bucket must share a (B, L) shape")
         slots, inverse, share = _window_shares(code)
-        pairs, surface = self.slot_rows(slots)
-        return embedding(surface, inverse), self.pooled_hiddens(share, pairs)
+        streams, surface = self.slot_rows(slots)
+        return embedding(surface, inverse), self.pooled_hiddens(share, streams)
 
     def span_windows(
-        self, week, hour, minute_bucket, starts: list[int], with_hiddens: bool
+        self, week, hour, minute_bucket, starts: list[int], with_hiddens: bool,
+        rewind: Callable[[], None],
     ) -> tuple[list[np.ndarray], list]:
         """(T,) span calendar -> per window starting at ``starts``, its (L, N)
         surface and n x (1, N, d) hiddens (None unless ``with_hiddens``).
@@ -258,39 +266,49 @@ class CgmModule:
         The layers take the span's distinct slots at most L at a time, which
         keeps live activations at one window's size (all 672 slots at once:
         traced peak 21.9 -> 60.2 MiB for a 24-day desk-size call, same bits).
-        Each window pools its own slots' rows with its (1, S_b) shares, as
-        ``forward`` does at B=1; the pair rows are freed before gim runs.
+        Each window pools its own slots' stream rows with its (1, S_b) shares,
+        as ``forward`` does at B=1; the stream rows are freed before gim runs.
+        ``rewind`` is called before each chunk and each window's pooling, so
+        the caller's pool holds one chunk's step buffers; the hiddens
+        themselves are fresh arrays (the projection's bias add).
         """
         cfg = self.config
         L = cfg.L
         slots, inverse = np.unique(slot_codes(week, hour, minute_bucket), return_inverse=True)
         S = slots.size
         surface = np.empty((S, cfg.N))
-        pair_rows = [np.empty((S, cfg.N, 2 * cfg.d)) for _ in range(cfg.n)] if with_hiddens else []
+        shape = (S, cfg.N, cfg.d)
+        cache = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n)] if with_hiddens else []
         for lo in range(0, S, L):
-            pairs, part_surface = self.slot_rows(slots[lo : lo + L])
+            rewind()
+            streams, part_surface = self.slot_rows(slots[lo : lo + L])
             surface[lo : lo + L] = part_surface.data
-            for cached, pair in zip(pair_rows, pairs):
-                cached[lo : lo + L] = pair.data
+            for cached, pair in zip(cache, streams):
+                for rows, stream in zip(cached, pair):
+                    rows[lo : lo + L] = stream.data
         surfaces = [surface[inverse[s : s + L]] for s in starts]
         if not with_hiddens:
             return surfaces, [None] * len(starts)
         hiddens = []
         for s in starts:
+            rewind()
             own, _, share = _window_shares(inverse[None, s : s + L])  # own: indices into slots
             # a window that does not wrap the week owns one run of slots: a view, not a gather
             rows = slice(own[0], own[-1] + 1) if own[-1] - own[0] + 1 == own.size else own
-            hiddens.append(self.pooled_hiddens(share, [constant(c[rows]) for c in pair_rows]))
+            pairs = [(constant(s_rows[rows]), constant(t_rows[rows])) for s_rows, t_rows in cache]
+            hiddens.append(self.pooled_hiddens(share, pairs))
         return surfaces, hiddens
 
-    def slot_rows(self, slots: np.ndarray) -> tuple[list[Tensor], Tensor]:
-        """Sorted distinct slot codes (S,) -> (n x (S, N, 2d) pair rows, (S, N) surface).
+    def slot_rows(self, slots: np.ndarray) -> tuple[list[tuple[Tensor, Tensor]], Tensor]:
+        """Sorted distinct slot codes (S,) -> (n x ((S, N, d), (S, N, d)) spatial
+        and temporal stream rows, (S, N) surface).
 
         Layer 0 takes the node embedding as a (1, N, d) stream and the slot
         embedding as an (S, 1, d) stream; its gating broadcasts them to
         (S, N, d) and makes every (slot, node) pair distinct.  Every GEMM
         here is batched over the slot axis, so a slot's rows do not depend
-        on which other slots are computed with it.
+        on which other slots are computed with it.  Only the last layer's
+        streams are joined into (S, N, 2d) pair rows, for the head.
         """
         cfg = self.config
         N, d = cfg.N, cfg.d
@@ -307,7 +325,7 @@ class CgmModule:
         )
         t_stream = stamp.reshape(S, 1, d)
 
-        pairs: list[Tensor] = []
+        streams: list[tuple[Tensor, Tensor]] = []
         for i in range(cfg.n):
             prefix = f"cgm/layer{i}"
             s_stream, t_stream = cross_gate_layer(
@@ -318,19 +336,27 @@ class CgmModule:
                 p[f"{prefix}/W_sg"],
                 p[f"{prefix}/W_tg"],
             )
-            pairs.append(concat([s_stream, t_stream], axis=2))
+            streams.append((s_stream, t_stream))
 
-        # the head reads the last layer's pair, as its hidden projection does
-        surface = (pairs[-1] @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(S, N)
-        return pairs, surface
+        # only the head joins the streams: its VJP reads the pair rows
+        pair = concat([s_stream, t_stream], axis=2)
+        surface = (pair @ p["cgm/head/W"] + p["cgm/head/b"]).reshape(S, N)
+        return streams, surface
 
-    def pooled_hiddens(self, share: np.ndarray, pairs: list[Tensor]) -> list[Tensor]:
-        """(B, S) slot shares and n x (S, N, 2d) pair rows -> n x (B, N, d) hiddens."""
+    def pooled_hiddens(self, share: np.ndarray, streams: list[tuple[Tensor, Tensor]]) -> list[Tensor]:
+        """(B, S) slot shares and n x ((S, N, d), (S, N, d)) stream rows ->
+        n x (B, N, d) hiddens.
+
+        Each stream is pooled on its own and the two (B, N, d) means are
+        joined, which gives the bits of pooling the (S, N, 2d) pair rows
+        without making them.
+        """
         p = self.params
         B, S = share.shape
         w = constant(share)
         return [
-            (w @ pair.reshape(S, -1)).reshape(B, *pair.shape[1:]) @ p[f"cgm/layer{i}/hidden/W"]
+            concat([(w @ v.reshape(S, -1)).reshape(B, *v.shape[1:]) for v in pair], axis=2)
+            @ p[f"cgm/layer{i}/hidden/W"]
             + p[f"cgm/layer{i}/hidden/b"]
-            for i, pair in enumerate(pairs)
+            for i, pair in enumerate(streams)
         ]

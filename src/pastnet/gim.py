@@ -25,16 +25,16 @@ view back to (B, L, N).
 Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
 and what a kernel saves for its VJP (the temporal adjacency, degrees and
 aggregate, the spatial stacked aggregations) are step buffers, and the
-dropout mask is one too; the dropout draw, the relu masks and the VJPs'
-intermediate adjoints are scratch, and the state adjoints the VJPs return
-(the temporal ``gx``, the spatial ``gh``) are adjoint buffers.  Inside
-``train``'s pool the k-th such call of a step reuses the k-th call's
-buffers of the step before, and ``backward`` hands each adjoint buffer,
-and each VJP's scratch, on to a later VJP once it is consumed.  Under
-``no_grad`` (``impute_span`` running one window after another) the saved
-arrays are scratch reused by every layer and window, and every output is
-a fresh array, so nothing a caller holds is overwritten by a later call.
-Outside both, every array is fresh.
+dropout mask is one too; the dropout draw and its eligibility mask, the
+temporal injection term, the embedding's token term, the relu masks and
+the VJPs' intermediate adjoints are scratch, and the state adjoints the
+VJPs return (the temporal ``gx``, the spatial ``gh``) are adjoint buffers.
+Inside a pool (``train``, ``impute_span``) the k-th such call since the
+last rewind reuses the k-th call's step buffers, and scratch and adjoints
+share the pool's arena: forward scratch goes back when the kernel's node
+is made, and ``backward`` hands each adjoint buffer on to a later VJP
+once it is consumed.  Under ``no_grad`` the saved arrays are scratch too.
+Outside any pool every array is fresh.
 """
 from __future__ import annotations
 
@@ -107,8 +107,8 @@ def interval_dropout_mask(
 
     ``columns`` is the (L, G) time-major mask.  Returns a (G, L, L) bool
     array, True where edge j -> i of graph g is dropped: a step buffer,
-    valid until a training pool's next rewind.  Draws one (G, L, L) block
-    of ``rng.random`` into a scratch buffer, indexed [g, i, j].
+    valid until its pool's next rewind.  Draws one (G, L, L) block of
+    ``rng.random`` into scratch, indexed [g, i, j].
     """
     L, G = columns.shape
     idx = np.arange(L)
@@ -118,9 +118,9 @@ def interval_dropout_mask(
     eligible = np.bitwise_and(
         per_graph[:, :, None] == 0.0,
         per_graph[:, None, :] == 1.0,
-        out=scratch("gim.dropout.eligible", (G, L, L), bool),
+        out=scratch((G, L, L), bool),
     )
-    draw = rng.random(out=scratch("gim.dropout.draw", (G, L, L)))
+    draw = rng.random(out=scratch((G, L, L)))
     drop = np.less(draw, prob, out=step_buffer("gim.dropout.mask", (G, L, L), bool))
     drop &= eligible
     return drop
@@ -188,7 +188,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     np.matmul(a[..., :L], x.data.transpose(1, 0, 2), out=agg.transpose(1, 0, 2))
     if inj is not None:
         agg += np.multiply(
-            weight[:, L, None, None], inj.data, out=scratch("gim.temporal.inj", (L, G, d))
+            weight[:, L, None, None], inj.data, out=scratch((L, G, d))
         )
     agg /= denom
     out = np.matmul(agg, w.data, out=step_buffer("gim.temporal.out", (L, G, w.shape[1])))
@@ -198,7 +198,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
 
     def vjp(g):
         gx = gi = gl = gw = gb = None
-        gz = _relu_adjoint("gim.temporal", g, out)
+        gz = _relu_adjoint(g, out)
         if w.requires_grad:
             gw = agg.reshape(-1, d).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
@@ -206,7 +206,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
         need_inj = inj is not None and inj.requires_grad
         if not (x.requires_grad or need_inj or logits.requires_grad):
             return (gx, gl, gw, gb, gi)[: len(parents)]
-        g_agg = np.matmul(gz, w.data.T, out=scratch("gim.temporal.g_agg", (L, G, d)))
+        g_agg = np.matmul(gz, w.data.T, out=scratch((L, G, d)))
         if logits.requires_grad:
             # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom
             spare = gz if gz.shape == agg.shape else None  # gz is spent
@@ -221,14 +221,14 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
         if need_inj:
             gi = (weight[:, L] @ g_agg.reshape(L, G * d)).reshape(G, d)
         if logits.requires_grad:
-            ga = scratch("gim.temporal.ga", (G, L, width))
+            ga = scratch((G, L, width))
             per_graph = g_agg.transpose(1, 0, 2)
             np.matmul(per_graph, x.data.transpose(1, 2, 0), out=ga[..., :L])
             if inj is not None:
                 np.matmul(per_graph, inj.data[:, :, None], out=ga[..., L:])
             ga -= g_denom.T[:, :, None]  # every entry of a row feeds that row's degree
             # keep only the graph's edges, where A holds softplus > 0
-            ga *= np.not_equal(a, 0.0, out=scratch("gim.temporal.edges", a.shape, bool))
+            ga *= np.not_equal(a, 0.0, out=scratch(a.shape, bool))
             gl = np.zeros(logits.shape)
             np.sum(ga, axis=0, out=gl[:L, :width])
             gl[:L, :width] *= sigmoid(logits.data[:L, :width])
@@ -237,10 +237,10 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     return Tensor._make(out, parents, vjp)
 
 
-def _relu_adjoint(kernel: str, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g * (out > 0) in the kernel's scratch: the adjoint through relu."""
-    live = np.greater(out, 0.0, out=scratch(f"{kernel}.live", out.shape, bool))
-    return np.multiply(g, live, out=scratch(f"{kernel}.gz", out.shape))
+def _relu_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * (out > 0) in scratch: the adjoint through relu."""
+    live = np.greater(out, 0.0, out=scratch(out.shape, bool))
+    return np.multiply(g, live, out=scratch(out.shape))
 
 
 def _summed_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -303,15 +303,15 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
 
     def vjp(g):
         gh = gw = gb = None
-        gz = _relu_adjoint("gim.spatial", g, out)
+        gz = _relu_adjoint(g, out)
         if w.requires_grad:
             gw = stacked.reshape(-1, stacked.shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
             gb = _summed_to(gz, b.shape)
         if h.requires_grad:
-            g_stacked = np.matmul(gz, w.data.T, out=scratch("gim.spatial.g_stacked", stacked.shape))
+            g_stacked = np.matmul(gz, w.data.T, out=scratch(stacked.shape))
             gh = np.matmul(powers[0].T, g_stacked[..., :d], out=adjoint_buffer(h.shape))
-            part = scratch("gim.spatial.part", gh.shape) if len(powers) > 1 else None
+            part = scratch(gh.shape) if len(powers) > 1 else None
             for k in range(1, len(powers)):
                 np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)
                 gh += part
@@ -339,11 +339,11 @@ def vertex_embedding(xz, m, w, b, mask_token) -> Tensor:
     out += b.data
     out *= m
     unset = 1.0 - m
-    out += np.multiply(unset, tok.data, out=scratch("gim.embed.token", shape))
+    out += np.multiply(unset, tok.data, out=scratch(shape))
 
     def vjp(g):
-        g_set = np.multiply(g, m, out=scratch("gim.embed.g_set", shape))
-        prod = scratch("gim.embed.prod", shape)
+        g_set = np.multiply(g, m, out=scratch(shape))
+        prod = scratch(shape)
         gw = _summed_to(np.multiply(g_set, xz, out=prod), w.shape) if w.requires_grad else None
         gb = _summed_to(g_set, b.shape) if b.requires_grad else None
         gt = None

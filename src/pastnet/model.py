@@ -29,10 +29,10 @@ from .numcore import (
     ParamStore,
     Tensor,
     adam_step,
+    buffer_pool,
     constant,
     masked_mse,
     no_grad,
-    training_pool,
 )
 
 
@@ -268,7 +268,9 @@ def impute_span(
     span, and every window pools the rows of its own slots as
     ``CgmModule.forward`` would at B=1.
     The output equals that of imputing each window on its own, bit for bit.
-    Runs without a tape.
+    Runs without a tape, in one ``numcore.buffer_pool`` rewound before each
+    slot chunk and each window, so the pool holds one chunk's and one
+    window's buffers whatever the span's length.
     """
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -294,15 +296,16 @@ def impute_span(
     if starts[-1] != T - L:
         starts.append(T - L)
 
-    with no_grad():
+    with buffer_pool() as pool, no_grad():
         surfaces = hiddens = [None] * len(starts)
         if model.cgm is not None:
             surfaces, hiddens = model.cgm.span_windows(
-                **calendar, starts=starts, with_hiddens=model.gim is not None
+                **calendar, starts=starts, with_hiddens=model.gim is not None, rewind=pool.rewind
             )
         acc = np.zeros_like(values)
         counts = np.zeros((T, 1))
         for s, y_cgm, injected in zip(starts, surfaces, hiddens):
+            pool.rewind()
             sl = slice(s, s + L)
             if model.gim is None:
                 acc[sl] += y_cgm
@@ -369,13 +372,15 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     first branch's epoch loss fails to improve for early_stop_patience
     epochs.  Raises on non-finite losses, naming the epoch and batch.
 
-    The run holds one ``numcore.training_pool`` and rewinds it at the start
+    The run holds one ``numcore.buffer_pool`` and rewinds it at the start
     of every optimizer step, so each step's kernels write into the previous
-    step's buffers instead of mapping fresh pages, and ``backward`` reuses
-    each adjoint's buffer once the adjoint is consumed.  A step's kernel
-    outputs and saved arrays are therefore valid only until the next step;
-    nothing that outlives a step (parameters, gradients, moments, history)
-    is one.
+    step's buffers instead of mapping fresh pages.  Forward scratch (the
+    dropout draw among it) and the VJPs' scratch and adjoints share the
+    pool's arena: scratch goes back once its kernel's node is made, and
+    ``backward`` reuses each adjoint's buffer once the adjoint is consumed.
+    A step's kernel outputs and saved arrays are therefore valid only until
+    the next step; nothing that outlives a step (parameters, gradients,
+    moments, history) is one.
     """
     if len(windows) == 0:
         raise ValueError("cannot train on an empty window batch")
@@ -386,7 +391,7 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
     best = np.inf
     stall = 0
-    with training_pool() as pool:
+    with buffer_pool() as pool:
         for epoch in range(cfg.epochs):
             order = np.random.default_rng([cfg.seed, epoch]).permutation(len(windows))
             sums = np.zeros(2)

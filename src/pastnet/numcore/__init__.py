@@ -5,6 +5,7 @@ from .params import ParamStore
 from .tensor import (
     Tensor,
     adjoint_buffer,
+    buffer_pool,
     concat,
     constant,
     embedding,
@@ -13,7 +14,6 @@ from .tensor import (
     scratch,
     sigmoid,
     step_buffer,
-    training_pool,
 )
 from .verify import NonDeterministicObjectiveError, grad_check
 
@@ -26,6 +26,7 @@ __all__ = [
     "Tensor",
     "adam_step",
     "adjoint_buffer",
+    "buffer_pool",
     "concat",
     "constant",
     "embedding",
@@ -36,5 +37,4 @@ __all__ = [
     "scratch",
     "sigmoid",
     "step_buffer",
-    "training_pool",
 ]

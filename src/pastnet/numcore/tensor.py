@@ -35,58 +35,51 @@ composite references the tests compare them with build their own on
 Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
 plain tensor with no parents and no VJP, so no VJP reads what a kernel
 saved once the kernel returns, and ``backward()`` cannot reach anything
-computed there.  Values are the same bits as with recording on.  Inference runs this way.  The
-switch is a context variable, so it holds for the current thread only, and
-the previous state comes back when the block exits, also by an exception.
+computed there.  Values are the same bits as with recording on.  Inference
+runs this way.  The switch is a context variable, so it holds for the
+current thread only, and the previous state comes back when the block
+exits, also by an exception.
 
-Buffer pools: one pool per thread, in a second context variable, lets
-kernels reuse buffers instead of mapping, faulting and unmapping fresh
-pages every call.  A pool serves three lifetimes:
+Buffer pool: ``buffer_pool()`` opens one pool for the current thread, in a
+second context variable, so that kernels reuse buffers instead of mapping,
+faulting and unmapping fresh pages every call.  ``train()`` holds one for a
+run and rewinds it at every optimizer step; ``impute_span()`` holds one for
+a call and rewinds it per slot chunk and per window.  Outside any pool
+every buffer below is a fresh array.  A pool serves three lifetimes:
 
-- ``scratch(key, shape)`` is a call-local temporary: one buffer per key,
-  which the kernel uses only until it returns (a random draw, a relu mask,
-  a VJP's intermediate adjoints, which inside a training pool come from
-  the adjoint buffers below).  Outside any pool it is ``np.empty``.
 - ``step_buffer(key, shape)`` is what a kernel or a generic ``matmul`` or
-  ``concat`` returns, or what a kernel saves for its VJP.  Inside a
-  training pool it is one buffer per (key, occurrence since the last
-  rewind), valid until the pool's next ``rewind()``: the k-th temporal
-  kernel of a step gets the same buffer in every step.  Anywhere else it
-  is a fresh array.  An array saved only for the VJP (``vjp_only=True``) is
-  a call-local temporary when nothing is recorded, since no VJP will read
-  it.
-- ``adjoint_buffer(shape)`` is an adjoint a VJP returns.  While
-  ``backward()`` runs inside a training pool, an adjoint of 128 KiB or more
-  is a view of one of the pool's adjoint buffers, owned by the tape:
-  ``backward()`` counts the interior adjoints that view each buffer (a
-  reshape, transpose, split piece or broadcast of an adjoint views the
-  same buffer) and puts the buffer back on the pool's idle list when the
-  last of them is consumed.  A VJP's own temporaries of 128 KiB or more
-  (its ``scratch``) come from the same buffers and go back when the VJP
-  returns, so a step's backward pass keeps no scratch of its own.  An idle
-  buffer serves the next request it fits, as a view; when none fits, the
-  idle buffers are dropped and a new one is mapped, so the pool never holds
-  more of these buffers than it once had in use at the same time.  Anywhere
-  else, and below 128 KiB, an adjoint buffer is a fresh array.
+  ``concat`` returns, or what a kernel saves for its VJP: one buffer per
+  (key, occurrence since the last rewind), valid until the pool's next
+  ``rewind()``, so the k-th temporal kernel of a step gets the same buffer
+  in every step.  Each keeps the largest size asked for and hands out
+  views, so an epoch's smaller last batch reuses the full batch's pages.
+  An array saved only for the VJP (``vjp_only=True``) is scratch when
+  nothing is recorded, since no VJP will read it.
+- ``scratch(shape)`` is a call-local temporary (a random draw, a relu mask,
+  a VJP's intermediate adjoints).  One of ``HEAP_ADJOINT_BYTES`` or more is
+  a view of one of the pool's arena buffers, handed back when the next tape
+  node is made (``Tensor._make``, the kernel's own node) or, inside
+  ``backward()``, when the VJP returns.  A smaller one is a plain array.
+- ``adjoint_buffer(shape)`` is an adjoint a VJP returns: arena memory like
+  scratch, except that ``backward()`` keeps the buffer while an interior
+  adjoint views it.  It counts the interior adjoints that view each buffer
+  (a reshape, transpose, split piece or broadcast of an adjoint views the
+  same buffer) and hands the buffer back when the last of them is consumed.
 
-``training_pool()`` opens a pool that ``train()`` holds for a whole run and
-rewinds at the start of every optimizer step, so a step's arrays are valid
-only until the next step.  It keeps each step buffer at the largest size
-requested and hands out views, so an epoch's smaller last batch reuses the
-full batch's pages.  The outermost ``no_grad()`` block opens an inference
-pool (also inside a training pool, so imputing mid-run leaves the step's
-buffers alone) and drops it on exit, also by an exception; nested blocks
-share it.  An inference pool never serves step or adjoint buffers, so every
-output there is a fresh array, and it replaces a slot whose shape changes.
+An idle arena buffer serves the next request it fits, as a view; when none
+fits, the idle buffers are dropped and a new one is mapped, so the arena
+never holds more than it once had in use at the same time.
+``ScratchPool.stats()`` reports the step-buffer and arena bytes.
 
-The rules that make reuse safe: a call-local buffer never leaves the call
-that asked for it, and nothing holds a step buffer past the step.  Who may
-write an adjoint: the VJP that took it from ``adjoint_buffer``, until it
-returns it, and then only ``backward()``, which adds into it in place only
-while the node it accumulates for is its only holder.  A VJP never writes
-into its incoming adjoint and returns no scratch or step buffer (nor a
-view of one), because ``backward()`` keeps what it returns as interior
-adjoints and leaf gradients.
+The rules that make reuse safe: a scratch buffer never leaves the call
+that asked for it, and that call makes no tape node while it still reads
+the buffer; nothing holds a step buffer past the pool's next rewind.  Who
+may write an adjoint: the VJP that took it from ``adjoint_buffer``, until
+it returns it, and then only ``backward()``, which adds into it in place
+only while the node it accumulates for is its only holder.  A VJP never
+writes into its incoming adjoint and returns no scratch or step buffer
+(nor a view of one), because ``backward()`` keeps what it returns as
+interior adjoints and leaf gradients.
 """
 from __future__ import annotations
 
@@ -102,25 +95,22 @@ Array = np.ndarray
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
 _pool: ContextVar[ScratchPool | None] = ContextVar("scratch_pool", default=None)
 
-HEAP_ADJOINT_BYTES = 128 << 10  # smaller adjoints stay plain (heap) arrays
+HEAP_ADJOINT_BYTES = 128 << 10  # smaller temporaries and adjoints stay plain (heap) arrays
 
 
-class AdjointArena:
-    """A training pool's buffers for what ``backward()`` allocates: the
-    adjoints VJPs return and the VJPs' own temporaries.
+class Arena:
+    """A pool's buffers for call-local memory: scratch and the adjoints VJPs return.
 
     ``idle`` holds the flat float64 buffers nothing uses, smallest first.
     ``viewed`` maps each handed-out buffer to the number of interior
-    adjoints the tape holds that view it.  A buffer goes idle when the VJP
-    that took it returns, unless the tape keeps a view of it, and then when
-    the last such view is consumed.  ``active`` is True while ``backward()``
-    runs: only then do ``adjoint_buffer`` and ``scratch`` draw from here.
-    ``live`` counts the bytes handed out and not yet idle, ``peak`` its
-    largest value since the pool's last rewind.
+    adjoints the tape holds that view it.  A buffer goes idle at the next
+    ``settle()`` after it was taken, unless the tape keeps a view of it, and
+    then when the last such view is consumed.  ``live`` counts the bytes
+    handed out and not yet idle, ``peak`` its largest value since the pool's
+    last rewind.
     """
 
     def __init__(self):
-        self.active = False
         self.idle: list[Array] = []
         self.viewed: dict[int, list] = {}  # id(flat) -> [flat, interior adjoints viewing it]
         self._handed: list[Array] = []  # handed out since the last settle()
@@ -141,6 +131,10 @@ class AdjointArena:
         self.live += flat.nbytes
         self.peak = max(self.peak, self.live)
         return flat[:size].view(dtype)[:count].reshape(shape)
+
+    def buffers(self) -> list[Array]:
+        """Every buffer the arena holds, idle or handed out."""
+        return self.idle + [flat for flat, _ in self.viewed.values()]
 
     def _entry(self, adjoint: Array) -> list | None:
         base = adjoint.base  # numpy points every view at the array that owns the memory
@@ -166,7 +160,7 @@ class AdjointArena:
         return entry is not None and entry[1] == 1 and adjoint.flags.writeable
 
     def settle(self) -> None:
-        """Take back what the last VJP handed out and the tape did not keep."""
+        """Take back what was handed out since the last settle and the tape did not keep."""
         for flat in self._handed:
             entry = self.viewed.get(id(flat))
             if entry is not None and entry[1] == 0:
@@ -175,7 +169,6 @@ class AdjointArena:
 
     def finish(self) -> None:
         """End a ``backward()``.  Buffers still viewed (it raised) leave the arena."""
-        self.active = False
         self.viewed.clear()
         self._handed.clear()
         self.live = 0
@@ -187,51 +180,42 @@ class AdjointArena:
 
 
 class ScratchPool:
-    """One thread's reusable kernel buffers (see the module docstring).
+    """One thread's reusable kernel buffers (see the module docstring)."""
 
-    ``training`` pools also serve step and adjoint buffers and keep every
-    step buffer at its largest size; inference pools serve only call-local
-    temporaries.
-    """
-
-    def __init__(self, training: bool):
-        self.training = training
-        self._temps: dict = {}  # key -> [flat buffer, last view]
+    def __init__(self):
         self._steps: dict = {}  # key -> one [flat buffer, last view] per occurrence
         self._taken: dict = {}  # key -> step buffers handed out since the last rewind
-        self.adjoints = AdjointArena()
+        self.arena = Arena()
 
     def rewind(self) -> None:
         """Start a new step: step buffers are handed out again from the first."""
         self._taken.clear()
-        self.adjoints.peak = self.adjoints.live
+        self.arena.peak = self.arena.live
 
     def values(self) -> list[Array]:
         """Every buffer the pool holds."""
-        slots = [*self._temps.values(), *(s for per_key in self._steps.values() for s in per_key)]
-        held = [flat for flat, _ in self.adjoints.viewed.values()]
-        return [flat for flat, _ in slots] + self.adjoints.idle + held
+        return [flat for per_key in self._steps.values() for flat, _ in per_key] + self.arena.buffers()
 
-    def temp(self, key, shape: tuple[int, ...], dtype) -> Array:
-        return self._fit(self._temps.setdefault(key, [None, None]), shape, dtype)
+    def stats(self) -> dict[str, int]:
+        """Bytes held as step buffers and in the arena, and the most the
+        arena had handed out at once since the last rewind."""
+        steps = sum(flat.nbytes for per_key in self._steps.values() for flat, _ in per_key)
+        arena = sum(flat.nbytes for flat in self.arena.buffers())
+        return {"step_bytes": steps, "arena_bytes": arena, "arena_peak_bytes": self.arena.peak}
 
     def step(self, key, shape: tuple[int, ...], dtype) -> Array:
+        """The (``key``, occurrence) buffer's view of ``shape``; it grows only when too small."""
         n = self._taken.get(key, 0)
         self._taken[key] = n + 1
         per_key = self._steps.setdefault(key, [])
         if n == len(per_key):
-            per_key.append([None, None])
-        return self._fit(per_key[n], shape, dtype)
-
-    def _fit(self, slot: list, shape: tuple[int, ...], dtype) -> Array:
-        """The slot's view of ``shape``, reallocating the slot only when needed."""
+            per_key.append([np.empty(0, dtype), None])
+        slot = per_key[n]
         flat, view = slot
-        dtype = np.dtype(dtype)
         if view is not None and view.shape == shape and view.dtype == dtype:
             return view
         size = math.prod(shape)
-        fits = self.training and flat is not None and flat.dtype == dtype and flat.size >= size
-        if not fits:
+        if flat.dtype != dtype or flat.size < size:
             flat = slot[0] = np.empty(size, dtype)
         view = slot[1] = flat[:size].reshape(shape)
         return view
@@ -239,29 +223,23 @@ class ScratchPool:
 
 @contextmanager
 def no_grad():
-    """Build no tape inside the block; restores the previous state on exit.
-
-    The outermost block opens an inference pool and drops it on exit.
-    """
+    """Build no tape inside the block; restores the previous state on exit."""
     token = _recording.set(False)
-    current = _pool.get()
-    opens = current is None or current.training
-    pool_token = _pool.set(ScratchPool(training=False)) if opens else None
     try:
         yield
     finally:
-        if pool_token is not None:
-            _pool.reset(pool_token)
         _recording.reset(token)
 
 
 @contextmanager
-def training_pool():
-    """Open a training pool for this thread and yield it; dropped on exit.
+def buffer_pool():
+    """Open a pool for this thread and yield it; dropped on exit, also by an exception.
 
-    The caller rewinds it at the start of every step (see ``train``).
+    The holder rewinds it once a step's arrays are no longer read (see
+    ``train`` and ``impute_span``).  A pool opened inside another leaves
+    the outer pool's buffers alone.
     """
-    pool = ScratchPool(training=True)
+    pool = ScratchPool()
     token = _pool.set(pool)
     try:
         yield pool
@@ -269,34 +247,31 @@ def training_pool():
         _pool.reset(token)
 
 
-def scratch(key, shape: tuple[int, ...], dtype=np.float64) -> Array:
+def scratch(shape: tuple[int, ...], dtype=np.float64) -> Array:
     """An uninitialized temporary of ``shape`` for one kernel call.
 
-    Inside a pool, the pool's buffer for ``key``; while ``backward()`` runs
-    in a training pool, a VJP's temporary of ``HEAP_ADJOINT_BYTES`` or more
-    comes from the adjoint arena instead and goes back when the VJP
-    returns.  Outside any pool, a fresh array.  The caller must not return
-    it or keep it past the call.
+    Inside a pool, one of ``HEAP_ADJOINT_BYTES`` or more is arena memory,
+    handed back at the next ``Tensor._make`` or, in ``backward()``, when the
+    VJP returns; else a fresh array.  The caller must not return it, keep it
+    past the call or make a tape node while it still reads it.
     """
     pool = _pool.get()
-    if pool is None:
+    if pool is None or math.prod(shape) * np.dtype(dtype).itemsize < HEAP_ADJOINT_BYTES:
         return np.empty(shape, dtype)
-    if pool.adjoints.active:
-        return _arena_or_heap(pool.adjoints, shape, dtype)
-    return pool.temp(key, shape, dtype)
+    return pool.arena.take(shape, dtype)
 
 
 def step_buffer(key, shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = False) -> Array:
     """An uninitialized array a kernel returns or saves for its VJP.
 
-    Inside a training pool, the buffer of (``key``, occurrence) since the
-    last rewind; elsewhere a fresh array.  ``vjp_only`` arrays are never
-    returned: without recording they are ``scratch`` temporaries.
+    Inside a pool, the buffer of (``key``, occurrence) since the last
+    rewind; elsewhere a fresh array.  ``vjp_only`` arrays are never
+    returned: without recording they are ``scratch``.
     """
     if vjp_only and not _recording.get():
-        return scratch(key, shape, dtype)
+        return scratch(shape, dtype)
     pool = _pool.get()
-    if pool is None or not pool.training:
+    if pool is None:
         return np.empty(shape, dtype)
     return pool.step(key, shape, dtype)
 
@@ -304,32 +279,22 @@ def step_buffer(key, shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = 
 def adjoint_buffer(shape: tuple[int, ...]) -> Array:
     """An uninitialized float64 array a VJP returns as an adjoint.
 
-    While ``backward()`` runs in a training pool, a view of one of its
-    adjoint buffers for arrays of ``HEAP_ADJOINT_BYTES`` or more, which the
-    tape hands back to the pool once no adjoint views it; else a fresh array.
+    ``scratch`` memory that ``backward()`` keeps, inside a pool, until no
+    interior adjoint views it.
     """
-    pool = _pool.get()
-    if pool is None or not pool.adjoints.active:
-        return np.empty(shape)
-    return _arena_or_heap(pool.adjoints, shape, np.float64)
+    return scratch(shape)
 
 
-def _arena_or_heap(arena: AdjointArena, shape: tuple[int, ...], dtype) -> Array:
-    if math.prod(shape) * np.dtype(dtype).itemsize < HEAP_ADJOINT_BYTES:
-        return np.empty(shape, dtype)
-    return arena.take(shape, dtype)
-
-
-def _adjoint_of(op, operands: tuple, full: tuple[int, ...], shape: tuple[int, ...], key) -> Array:
+def _adjoint_of(op, operands: tuple, full: tuple[int, ...], shape: tuple[int, ...]) -> Array:
     """``op(*operands)``, of shape ``full``, summed down to a parent's ``shape``.
 
     A product of the parent's own shape is the adjoint and goes into an
-    adjoint buffer; a larger one is scratch (``key``) that ``_unbroadcast``
-    sums into a fresh array.
+    adjoint buffer; a larger one is scratch that ``_unbroadcast`` sums into
+    a fresh array.
     """
     if full == shape:
         return op(*operands, out=adjoint_buffer(shape))
-    return _unbroadcast(op(*operands, out=scratch(key, full)), shape)
+    return _unbroadcast(op(*operands, out=scratch(full)), shape)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -401,6 +366,9 @@ class Tensor:
 
     @staticmethod
     def _make(data: Array, parents: tuple["Tensor", ...], vjp) -> "Tensor":
+        pool = _pool.get()
+        if pool is not None:
+            pool.arena.settle()  # the kernel that made ``data`` is done with its scratch
         if not (_recording.get() and any(p.requires_grad for p in parents)):
             return Tensor(data)
         out = Tensor(data, requires_grad=True)
@@ -416,8 +384,8 @@ class Tensor:
         receives a fresh writable array.  Interior adjoints may be views
         shared with other nodes: a second contribution is added in place
         only into a pool adjoint buffer that the node alone views, else out
-        of place.  Inside a training pool, every adjoint buffer goes back to
-        the pool once the last interior adjoint viewing it is consumed.
+        of place.  Inside a pool, every adjoint buffer goes back to the
+        arena once the last interior adjoint viewing it is consumed.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -441,9 +409,8 @@ class Tensor:
         else:
             self.grad = self.grad + np.ones_like(self.data)
         pool = _pool.get()
-        # outside a training pool nothing is pooled, so an unshared arena counts nothing
-        arena = pool.adjoints if pool is not None and pool.training else AdjointArena()
-        arena.active = True
+        # outside a pool nothing is pooled, so an unshared arena counts nothing
+        arena = Arena() if pool is None else pool.arena
         try:
             for node in reversed(topo):
                 if node._vjp is None or node.grad is None:
@@ -599,14 +566,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             full = g.shape[:-1] + (b.shape[-2],)
             operands = (g, np.swapaxes(b.data, -1, -2))
-            ga = _adjoint_of(np.matmul, operands, full, a.shape, "numcore.matmul.ga")
+            ga = _adjoint_of(np.matmul, operands, full, a.shape)
         if b.requires_grad and b.ndim == 2:
             operands = (a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
             gb = np.matmul(*operands, out=adjoint_buffer(b.shape))
         elif b.requires_grad:
             full = g.shape[:-2] + (a.shape[-1], g.shape[-1])
             operands = (np.swapaxes(a.data, -1, -2), g)
-            gb = _adjoint_of(np.matmul, operands, full, b.shape, "numcore.matmul.gb")
+            gb = _adjoint_of(np.matmul, operands, full, b.shape)
         return ga, gb
 
     return Tensor._make(data, (a, b), vjp)

@@ -10,11 +10,14 @@ one graph, which must give the same gradients both times.
 The composite references use operations the library does not run: the four
 activations, division, ``mean`` and ``broadcast_to``.  They are defined here
 as plain tape nodes on ``Tensor._make``, each with its own numpy VJP.
+
+``poison_returned_buffers`` makes a read of a pool buffer after it was
+handed back change the result.
 """
 import numpy as np
 
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check
-from pastnet.numcore.tensor import _unbroadcast
+from pastnet.numcore.tensor import Arena, ScratchPool, _unbroadcast
 
 TOL = 1e-12
 
@@ -173,3 +176,36 @@ def check_kernel(kernel, reference, arrays, seed=0, fd_tol=1e-6):
         return _weighted_sum(_outputs(kernel, [params[n] for n in names]), cotangents)
 
     assert grad_check(loss_fn, store, n_samples=64) < fd_tol
+
+
+def _poison(view: np.ndarray, flat: np.ndarray) -> None:
+    if view.dtype == bool:
+        np.logical_not(view, out=view)
+    else:
+        flat.fill(np.nan)
+
+
+def poison_returned_buffers(monkeypatch) -> None:
+    """From now on, overwrite every arena buffer as it is handed back and
+    every step buffer as its pool rewinds: NaN, or for a bool view its
+    negation, so that any later read of one changes what it computes."""
+    real_take, real_idle, real_rewind = Arena.take, Arena._idle, ScratchPool.rewind
+    views = {}  # id(flat) -> the view last handed out on it
+
+    def take(arena, shape, dtype=np.float64):
+        view = real_take(arena, shape, dtype)
+        views[id(view.base)] = view
+        return view
+
+    def idle(arena, flat):
+        _poison(views.pop(id(flat)), flat)
+        real_idle(arena, flat)
+
+    def rewind(pool):
+        for flat in pool.values():  # nothing is read across a rewind
+            _poison(flat, flat)
+        real_rewind(pool)
+
+    monkeypatch.setattr(Arena, "take", take)
+    monkeypatch.setattr(Arena, "_idle", idle)
+    monkeypatch.setattr(ScratchPool, "rewind", rewind)

@@ -32,11 +32,15 @@ def test_ab_bench_smallest_case_runs(tmp_path):
     assert set(entry) == {"workload", "before", "after", "after_over_before", "outputs_identical"}
     assert entry["outputs_identical"] is True
     assert entry["workload"] == {"use_gim": False, "steps_x_nodes": 2304 * 20}
-    metrics = {"impute_ms", "sys_ms", "minor_faults", "rss_mib"}
+    metrics = {"impute_ms", "sys_ms", "minor_faults", "rss_mib", "host_numpy_ms", "host_python_ms"}
     assert set(entry["before"]) == set(entry["after"]) == set(entry["after_over_before"]) == metrics
+    # the host-speed probe runs at the case process's start and end
+    assert entry["after"]["host_numpy_ms"]["n"] == entry["after"]["host_python_ms"]["n"] == 2
+    assert 0 < entry["after"]["host_numpy_ms"]["q1"] and 0 < entry["after"]["host_python_ms"]["q1"]
 
 
 def test_ab_bench_train_case_reports_system_time_and_the_adjoint_arena():
+    # its pool's stats() and the host-speed probe, next to the step figures
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     child = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_bench.py"), "--child", "train_desk",
@@ -46,15 +50,19 @@ def test_ab_bench_train_case_reports_system_time_and_the_adjoint_arena():
     assert child.returncode == 0, child.stderr[-2000:]
     result = json.loads(child.stdout.strip().splitlines()[-1])
     per_call = {"train_ms", "train_faults", "train_sys_ms"}
-    per_step = {"step_ms", "step_faults", "step_sys_ms", "adjoint_idle_mib", "adjoint_peak_mib"}
+    per_step = {"step_ms", "step_faults", "step_sys_ms", "pool_step_mib", "arena_mib",
+                "arena_peak_mib"}
     workload = {"windows", "batch_size", "epochs"}
-    assert set(result) == per_call | per_step | workload | {"output_sha256", "rss_mib"}
+    probe = {"host_numpy_ms", "host_python_ms"}
+    assert set(result) == per_call | per_step | workload | probe | {"output_sha256", "rss_mib"}
     assert all(len(result[k]) == 1 for k in per_call)
+    assert all(len(result[k]) == 2 and min(result[k]) > 0 for k in probe)
     steps = len(result["step_ms"])  # 14 windows in batches of 4, 3 epochs, less the first step
     assert steps == 11 and all(len(result[k]) == steps for k in per_step)
-    # every step ends with the arena holding no more than the step had in use at its peak
-    assert all(0 < idle <= peak for idle, peak in
-               zip(result["adjoint_idle_mib"], result["adjoint_peak_mib"]))
+    # step buffers only grow (a batch with more distinct slots), and every step used the arena
+    held = result["pool_step_mib"]
+    assert 0 < held[0] and all(a <= b for a, b in zip(held, held[1:]))
+    assert all(a > 0 for k in ("arena_mib", "arena_peak_mib") for a in result[k])
 
 
 def test_ab_bench_import_case_under_both_allocator_settings(tmp_path):
@@ -75,7 +83,9 @@ def test_ab_bench_import_case_under_both_allocator_settings(tmp_path):
     for entry in report["cases"].values():
         assert entry["outputs_identical"] is True
         assert entry["workload"] == {}
-        assert set(entry["before"]) == set(entry["after"]) == {"import_ms", "rss_mib"}
+        assert set(entry["before"]) == set(entry["after"]) == {
+            "import_ms", "rss_mib", "host_numpy_ms", "host_python_ms",
+        }
         # one fresh interpreter per repeat: its own CPU and peak, not the case process's
         assert entry["after"]["import_ms"]["n"] == entry["after"]["rss_mib"]["n"] == 1
         assert 0 < entry["after"]["import_ms"]["median"]

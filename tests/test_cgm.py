@@ -4,7 +4,7 @@ slot-path forward against the full (B, L, N, d) grid it replaces."""
 import numpy as np
 import pytest
 
-from kernel_check import check_kernel, logistic, mean, sigmoid, tanh
+from kernel_check import check_kernel, logistic, mean, poison_returned_buffers, sigmoid, tanh
 from pastnet.cgm import CgmModule, cross_gate_layer, default_partition
 from pastnet.model import ModelConfig
 from pastnet.numcore import (
@@ -14,10 +14,11 @@ from pastnet.numcore import (
     constant,
     embedding,
     grad_check,
+    buffer_pool,
     masked_mse,
     no_grad,
 )
-from pastnet.numcore.tensor import _pool
+from pastnet.numcore import tensor
 
 
 def build_module(N=3, d=4, n=2, seed=0, L=1):
@@ -146,8 +147,10 @@ def test_cross_gate_broadcast_streams_match_full_streams():
         cross_gate_layer(np.zeros((2, d)), np.zeros((3, d)), *map(constant, w0))
 
 
-def test_cross_gate_outputs_never_alias_the_scratch_pool():
-    # slot_rows' pattern: a broadcast first layer feeding full-shape layers
+def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
+    # slot_rows' pattern: a broadcast first layer feeding full-shape layers,
+    # in a pool without a tape, every temporary taken from the arena
+    monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", 0)
     rng = np.random.default_rng(8)
     d = 3
     weights = [[constant(rng.normal(size=(d, d))) for _ in range(4)] for _ in range(3)]
@@ -161,14 +164,36 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool():
         return outs
 
     recorded = layers()
-    with no_grad():
+    with buffer_pool() as pool, no_grad():
         outs = layers()
-        pool = list(_pool.get().values())
-    assert pool, "the gate took no temporary from the pool"
+        arena = pool.arena.buffers()
+    assert arena, "the gate took no temporary from the arena"
     for i, out in enumerate(outs):
         assert np.array_equal(out, recorded[i])
-        assert all(not np.shares_memory(out, buf) for buf in pool)
+        assert all(not np.shares_memory(out, buf) for buf in arena)
         assert all(not np.shares_memory(out, other) for other in outs[i + 1 :])
+
+
+def test_cross_gate_without_a_tape_reads_no_buffer_after_handing_it_back(monkeypatch):
+    # without a tape each side's saved arrays are arena scratch, handed back
+    # when either node is made; the other side must be done reading them
+    monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", 0)
+    rng = np.random.default_rng(9)
+    d = 4
+    weights = [[constant(rng.normal(size=(d, d))) for _ in range(4)] for _ in range(3)]
+    node, stamp = rng.normal(size=(1, 5, d)), rng.normal(size=(6, 1, d))
+
+    def layers():
+        outs, s, t = [], node, stamp
+        with buffer_pool(), no_grad():
+            for w in weights:
+                s, t = cross_gate_layer(s, t, *w)
+                outs += [s.data.copy(), t.data.copy()]
+        return outs
+
+    plain = layers()
+    poison_returned_buffers(monkeypatch)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, layers(), strict=True))
 
 
 def cross_gate_reference(v_s, v_t, w_sp, w_tp, w_sg, w_tg):
@@ -506,9 +531,13 @@ def test_span_windows_match_full_grid_per_window():
     for s in starts:
         counts = np.unique(codes[s : s + L], return_counts=True)[1]
         assert np.unique(counts).size > 1  # uneven shares within the window
+    rewinds = []
     with no_grad():
-        surfaces, hiddens = module.span_windows(week, hour, bucket, starts, with_hiddens=True)
+        surfaces, hiddens = module.span_windows(
+            week, hour, bucket, starts, with_hiddens=True, rewind=lambda: rewinds.append(1)
+        )
     assert len(surfaces) == len(hiddens) == len(starts)
+    assert len(rewinds) == 2 + len(starts)  # one per chunk of at most L slots, one per window
     for s, surface, window_hiddens in zip(starts, surfaces, hiddens):
         window = slice(s, s + L)
         y_ref, hiddens_ref = full_grid_forward(

@@ -29,10 +29,10 @@ from pastnet.numcore import (
     constant,
     grad_check,
     masked_mse,
+    buffer_pool,
     no_grad,
-    training_pool,
 )
-from pastnet.numcore.tensor import _pool
+from pastnet.numcore import tensor
 
 
 def test_adjacency_hand_cases():
@@ -171,8 +171,8 @@ def test_interval_dropout_single_edge_monte_carlo():
 
 
 def test_interval_dropout_mask_draws_one_block_of_the_stream():
-    # the draw goes into a scratch buffer: the same numbers, and the
-    # generator left where a fresh rng.random((G, L, L)) leaves it
+    # the draw goes into scratch: the same numbers, and the generator
+    # left where a fresh rng.random((G, L, L)) leaves it
     L, G, alpha, beta = 9, 5, 0.2, -0.5
     cols = (np.random.default_rng(2).random((L, G)) > 0.4).astype(float)
     ref_rng = np.random.default_rng(11)
@@ -180,7 +180,7 @@ def test_interval_dropout_mask_draws_one_block_of_the_stream():
     prob = np.minimum(1.0, np.exp(-alpha * np.abs(idx[:, None] - idx[None, :]) + beta))
     eligible = (cols.T[:, :, None] == 0.0) & (cols.T[:, None, :] == 1.0)
     expected = [eligible & (ref_rng.random((G, L, L)) < prob) for _ in range(2)]
-    for pool in (no_grad, training_pool):
+    for pool in (no_grad, buffer_pool):
         rng = np.random.default_rng(11)
         with pool():
             masks = [interval_dropout_mask(cols, alpha, beta, rng) for _ in range(2)]
@@ -452,15 +452,22 @@ def test_vertex_embedding_matches_the_composite_bit_for_bit():
     )
 
 
+@pytest.fixture
+def arena_for_all(monkeypatch):
+    """Every temporary inside a pool comes from the arena, whatever its size."""
+    monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", 0)
+
+
+@pytest.mark.usefixtures("arena_for_all")
 def test_kernels_match_composites_inside_a_training_pool():
-    # step buffers and scratch VJP temporaries give the same values and
-    # adjoints as fresh arrays, over many calls and repeated backward passes
+    # step buffers and arena scratch give the same values and adjoints as
+    # fresh arrays, over many calls and repeated backward passes
     rng = np.random.default_rng(25)
     cols = (rng.random((4, 7)) > 0.5).astype(float)
     a = rng.random((4, 4))
     op = build_spatial_operator((a + a.T) / 2.0, 2)
     xz, m, arrays = embedding_case(seed=2)
-    with training_pool():
+    with buffer_pool():
         temporal_case(cols, include_injection=True, dropped=True, injection_input=True, seed=5)
         check_kernel(
             lambda h, w, b: spatial_forward(h, op, w, b),
@@ -475,23 +482,25 @@ def test_kernels_match_composites_inside_a_training_pool():
 
 
 def assert_outputs_stay_apart(kernel, inputs):
-    """Two kernel calls in one no_grad block: the first result survives the
-    second and shares memory with neither it nor any scratch pool buffer,
-    and both equal the recorded results bit for bit."""
+    """Two kernel calls in one pool without a tape, every temporary taken
+    from the arena: the first result survives the second and shares memory
+    with neither it nor any arena buffer, and both equal the recorded
+    results bit for bit."""
     recorded = [kernel(*args).data for args in inputs]
-    with no_grad():
+    with buffer_pool() as pool, no_grad():
         first = kernel(*inputs[0]).data
         kept = first.copy()
         second = kernel(*inputs[1]).data
-        pool = list(_pool.get().values())
-    assert pool, "the kernel took no temporary from the pool"
+        arena = pool.arena.buffers()
+    assert arena, "the kernel took no temporary from the arena"
     assert np.array_equal(first, kept) and np.array_equal(first, recorded[0])
     assert np.array_equal(second, recorded[1])
     for out in (first, second):
-        assert all(not np.shares_memory(out, buf) for buf in pool)
+        assert all(not np.shares_memory(out, buf) for buf in arena)
     assert not np.shares_memory(first, second)
 
 
+@pytest.mark.usefixtures("arena_for_all")
 def test_temporal_kernel_outputs_never_alias_the_scratch_pool():
     rng = np.random.default_rng(31)
     L, G, d = 6, 3, 4
@@ -512,6 +521,7 @@ def test_temporal_kernel_outputs_never_alias_the_scratch_pool():
     assert_outputs_stay_apart(temporal_forward, [args(1), args(2)])
 
 
+@pytest.mark.usefixtures("arena_for_all")
 def test_spatial_kernel_outputs_never_alias_the_scratch_pool():
     rng = np.random.default_rng(32)
     a = rng.random((4, 4))
@@ -525,9 +535,11 @@ def test_spatial_kernel_outputs_never_alias_the_scratch_pool():
     assert_outputs_stay_apart(spatial_forward, [args(1), args(2)])
 
 
+@pytest.mark.usefixtures("arena_for_all")
 def test_threads_imputing_at_once_keep_their_own_scratch():
-    # more workers than cores, switching often: a pool shared between
-    # threads would let one thread's window overwrite another's temporaries
+    # more workers than cores, switching often, each in its own pool: a pool
+    # shared between threads would let one thread's window overwrite
+    # another's temporaries or outputs
     module, _ = build_module(L=8, N=5, n=2, d=6, K=2)
     rng = np.random.default_rng(33)
     inputs = [
@@ -539,9 +551,10 @@ def test_threads_imputing_at_once_keep_their_own_scratch():
     results = {i: [] for i in range(len(inputs))}
 
     def worker(i):
-        with no_grad():
+        with buffer_pool() as pool, no_grad():
             for _ in range(20):
-                results[i].append(module.forward(*inputs[i]).data)
+                pool.rewind()
+                results[i].append(module.forward(*inputs[i]).data.copy())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pastnet.model as model_module
+from kernel_check import poison_returned_buffers
 from pastnet import checkpoint
 from pastnet.checkpoint import load_checkpoint, save_checkpoint
 from pastnet.data import WindowBatch, synthesize_dataset, window_split
@@ -30,7 +31,8 @@ from pastnet.numcore import (
     masked_mse,
     no_grad,
 )
-from pastnet.numcore.tensor import AdjointArena, _pool
+from pastnet.numcore import tensor
+from pastnet.numcore.tensor import Arena, _pool
 
 
 def ring_adjacency(n):
@@ -464,7 +466,7 @@ def hand_trained(model, windows, cfg):
     ids=["desk-size", "cli-width"],
 )
 def test_train_matches_a_hand_written_loop_outside_any_pool(model_kw, data_kw):
-    # the training pool hands every step the previous step's buffers; the
+    # the pool train() holds hands every step the previous step's buffers; the
     # history and the trained parameter bytes must be those of fresh arrays
     config = ModelConfig(p_dropout=0.1, **model_kw)
     _, windows, _ = training_windows(L=config.L, n_nodes=config.N, rate=0.4, **data_kw)
@@ -487,7 +489,7 @@ def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
                           windows.minute_bucket, windows.starts))
     )
     handed, steps = [], []
-    real_take = AdjointArena.take
+    real_take = Arena.take
 
     def take_and_note(arena, shape, dtype=np.float64):
         view = real_take(arena, shape, dtype)
@@ -497,18 +499,71 @@ def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
     def step_and_look(params, state):
         adam_step(params, state)
         pool = _pool.get()
-        steps.append((pool.values(), list(handed), list(pool.adjoints.idle), pool.adjoints.viewed))
+        steps.append((pool.values(), list(handed), list(pool.arena.idle), pool.arena.viewed))
         handed.clear()
 
-    monkeypatch.setattr(AdjointArena, "take", take_and_note)
+    monkeypatch.setattr(Arena, "take", take_and_note)
     monkeypatch.setattr(model_module, "adam_step", step_and_look)
     train(PastModel.build(config, adjacency=ring_adjacency(config.N)), four,
           TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5))
     (warm, _, _, _), (steady, taken, idle, viewed) = steps
     assert len(steady) == len(warm) and all(any(b is a for a in warm) for b in steady)
-    # the backward pass drew from the arena and every buffer it took is idle again
+    # the step drew from the arena and every buffer it took is idle again
     assert taken and not viewed
     assert all(any(flat is b for b in idle) for flat in taken)
+
+
+def test_train_reads_no_buffer_after_handing_it_back(monkeypatch):
+    # desk size, so the dropout draw, the kernels' temporaries and the
+    # adjoints are arena memory; two epochs end with a partial batch
+    config = ModelConfig(L=96, N=20, d=32, n=2, K=2, p_dropout=0.1, seed=9)
+    _, windows, _ = training_windows(L=96, n_nodes=20, rate=0.4, n_days=8)
+    cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5)
+
+    def trained():
+        model, history = train(PastModel.build(config, adjacency=ring_adjacency(20)), windows, cfg)
+        return (history.loss1, history.loss2), model.params.state_arrays()
+
+    plain_history, plain = trained()
+    poison_returned_buffers(monkeypatch)
+    history, poisoned = trained()
+    assert history == plain_history
+    assert all(plain[p].tobytes() == poisoned[p].tobytes() for p in plain)
+
+
+@pytest.mark.parametrize("heap_bytes", [tensor.HEAP_ADJOINT_BYTES, 0], ids=["heap", "all-arena"])
+def test_impute_span_reads_no_buffer_after_handing_it_back(heap_bytes, monkeypatch):
+    # desk size over five windows, the last one unaligned
+    config = ModelConfig(L=96, N=20, d=32, n=2, K=2, seed=9)
+    model = PastModel.build(config, adjacency=ring_adjacency(20))
+    T = 4 * 96 + 7
+    v, m, _, _, _ = span_inputs(model, T, seed=6)
+    plain = impute_span(model, v, m, *weekly_calendar(T, start=5 * 96 + 3))
+    monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", heap_bytes)
+    poison_returned_buffers(monkeypatch)
+    poisoned = impute_span(model, v, m, *weekly_calendar(T, start=5 * 96 + 3))
+    assert poisoned.tobytes() == plain.tobytes()
+
+
+def test_impute_span_pool_holds_the_same_buffers_whatever_the_span(monkeypatch):
+    # rewound per slot chunk and per window: a 10-window span leaves the
+    # pool holding what a 2-window span does
+    model = tiny_model()
+    L = model.config.L
+    held = []
+    real_pool = model_module.buffer_pool
+
+    @contextlib.contextmanager
+    def kept_pool():
+        with real_pool() as pool:
+            yield pool
+            held.append(sorted((buf.nbytes, buf.dtype.str) for buf in pool.values()))
+
+    monkeypatch.setattr(model_module, "buffer_pool", kept_pool)
+    for windows in (2, 10):
+        v, m, _, _, _ = span_inputs(model, windows * L, seed=windows)
+        impute_span(model, v, m, *weekly_calendar(windows * L))
+    assert held[0] and held[0] == held[1]
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["return", "raise"])
@@ -529,7 +584,7 @@ def test_train_drops_its_pool_when_it_returns_or_raises(raises, monkeypatch):
 
 
 def test_graphs_built_outside_train_keep_their_own_arrays():
-    # outside a training pool every kernel array is fresh, so a second
+    # outside a pool every kernel array is fresh, so a second
     # forward pass cannot overwrite what the first graph's VJPs read
     model = tiny_model()
     first_batch = random_window_inputs(model.config, batch=2, seed=1)

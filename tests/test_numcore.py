@@ -22,6 +22,7 @@ from pastnet.numcore import (
     Tensor,
     adam_step,
     adjoint_buffer,
+    buffer_pool,
     concat,
     constant,
     embedding,
@@ -31,9 +32,8 @@ from pastnet.numcore import (
     no_grad,
     scratch,
     step_buffer,
-    training_pool,
 )
-from pastnet.numcore.tensor import AdjointArena, _pool
+from pastnet.numcore.tensor import Arena, _pool
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -312,78 +312,84 @@ def test_no_grad_holds_for_the_current_thread_only():
 
 
 def test_scratch_outside_no_grad_is_a_new_array_every_call():
-    first, second = scratch("k", (3, 4)), scratch("k", (3, 4))
+    first, second = scratch((3, 4)), scratch((3, 4))
     assert first.shape == second.shape == (3, 4) and first.dtype == np.float64
     assert first is not second and not np.shares_memory(first, second)
 
 
-def test_scratch_inside_no_grad_keeps_one_buffer_per_key():
+def test_no_grad_opens_no_pool():
+    # no_grad only switches recording off: outside a pool every buffer is fresh
     with no_grad():
-        buf = scratch("k", (3, 4))
-        assert scratch("k", (3, 4)) is buf
-        other = scratch("other", (3, 4))
-        assert not np.shares_memory(other, buf)
+        assert _pool.get() is None
+        a, b = scratch((128, 128)), scratch((128, 128))
+        s, t = step_buffer("k", (3, 4)), step_buffer("k", (3, 4))
+        assert a.base is None and not np.shares_memory(a, b) and not np.shares_memory(s, t)
+    with buffer_pool() as pool:
         with no_grad():
-            assert scratch("k", (3, 4)) is buf  # a nested block shares the pool
-        assert scratch("k", (3, 4)) is buf  # ... and leaves it in place on exit
-        resized = scratch("k", (5,))  # a new shape replaces the key's buffer
-        assert resized.shape == (5,) and not np.shares_memory(resized, buf)
-        assert scratch("k", (5,)) is resized and scratch("other", (3, 4)) is other
+            assert _pool.get() is pool  # ... and inside one, it keeps that pool
+        assert _pool.get() is pool
+
+
+def test_scratch_inside_a_pool_is_arena_memory_until_the_next_node():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with buffer_pool() as pool:
+        small = scratch((3, 4))  # below HEAP_ADJOINT_BYTES: a plain array
+        assert small.base is None and not pool.arena.viewed
+        draw = scratch((128, 128))
+        mask = scratch((256, 1024), bool)
+        assert draw.base is not None and mask.base is not None
+        assert not np.shares_memory(draw, mask)  # both in use: two buffers
+        assert pool.stats() == {"step_bytes": 0, "arena_bytes": 3 << 17, "arena_peak_bytes": 3 << 17}
+        y = x * 2.0  # making the kernel's node hands its scratch back
+        assert not pool.arena.viewed and pool.arena.live == 0
+        assert [flat.nbytes for flat in pool.arena.idle] == [1 << 17, 1 << 18]
+        again = scratch((128, 128))  # the smallest idle buffer that fits
+        assert again.base is draw.base
+        out = step_buffer("k", (128, 128))  # step buffers are not arena memory
+        assert not any(np.shares_memory(out, flat) for flat in pool.arena.buffers())
+        pool.rewind()
+        stats = pool.stats()
+        assert stats["step_bytes"] == 1 << 17 and stats["arena_bytes"] == 3 << 17
+        assert stats["arena_peak_bytes"] == 1 << 17  # what is still handed out
+        y.sum()
+        assert pool.arena.live == 0
 
 
 def test_scratch_pool_is_per_thread():
     seen = []
 
     def worker():
-        seen.append(scratch("k", (2,)))  # outside no_grad in this thread
-        with no_grad():
-            seen.append(scratch("k", (2,)))
+        seen.append(_pool.get())  # a thread starts outside any pool
+        seen.append(scratch((128, 128)))
+        with buffer_pool():
+            seen.append(scratch((128, 128)))
 
-    with no_grad():
-        mine = scratch("k", (2,))
+    with buffer_pool() as pool:
+        mine = scratch((128, 128))
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=30)
-        assert not thread.is_alive() and len(seen) == 2
-        assert all(not np.shares_memory(mine, b) for b in seen)
-        assert scratch("k", (2,)) is mine
-
-
-@pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
-def test_scratch_pool_is_dropped_when_the_outermost_block_exits(raises):
-    refs = []
-    with pytest.raises(RuntimeError) if raises else no_grad():
-        with no_grad():
-            refs.append(weakref.ref(scratch("k", (64, 64))))
-            with no_grad():
-                refs.append(weakref.ref(scratch("inner", (8,))))
-            if raises:
-                raise RuntimeError("raised inside no_grad")
-    assert all(r() is None for r in refs)  # nothing holds the pool's buffers
-    with no_grad():
-        fresh = scratch("k", (64, 64))
-    assert scratch("k", (64, 64)) is not fresh  # outside again: a new array
+        assert not thread.is_alive() and len(seen) == 3 and seen[0] is None
+        assert seen[1].base is None and seen[2].base is not None
+        assert all(not np.shares_memory(mine, b) for b in seen[1:])
+        assert [flat for flat, _ in pool.arena.viewed.values()] == [mine.base]
 
 
 def test_step_buffers_are_per_occurrence_and_come_back_after_a_rewind():
-    with training_pool() as pool:
+    with buffer_pool() as pool:
         first, second = step_buffer("k", (3, 4)), step_buffer("k", (3, 4))
         assert not np.shares_memory(first, second)  # two occurrences in one step
-        temp = scratch("k", (3, 4))  # call-local: one per key, apart from step buffers
-        assert scratch("k", (3, 4)) is temp
-        assert not any(np.shares_memory(temp, b) for b in (first, second))
         mask = step_buffer("m", (4,), bool)
         assert mask.dtype == bool and not np.shares_memory(mask, first)
         pool.rewind()
         assert step_buffer("k", (3, 4)) is first and step_buffer("k", (3, 4)) is second
         assert step_buffer("m", (4,), bool) is mask
         third = step_buffer("k", (3, 4))  # a third occurrence gets its own buffer
-        assert not any(np.shares_memory(third, b) for b in (first, second, temp))
+        assert not any(np.shares_memory(third, b) for b in (first, second))
         pool.rewind()
         # a smaller request is a view of the slot's buffer, not a new mapping
         small = step_buffer("k", (2, 5))
         assert small.shape == (2, 5) and small.base is first.base
-        assert scratch("k", (5,)).base is temp.base
         larger = step_buffer("k", (4, 4))  # the second slot grows
         assert larger.shape == (4, 4) and not np.shares_memory(larger, second)
         pool.rewind()  # back to the first shape: new views of the same pages
@@ -391,38 +397,59 @@ def test_step_buffers_are_per_occurrence_and_come_back_after_a_rewind():
         assert step_buffer("k", (3, 4)).base is larger.base
 
 
-def test_step_buffers_outside_a_training_pool_are_fresh():
+def test_step_buffers_outside_a_training_pool_are_fresh(monkeypatch):
+    import pastnet.model as model_module
+    from pastnet.data import WindowBatch
+    from pastnet.model import ModelConfig, PastModel, TrainConfig, impute_span, train
+
     def fresh(key, shape, **kw):
         a, b = step_buffer(key, shape, **kw), step_buffer(key, shape, **kw)
         return a.shape == shape and not np.shares_memory(a, b)
 
     assert _pool.get() is None and fresh("k", (3, 4)) and fresh("k", (3, 4), vjp_only=True)
     with no_grad():
-        assert fresh("k", (3, 4))  # outputs stay fresh under no_grad
-        # an array kept only for a VJP is a call-local temporary without a tape
-        assert step_buffer("v", (3, 4), vjp_only=True) is scratch("v", (3, 4))
-    with training_pool() as pool:
-        kept = step_buffer("k", (3, 4))
-        temp = scratch("k", (3, 4))
-        with no_grad():  # imputing mid-run: its own inference pool, outputs fresh
-            assert _pool.get() is not pool and fresh("k", (3, 4))
-            inner = scratch("k", (3, 4))
-            assert not any(np.shares_memory(inner, b) for b in (kept, temp))
-        assert _pool.get() is pool and scratch("k", (3, 4)) is temp
-        pool.rewind()
-        assert step_buffer("k", (3, 4)) is kept
-    assert _pool.get() is None and fresh("k", (3, 4))
+        assert fresh("k", (3, 4)) and fresh("k", (3, 4), vjp_only=True)
+
+    # imputing mid-run: impute_span's own pool leaves every byte of train's alone
+    L, N = 16, 6
+    model = PastModel.build(
+        ModelConfig(L=L, N=N, d=8, n=2, K=1), adjacency=np.ones((N, N)) - np.eye(N)
+    )
+    rng = np.random.default_rng(3)
+    values, masks = rng.normal(size=(4 * L, N)), (rng.random((4 * L, N)) > 0.3).astype(float)
+    stamp = np.arange(4 * L)
+    calendar = dict(week=stamp // 96 % 7, hour=stamp // 4 % 24, minute_bucket=stamp % 4)
+    windows = WindowBatch(
+        values.reshape(4, L, N), masks.reshape(4, L, N), starts=np.arange(0, 4 * L, L),
+        **{k: a.reshape(4, L) for k, a in calendar.items()},
+    )
+    intact = []
+
+    def impute_then_step(params, state):
+        pool = _pool.get()
+        held = [(buf, buf.tobytes()) for buf in pool.values()]
+        impute_span(model, values, masks, **calendar)
+        now = pool.values()
+        intact.append(
+            _pool.get() is pool and len(now) == len(held)
+            and all(a is buf and a.tobytes() == data for a, (buf, data) in zip(now, held))
+        )
+        adam_step(params, state)
+
+    monkeypatch.setattr(model_module, "adam_step", impute_then_step)
+    train(model, windows, TrainConfig(batch_size=2, epochs=1))
+    assert intact == [True, True]
 
 
 def test_training_pool_is_per_thread():
     seen = []
 
     def worker():
-        seen.extend([step_buffer("k", (2,)), scratch("k", (2,))])
-        with training_pool():
+        seen.extend([step_buffer("k", (2,)), scratch((2,))])
+        with buffer_pool():
             seen.append(step_buffer("k", (2,)))
 
-    with training_pool() as pool:
+    with buffer_pool() as pool:
         mine = step_buffer("k", (2,))
         thread = threading.Thread(target=worker)
         thread.start()
@@ -436,18 +463,19 @@ def test_training_pool_is_per_thread():
 @pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
 def test_training_pool_is_dropped_when_its_block_exits(raises):
     refs = []
-    with pytest.raises(RuntimeError) if raises else training_pool():
-        with training_pool():
-            refs.append(weakref.ref(step_buffer("k", (64, 64))))
-            refs.append(weakref.ref(scratch("t", (8,))))
+    with pytest.raises(RuntimeError) if raises else buffer_pool():
+        with buffer_pool():
+            step_buffer("k", (64, 64))
+            scratch((128, 128))
+            refs.extend(weakref.ref(buf) for buf in _pool.get().values())
             if raises:
-                raise RuntimeError("raised inside training_pool")
-    assert all(r() is None for r in refs) and _pool.get() is None
+                raise RuntimeError("raised inside buffer_pool")
+    assert len(refs) == 2 and all(r() is None for r in refs) and _pool.get() is None
 
 
 # ---- adjoint ownership: pooled adjoints give the bits of fresh ones ----
 # Shapes are chosen so the adjoints are 128 KiB or more and come from the
-# training pool's adjoint buffers; a buffer that went idle while an adjoint
+# pool's arena; a buffer that went idle while an adjoint
 # still viewed it would be handed to a later VJP and overwritten.
 
 
@@ -511,15 +539,15 @@ def test_gradients_in_a_training_pool_are_the_bits_of_fresh_adjoints(graph, runs
     rng = np.random.default_rng(7)
     values = [rng.normal(size=s) for s in shapes]
     plain, _ = leaf_grads(build, values, runs, contextlib.nullcontext())
-    pooled, pool = leaf_grads(build, values, runs, training_pool())
+    pooled, pool = leaf_grads(build, values, runs, buffer_pool())
     assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, pooled))
-    arena = pool.adjoints
+    arena = pool.arena
     assert arena.idle and not arena.viewed  # every buffer came back once consumed
-    assert not arena.active and arena.live == 0
+    assert arena.live == 0
 
 
 def test_adjoint_arena_reuses_the_smallest_idle_buffer_that_fits():
-    arena = AdjointArena()
+    arena = Arena()
     small, large = arena.take((4, 8)), arena.take((100,))
     assert len(arena.viewed) == 2 and arena.peak == 132 * 8
     arena.settle()  # the tape kept neither
@@ -534,7 +562,7 @@ def test_adjoint_arena_reuses_the_smallest_idle_buffer_that_fits():
 
 
 def test_adjoint_arena_counts_the_views_the_tape_holds():
-    arena = AdjointArena()
+    arena = Arena()
     g = arena.take((4, 6))
     left, right = np.split(g, [3], axis=1)
     arena.hold(left)
@@ -551,17 +579,20 @@ def test_adjoint_arena_counts_the_views_the_tape_holds():
     assert not arena.alone(plain) and not arena.viewed
 
 
-def test_adjoint_buffers_come_from_a_training_pool_only_while_backward_runs():
+def test_adjoint_buffers_come_from_the_arena_inside_any_pool():
     def fresh():
         a, b = adjoint_buffer((128, 128)), adjoint_buffer((128, 128))
         return a.base is None and not np.shares_memory(a, b)
 
     assert _pool.get() is None and fresh()
-    with training_pool() as pool:
-        assert fresh() and fresh() and not pool.adjoints.idle
-        with no_grad():
-            assert fresh()
-    assert not pool.adjoints.viewed
+    with no_grad():
+        assert fresh()
+    with buffer_pool() as pool, no_grad():
+        a, b = adjoint_buffer((128, 128)), adjoint_buffer((128, 128))
+        assert not np.shares_memory(a, b)
+        assert {id(a.base), id(b.base)} == set(pool.arena.viewed)
+        pool.arena.settle()  # what no tape node keeps goes back
+        assert adjoint_buffer((128, 128)).base in (a.base, b.base)
 
 
 def test_backward_that_raises_leaves_no_buffer_counted():
@@ -571,13 +602,12 @@ def test_backward_that_raises_leaves_no_buffer_counted():
     def raising(g):
         raise RuntimeError("raised inside a VJP")
 
-    with training_pool() as pool:
+    with buffer_pool() as pool:
         h = x @ w
         broken = Tensor._make(h.data.sum(), (h,), raising)
         with pytest.raises(RuntimeError, match="inside a VJP"):
             ((broken + (h @ w).sum()) * 1.0).backward()
-        assert not pool.adjoints.active and not pool.adjoints.viewed
-        assert pool.adjoints.live == 0
+        assert not pool.arena.viewed and pool.arena.live == 0
 
 
 def test_masked_mse_hand_value():
