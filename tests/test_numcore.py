@@ -355,6 +355,22 @@ def test_scratch_inside_a_pool_is_arena_memory_until_the_next_node():
         assert pool.arena.live == 0
 
 
+@pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
+def test_scratch_pool_is_dropped_when_the_outermost_block_exits(raises):
+    refs = []
+    with pytest.raises(RuntimeError) if raises else no_grad():
+        with buffer_pool(), no_grad():
+            refs.append(weakref.ref(scratch((128, 128)).base))
+            with buffer_pool():
+                refs.append(weakref.ref(scratch((256, 128)).base))
+            assert refs[0]() is not None  # the outer pool's arena still holds its buffer
+            if raises:
+                raise RuntimeError("raised inside buffer_pool")
+    assert all(r() is None for r in refs) and _pool.get() is None
+    fresh = scratch((128, 128))
+    assert fresh.base is None and scratch((128, 128)) is not fresh  # outside again: a new array
+
+
 def test_scratch_pool_is_per_thread():
     seen = []
 
