@@ -33,36 +33,31 @@ the same per call as trained ones.
   branch.  Per call: ``impute_ms``, ``sys_ms`` (``ru_stime``; under the fixed
   mmap threshold mostly page faults on freshly mapped arrays) and
   ``minor_faults`` (``ru_minflt``).
-- ``desk_step``: the desk training windows in shuffled batches of 4, as
-  ``train`` draws them; windows 7 days apart share their slots.
+
+The training cases run ``train()`` itself, 3 epochs at lr 1e-2, each of
+the ``--repeats`` runs on a freshly built model:
+
+- ``train_desk``: the first 14 of the 16 desk training windows in batches
+  of 4, so every epoch ends with a batch of 2; the model size
+  ``perfbench``'s ``desk_fiber`` trains.  Windows 7 days apart share their
+  slots.
 - ``desk_distinct``: one desk batch of 4 windows whose 384 stamps are 384
   distinct slots, the slot path's worst case.
-- ``cli_step_n4``, ``cli_step_n16``: one CLI-default batch (B=32, 32
-  stride-96 windows of 40 synthetic days) on 4 and on 16 nodes.
+- ``train_cli``, ``cli_step_n16``: one CLI-default batch (B=32, 32
+  stride-96 windows of 40 synthetic days) on 4 and on 16 nodes; on 4, the
+  model size ``perfbench``'s ``cli_defaults`` trains.
 
-A step is ``PastModel.objective`` plus ``backward`` with dropout on (no Adam
-step).  Per step: ``step_ms`` and ``step_faults``; ``cgm_ms`` is the calendar
-branch's forward plus the backward of its loss on the surface, the gradient
-training takes through it; ``step_peak_mib`` is tracemalloc's peak over one
-more step.
-
-- ``train_desk``, ``train_cli``: ``train()`` itself, 3 epochs at lr 1e-2,
-  on the first 14 of the 16 desk training windows in batches of 4 (so
-  every epoch ends with a batch of 2) and on the CLI-default batch on 4
-  nodes (one batch of 32), the model sizes ``perfbench``'s ``desk_fiber``
-  and ``cli_defaults`` train.  Each of the ``--repeats`` runs trains a
-  freshly built model.  ``train_ms``, ``train_faults`` and ``train_sys_ms``
-  (``ru_stime``) cover a whole call; ``step_ms``, ``step_faults`` and
-  ``step_sys_ms`` each step after a call's first, cut at every
-  ``adam_step`` return; ``rss_mib`` is the peak of the process.  Where the
-  pool ``train`` holds has ``stats()``, each of those step ends also reports
-  ``pool_step_mib`` (its step buffers), ``arena_mib`` (its arena buffers)
-  and ``arena_peak_mib`` (the most the arena had handed out at once during
-  the step).
+``train_ms``, ``train_faults`` and ``train_sys_ms`` (``ru_stime``) cover a
+whole call; ``step_ms``, ``step_faults`` and ``step_sys_ms`` each full-batch
+step after a call's first, cut at every ``adam_step`` return, so an epoch's
+smaller last batch trains but is not sampled; ``rss_mib`` is the peak of
+the process.  Each of those step ends also reports, from the ``stats()`` of
+the pool ``train`` holds, ``pool_step_mib`` (its step buffers),
+``arena_mib`` (its arena buffers) and ``arena_peak_mib`` (the most the
+arena had handed out at once during the step).
 
 Every case hashes its output outside the timed region: the imputed bytes of
-a span case, the losses and every parameter gradient of a step case's
-warm-up step, the history and trained parameter bytes of a train case.
+a span case, the history and trained parameter bytes of a training case.
 ``outputs_identical`` says whether every run of both checkouts gave the
 same hash.
 
@@ -82,7 +77,6 @@ import resource
 import subprocess
 import sys
 import time
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -170,78 +164,35 @@ def _windows(n_nodes, n_days, seed, noise_level=0.2, step_minutes=15):
     return w, adjacency
 
 
-# each step set-up returns (windows, adjacency, model config, window indices per batch)
+# each training set-up returns (windows, adjacency, model config, batch size)
 
 
-def _desk(distinct: bool):
+def _train_desk():
+    from pastnet.data import WindowBatch
     from pastnet.model import ModelConfig
 
     w, adjacency = _windows(n_days=20, **DESK)
-    if distinct:
-        codes = np.random.default_rng(0).choice(672, size=(4, 96), replace=False)
-        w.week[:4], w.hour[:4], w.minute_bucket[:4] = codes // 96, codes // 4 % 24, codes % 4
-        batches = [np.arange(4)]
-    else:
-        order = np.random.default_rng([0, 0]).permutation(len(w))
-        batches = [order[lo : lo + 4] for lo in range(0, len(order), 4)]
-    return w, adjacency, ModelConfig(N=DESK["n_nodes"], **DESK_MODEL), batches
+    w = WindowBatch(*(a[:14] for a in (w.values, w.masks, w.week, w.hour, w.minute_bucket,
+                                       w.starts)))
+    return w, adjacency, ModelConfig(N=DESK["n_nodes"], **DESK_MODEL), 4
+
+
+def _desk_distinct():
+    from pastnet.data import WindowBatch
+    from pastnet.model import ModelConfig
+
+    w, adjacency = _windows(n_days=20, **DESK)
+    codes = np.random.default_rng(0).choice(672, size=(4, 96), replace=False)
+    w = WindowBatch(w.values[:4], w.masks[:4], codes // 96, codes // 4 % 24, codes % 4,
+                    w.starts[:4])
+    return w, adjacency, ModelConfig(N=DESK["n_nodes"], **DESK_MODEL), 4
 
 
 def _cli(n_nodes: int):
     from pastnet.model import ModelConfig
 
     w, adjacency = _windows(n_nodes=n_nodes, n_days=40, seed=0)
-    return w, adjacency, ModelConfig(L=96, N=n_nodes), [np.arange(len(w))]
-
-
-def _step(model, batch, rng, digest=None) -> None:
-    total, loss1, loss2 = model.objective(*batch, training=True, rng=rng)
-    total.backward()
-    if digest is not None:
-        digest.update(np.array([float(total.data), loss1, loss2]).tobytes())
-        for path, t in model.params.items():
-            digest.update(path.encode() + t.grad.tobytes())
-    model.params.zero_grads()
-
-
-def _cgm_pass(model, masked_mse, batch) -> None:
-    values, masks, week, hour, bucket = batch
-    y, _ = model.cgm.forward(week, hour, bucket)
-    masked_mse(y, values, masks).backward()
-    model.params.zero_grads()
-
-
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _steps(setup, repeats: int) -> dict:
-    from pastnet.model import PastModel
-    from pastnet.numcore import masked_mse
-
-    w, adjacency, config, batches = setup()
-    model = PastModel.build(config, adjacency=adjacency)
-    batches = [(w.values[i], w.masks[i], w.week[i], w.hour[i], w.minute_bucket[i]) for i in batches]
-    out: dict = {
-        "windows": len(w),
-        "batch_sizes": [len(b[0]) for b in batches],
-        "slots": [int(np.unique((b[2] * 24 + b[3]) * 4 + b[4]).size) for b in batches],
-    }
-    rng = np.random.default_rng(1)
-    digest = hashlib.sha256()
-    _step(model, batches[0], rng, digest)  # warm-up
-    out.update(step_ms=[], step_faults=[], cgm_ms=[], output_sha256=digest.hexdigest())
-    for _ in range(repeats):
-        for batch in batches:
-            out["cgm_ms"].append(_cpu_ms(lambda: _cgm_pass(model, masked_mse, batch)))
-            faults = _minor_faults()
-            out["step_ms"].append(_cpu_ms(lambda: _step(model, batch, rng)))
-            out["step_faults"].append(_minor_faults() - faults)
-    tracemalloc.start()
-    _step(model, batches[0], rng)
-    out["step_peak_mib"] = [tracemalloc.get_traced_memory()[1] / 2**20]
-    tracemalloc.stop()
-    return out
+    return w, adjacency, ModelConfig(L=96, N=n_nodes), 32
 
 
 def _usage() -> tuple[float, int, float]:
@@ -260,18 +211,18 @@ def _train(setup, repeats: int) -> dict:
     cfg = TrainConfig(lr=1e-2, batch_size=batch_size, epochs=epochs, seed=9,
                       early_stop_patience=epochs)
     marks = []  # _usage() at the start of train and after every step
-    pools = []  # the pool's stats() after every step, where the pool has them
+    pools = []  # the pool's stats() after every step
     real_step = model_mod.adam_step
 
     def marked_step(params, state):
         real_step(params, state)
         marks.append(_usage())
-        stats = getattr(tensor._pool.get(), "stats", None)
-        if stats is not None:
-            pools.append(stats())
+        pools.append(tensor._pool.get().stats())
 
     model_mod.adam_step = marked_step
     out: dict = {"windows": len(w), "batch_size": batch_size, "epochs": epochs}
+    sizes = [min(batch_size, len(w) - lo) for lo in range(0, len(w), batch_size)] * epochs
+    sampled = [k for k, size in enumerate(sizes) if k and size == batch_size]
     pool_keys = {"pool_step_mib": "step_bytes", "arena_mib": "arena_bytes",
                  "arena_peak_mib": "arena_peak_bytes"}
     for key in ("train_ms", "train_faults", "train_sys_ms", "step_ms", "step_faults",
@@ -287,40 +238,21 @@ def _train(setup, repeats: int) -> dict:
         out["train_ms"].append((t1 - t0) * 1e3)
         out["train_faults"].append(f1 - f0)
         out["train_sys_ms"].append((s1 - s0) * 1e3)
-        for (ta, fa, sa), (tb, fb, sb) in zip(marks[1:], marks[2:]):
+        for k in sampled:  # step k runs from marks[k] to marks[k + 1]
+            (ta, fa, sa), (tb, fb, sb) = marks[k], marks[k + 1]
             out["step_ms"].append((tb - ta) * 1e3)
             out["step_faults"].append(fb - fa)
             out["step_sys_ms"].append((sb - sa) * 1e3)
-        for stats in pools[1:]:
             for key, name in pool_keys.items():
-                out[key].append(stats[name] / 2**20)
+                out[key].append(pools[k][name] / 2**20)
         digest = hashlib.sha256(np.array(history.loss1 + history.loss2).tobytes())
         for path, t in model.params.items():
             digest.update(path.encode() + t.data.tobytes())
         hashes.add(digest.hexdigest())
     if len(hashes) != 1:
         raise RuntimeError("train() gave different parameters between identical runs")
-    if not pools:  # a checkout whose pool has no stats()
-        for key in pool_keys:
-            del out[key]
     out["output_sha256"] = hashes.pop()
     return out
-
-
-def _train_desk():
-    from pastnet.model import ModelConfig
-
-    from pastnet.data import WindowBatch
-
-    w, adjacency = _windows(n_days=20, **DESK)
-    w = WindowBatch(*(a[:14] for a in (w.values, w.masks, w.week, w.hour, w.minute_bucket,
-                                       w.starts)))
-    return w, adjacency, ModelConfig(N=DESK["n_nodes"], **DESK_MODEL), 4
-
-
-def _train_cli():
-    w, adjacency, config, _ = _cli(4)
-    return w, adjacency, config, 32
 
 
 CASES = {
@@ -328,12 +260,10 @@ CASES = {
     "span_past": _span,
     "span_wo_cgm": partial(_span, use_cgm=False),
     "span_wo_gim": partial(_span, use_gim=False),
-    "desk_step": partial(_steps, partial(_desk, distinct=False)),
-    "desk_distinct": partial(_steps, partial(_desk, distinct=True)),
-    "cli_step_n4": partial(_steps, partial(_cli, 4)),
-    "cli_step_n16": partial(_steps, partial(_cli, 16)),
     "train_desk": partial(_train, _train_desk),
-    "train_cli": partial(_train, _train_cli),
+    "desk_distinct": partial(_train, _desk_distinct),
+    "train_cli": partial(_train, partial(_cli, 4)),
+    "cli_step_n16": partial(_train, partial(_cli, 16)),
 }
 
 

@@ -25,9 +25,10 @@ in the per-layer hidden projection and the output head.
 Buffers (see ``numcore.tensor``): inside a pool (``train``,
 ``impute_span``) the last layer's pair rows (numcore ``concat``), the head
 and pooling products (numcore ``matmul``) and the gates' outputs and saved
-arrays are step buffers, valid until the pool's next rewind, and the stream
-adjoints the gates and the head return are adjoint buffers; ``_GateSide``
-lists its own.  Under ``no_grad`` the gates' saved arrays are scratch.
+arrays are step buffers, handed out by position and valid until the pool's
+next rewind, and the stream adjoints the gates and the head return are
+scratch; ``_GateSide`` lists its own.  Under ``no_grad`` the gates' saved
+arrays are scratch.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ import numpy as np
 from .numcore import (
     ParamStore,
     Tensor,
-    adjoint_buffer,
     concat,
     constant,
     embedding,
@@ -112,9 +112,8 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     tape each side's saved arrays are scratch that the other side reads.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
-    shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
-    side_s = _GateSide(s, w_sp, w_sg, "s", s.shape == shape)
-    side_t = _GateSide(t, w_tp, w_tg, "t", t.shape == shape)
+    np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
+    side_s, side_t = _GateSide(s, w_sp, w_sg), _GateSide(t, w_tp, w_tg)
     out_s, out_t = side_s.output(side_t), side_t.output(side_s)
     return side_s.node(side_t, out_s), side_t.node(side_s, out_t)
 
@@ -124,36 +123,28 @@ class _GateSide:
 
     The projections, the tanh and the product projection * sigmoid are
     step buffers saved for the VJP (under ``no_grad``, scratch that dies
-    with the layer call), the outputs are step buffers, the VJP's
-    intermediates are scratch and the stream adjoints it returns, ``gv``
-    and ``go``, are adjoint buffers.  The weight adjoints stay fresh
-    arrays: the tape adds them straight into the parameters' accumulators.
+    with the layer call), the outputs are step buffers, and the VJP's
+    intermediates and the stream adjoints it returns, ``gv`` and ``go``,
+    are scratch.  The weight adjoints stay fresh arrays: the tape adds them
+    straight into the parameters' accumulators.
     """
 
-    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor, side: str, full: bool):
-        self.v, self.w_p, self.w_g, self.side = v, w_p, w_g, side
+    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
+        self.v, self.w_p, self.w_g = v, w_p, w_g
         rows, d = v.shape[:-1], v.shape[-1]
-
-        def buffer(name: str, width: int) -> np.ndarray:
-            # keyed by side and by whether the stream is broadcast, so the
-            # two sides and a broadcast first layer never evict each other
-            key = ("cgm.gate", side, full, name)
-            return step_buffer(key, rows + (width,), vjp_only=True)
-
         self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
-        self.proj_sig = np.matmul(v.data, self.w_cat, out=buffer("proj_sig", 2 * d))
+        proj_sig = step_buffer(rows + (2 * d,), vjp_only=True)
+        self.proj_sig = np.matmul(v.data, self.w_cat, out=proj_sig)
         self.proj = self.proj_sig[..., :d]
         gate = self.proj_sig[..., d:]
-        self.tanh = np.tanh(gate, out=buffer("tanh", d))
+        self.tanh = np.tanh(gate, out=step_buffer(rows + (d,), vjp_only=True))
         self.sig = sigmoid(gate, out=gate)  # the raw gate is not needed again
-        self.update = np.multiply(self.proj, self.sig, out=buffer("update", d))
+        self.update = np.multiply(self.proj, self.sig, out=step_buffer(rows + (d,), vjp_only=True))
 
     def output(self, other: "_GateSide") -> np.ndarray:
         """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate)."""
         shape = np.broadcast_shapes(self.update.shape, other.tanh.shape)
-        out = np.multiply(
-            self.update, other.tanh, out=step_buffer(("cgm.gate", self.side, "out"), shape)
-        )
+        out = np.multiply(self.update, other.tanh, out=step_buffer(shape))
         out += self.v.data
         return out
 
@@ -175,7 +166,7 @@ class _GateSide:
                 g_gate *= self.sig
                 g_gate *= np.subtract(1.0, self.sig, out=g_update)  # g_update is spent
                 if v.requires_grad:
-                    gv = np.matmul(g_proj_sig, self.w_cat.T, out=adjoint_buffer(v.shape))
+                    gv = np.matmul(g_proj_sig, self.w_cat.T, out=scratch(v.shape))
                     gv += _unbroadcast(g, v.shape)
                 if self.w_p.requires_grad or self.w_g.requires_grad:
                     gw = _fold(v.data).T @ _fold(g_proj_sig)
@@ -188,7 +179,7 @@ class _GateSide:
                 dtanh = np.multiply(other.tanh, other.tanh, out=spare)
                 g_tanh *= np.subtract(1.0, dtanh, out=dtanh)
                 if other.v.requires_grad:
-                    go = np.matmul(g_tanh, other.w_g.data.T, out=adjoint_buffer(other.v.shape))
+                    go = np.matmul(g_tanh, other.w_g.data.T, out=scratch(other.v.shape))
                 if other.w_g.requires_grad:
                     gw_og = _fold(other.v.data).T @ _fold(g_tanh)
             return gv, go, gw_p, gw_g, gw_og

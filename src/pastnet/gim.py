@@ -26,15 +26,15 @@ Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
 and what a kernel saves for its VJP (the temporal adjacency, degrees and
 aggregate, the spatial stacked aggregations) are step buffers, and the
 dropout mask is one too; the dropout draw and its eligibility mask, the
-temporal injection term, the embedding's token term, the relu masks and
-the VJPs' intermediate adjoints are scratch, and the state adjoints the
-VJPs return (the temporal ``gx``, the spatial ``gh``) are adjoint buffers.
-Inside a pool (``train``, ``impute_span``) the k-th such call since the
-last rewind reuses the k-th call's step buffers, and scratch and adjoints
-share the pool's arena: forward scratch goes back when the kernel's node
-is made, and ``backward`` hands each adjoint buffer on to a later VJP
-once it is consumed.  Under ``no_grad`` the saved arrays are scratch too.
-Outside any pool every array is fresh.
+temporal injection term, the embedding's token term, the relu masks, the
+VJPs' intermediates and the state adjoints the VJPs return (the temporal
+``gx``, the spatial ``gh``) are scratch.  Inside a pool (``train``,
+``impute_span``) step buffers go by position, so a step's k-th request
+reuses the previous step's k-th buffer, and scratch shares the pool's
+arena: forward scratch goes back when the kernel's node is made, and
+``backward`` hands each returned adjoint's buffer on to a later VJP once
+the adjoint is consumed.  Under ``no_grad`` the saved arrays are scratch
+too.  Outside any pool every array is fresh.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numcore import ParamStore, Tensor, adjoint_buffer, constant, scratch, sigmoid, step_buffer
+from .numcore import ParamStore, Tensor, constant, scratch, sigmoid, step_buffer
 from .numcore.tensor import _unbroadcast, _wrap
 
 if TYPE_CHECKING:
@@ -121,7 +121,7 @@ def interval_dropout_mask(
         out=scratch((G, L, L), bool),
     )
     draw = rng.random(out=scratch((G, L, L)))
-    drop = np.less(draw, prob, out=step_buffer("gim.dropout.mask", (G, L, L), bool))
+    drop = np.less(draw, prob, out=step_buffer((G, L, L), bool))
     drop &= eligible
     return drop
 
@@ -176,22 +176,22 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     idx = np.arange(L)
     weight = np.logaddexp(0.0, logits.data[:L, :width])
     weight[idx, idx] = 0.0  # no self edges
-    a = step_buffer("gim.temporal.a", (G, L, width), vjp_only=True)
+    a = step_buffer((G, L, width), vjp_only=True)
     np.multiply(weight[:, :L], cols.T[:, None, :], out=a[..., :L])  # observed sources only
     if drop is not None:
         np.copyto(a[..., :L], 0.0, where=drop)
     if inj is not None:
         a[..., L] = weight[:, L]
-    denom = step_buffer("gim.temporal.denom", (L, G, 1), vjp_only=True)
+    denom = step_buffer((L, G, 1), vjp_only=True)
     np.add(a.sum(axis=-1).T, DEGREE_EPS, out=denom[..., 0])
-    agg = step_buffer("gim.temporal.agg", (L, G, d), vjp_only=True)
+    agg = step_buffer((L, G, d), vjp_only=True)
     np.matmul(a[..., :L], x.data.transpose(1, 0, 2), out=agg.transpose(1, 0, 2))
     if inj is not None:
         agg += np.multiply(
             weight[:, L, None, None], inj.data, out=scratch((L, G, d))
         )
     agg /= denom
-    out = np.matmul(agg, w.data, out=step_buffer("gim.temporal.out", (L, G, w.shape[1])))
+    out = np.matmul(agg, w.data, out=step_buffer((L, G, w.shape[1])))
     out += b.data
     np.maximum(out, 0.0, out=out)
     parents = (x, logits, w, b) if inj is None else (x, logits, w, b, inj)
@@ -214,7 +214,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
             g_denom /= denom[..., 0]
         g_agg /= denom  # now the adjoint of num = A @ H
         if x.requires_grad:
-            gx = adjoint_buffer((L, G, d))
+            gx = scratch((L, G, d))
             np.matmul(
                 a[..., :L].transpose(0, 2, 1), g_agg.transpose(1, 0, 2), out=gx.transpose(1, 0, 2)
             )
@@ -292,12 +292,10 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
     x = h.data
     d = x.shape[-1]
     powers = op.normalized_powers
-    stacked = step_buffer(
-        "gim.spatial.stacked", x.shape[:-1] + (len(powers) * d,), vjp_only=True
-    )
+    stacked = step_buffer(x.shape[:-1] + (len(powers) * d,), vjp_only=True)
     for k, p in enumerate(powers):
         np.matmul(p, x, out=stacked[..., k * d : (k + 1) * d])
-    out = np.matmul(stacked, w.data, out=step_buffer("gim.spatial.out", x.shape[:-1] + w.shape[1:]))
+    out = np.matmul(stacked, w.data, out=step_buffer(x.shape[:-1] + w.shape[1:]))
     out += b.data
     np.maximum(out, 0.0, out=out)
 
@@ -310,7 +308,7 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
             gb = _summed_to(gz, b.shape)
         if h.requires_grad:
             g_stacked = np.matmul(gz, w.data.T, out=scratch(stacked.shape))
-            gh = np.matmul(powers[0].T, g_stacked[..., :d], out=adjoint_buffer(h.shape))
+            gh = np.matmul(powers[0].T, g_stacked[..., :d], out=scratch(h.shape))
             part = scratch(gh.shape) if len(powers) > 1 else None
             for k in range(1, len(powers)):
                 np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)
@@ -335,7 +333,7 @@ def vertex_embedding(xz, m, w, b, mask_token) -> Tensor:
     xz = np.asarray(xz, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     shape = np.broadcast_shapes(xz.shape, m.shape, w.shape)
-    out = np.multiply(xz, w.data, out=step_buffer("gim.embed.out", shape))
+    out = np.multiply(xz, w.data, out=step_buffer(shape))
     out += b.data
     out *= m
     unset = 1.0 - m

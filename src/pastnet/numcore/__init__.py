@@ -4,7 +4,6 @@ from .optim import AdamState, NonFiniteGradientError, adam_step
 from .params import ParamStore
 from .tensor import (
     Tensor,
-    adjoint_buffer,
     buffer_pool,
     concat,
     constant,
@@ -25,7 +24,6 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "adam_step",
-    "adjoint_buffer",
     "buffer_pool",
     "concat",
     "constant",

@@ -11,9 +11,9 @@ Adjoint ownership: a VJP may return views of its input adjoint (a reshape,
 a transpose, a read-only broadcast, one piece of a concat split), and one
 such view may reach several parents.  ``backward()`` therefore writes into
 an interior node's adjoint only where it knows that no other adjoint views
-the same memory: a pool adjoint buffer (below) that this node's adjoint
-alone still views.  Any other second contribution is added out of place,
-into a new adjoint buffer.  Leaf accumulators are written in place; a leaf
+the same memory: an arena buffer of the pool (below) that this node's
+adjoint alone still views.  Any other second contribution is added out of
+place, into new scratch.  Leaf accumulators are written in place; a leaf
 without one gets a writable copy of its first contribution.
 
 Layer kernels with hand-written VJPs live next to their models in gim and
@@ -26,7 +26,9 @@ broadcast view) and never into the arrays its forward pass saved, so
 
 Only the operations the models run are implemented: broadcasting ``+``,
 ``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
-moves, indexing, gather and concat.  The activations exist only inside the
+moves, gather and concat.  Indexing (``Tensor.__getitem__``) serves only
+the composite references of the tests: ``train`` and ``impute_span`` make
+no call to it, with either branch or both.  The activations exist only inside the
 fused kernels, which take the logistic function from ``sigmoid`` below; the
 composite references the tests compare them with build their own on
 ``Tensor._make``.  Gradients flow only into tensors created with
@@ -40,45 +42,48 @@ runs this way.  The switch is a context variable, so it holds for the
 current thread only, and the previous state comes back when the block
 exits, also by an exception.
 
-Buffer pool: ``buffer_pool()`` opens one pool for the current thread, in a
-second context variable, so that kernels reuse buffers instead of mapping,
-faulting and unmapping fresh pages every call.  ``train()`` holds one for a
-run and rewinds it at every optimizer step; ``impute_span()`` holds one for
-a call and rewinds it per slot chunk and per window.  Outside any pool
-every buffer below is a fresh array.  A pool serves three lifetimes:
+Buffer pool: ``buffer_pool()`` opens one ``ScratchPool`` for the current
+thread, in a second context variable, so that kernels reuse buffers instead
+of mapping, faulting and unmapping fresh pages every call.  ``train()``
+holds one for a run and rewinds it at every optimizer step;
+``impute_span()`` holds one for a call and rewinds it per slot chunk and per
+window.  Outside any pool every buffer below is a fresh array.  Every buffer
+a pool holds is a flat float64 array, handed out as a view of the shape and
+dtype asked for, and it serves one of two lifetimes:
 
-- ``step_buffer(key, shape)`` is what a kernel or a generic ``matmul`` or
-  ``concat`` returns, or what a kernel saves for its VJP: one buffer per
-  (key, occurrence since the last rewind), valid until the pool's next
-  ``rewind()``, so the k-th temporal kernel of a step gets the same buffer
-  in every step.  Each keeps the largest size asked for and hands out
-  views, so an epoch's smaller last batch reuses the full batch's pages.
-  An array saved only for the VJP (``vjp_only=True``) is scratch when
-  nothing is recorded, since no VJP will read it.
-- ``scratch(shape)`` is a call-local temporary (a random draw, a relu mask,
-  a VJP's intermediate adjoints).  One of ``HEAP_ADJOINT_BYTES`` or more is
-  a view of one of the pool's arena buffers, handed back when the next tape
-  node is made (``Tensor._make``, the kernel's own node) or, inside
-  ``backward()``, when the VJP returns.  A smaller one is a plain array.
-- ``adjoint_buffer(shape)`` is an adjoint a VJP returns: arena memory like
-  scratch, except that ``backward()`` keeps the buffer while an interior
-  adjoint views it.  It counts the interior adjoints that view each buffer
-  (a reshape, transpose, split piece or broadcast of an adjoint views the
-  same buffer) and hands the buffer back when the last of them is consumed.
+- ``step_buffer(shape)`` is what a kernel or a generic ``matmul`` or
+  ``concat`` returns, or what a kernel saves for its VJP, valid until the
+  pool's next ``rewind()``.  Step buffers go by position: the k-th request
+  since the last rewind gets the pool's k-th buffer, which grows only when
+  a request is too small for it.  ``train()`` makes the same requests in
+  the same order every step, so each request gets the same pages every
+  step, and an epoch's smaller last batch views the full batch's.  An array
+  saved only for the VJP (``vjp_only=True``) is scratch when nothing is
+  recorded, since no VJP will read it.
+- ``scratch(shape)`` is call-local: a temporary (a random draw, a relu
+  mask, a VJP's intermediates) or an adjoint a VJP returns.  One of
+  ``HEAP_ADJOINT_BYTES`` or more is a view of one of the pool's arena
+  buffers, a smaller one a plain array.  An arena buffer goes back when the
+  next tape node is made (``Tensor._make``, the kernel's own node) or,
+  inside ``backward()``, when the VJP returns, unless ``backward()`` keeps
+  it as an interior adjoint.  It counts the interior adjoints that view
+  each buffer (a reshape, transpose, split piece or broadcast of an adjoint
+  views the same buffer) and hands the buffer back when the last of them
+  is consumed.
 
 An idle arena buffer serves the next request it fits, as a view; when none
 fits, the idle buffers are dropped and a new one is mapped, so the arena
 never holds more than it once had in use at the same time.
 ``ScratchPool.stats()`` reports the step-buffer and arena bytes.
 
-The rules that make reuse safe: a scratch buffer never leaves the call
-that asked for it, and that call makes no tape node while it still reads
-the buffer; nothing holds a step buffer past the pool's next rewind.  Who
-may write an adjoint: the VJP that took it from ``adjoint_buffer``, until
-it returns it, and then only ``backward()``, which adds into it in place
-only while the node it accumulates for is its only holder.  A VJP never
-writes into its incoming adjoint and returns no scratch or step buffer
-(nor a view of one), because ``backward()`` keeps what it returns as
+The rules that make reuse safe: a scratch buffer leaves the call that asked
+for it only as an adjoint its VJP returns, and that call makes no tape node
+while it still reads the buffer; nothing holds a step buffer past the
+pool's next rewind.  Who may write an adjoint: the VJP that took it from
+``scratch``, until it returns it, and then only ``backward()``, which adds
+into it in place only while the node it accumulates for is its only
+holder.  A VJP never writes into its incoming adjoint and returns no step
+buffer (nor a view of one), because ``backward()`` keeps what it returns as
 interior adjoints and leaf gradients.
 """
 from __future__ import annotations
@@ -98,28 +103,74 @@ _pool: ContextVar[ScratchPool | None] = ContextVar("scratch_pool", default=None)
 HEAP_ADJOINT_BYTES = 128 << 10  # smaller temporaries and adjoints stay plain (heap) arrays
 
 
-class Arena:
-    """A pool's buffers for call-local memory: scratch and the adjoints VJPs return.
+def _view(flat: Array, shape: tuple[int, ...], dtype) -> Array:
+    """``flat``'s first bytes viewed as an array of ``shape`` and ``dtype``."""
+    return flat.view(dtype)[: math.prod(shape)].reshape(shape)
 
-    ``idle`` holds the flat float64 buffers nothing uses, smallest first.
-    ``viewed`` maps each handed-out buffer to the number of interior
-    adjoints the tape holds that view it.  A buffer goes idle at the next
-    ``settle()`` after it was taken, unless the tape keeps a view of it, and
-    then when the last such view is consumed.  ``live`` counts the bytes
-    handed out and not yet idle, ``peak`` its largest value since the pool's
-    last rewind.
+
+def _float64s(shape: tuple[int, ...], dtype) -> int:
+    """How many float64 elements hold an array of ``shape`` and ``dtype``."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 8)
+
+
+class ScratchPool:
+    """One thread's reusable buffers (see the module docstring).
+
+    Every buffer is a flat float64 array, handed out as a view of any shape
+    and dtype.  ``steps`` holds the step buffers by position: the k-th
+    ``step()`` since the last ``rewind()`` gets ``steps[k]``.  The rest is
+    the arena, scratch's memory.  ``idle`` holds the arena buffers nothing
+    uses, smallest first.  ``viewed`` maps each handed-out arena buffer to
+    the number of interior adjoints the tape holds that view it.  An arena
+    buffer goes idle at the next ``settle()`` after it was taken, unless the
+    tape keeps a view of it, and then when the last such view is consumed.
+    ``live`` counts the arena bytes handed out and not yet idle, ``peak``
+    its largest value since the last rewind.
     """
 
     def __init__(self):
+        self.steps: list[Array] = []
+        self._next = 0  # position of the next step buffer
         self.idle: list[Array] = []
         self.viewed: dict[int, list] = {}  # id(flat) -> [flat, interior adjoints viewing it]
-        self._handed: list[Array] = []  # handed out since the last settle()
+        self._handed: list[Array] = []  # taken from the arena since the last settle()
         self.live = self.peak = 0
 
+    def rewind(self) -> None:
+        """Start a new step: step buffers are handed out again from the first."""
+        self._next = 0
+        self.peak = self.live
+
+    def arena_buffers(self) -> list[Array]:
+        """Every arena buffer, idle or handed out."""
+        return self.idle + [flat for flat, _ in self.viewed.values()]
+
+    def values(self) -> list[Array]:
+        """Every buffer the pool holds."""
+        return self.steps + self.arena_buffers()
+
+    def stats(self) -> dict[str, int]:
+        """Bytes held as step buffers and in the arena, and the most the
+        arena had handed out at once since the last rewind."""
+        return {
+            "step_bytes": sum(flat.nbytes for flat in self.steps),
+            "arena_bytes": sum(flat.nbytes for flat in self.arena_buffers()),
+            "arena_peak_bytes": self.peak,
+        }
+
+    def step(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
+        """A view of ``shape`` on the next step buffer; it grows only when too small."""
+        size, k = _float64s(shape, dtype), self._next
+        self._next += 1
+        if k == len(self.steps):
+            self.steps.append(np.empty(size))
+        elif self.steps[k].size < size:
+            self.steps[k] = np.empty(size)
+        return _view(self.steps[k], shape, dtype)
+
     def take(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
-        """A view of ``shape`` on the smallest idle buffer it fits, or a new one."""
-        count = math.prod(shape)
-        size = -(-count * np.dtype(dtype).itemsize // 8)  # in float64 elements
+        """A view of ``shape`` on the smallest idle arena buffer it fits, or a new one."""
+        size = _float64s(shape, dtype)
         i = bisect.bisect_left(self.idle, size, key=len)
         if i < len(self.idle):
             flat = self.idle.pop(i)
@@ -130,11 +181,7 @@ class Arena:
         self._handed.append(flat)
         self.live += flat.nbytes
         self.peak = max(self.peak, self.live)
-        return flat[:size].view(dtype)[:count].reshape(shape)
-
-    def buffers(self) -> list[Array]:
-        """Every buffer the arena holds, idle or handed out."""
-        return self.idle + [flat for flat, _ in self.viewed.values()]
+        return _view(flat, shape, dtype)
 
     def _entry(self, adjoint: Array) -> list | None:
         base = adjoint.base  # numpy points every view at the array that owns the memory
@@ -179,48 +226,6 @@ class Arena:
         bisect.insort(self.idle, flat, key=len)
 
 
-class ScratchPool:
-    """One thread's reusable kernel buffers (see the module docstring)."""
-
-    def __init__(self):
-        self._steps: dict = {}  # key -> one [flat buffer, last view] per occurrence
-        self._taken: dict = {}  # key -> step buffers handed out since the last rewind
-        self.arena = Arena()
-
-    def rewind(self) -> None:
-        """Start a new step: step buffers are handed out again from the first."""
-        self._taken.clear()
-        self.arena.peak = self.arena.live
-
-    def values(self) -> list[Array]:
-        """Every buffer the pool holds."""
-        return [flat for per_key in self._steps.values() for flat, _ in per_key] + self.arena.buffers()
-
-    def stats(self) -> dict[str, int]:
-        """Bytes held as step buffers and in the arena, and the most the
-        arena had handed out at once since the last rewind."""
-        steps = sum(flat.nbytes for per_key in self._steps.values() for flat, _ in per_key)
-        arena = sum(flat.nbytes for flat in self.arena.buffers())
-        return {"step_bytes": steps, "arena_bytes": arena, "arena_peak_bytes": self.arena.peak}
-
-    def step(self, key, shape: tuple[int, ...], dtype) -> Array:
-        """The (``key``, occurrence) buffer's view of ``shape``; it grows only when too small."""
-        n = self._taken.get(key, 0)
-        self._taken[key] = n + 1
-        per_key = self._steps.setdefault(key, [])
-        if n == len(per_key):
-            per_key.append([np.empty(0, dtype), None])
-        slot = per_key[n]
-        flat, view = slot
-        if view is not None and view.shape == shape and view.dtype == dtype:
-            return view
-        size = math.prod(shape)
-        if flat.dtype != dtype or flat.size < size:
-            flat = slot[0] = np.empty(size, dtype)
-        view = slot[1] = flat[:size].reshape(shape)
-        return view
-
-
 @contextmanager
 def no_grad():
     """Build no tape inside the block; restores the previous state on exit."""
@@ -248,52 +253,44 @@ def buffer_pool():
 
 
 def scratch(shape: tuple[int, ...], dtype=np.float64) -> Array:
-    """An uninitialized temporary of ``shape`` for one kernel call.
+    """An uninitialized array for one kernel call: a temporary or an adjoint its VJP returns.
 
     Inside a pool, one of ``HEAP_ADJOINT_BYTES`` or more is arena memory,
     handed back at the next ``Tensor._make`` or, in ``backward()``, when the
-    VJP returns; else a fresh array.  The caller must not return it, keep it
-    past the call or make a tape node while it still reads it.
+    VJP returns, unless the tape keeps it as an adjoint; else a fresh array.
+    The caller must not keep it past the call or make a tape node while it
+    still reads it, and returns it only as a VJP's adjoint.
     """
     pool = _pool.get()
     if pool is None or math.prod(shape) * np.dtype(dtype).itemsize < HEAP_ADJOINT_BYTES:
         return np.empty(shape, dtype)
-    return pool.arena.take(shape, dtype)
+    return pool.take(shape, dtype)
 
 
-def step_buffer(key, shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = False) -> Array:
+def step_buffer(shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = False) -> Array:
     """An uninitialized array a kernel returns or saves for its VJP.
 
-    Inside a pool, the buffer of (``key``, occurrence) since the last
-    rewind; elsewhere a fresh array.  ``vjp_only`` arrays are never
-    returned: without recording they are ``scratch``.
+    Inside a pool, a view of the pool's k-th step buffer for the k-th
+    request since the last rewind; elsewhere a fresh array.  ``vjp_only``
+    arrays are never returned: without recording they are ``scratch``.
     """
     if vjp_only and not _recording.get():
         return scratch(shape, dtype)
     pool = _pool.get()
     if pool is None:
         return np.empty(shape, dtype)
-    return pool.step(key, shape, dtype)
-
-
-def adjoint_buffer(shape: tuple[int, ...]) -> Array:
-    """An uninitialized float64 array a VJP returns as an adjoint.
-
-    ``scratch`` memory that ``backward()`` keeps, inside a pool, until no
-    interior adjoint views it.
-    """
-    return scratch(shape)
+    return pool.step(shape, dtype)
 
 
 def _adjoint_of(op, operands: tuple, full: tuple[int, ...], shape: tuple[int, ...]) -> Array:
     """``op(*operands)``, of shape ``full``, summed down to a parent's ``shape``.
 
-    A product of the parent's own shape is the adjoint and goes into an
-    adjoint buffer; a larger one is scratch that ``_unbroadcast`` sums into
-    a fresh array.
+    A product of the parent's own shape is the adjoint and goes into
+    scratch; a larger one is scratch that ``_unbroadcast`` sums into a fresh
+    array.
     """
     if full == shape:
-        return op(*operands, out=adjoint_buffer(shape))
+        return op(*operands, out=scratch(shape))
     return _unbroadcast(op(*operands, out=scratch(full)), shape)
 
 
@@ -368,7 +365,7 @@ class Tensor:
     def _make(data: Array, parents: tuple["Tensor", ...], vjp) -> "Tensor":
         pool = _pool.get()
         if pool is not None:
-            pool.arena.settle()  # the kernel that made ``data`` is done with its scratch
+            pool.settle()  # the kernel that made ``data`` is done with its scratch
         if not (_recording.get() and any(p.requires_grad for p in parents)):
             return Tensor(data)
         out = Tensor(data, requires_grad=True)
@@ -383,9 +380,9 @@ class Tensor:
         added to in place, so they keep their identity; a leaf without one
         receives a fresh writable array.  Interior adjoints may be views
         shared with other nodes: a second contribution is added in place
-        only into a pool adjoint buffer that the node alone views, else out
-        of place.  Inside a pool, every adjoint buffer goes back to the
-        arena once the last interior adjoint viewing it is consumed.
+        only into an arena buffer that the node alone views, else out of
+        place.  Inside a pool, every arena buffer goes back once the last
+        interior adjoint viewing it is consumed.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -408,9 +405,8 @@ class Tensor:
             self.grad = np.ones_like(self.data)
         else:
             self.grad = self.grad + np.ones_like(self.data)
-        pool = _pool.get()
-        # outside a pool nothing is pooled, so an unshared arena counts nothing
-        arena = Arena() if pool is None else pool.arena
+        # outside a pool nothing is pooled, so an unshared pool counts nothing
+        pool = _pool.get() or ScratchPool()
         try:
             for node in reversed(topo):
                 if node._vjp is None or node.grad is None:
@@ -425,20 +421,20 @@ class Tensor:
                             np.add(parent.grad, g, out=parent.grad)
                     elif parent.grad is None:
                         parent.grad = g
-                        arena.hold(g)
-                    elif arena.alone(parent.grad):
+                        pool.hold(g)
+                    elif pool.alone(parent.grad):
                         np.add(parent.grad, g, out=parent.grad)
                     else:  # g or the adjoint so far may be shared: never write into either
-                        total = np.add(parent.grad, g, out=adjoint_buffer(parent.grad.shape))
-                        arena.release(parent.grad)
+                        total = np.add(parent.grad, g, out=scratch(parent.grad.shape))
+                        pool.release(parent.grad)
                         parent.grad = total
-                        arena.hold(total)
-                arena.settle()
+                        pool.hold(total)
+                pool.settle()
                 if node is not self:
-                    arena.release(node.grad)
+                    pool.release(node.grad)
                     node.grad = None  # free interior adjoints as soon as consumed
         finally:
-            arena.finish()
+            pool.finish()
 
     # ---- arithmetic ----
 
@@ -553,13 +549,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     folds ``a``'s leading axes into rows: one GEMM instead of one per batch
     entry plus a sum.  The forward pass and ``a``'s adjoint stay batched,
     which OpenBLAS runs faster than one tall GEMM at the models' widths.
-    The output is a step buffer and the adjoints are adjoint buffers.
+    The output is a step buffer and the adjoints are scratch.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     shape = batch + (a.shape[-2], b.shape[-1])
-    data = np.matmul(a.data, b.data, out=step_buffer("numcore.matmul", shape))
+    data = np.matmul(a.data, b.data, out=step_buffer(shape))
 
     def vjp(g):
         ga = gb = None
@@ -569,7 +565,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = _adjoint_of(np.matmul, operands, full, a.shape)
         if b.requires_grad and b.ndim == 2:
             operands = (a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
-            gb = np.matmul(*operands, out=adjoint_buffer(b.shape))
+            gb = np.matmul(*operands, out=scratch(b.shape))
         elif b.requires_grad:
             full = g.shape[:-2] + (a.shape[-1], g.shape[-1])
             operands = (np.swapaxes(a.data, -1, -2), g)
@@ -585,7 +581,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     datas = [p.data for p in parts]
     shape = list(datas[0].shape)
     shape[axis] = sum(d.shape[axis] for d in datas)
-    data = np.concatenate(datas, axis=axis, out=step_buffer("numcore.concat", tuple(shape)))
+    data = np.concatenate(datas, axis=axis, out=step_buffer(tuple(shape)))
     sizes = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def vjp(g):

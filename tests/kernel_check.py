@@ -17,7 +17,7 @@ handed back change the result.
 import numpy as np
 
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check
-from pastnet.numcore.tensor import Arena, ScratchPool, _unbroadcast
+from pastnet.numcore.tensor import ScratchPool, _unbroadcast
 
 TOL = 1e-12
 
@@ -189,23 +189,23 @@ def poison_returned_buffers(monkeypatch) -> None:
     """From now on, overwrite every arena buffer as it is handed back and
     every step buffer as its pool rewinds: NaN, or for a bool view its
     negation, so that any later read of one changes what it computes."""
-    real_take, real_idle, real_rewind = Arena.take, Arena._idle, ScratchPool.rewind
+    real_take, real_idle, real_rewind = ScratchPool.take, ScratchPool._idle, ScratchPool.rewind
     views = {}  # id(flat) -> the view last handed out on it
 
-    def take(arena, shape, dtype=np.float64):
-        view = real_take(arena, shape, dtype)
+    def take(pool, shape, dtype=np.float64):
+        view = real_take(pool, shape, dtype)
         views[id(view.base)] = view
         return view
 
-    def idle(arena, flat):
+    def idle(pool, flat):
         _poison(views.pop(id(flat)), flat)
-        real_idle(arena, flat)
+        real_idle(pool, flat)
 
     def rewind(pool):
         for flat in pool.values():  # nothing is read across a rewind
             _poison(flat, flat)
         real_rewind(pool)
 
-    monkeypatch.setattr(Arena, "take", take)
-    monkeypatch.setattr(Arena, "_idle", idle)
+    monkeypatch.setattr(ScratchPool, "take", take)
+    monkeypatch.setattr(ScratchPool, "_idle", idle)
     monkeypatch.setattr(ScratchPool, "rewind", rewind)

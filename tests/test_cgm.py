@@ -166,7 +166,7 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
     recorded = layers()
     with buffer_pool() as pool, no_grad():
         outs = layers()
-        arena = pool.arena.buffers()
+        arena = pool.arena_buffers()
     assert arena, "the gate took no temporary from the arena"
     for i, out in enumerate(outs):
         assert np.array_equal(out, recorded[i])

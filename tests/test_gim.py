@@ -491,7 +491,7 @@ def assert_outputs_stay_apart(kernel, inputs):
         first = kernel(*inputs[0]).data
         kept = first.copy()
         second = kernel(*inputs[1]).data
-        arena = pool.arena.buffers()
+        arena = pool.arena_buffers()
     assert arena, "the kernel took no temporary from the arena"
     assert np.array_equal(first, kept) and np.array_equal(first, recorded[0])
     assert np.array_equal(second, recorded[1])

@@ -32,7 +32,7 @@ from pastnet.numcore import (
     no_grad,
 )
 from pastnet.numcore import tensor
-from pastnet.numcore.tensor import Arena, _pool
+from pastnet.numcore.tensor import ScratchPool, _pool
 
 
 def ring_adjacency(n):
@@ -489,20 +489,20 @@ def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
                           windows.minute_bucket, windows.starts))
     )
     handed, steps = [], []
-    real_take = Arena.take
+    real_take = ScratchPool.take
 
-    def take_and_note(arena, shape, dtype=np.float64):
-        view = real_take(arena, shape, dtype)
+    def take_and_note(pool, shape, dtype=np.float64):
+        view = real_take(pool, shape, dtype)
         handed.append(view.base)
         return view
 
     def step_and_look(params, state):
         adam_step(params, state)
         pool = _pool.get()
-        steps.append((pool.values(), list(handed), list(pool.arena.idle), pool.arena.viewed))
+        steps.append((pool.values(), list(handed), list(pool.idle), pool.viewed))
         handed.clear()
 
-    monkeypatch.setattr(Arena, "take", take_and_note)
+    monkeypatch.setattr(ScratchPool, "take", take_and_note)
     monkeypatch.setattr(model_module, "adam_step", step_and_look)
     train(PastModel.build(config, adjacency=ring_adjacency(config.N)), four,
           TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5))

@@ -21,7 +21,6 @@ from pastnet.numcore import (
     ParamStore,
     Tensor,
     adam_step,
-    adjoint_buffer,
     buffer_pool,
     concat,
     constant,
@@ -33,7 +32,7 @@ from pastnet.numcore import (
     scratch,
     step_buffer,
 )
-from pastnet.numcore.tensor import Arena, _pool
+from pastnet.numcore.tensor import ScratchPool, _pool
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -322,7 +321,7 @@ def test_no_grad_opens_no_pool():
     with no_grad():
         assert _pool.get() is None
         a, b = scratch((128, 128)), scratch((128, 128))
-        s, t = step_buffer("k", (3, 4)), step_buffer("k", (3, 4))
+        s, t = step_buffer((3, 4)), step_buffer((3, 4))
         assert a.base is None and not np.shares_memory(a, b) and not np.shares_memory(s, t)
     with buffer_pool() as pool:
         with no_grad():
@@ -334,25 +333,25 @@ def test_scratch_inside_a_pool_is_arena_memory_until_the_next_node():
     x = Tensor(np.ones(3), requires_grad=True)
     with buffer_pool() as pool:
         small = scratch((3, 4))  # below HEAP_ADJOINT_BYTES: a plain array
-        assert small.base is None and not pool.arena.viewed
+        assert small.base is None and not pool.viewed
         draw = scratch((128, 128))
         mask = scratch((256, 1024), bool)
         assert draw.base is not None and mask.base is not None
         assert not np.shares_memory(draw, mask)  # both in use: two buffers
         assert pool.stats() == {"step_bytes": 0, "arena_bytes": 3 << 17, "arena_peak_bytes": 3 << 17}
         y = x * 2.0  # making the kernel's node hands its scratch back
-        assert not pool.arena.viewed and pool.arena.live == 0
-        assert [flat.nbytes for flat in pool.arena.idle] == [1 << 17, 1 << 18]
+        assert not pool.viewed and pool.live == 0
+        assert [flat.nbytes for flat in pool.idle] == [1 << 17, 1 << 18]
         again = scratch((128, 128))  # the smallest idle buffer that fits
         assert again.base is draw.base
-        out = step_buffer("k", (128, 128))  # step buffers are not arena memory
-        assert not any(np.shares_memory(out, flat) for flat in pool.arena.buffers())
+        out = step_buffer((128, 128))  # step buffers are not arena memory
+        assert not any(np.shares_memory(out, flat) for flat in pool.arena_buffers())
         pool.rewind()
         stats = pool.stats()
         assert stats["step_bytes"] == 1 << 17 and stats["arena_bytes"] == 3 << 17
         assert stats["arena_peak_bytes"] == 1 << 17  # what is still handed out
         y.sum()
-        assert pool.arena.live == 0
+        assert pool.live == 0
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
@@ -388,29 +387,47 @@ def test_scratch_pool_is_per_thread():
         assert not thread.is_alive() and len(seen) == 3 and seen[0] is None
         assert seen[1].base is None and seen[2].base is not None
         assert all(not np.shares_memory(mine, b) for b in seen[1:])
-        assert [flat for flat, _ in pool.arena.viewed.values()] == [mine.base]
+        assert [flat for flat, _ in pool.viewed.values()] == [mine.base]
 
 
 def test_step_buffers_are_per_occurrence_and_come_back_after_a_rewind():
+    # by position: after a rewind the k-th request gets the k-th buffer
     with buffer_pool() as pool:
-        first, second = step_buffer("k", (3, 4)), step_buffer("k", (3, 4))
-        assert not np.shares_memory(first, second)  # two occurrences in one step
-        mask = step_buffer("m", (4,), bool)
-        assert mask.dtype == bool and not np.shares_memory(mask, first)
+        first, second = step_buffer((3, 4)), step_buffer((3, 4))
+        assert not np.shares_memory(first, second)  # two requests in one step
         pool.rewind()
-        assert step_buffer("k", (3, 4)) is first and step_buffer("k", (3, 4)) is second
-        assert step_buffer("m", (4,), bool) is mask
-        third = step_buffer("k", (3, 4))  # a third occurrence gets its own buffer
+        assert step_buffer((3, 4)).base is first.base is pool.steps[0]
+        assert step_buffer((3, 4)).base is second.base is pool.steps[1]
+        third = step_buffer((3, 4))  # a third request gets a buffer of its own
+        assert len(pool.steps) == 3 and third.base is pool.steps[2]
         assert not any(np.shares_memory(third, b) for b in (first, second))
+
+
+def test_step_buffers_of_any_dtype_share_one_flat_buffer_by_position():
+    with buffer_pool() as pool:
+        values = step_buffer((2, 3))
         pool.rewind()
-        # a smaller request is a view of the slot's buffer, not a new mapping
-        small = step_buffer("k", (2, 5))
-        assert small.shape == (2, 5) and small.base is first.base
-        larger = step_buffer("k", (4, 4))  # the second slot grows
-        assert larger.shape == (4, 4) and not np.shares_memory(larger, second)
-        pool.rewind()  # back to the first shape: new views of the same pages
-        assert step_buffer("k", (3, 4)).base is first.base
-        assert step_buffer("k", (3, 4)).base is larger.base
+        mask = step_buffer((6,), bool)  # the same position, as bool
+        assert mask.dtype == bool and mask.base is values.base and len(pool.steps) == 1
+        assert pool.steps[0].dtype == np.float64 and pool.steps[0].size == 6
+        pool.rewind()
+        mask = step_buffer((9,), bool)  # still fits the buffer's 48 bytes
+        assert mask.base is values.base and mask.shape == (9,)
+        assert pool.stats()["step_bytes"] == 48
+
+
+def test_step_buffer_grows_only_when_a_request_is_too_small_for_it():
+    with buffer_pool() as pool:
+        big = step_buffer((4, 4))
+        pool.rewind()
+        small = step_buffer((2, 5))  # a smaller request: a view of the same pages
+        assert small.shape == (2, 5) and small.base is big.base
+        pool.rewind()
+        larger = step_buffer((5, 4))  # too small for this one: the buffer grows
+        assert larger.base is not big.base and larger.base is pool.steps[0]
+        assert pool.steps[0].size == 20 and len(pool.steps) == 1
+        pool.rewind()
+        assert step_buffer((4, 4)).base is larger.base  # and keeps its larger size
 
 
 def test_step_buffers_outside_a_training_pool_are_fresh(monkeypatch):
@@ -418,13 +435,13 @@ def test_step_buffers_outside_a_training_pool_are_fresh(monkeypatch):
     from pastnet.data import WindowBatch
     from pastnet.model import ModelConfig, PastModel, TrainConfig, impute_span, train
 
-    def fresh(key, shape, **kw):
-        a, b = step_buffer(key, shape, **kw), step_buffer(key, shape, **kw)
+    def fresh(shape, **kw):
+        a, b = step_buffer(shape, **kw), step_buffer(shape, **kw)
         return a.shape == shape and not np.shares_memory(a, b)
 
-    assert _pool.get() is None and fresh("k", (3, 4)) and fresh("k", (3, 4), vjp_only=True)
+    assert _pool.get() is None and fresh((3, 4)) and fresh((3, 4), vjp_only=True)
     with no_grad():
-        assert fresh("k", (3, 4)) and fresh("k", (3, 4), vjp_only=True)
+        assert fresh((3, 4)) and fresh((3, 4), vjp_only=True)
 
     # imputing mid-run: impute_span's own pool leaves every byte of train's alone
     L, N = 16, 6
@@ -461,19 +478,19 @@ def test_training_pool_is_per_thread():
     seen = []
 
     def worker():
-        seen.extend([step_buffer("k", (2,)), scratch((2,))])
+        seen.extend([step_buffer((2,)), scratch((2,))])
         with buffer_pool():
-            seen.append(step_buffer("k", (2,)))
+            seen.append(step_buffer((2,)))
 
     with buffer_pool() as pool:
-        mine = step_buffer("k", (2,))
+        mine = step_buffer((2,))
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=30)
         assert not thread.is_alive() and len(seen) == 3
         assert all(not np.shares_memory(mine, b) for b in seen)
         pool.rewind()
-        assert step_buffer("k", (2,)) is mine
+        assert step_buffer((2,)).base is mine.base
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
@@ -481,7 +498,7 @@ def test_training_pool_is_dropped_when_its_block_exits(raises):
     refs = []
     with pytest.raises(RuntimeError) if raises else buffer_pool():
         with buffer_pool():
-            step_buffer("k", (64, 64))
+            step_buffer((64, 64))
             scratch((128, 128))
             refs.extend(weakref.ref(buf) for buf in _pool.get().values())
             if raises:
@@ -557,58 +574,58 @@ def test_gradients_in_a_training_pool_are_the_bits_of_fresh_adjoints(graph, runs
     plain, _ = leaf_grads(build, values, runs, contextlib.nullcontext())
     pooled, pool = leaf_grads(build, values, runs, buffer_pool())
     assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, pooled))
-    arena = pool.arena
-    assert arena.idle and not arena.viewed  # every buffer came back once consumed
-    assert arena.live == 0
+    assert pool.idle and not pool.viewed  # every buffer came back once consumed
+    assert pool.live == 0
 
 
 def test_adjoint_arena_reuses_the_smallest_idle_buffer_that_fits():
-    arena = Arena()
-    small, large = arena.take((4, 8)), arena.take((100,))
-    assert len(arena.viewed) == 2 and arena.peak == 132 * 8
-    arena.settle()  # the tape kept neither
-    assert [flat.size for flat in arena.idle] == [32, 100] and arena.live == 0
-    view = arena.take((5, 5))  # fits both: the smaller buffer serves it, as a view
+    pool = ScratchPool()
+    small, large = pool.take((4, 8)), pool.take((100,))
+    assert len(pool.viewed) == 2 and pool.peak == 132 * 8
+    pool.settle()  # the tape kept neither
+    assert [flat.size for flat in pool.idle] == [32, 100] and pool.live == 0
+    view = pool.take((5, 5))  # fits both: the smaller buffer serves it, as a view
     assert view.base is small.base and view.shape == (5, 5)
-    mask = arena.take((6, 50), bool)  # 300 bytes in the 100-element buffer
+    mask = pool.take((6, 50), bool)  # 300 bytes in the 100-element buffer
     assert mask.base is large.base and mask.dtype == bool
-    arena.settle()
-    bigger = arena.take((200,))  # fits no idle buffer: they are dropped, not kept beside
-    assert arena.idle == [] and not any(np.shares_memory(bigger, b) for b in (small, large))
+    pool.settle()
+    bigger = pool.take((200,))  # fits no idle buffer: they are dropped, not kept beside
+    assert pool.idle == [] and not any(np.shares_memory(bigger, b) for b in (small, large))
 
 
 def test_adjoint_arena_counts_the_views_the_tape_holds():
-    arena = Arena()
-    g = arena.take((4, 6))
+    pool = ScratchPool()
+    g = pool.take((4, 6))
     left, right = np.split(g, [3], axis=1)
-    arena.hold(left)
-    arena.hold(right.T)  # a transposed piece views the same buffer
-    arena.settle()  # held: not idle
-    assert not arena.idle and not arena.alone(left)
-    arena.release(right.T)
-    assert not arena.idle and arena.alone(left)
-    assert not arena.alone(np.broadcast_to(left, (2, 4, 3)))  # read-only
-    arena.release(left)  # the last view: the buffer goes idle
-    assert [flat.base for flat in arena.idle] == [None] and arena.idle[0] is g.base
+    pool.hold(left)
+    pool.hold(right.T)  # a transposed piece views the same buffer
+    pool.settle()  # held: not idle
+    assert not pool.idle and not pool.alone(left)
+    pool.release(right.T)
+    assert not pool.idle and pool.alone(left)
+    assert not pool.alone(np.broadcast_to(left, (2, 4, 3)))  # read-only
+    pool.release(left)  # the last view: the buffer goes idle
+    assert [flat.base for flat in pool.idle] == [None] and pool.idle[0] is g.base
     plain = np.ones(3)
-    arena.hold(plain)  # arrays the arena never handed out are not counted
-    assert not arena.alone(plain) and not arena.viewed
+    pool.hold(plain)  # arrays the pool never handed out are not counted
+    assert not pool.alone(plain) and not pool.viewed
 
 
 def test_adjoint_buffers_come_from_the_arena_inside_any_pool():
+    # a VJP takes the adjoints it returns from scratch, like its temporaries
     def fresh():
-        a, b = adjoint_buffer((128, 128)), adjoint_buffer((128, 128))
+        a, b = scratch((128, 128)), scratch((128, 128))
         return a.base is None and not np.shares_memory(a, b)
 
     assert _pool.get() is None and fresh()
     with no_grad():
         assert fresh()
     with buffer_pool() as pool, no_grad():
-        a, b = adjoint_buffer((128, 128)), adjoint_buffer((128, 128))
+        a, b = scratch((128, 128)), scratch((128, 128))
         assert not np.shares_memory(a, b)
-        assert {id(a.base), id(b.base)} == set(pool.arena.viewed)
-        pool.arena.settle()  # what no tape node keeps goes back
-        assert adjoint_buffer((128, 128)).base in (a.base, b.base)
+        assert {id(a.base), id(b.base)} == set(pool.viewed)
+        pool.settle()  # what no tape node keeps goes back
+        assert scratch((128, 128)).base in (a.base, b.base)
 
 
 def test_backward_that_raises_leaves_no_buffer_counted():
@@ -623,7 +640,7 @@ def test_backward_that_raises_leaves_no_buffer_counted():
         broken = Tensor._make(h.data.sum(), (h,), raising)
         with pytest.raises(RuntimeError, match="inside a VJP"):
             ((broken + (h @ w).sum()) * 1.0).backward()
-        assert not pool.arena.viewed and pool.arena.live == 0
+        assert not pool.viewed and pool.live == 0
 
 
 def test_masked_mse_hand_value():
