@@ -43,9 +43,10 @@ the ``--repeats`` runs on a freshly built model:
   slots.
 - ``desk_distinct``: one desk batch of 4 windows whose 384 stamps are 384
   distinct slots, the slot path's worst case.
-- ``train_cli``, ``cli_step_n16``: one CLI-default batch (B=32, 32
-  stride-96 windows of 40 synthetic days) on 4 and on 16 nodes; on 4, the
-  model size ``perfbench``'s ``cli_defaults`` trains.
+- ``train_cli``, ``cli_step_n8``, ``cli_step_n16``: one CLI-default batch
+  (B=32, 32 stride-96 windows of 40 synthetic days) on 4, 8 and 16 nodes;
+  on 4, the model size ``perfbench``'s ``cli_defaults`` trains.  The three
+  give the per-node slope of ``rss_mib`` and ``pool_step_mib``.
 
 ``train_ms``, ``train_faults`` and ``train_sys_ms`` (``ru_stime``) cover a
 whole call; ``step_ms``, ``step_faults`` and ``step_sys_ms`` each full-batch
@@ -263,6 +264,7 @@ CASES = {
     "train_desk": partial(_train, _train_desk),
     "desk_distinct": partial(_train, _desk_distinct),
     "train_cli": partial(_train, partial(_cli, 4)),
+    "cli_step_n8": partial(_train, partial(_cli, 8)),
     "cli_step_n16": partial(_train, partial(_cli, 16)),
 }
 

@@ -160,6 +160,8 @@ def load_checkpoint(path: str) -> PastModel:
                 f"expected ({config.N}, {config.N})"
             )
         powers.append(arrays[key])
+    if not np.array_equal(powers[0], powers[0][0, 0] * np.eye(config.N)):
+        raise ValueError("corrupt checkpoint: spatial/0 is not a multiple of the identity")
     spatial_op = SpatialOperator(normalized_powers=powers)
 
     norm_stats = None

@@ -23,12 +23,20 @@ incoming edge, so its row is never computed.  The output is a transposed
 view back to (B, L, N).
 
 Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
-and what a kernel saves for its VJP (the temporal adjacency, degrees and
-aggregate, the spatial stacked aggregations) are step buffers, and the
-dropout mask is one too; the dropout draw and its eligibility mask, the
-temporal injection term, the embedding's token term, the relu masks, the
-VJPs' intermediates and the state adjoints the VJPs return (the temporal
-``gx``, the spatial ``gh``) are scratch.  Inside a pool (``train``,
+and what a kernel saves for its VJP (the temporal degrees and aggregate)
+are step buffers, and the dropout mask is one too; the dropout draw and
+its eligibility mask, the weighted temporal adjacency, the spatial stacked
+aggregations, the temporal injection term, the embedding's token term, the
+relu masks, the VJPs' intermediates and the state adjoints the VJPs return
+(the temporal ``gx``, the spatial ``gh``) are scratch.  The adjacency,
+(G, L, L+1), and the aggregations, (L*B, N, (K+1)d), are a layer's two
+largest arrays, and neither is kept for backward: each VJP rebuilds its
+array with the forward's numpy calls from inputs the step keeps anyway
+(the adjacency from the edge weights, the columns and the dropout mask,
+the aggregations from the temporal output), so it gets the same bits, and
+once it has read the rebuilt array it writes its next array of that shape
+(the adjacency's adjoint, the aggregations' adjoint) into the same buffer.
+Inside a pool (``train``,
 ``impute_span``) step buffers go by position, so a step's k-th request
 reuses the previous step's k-th buffer, and scratch shares the pool's
 arena: forward scratch goes back when the kernel's node is made, and
@@ -157,10 +165,12 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     vertices) give H' = 0 and hence relu(b).  The injection vertex receives
     nothing, so its row is not returned.
 
-    Saved for backward: the weighted (G, L, L+1) adjacency, whose nonzero
-    entries are the edges, the row degrees plus eps, the aggregate H' and
-    the output, whose sign is relu's mask.  Those and the output are step
-    buffers; the VJP's intermediates are scratch.
+    Saved for backward: the row degrees plus eps, the aggregate H' and the
+    output, whose sign is relu's mask, all step buffers.  The weighted
+    (G, L, L+1) adjacency, whose nonzero entries are the edges, is scratch
+    in the forward pass; the VJP rebuilds it from the edge weights,
+    ``columns`` and ``drop``, which the caller keeps until backward.  The
+    VJP's intermediates are scratch.
     """
     x, logits, w, b = (_wrap(t) for t in (states, edge_logits, w, b))
     inj = None if injection is None else _wrap(injection)
@@ -176,12 +186,7 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     idx = np.arange(L)
     weight = np.logaddexp(0.0, logits.data[:L, :width])
     weight[idx, idx] = 0.0  # no self edges
-    a = step_buffer((G, L, width), vjp_only=True)
-    np.multiply(weight[:, :L], cols.T[:, None, :], out=a[..., :L])  # observed sources only
-    if drop is not None:
-        np.copyto(a[..., :L], 0.0, where=drop)
-    if inj is not None:
-        a[..., L] = weight[:, L]
+    a = _weighted_adjacency(weight, cols, drop, scratch((G, L, width)))
     denom = step_buffer((L, G, 1), vjp_only=True)
     np.add(a.sum(axis=-1).T, DEGREE_EPS, out=denom[..., 0])
     agg = step_buffer((L, G, d), vjp_only=True)
@@ -213,6 +218,8 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
             g_denom = np.multiply(g_agg, agg, out=spare).sum(axis=-1)
             g_denom /= denom[..., 0]
         g_agg /= denom  # now the adjoint of num = A @ H
+        if x.requires_grad or logits.requires_grad:
+            a = _weighted_adjacency(weight, cols, drop, scratch((G, L, width)))
         if x.requires_grad:
             gx = scratch((L, G, d))
             np.matmul(
@@ -221,20 +228,38 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
         if need_inj:
             gi = (weight[:, L] @ g_agg.reshape(L, G * d)).reshape(G, d)
         if logits.requires_grad:
-            ga = scratch((G, L, width))
+            # the graph's edges, where A holds softplus > 0; then A's buffer is spent
+            edges = np.not_equal(a, 0.0, out=scratch(a.shape, bool))
+            ga = a
             per_graph = g_agg.transpose(1, 0, 2)
             np.matmul(per_graph, x.data.transpose(1, 2, 0), out=ga[..., :L])
             if inj is not None:
                 np.matmul(per_graph, inj.data[:, :, None], out=ga[..., L:])
             ga -= g_denom.T[:, :, None]  # every entry of a row feeds that row's degree
-            # keep only the graph's edges, where A holds softplus > 0
-            ga *= np.not_equal(a, 0.0, out=scratch(a.shape, bool))
+            ga *= edges
             gl = np.zeros(logits.shape)
             np.sum(ga, axis=0, out=gl[:L, :width])
             gl[:L, :width] *= sigmoid(logits.data[:L, :width])
         return (gx, gl, gw, gb, gi)[: len(parents)]
 
     return Tensor._make(out, parents, vjp)
+
+
+def _weighted_adjacency(weight, cols, drop, a: np.ndarray) -> np.ndarray:
+    """Write every graph's weighted (L, width) adjacency into ``a`` and return it.
+
+    ``weight`` is softplus of the (L, width) logits with a zero diagonal,
+    ``cols`` the (L, G) observation mask, ``drop`` the (G, L, L) dropped
+    edges or None; column L, when ``a`` has it, is the injection vertex.
+    The forward pass and the VJP both build it here, so they get the same bits.
+    """
+    L = cols.shape[0]
+    np.multiply(weight[:, :L], cols.T[:, None, :], out=a[..., :L])  # observed sources only
+    if drop is not None:
+        np.copyto(a[..., :L], 0.0, where=drop)
+    if a.shape[-1] > L:
+        a[..., L] = weight[:, L]
+    return a
 
 
 def _relu_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -280,21 +305,36 @@ def build_spatial_operator(a_s: np.ndarray, K: int) -> SpatialOperator:
     return SpatialOperator(normalized_powers=powers)
 
 
+def _stacked_aggregations(powers, x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """Write each P_k @ x into its slice of ``stacked`` and return it.
+
+    P_0 is (1 + eps)^-1 I, so its product is ``x`` times P_0[0, 0]: the
+    GEMM's bits for finite ``x``, without its flops.  The forward pass and
+    the VJP both build the aggregations here, so they get the same bits.
+    """
+    d = x.shape[-1]
+    np.multiply(x, powers[0][0, 0], out=stacked[..., :d])
+    for k in range(1, len(powers)):
+        np.matmul(powers[k], x, out=stacked[..., k * d : (k + 1) * d])
+    return stacked
+
+
 def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
     """Concatenate every normalized-power aggregation, then linear + relu.
 
     One tape node: each P_k @ h is written straight into its slice of the
-    stacked buffer.  Saved for backward: the stacked aggregations and the
-    output, whose sign is relu's mask; both are step buffers and the VJP's
-    intermediates are scratch.
+    stacked buffer, P_0's as a product with a scalar.  Saved for backward:
+    the output, whose sign is relu's mask, a step buffer.  The stacked
+    aggregations are scratch in the forward pass; the VJP rebuilds them from
+    ``h``, which the caller keeps until backward.  The VJP's intermediates
+    are scratch.
     """
     h, w, b = (_wrap(t) for t in (h_nodes, w, b))
     x = h.data
     d = x.shape[-1]
     powers = op.normalized_powers
-    stacked = step_buffer(x.shape[:-1] + (len(powers) * d,), vjp_only=True)
-    for k, p in enumerate(powers):
-        np.matmul(p, x, out=stacked[..., k * d : (k + 1) * d])
+    shape = x.shape[:-1] + (len(powers) * d,)
+    stacked = _stacked_aggregations(powers, x, scratch(shape))
     out = np.matmul(stacked, w.data, out=step_buffer(x.shape[:-1] + w.shape[1:]))
     out += b.data
     np.maximum(out, 0.0, out=out)
@@ -302,13 +342,15 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
     def vjp(g):
         gh = gw = gb = None
         gz = _relu_adjoint(g, out)
+        stacked = scratch(shape)
         if w.requires_grad:
-            gw = stacked.reshape(-1, stacked.shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
+            _stacked_aggregations(powers, x, stacked)
+            gw = stacked.reshape(-1, shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
             gb = _summed_to(gz, b.shape)
         if h.requires_grad:
-            g_stacked = np.matmul(gz, w.data.T, out=scratch(stacked.shape))
-            gh = np.matmul(powers[0].T, g_stacked[..., :d], out=scratch(h.shape))
+            g_stacked = np.matmul(gz, w.data.T, out=stacked)  # the aggregations are spent
+            gh = np.multiply(g_stacked[..., :d], powers[0][0, 0], out=scratch(h.shape))
             part = scratch(gh.shape) if len(powers) > 1 else None
             for k in range(1, len(powers)):
                 np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)

@@ -114,3 +114,14 @@ def test_ab_bench_ratio_of_a_zero_before_median_is_none():
     assert ab_bench._ratio(0.0, 0.0) is None
     assert ab_bench._ratio(1.5, 0.0) is None
     assert ab_bench._ratio(1.0, 3.0) == 0.333
+
+
+def test_ab_bench_cli_cases_train_the_cli_batch_on_4_8_and_16_nodes():
+    # three node counts, one CLI-default model and batch: the per-node slope
+    ab_bench = _ab_bench()
+    for case, nodes in (("train_cli", 4), ("cli_step_n8", 8), ("cli_step_n16", 16)):
+        train, setup = ab_bench.CASES[case].func, ab_bench.CASES[case].args[0]
+        assert train is ab_bench._train
+        windows, adjacency, config, batch_size = setup()
+        assert (config.N, config.d, config.n, config.K, config.L) == (nodes, 64, 3, 2, 96)
+        assert batch_size == len(windows) == 32 and adjacency.shape == (nodes, nodes)

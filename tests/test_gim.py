@@ -7,7 +7,15 @@ import threading
 import numpy as np
 import pytest
 
-from kernel_check import check_kernel, divide, relu, softplus, vertex_embedding_reference
+from kernel_check import (
+    TOL,
+    check_kernel,
+    divide,
+    poison_returned_buffers,
+    relu,
+    softplus,
+    vertex_embedding_reference,
+)
 from pastnet.gim import (
     DEGREE_EPS,
     GimModule,
@@ -428,6 +436,33 @@ def test_spatial_kernel_matches_composite(K, lead):
     )
 
 
+@pytest.mark.parametrize("K", [0, 2])
+def test_spatial_kernel_gives_the_bits_of_the_p0_gemm(K):
+    # P_0 = I / (1 + eps): the kernel multiplies by its diagonal entry where
+    # the stacked path it replaced multiplied by the matrix, in the forward
+    # pass and in gh, and every bit stays
+    rng = np.random.default_rng(40 + K)
+    a = rng.random((7, 7))
+    op = build_spatial_operator((a + a.T) / 2.0, K)
+    d = 5
+    h = rng.normal(size=(12, 7, d))
+    w = rng.normal(scale=0.5, size=((K + 1) * d, 4))
+    b = rng.normal(scale=0.1, size=4)
+    cotangent = rng.normal(size=(12, 7, 4))
+    leaf = Tensor(h.copy(), requires_grad=True)
+    out = spatial_forward(leaf, op, w, b)
+    (out * constant(cotangent)).sum().backward()
+
+    powers = op.normalized_powers
+    expected = np.maximum(np.concatenate([p @ h for p in powers], axis=-1) @ w + b, 0.0)
+    g_stacked = (cotangent * (expected > 0.0)) @ w.T
+    gh = powers[0].T @ g_stacked[..., :d]
+    for k in range(1, K + 1):
+        gh += powers[k].T @ g_stacked[..., k * d : (k + 1) * d]
+    assert out.data.tobytes() == expected.tobytes()
+    assert leaf.grad.tobytes() == gh.tobytes()
+
+
 def embedding_case(seed=0, lead=(5, 2, 3)):
     rng = np.random.default_rng(seed)
     m = (rng.random(lead + (1,)) > 0.4).astype(float)
@@ -479,6 +514,64 @@ def test_kernels_match_composites_inside_a_training_pool():
             lambda w, b, t: vertex_embedding_reference(xz, m, w, b, t),
             arrays,
         )
+
+
+@pytest.mark.usefixtures("arena_for_all")
+def test_kernel_vjps_rebuild_only_from_inputs_that_outlive_the_forward(monkeypatch):
+    # the temporal kernel feeding the spatial one, as in a layer, in a pool
+    # that poisons every buffer handed back: the forward's adjacency and
+    # aggregations go back when each node is made, so a VJP that read them
+    # instead of rebuilding from the drop mask, the columns and the temporal
+    # output would see NaN.  Two backward passes give the bits of the same
+    # kernels outside any pool, and both match the composite references.
+    rng = np.random.default_rng(41)
+    B, N, L, d = 2, 4, 7, 3
+    cols = (rng.random((B * N, L)) > 0.5).astype(float)
+    a = rng.random((N, N))
+    op = build_spatial_operator((a + a.T) / 2.0, 2)
+    dense = _batch_interval_dropout(
+        _batch_temporal_adjacency(cols, True), cols, 0.1, 0.0, np.random.default_rng(5)
+    )
+    arrays = [
+        rng.normal(size=(L, B * N, d)),
+        rng.normal(size=(B * N, d)),
+        rng.normal(size=(L + 1, L + 1)),
+        rng.normal(scale=0.5, size=(d, d)),
+        rng.normal(scale=0.1, size=d),
+        rng.normal(scale=0.5, size=(3 * d, d)),
+        rng.normal(scale=0.1, size=d),
+    ]
+    cotangent = rng.normal(size=(L * B, N, d))
+
+    def layer(temporal, spatial):
+        tensors = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        states, injection, logits, wt, bt, ws, bs = tensors
+        h = temporal(states, injection, logits, wt, bt).reshape(L * B, N, d)
+        out = spatial(h, ws, bs)
+        passes = []
+        for _ in range(2):
+            (out * constant(cotangent)).sum().backward()
+            passes.append([t.grad for t in tensors])
+            for t in tensors:
+                t.grad = None
+        return passes
+
+    def kernels():
+        drop = interval_dropout_mask(cols.T, 0.1, 0.0, np.random.default_rng(5))
+        return layer(
+            lambda *args: temporal_forward(args[0], args[1], cols.T, drop, *args[2:]),
+            lambda h, w, b: spatial_forward(h, op, w, b),
+        )
+
+    plain, _ = kernels()
+    reference, _ = layer(temporal_reference(dense), spatial_reference(op))
+    poison_returned_buffers(monkeypatch)
+    with buffer_pool():
+        pooled = kernels()
+    for grads in pooled:
+        assert all(g.tobytes() == p.tobytes() for g, p in zip(grads, plain, strict=True))
+    for g, r in zip(plain, reference, strict=True):
+        assert np.allclose(g, r, rtol=TOL, atol=TOL), np.max(np.abs(g - r))
 
 
 def assert_outputs_stay_apart(kernel, inputs):

@@ -513,6 +513,27 @@ def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
     assert all(any(flat is b for b in idle) for flat in taken)
 
 
+def test_train_keeps_neither_the_temporal_adjacency_nor_the_spatial_aggregations(monkeypatch):
+    # the CLI's model and batch on three nodes: the VJPs rebuild both arrays,
+    # so no step buffer is the size of either
+    config = ModelConfig(L=96, N=3)
+    _, windows, _ = training_windows(L=96, n_nodes=3, rate=0.4, n_days=43)
+    assert len(windows.values) == 32
+    held = []
+
+    def step_and_look(params, state):
+        adam_step(params, state)
+        held.extend(flat.nbytes for flat in _pool.get().steps)
+
+    monkeypatch.setattr(model_module, "adam_step", step_and_look)
+    train(PastModel.build(config, adjacency=ring_adjacency(3)), windows,
+          TrainConfig(lr=1e-2, batch_size=32, epochs=1))
+    G, L, d, K = 32 * 3, 96, 64, 2
+    adjacency = G * L * (L + 1) * 8
+    aggregations = L * G * (K + 1) * d * 8
+    assert held and max(held) < min(adjacency, aggregations)
+
+
 def test_train_reads_no_buffer_after_handing_it_back(monkeypatch):
     # desk size, so the dropout draw, the kernels' temporaries and the
     # adjoints are arena memory; two epochs end with a partial batch
@@ -1065,20 +1086,24 @@ def test_checkpoint_non_finite_arrays_raise_and_impute_keeps_observed(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spatial_1, norm_stats, message",
+    "spatial, norm_stats, message",
     [
-        (np.zeros((16, 1)), (1.5, 2.25), r"spatial/1 has shape \(16, 1\), expected \(4, 4\)"),
+        ((1, np.zeros((16, 1))), (1.5, 2.25),
+         r"spatial/1 has shape \(16, 1\), expected \(4, 4\)"),
+        ((0, ring_adjacency(4)), (1.5, 2.25), r"spatial/0 is not a multiple of the identity"),
         (None, (1.0, 0.0), r"norm/stats needs a finite mean and std > 0, got \(1.0, 0.0\)"),
         (None, (np.nan, 2.0), r"norm/stats needs a finite mean and std > 0, got \(nan, 2.0\)"),
         (None, (1.0, 2.0, 3.0), r"norm/stats has shape \(3,\), expected \(2,\)"),
     ],
-    ids=["spatial-shape", "zero-std", "nan-mean", "three-stats"],
+    ids=["spatial-shape", "spatial-0-not-identity", "zero-std", "nan-mean", "three-stats"],
 )
-def test_checkpoint_malformed_arrays_raise(tmp_path, spatial_1, norm_stats, message):
-    # a well-formed container whose arrays no model of its config can use
+def test_checkpoint_malformed_arrays_raise(tmp_path, spatial, norm_stats, message):
+    # a well-formed container whose arrays no model of its config can use;
+    # the spatial kernel takes P_0's product as a product with its diagonal entry
     model = tiny_model()
-    if spatial_1 is not None:
-        model.spatial_op.normalized_powers[1] = spatial_1
+    if spatial is not None:
+        k, matrix = spatial
+        model.spatial_op.normalized_powers[k] = matrix
     model.norm_stats = norm_stats
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
