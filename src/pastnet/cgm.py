@@ -26,9 +26,8 @@ Buffers (see ``numcore.tensor``): inside a pool (``train``,
 ``impute_span``) the last layer's pair rows (numcore ``concat``), the head
 and pooling products (numcore ``matmul``) and the gates' outputs and saved
 arrays are step buffers, handed out by position and valid until the pool's
-next rewind, and the stream adjoints the gates and the head return are
-scratch; ``_GateSide`` lists its own.  Under ``no_grad`` the gates' saved
-arrays are scratch.
+next rewind, under ``no_grad`` too, and the stream adjoints the gates and
+the head return are scratch; ``_GateSide`` lists its own.
 """
 from __future__ import annotations
 
@@ -107,50 +106,42 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     concatenated weights.  The two outputs are two tape nodes sharing one
     forward pass; saved for backward, per stream: the concatenated weights,
     the projection next to the sigmoid of the gate, the tanh of the gate
-    and the product projection * sigmoid.  Both outputs are computed before
-    either node is made: making a node hands scratch back, and without a
-    tape each side's saved arrays are scratch that the other side reads.
+    and the product projection * sigmoid.  All but the weights are step
+    buffers, with or without a tape: making one side's node hands back no
+    array that the other side reads.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
     side_s, side_t = _GateSide(s, w_sp, w_sg), _GateSide(t, w_tp, w_tg)
-    out_s, out_t = side_s.output(side_t), side_t.output(side_s)
-    return side_s.node(side_t, out_s), side_t.node(side_s, out_t)
+    return side_s.node(side_t), side_t.node(side_s)
 
 
 class _GateSide:
     """One stream's half of a cross gate: v, [v W_p | sigmoid(v W_g)], tanh(v W_g).
 
-    The projections, the tanh and the product projection * sigmoid are
-    step buffers saved for the VJP (under ``no_grad``, scratch that dies
-    with the layer call), the outputs are step buffers, and the VJP's
-    intermediates and the stream adjoints it returns, ``gv`` and ``go``,
-    are scratch.  The weight adjoints stay fresh arrays: the tape adds them
-    straight into the parameters' accumulators.
+    The saved projections, tanh and product projection * sigmoid and the
+    output are step buffers; the VJP's intermediates and the stream adjoints
+    it returns, ``gv`` and ``go``, are scratch, and the weight adjoints are
+    fresh arrays that the tape adds into the parameters' accumulators.
     """
 
     def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
         self.v, self.w_p, self.w_g = v, w_p, w_g
         rows, d = v.shape[:-1], v.shape[-1]
         self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
-        proj_sig = step_buffer(rows + (2 * d,), vjp_only=True)
-        self.proj_sig = np.matmul(v.data, self.w_cat, out=proj_sig)
+        self.proj_sig = np.matmul(v.data, self.w_cat, out=step_buffer(rows + (2 * d,)))
         self.proj = self.proj_sig[..., :d]
         gate = self.proj_sig[..., d:]
-        self.tanh = np.tanh(gate, out=step_buffer(rows + (d,), vjp_only=True))
+        self.tanh = np.tanh(gate, out=step_buffer(rows + (d,)))
         self.sig = sigmoid(gate, out=gate)  # the raw gate is not needed again
-        self.update = np.multiply(self.proj, self.sig, out=step_buffer(rows + (d,), vjp_only=True))
+        self.update = np.multiply(self.proj, self.sig, out=step_buffer(rows + (d,)))
 
-    def output(self, other: "_GateSide") -> np.ndarray:
-        """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate)."""
+    def node(self, other: "_GateSide") -> Tensor:
+        """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate), as one tape node."""
+        v, d = self.v, self.v.shape[-1]
         shape = np.broadcast_shapes(self.update.shape, other.tanh.shape)
         out = np.multiply(self.update, other.tanh, out=step_buffer(shape))
-        out += self.v.data
-        return out
-
-    def node(self, other: "_GateSide", out: np.ndarray) -> Tensor:
-        """``out``, this side's ``output``, as one tape node."""
-        v, d, shape = self.v, self.v.shape[-1], out.shape
+        out += v.data
 
         def vjp(g):
             # every array written below is scratch or allocated here; g and

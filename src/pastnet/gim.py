@@ -24,8 +24,8 @@ view back to (B, L, N).
 
 Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
 and what a kernel saves for its VJP (the temporal degrees and aggregate)
-are step buffers, and the dropout mask is one too; the dropout draw and
-its eligibility mask, the weighted temporal adjacency, the spatial stacked
+are step buffers, with or without a tape, and the dropout mask is one
+too; the dropout draw and its eligibility mask, the weighted temporal adjacency, the spatial stacked
 aggregations, the temporal injection term, the embedding's token term, the
 relu masks, the VJPs' intermediates and the state adjoints the VJPs return
 (the temporal ``gx``, the spatial ``gh``) are scratch.  The adjacency,
@@ -41,8 +41,7 @@ Inside a pool (``train``,
 reuses the previous step's k-th buffer, and scratch shares the pool's
 arena: forward scratch goes back when the kernel's node is made, and
 ``backward`` hands each returned adjoint's buffer on to a later VJP once
-the adjoint is consumed.  Under ``no_grad`` the saved arrays are scratch
-too.  Outside any pool every array is fresh.
+the adjoint is consumed.  Outside any pool every array is fresh.
 """
 from __future__ import annotations
 
@@ -187,9 +186,9 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     weight = np.logaddexp(0.0, logits.data[:L, :width])
     weight[idx, idx] = 0.0  # no self edges
     a = _weighted_adjacency(weight, cols, drop, scratch((G, L, width)))
-    denom = step_buffer((L, G, 1), vjp_only=True)
+    denom = step_buffer((L, G, 1))
     np.add(a.sum(axis=-1).T, DEGREE_EPS, out=denom[..., 0])
-    agg = step_buffer((L, G, d), vjp_only=True)
+    agg = step_buffer((L, G, d))
     np.matmul(a[..., :L], x.data.transpose(1, 0, 2), out=agg.transpose(1, 0, 2))
     if inj is not None:
         agg += np.multiply(

@@ -18,27 +18,25 @@ without one gets a writable copy of its first contribution.
 
 Layer kernels with hand-written VJPs live next to their models in gim and
 cgm (vertex embedding, temporal aggregation, spatial mixing, cross gate),
-each one or two tape nodes built with ``Tensor._make``.  They follow the
-same rule: a VJP writes only into arrays it allocated or took as scratch
-in that call, never into its incoming adjoint (possibly a read-only
-broadcast view) and never into the arrays its forward pass saved, so
+each one or two tape nodes built with ``Tensor._make``.  A VJP reads only
+its inputs, what its forward pass saved and its own scratch, and writes
+only into arrays it allocated or took as scratch in that call, so
 ``backward()`` can run more than once.
 
 Only the operations the models run are implemented: broadcasting ``+``,
 ``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
 moves, gather and concat.  Indexing (``Tensor.__getitem__``) serves only
 the composite references of the tests: ``train`` and ``impute_span`` make
-no call to it, with either branch or both.  The activations exist only inside the
-fused kernels, which take the logistic function from ``sigmoid`` below; the
-composite references the tests compare them with build their own on
-``Tensor._make``.  Gradients flow only into tensors created with
-``requires_grad=True`` or derived from one.
+no call to it.  The activations exist only inside the fused kernels, which
+take the logistic function from ``sigmoid`` below; the composite
+references the tests build their own on ``Tensor._make``.  Gradients flow
+only into tensors created with ``requires_grad=True`` or derived from one.
 
 Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
-plain tensor with no parents and no VJP, so no VJP reads what a kernel
-saved once the kernel returns, and ``backward()`` cannot reach anything
-computed there.  Values are the same bits as with recording on.  Inference
-runs this way.  The switch is a context variable, so it holds for the
+plain tensor with no parents and no VJP, so ``backward()`` cannot reach
+anything computed there.  A kernel makes the same buffer requests as with
+recording on, so what it saves is a step buffer (below) either way, and
+its values are the same bits.  Inference runs this way.  The switch is a context variable, so it holds for the
 current thread only, and the previous state comes back when the block
 exits, also by an exception.
 
@@ -57,9 +55,7 @@ dtype asked for, and it serves one of two lifetimes:
   since the last rewind gets the pool's k-th buffer, which grows only when
   a request is too small for it.  ``train()`` makes the same requests in
   the same order every step, so each request gets the same pages every
-  step, and an epoch's smaller last batch views the full batch's.  An array
-  saved only for the VJP (``vjp_only=True``) is scratch when nothing is
-  recorded, since no VJP will read it.
+  step, and an epoch's smaller last batch views the full batch's.
 - ``scratch(shape)`` is call-local: a temporary (a random draw, a relu
   mask, a VJP's intermediates) or an adjoint a VJP returns.  One of
   ``HEAP_ADJOINT_BYTES`` or more is a view of one of the pool's arena
@@ -267,19 +263,14 @@ def scratch(shape: tuple[int, ...], dtype=np.float64) -> Array:
     return pool.take(shape, dtype)
 
 
-def step_buffer(shape: tuple[int, ...], dtype=np.float64, vjp_only: bool = False) -> Array:
+def step_buffer(shape: tuple[int, ...], dtype=np.float64) -> Array:
     """An uninitialized array a kernel returns or saves for its VJP.
 
     Inside a pool, a view of the pool's k-th step buffer for the k-th
-    request since the last rewind; elsewhere a fresh array.  ``vjp_only``
-    arrays are never returned: without recording they are ``scratch``.
+    request since the last rewind; elsewhere a fresh array.
     """
-    if vjp_only and not _recording.get():
-        return scratch(shape, dtype)
     pool = _pool.get()
-    if pool is None:
-        return np.empty(shape, dtype)
-    return pool.step(shape, dtype)
+    return np.empty(shape, dtype) if pool is None else pool.step(shape, dtype)
 
 
 def _adjoint_of(op, operands: tuple, full: tuple[int, ...], shape: tuple[int, ...]) -> Array:

@@ -1,6 +1,7 @@
 """Temporal-graph branch: adjacency rules, dropout calibration, forward
 operators against hand arithmetic, composite references and an independent
 dense reference."""
+import contextlib
 import sys
 import threading
 
@@ -16,6 +17,7 @@ from kernel_check import (
     softplus,
     vertex_embedding_reference,
 )
+from pastnet.cgm import cross_gate_layer
 from pastnet.gim import (
     DEGREE_EPS,
     GimModule,
@@ -626,6 +628,27 @@ def test_spatial_kernel_outputs_never_alias_the_scratch_pool():
         return r.normal(size=(5, 4, 3)), op, r.normal(size=(9, 3)), r.normal(size=3)
 
     assert_outputs_stay_apart(spatial_forward, [args(1), args(2)])
+
+
+def test_kernels_save_step_buffers_under_no_grad_too():
+    # a kernel's requests do not depend on the tape: what it saves for its
+    # VJP (the temporal degrees and aggregate, the cross gate's projections,
+    # tanh and update) is a step buffer in a pool under no_grad as well
+    rng = np.random.default_rng(33)
+    L, G, d = 5, 3, 4
+    temporal = (
+        rng.normal(size=(L, G, d)), rng.normal(size=(G, d)),
+        (rng.random((L, G)) > 0.4).astype(float), None,
+        rng.normal(size=(L + 1, L + 1)), rng.normal(size=(d, d)), rng.normal(size=d),
+    )
+    gate = (rng.normal(size=(1, 4, d)), rng.normal(size=(3, 1, d)),
+            *(rng.normal(size=(d, d)) for _ in range(4)))
+    # the saved arrays plus the outputs: 2 + 1 and 2 x (3 + 1)
+    for kernel, args, requests in ((temporal_forward, temporal, 3), (cross_gate_layer, gate, 8)):
+        for tape in (contextlib.nullcontext(), no_grad()):
+            with buffer_pool() as pool, tape:
+                kernel(*args)
+            assert len(pool.steps) == requests
 
 
 @pytest.mark.usefixtures("arena_for_all")

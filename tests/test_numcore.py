@@ -435,13 +435,13 @@ def test_step_buffers_outside_a_training_pool_are_fresh(monkeypatch):
     from pastnet.data import WindowBatch
     from pastnet.model import ModelConfig, PastModel, TrainConfig, impute_span, train
 
-    def fresh(shape, **kw):
-        a, b = step_buffer(shape, **kw), step_buffer(shape, **kw)
+    def fresh(shape):
+        a, b = step_buffer(shape), step_buffer(shape)
         return a.shape == shape and not np.shares_memory(a, b)
 
-    assert _pool.get() is None and fresh((3, 4)) and fresh((3, 4), vjp_only=True)
+    assert _pool.get() is None and fresh((3, 4))
     with no_grad():
-        assert fresh((3, 4)) and fresh((3, 4), vjp_only=True)
+        assert fresh((3, 4))
 
     # imputing mid-run: impute_span's own pool leaves every byte of train's alone
     L, N = 16, 6
