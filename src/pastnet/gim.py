@@ -22,21 +22,18 @@ a bool mask, and returns only the L data rows: the injection vertex has no
 incoming edge, so its row is never computed.  The output is a transposed
 view back to (B, L, N).
 
-Buffers (see ``numcore.tensor``): the embedding's and each kernel's output
-and what a kernel saves for its VJP (the temporal degrees and aggregate)
-are step buffers, with or without a tape, and the dropout mask is one
-too; the dropout draw and its eligibility mask, the weighted temporal adjacency, the spatial stacked
-aggregations, the temporal injection term, the embedding's token term, the
-relu masks, the VJPs' intermediates and the state adjoints the VJPs return
-(the temporal ``gx``, the spatial ``gh``) are scratch.  The adjacency,
-(G, L, L+1), and the aggregations, (L*B, N, (K+1)d), are a layer's two
-largest arrays, and neither is kept for backward: each VJP rebuilds its
-array with the forward's numpy calls from inputs the step keeps anyway
-(the adjacency from the edge weights, the columns and the dropout mask,
-the aggregations from the temporal output), so it gets the same bits, and
-once it has read the rebuilt array it writes its next array of that shape
-(the adjacency's adjoint, the aggregations' adjoint) into the same buffer.
-Inside a pool (``train``,
+Buffers (see ``numcore.tensor``): each kernel's output, what a kernel
+saves for its VJP (the temporal degrees and aggregate) and the dropout
+mask are step buffers, with or without a tape; their temporaries and the
+state adjoints a VJP returns (the temporal ``gx``, the spatial ``gh``) are
+scratch.  A layer's two largest arrays, the weighted (G, L, L+1) temporal adjacency
+and the (L*B, N, (K+1)d) spatial stack, are scratch and not kept for
+backward.  The temporal VJP rebuilds the adjacency with the forward's
+numpy calls from the edge weights, the columns and the dropout mask, so
+it gets the same bits, and once it has read it writes the adjacency's
+adjoint into the same buffer.  The spatial VJP reads both of its adjoints
+from a stack of its own, the output adjoint's products with the
+transposed powers, and from ``h``.  Inside a pool (``train``,
 ``impute_span``) step buffers go by position, so a step's k-th request
 reuses the previous step's k-th buffer, and scratch shares the pool's
 arena: forward scratch goes back when the kernel's node is made, and
@@ -308,8 +305,9 @@ def _stacked_aggregations(powers, x: np.ndarray, stacked: np.ndarray) -> np.ndar
     """Write each P_k @ x into its slice of ``stacked`` and return it.
 
     P_0 is (1 + eps)^-1 I, so its product is ``x`` times P_0[0, 0]: the
-    GEMM's bits for finite ``x``, without its flops.  The forward pass and
-    the VJP both build the aggregations here, so they get the same bits.
+    GEMM's bits for finite ``x``, without its flops.  The spatial forward
+    stacks the powers' products with the states, its VJP the transposed
+    powers' products with the output adjoint.
     """
     d = x.shape[-1]
     np.multiply(x, powers[0][0, 0], out=stacked[..., :d])
@@ -321,39 +319,37 @@ def _stacked_aggregations(powers, x: np.ndarray, stacked: np.ndarray) -> np.ndar
 def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
     """Concatenate every normalized-power aggregation, then linear + relu.
 
-    One tape node: each P_k @ h is written straight into its slice of the
-    stacked buffer, P_0's as a product with a scalar.  Saved for backward:
-    the output, whose sign is relu's mask, a step buffer.  The stacked
-    aggregations are scratch in the forward pass; the VJP rebuilds them from
-    ``h``, which the caller keeps until backward.  The VJP's intermediates
-    are scratch.
+    One tape node: out = relu(sum_k (P_k h) W_k + b), W_k the k-th row block
+    of W.  Each P_k @ h is written into its slice of a scratch stack, P_0's
+    as a product with a scalar; the output, whose sign is relu's mask, is a
+    step buffer.  The VJP stacks G = [P_0^T gz | ... | P_K^T gz] for the
+    adjoint gz through relu and reads both adjoints from G and ``h``, which
+    the caller keeps until backward: W_k's is h^T G_k and h's is
+    sum_k G_k W_k^T, one GEMM each.  Its intermediates are scratch.
     """
     h, w, b = (_wrap(t) for t in (h_nodes, w, b))
     x = h.data
-    d = x.shape[-1]
+    rows, d = x.shape[:-1], x.shape[-1]
     powers = op.normalized_powers
-    shape = x.shape[:-1] + (len(powers) * d,)
-    stacked = _stacked_aggregations(powers, x, scratch(shape))
-    out = np.matmul(stacked, w.data, out=step_buffer(x.shape[:-1] + w.shape[1:]))
+    orders = len(powers)
+    stacked = _stacked_aggregations(powers, x, scratch(rows + (orders * d,)))
+    out = np.matmul(stacked, w.data, out=step_buffer(rows + w.shape[1:]))
     out += b.data
     np.maximum(out, 0.0, out=out)
 
     def vjp(g):
         gh = gw = gb = None
         gz = _relu_adjoint(g, out)
-        stacked = scratch(shape)
-        if w.requires_grad:
-            _stacked_aggregations(powers, x, stacked)
-            gw = stacked.reshape(-1, shape[-1]).T @ gz.reshape(-1, gz.shape[-1])
         if b.requires_grad:
             gb = _summed_to(gz, b.shape)
-        if h.requires_grad:
-            g_stacked = np.matmul(gz, w.data.T, out=stacked)  # the aggregations are spent
-            gh = np.multiply(g_stacked[..., :d], powers[0][0, 0], out=scratch(h.shape))
-            part = scratch(gh.shape) if len(powers) > 1 else None
-            for k in range(1, len(powers)):
-                np.matmul(powers[k].T, g_stacked[..., k * d : (k + 1) * d], out=part)
-                gh += part
+        e = gz.shape[-1]
+        stack = _stacked_aggregations([p.T for p in powers], gz, scratch(rows + (orders * e,)))
+        if w.requires_grad:  # (d, (K+1)e): column block k is W_k's adjoint
+            gw = x.reshape(-1, d).T @ stack.reshape(-1, orders * e)
+            gw = gw.reshape(d, orders, e).transpose(1, 0, 2).reshape(w.shape)
+        if h.requires_grad:  # W^T's column blocks W_k^T moved to row blocks
+            w_t = w.data.T.reshape(e, orders, d).transpose(1, 0, 2).reshape(orders * e, d)
+            gh = np.matmul(stack, w_t, out=scratch(h.shape))
         return gh, gw, gb
 
     return Tensor._make(out, (h, w, b), vjp)

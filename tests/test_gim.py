@@ -441,28 +441,32 @@ def test_spatial_kernel_matches_composite(K, lead):
 @pytest.mark.parametrize("K", [0, 2])
 def test_spatial_kernel_gives_the_bits_of_the_p0_gemm(K):
     # P_0 = I / (1 + eps): the kernel multiplies by its diagonal entry where
-    # the stacked path it replaced multiplied by the matrix, in the forward
-    # pass and in gh, and every bit stays
+    # the stacked path multiplies by the matrix, in the forward stack and in
+    # the adjoint stack G = [P_k^T gz]; out, gh and gw keep every bit of the
+    # GEMM path, with both adjoints read from G
     rng = np.random.default_rng(40 + K)
     a = rng.random((7, 7))
     op = build_spatial_operator((a + a.T) / 2.0, K)
-    d = 5
+    d, e = 5, 4
     h = rng.normal(size=(12, 7, d))
-    w = rng.normal(scale=0.5, size=((K + 1) * d, 4))
-    b = rng.normal(scale=0.1, size=4)
-    cotangent = rng.normal(size=(12, 7, 4))
-    leaf = Tensor(h.copy(), requires_grad=True)
-    out = spatial_forward(leaf, op, w, b)
+    w = rng.normal(scale=0.5, size=((K + 1) * d, e))
+    b = rng.normal(scale=0.1, size=e)
+    cotangent = rng.normal(size=(12, 7, e))
+    leaf, weight = Tensor(h.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+    out = spatial_forward(leaf, op, weight, b)
     (out * constant(cotangent)).sum().backward()
 
     powers = op.normalized_powers
     expected = np.maximum(np.concatenate([p @ h for p in powers], axis=-1) @ w + b, 0.0)
-    g_stacked = (cotangent * (expected > 0.0)) @ w.T
-    gh = powers[0].T @ g_stacked[..., :d]
-    for k in range(1, K + 1):
-        gh += powers[k].T @ g_stacked[..., k * d : (k + 1) * d]
+    gz = cotangent * (expected > 0.0)
+    stack = np.concatenate([p.T @ gz for p in powers], axis=-1)
+    gw = h.reshape(-1, d).T @ stack.reshape(-1, (K + 1) * e)
+    gw = gw.reshape(d, K + 1, e).transpose(1, 0, 2).reshape(w.shape)
+    w_t = np.concatenate([w[k * d : (k + 1) * d].T for k in range(K + 1)])
+    gh = stack @ w_t
     assert out.data.tobytes() == expected.tobytes()
     assert leaf.grad.tobytes() == gh.tobytes()
+    assert weight.grad.tobytes() == gw.tobytes()
 
 
 def embedding_case(seed=0, lead=(5, 2, 3)):
