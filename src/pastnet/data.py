@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -153,6 +154,22 @@ def _connected(n: int, edges: list[tuple[int, int, float]]) -> bool:
     return bool(seen.all())
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise naming ``name`` unless ``seed`` is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
+def check_recipe(n_nodes, n_days, step_minutes, noise_level) -> None:
+    """Raise naming the first ``synthesize_dataset`` argument it cannot use."""
+    if n_nodes < 2 or n_days < 2:
+        raise ValueError(f"n_nodes and n_days must be at least 2, got {n_nodes} and {n_days}")
+    if step_minutes < 1 or MINUTES_PER_DAY % step_minutes != 0:
+        raise ValueError(f"step_minutes must be a positive divisor of 1440, got {step_minutes!r}")
+    if not 0.0 <= noise_level < np.inf:  # NaN fails too
+        raise ValueError(f"noise_level must be finite and non-negative, got {noise_level!r}")
+
+
 def synthesize_dataset(
     n_nodes: int,
     n_days: int,
@@ -170,12 +187,8 @@ def synthesize_dataset(
     noise_level.  Deterministic in seed; noise_level 0 gives exact
     weekly-class periodicity.
     """
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be at least 2")
-    if n_days < 2:
-        raise ValueError("n_days must be at least 2")
-    if MINUTES_PER_DAY % step_minutes != 0:
-        raise ValueError("step_minutes must divide a day")
+    check_recipe(n_nodes, n_days, step_minutes, noise_level)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
 
     positions = rng.uniform(size=(n_nodes, 2))

@@ -27,6 +27,8 @@ from .baselines import baseline_knn, baseline_linear
 from .data import (
     TrafficDataset,
     build_spatial_adjacency,
+    check_recipe,
+    check_seed,
     load_dataset,
     normalize,
     save_values_csv,
@@ -76,6 +78,8 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "files" and not (self.values_path and self.graph_path):
             raise ValueError("file datasets need values_path and graph_path")
+        if self.kind == "synthetic":
+            check_recipe(self.n_nodes, self.n_days, self.step_minutes, self.noise_level)
 
     def realize(self, seed: int) -> TrafficDataset:
         if self.kind == "files":
@@ -203,6 +207,7 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     _check_keys("plan", raw, {f.name for f in fields(ExperimentPlan)}, ("methods",))
     # knn_k and window_stride have their own positive-integer checks
     _check_types("plan", raw, ExperimentPlan, skip=("knn_k", "window_stride"))
+    check_seed(raw.get("seed", 0), "plan key 'seed'")  # before the scenarios' seeds
     raw = dict(raw)
     dataset = raw.pop("dataset", {})
     _check_keys("dataset", dataset, {f.name for f in fields(DatasetSpec)})

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import load_values_csv
+from .data import check_seed, load_values_csv
 
 SCENARIO_KINDS = ("random", "fiber", "block")
 
@@ -44,6 +44,7 @@ class ScenarioConfig:
             raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
         if not (0.0 < self.r < 1.0):
             raise ValueError("r must be in (0, 1)")
+        check_seed(self.seed)
         if self.kind in ("fiber", "block"):
             if self.l is None or self.l < 1:
                 raise ValueError("fiber/block scenarios need l >= 1")

@@ -23,6 +23,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .cgm import CgmModule, default_partition
+from .data import check_seed
 from .gim import GimModule, SpatialOperator, build_spatial_operator
 from .numcore import (
     AdamState,
@@ -51,6 +52,7 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_integers(self, "L", "N", "d", "n", "K", "seed")
+        check_seed(self.seed)
         if self.L < 1 or self.N < 1:
             raise ValueError("L and N must be positive")
         if self.d < 1:
@@ -331,6 +333,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_integers(self, "batch_size", "epochs", "seed", "early_stop_patience")
+        check_seed(self.seed)
         lr_ok = _is_number(self.lr) and 0.0 < self.lr < np.inf
         if not lr_ok or self.batch_size < 1 or self.epochs < 0:
             raise ValueError(

@@ -41,6 +41,23 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["--step-minutes", "0"], "step_minutes must be a positive divisor of 1440, got 0"),
+        (["--noise", "nan"], "noise_level must be finite and non-negative, got nan"),
+    ],
+    ids=["seed-negative", "step-zero", "noise-nan"],
+)
+def test_synth_rejects_what_it_cannot_draw_naming_the_field(tmp_path, capsys, flags, message):
+    # these printed numpy's "expected non-negative integer", "integer modulo
+    # by zero", or wrote a noise-free series
+    assert main(["synth", "--out-dir", str(tmp_path / "out"), *flags]) == 2
+    assert capsys.readouterr().err == f"pastnet: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "synth" in capsys.readouterr().out

@@ -210,6 +210,26 @@ def test_synthesize_preconditions():
         synthesize_dataset(n_nodes=3, n_days=1)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"step_minutes": 0}, "step_minutes must be a positive divisor of 1440, got 0"),
+        ({"step_minutes": -15}, "step_minutes must be a positive divisor of 1440, got -15"),
+        ({"step_minutes": 7}, "step_minutes must be a positive divisor of 1440, got 7"),
+        ({"noise_level": -0.1}, "noise_level must be finite and non-negative, got -0.1"),
+        ({"noise_level": float("nan")}, "noise_level must be finite and non-negative, got nan"),
+    ],
+    ids=["seed-negative", "step-zero", "step-negative", "step-not-dividing", "noise-negative",
+         "noise-nan"],
+)
+def test_synthesize_rejects_bad_seed_step_and_noise_naming_them(kw, message):
+    # a negative seed failed inside numpy, step 0 divided by zero, step -15
+    # and a negative or NaN noise level gave a series
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesize_dataset(n_nodes=3, n_days=2, **kw)
+
+
 def test_normalize_statistics_and_roundtrip():
     rng = np.random.default_rng(0)
     values = rng.normal(50.0, 9.0, size=(100, 4))

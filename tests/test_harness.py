@@ -204,6 +204,27 @@ def test_plan_from_dict_rejects_wrong_typed_values_naming_section_and_key(raw, m
     assert plan_from_dict(changed("plan")).train == {"epochs": 1}  # the valid base loads
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (changed("plan", seed=-1), "plan key 'seed' must be a non-negative integer, got -1"),
+        (changed("scenarios[0]", seed=-1), "seed must be a non-negative integer, got -1"),
+        (changed("dataset", step_minutes=0),
+         "step_minutes must be a positive divisor of 1440, got 0"),
+        (changed("dataset", step_minutes=7),
+         "step_minutes must be a positive divisor of 1440, got 7"),
+        (changed("dataset", noise_level=-0.5),
+         "noise_level must be finite and non-negative, got -0.5"),
+    ],
+    ids=["plan-seed", "scenario-seed", "step-zero", "step-not-dividing", "noise-negative"],
+)
+def test_plan_with_a_negative_seed_or_a_bad_step_fails_to_load(raw, message):
+    # each of these loaded, then failed in numpy or by a division by zero when
+    # the run started, or (step 7, negative noise) ran
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        plan_from_dict(raw)
+
+
 def stride_override(kind, stride):
     return {"train_overrides": {kind: {"window_stride": stride}}}
 

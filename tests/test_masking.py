@@ -40,6 +40,12 @@ def test_scenario_config_validation_and_labels():
     assert ScenarioConfig(kind="block", r=0.2, l=24, s=5).label == "block_r0.2_l24_s5"
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "fraction", "bool"])
+def test_scenario_config_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        ScenarioConfig("random", 0.2, seed=seed)
+
+
 def test_gen_random_deterministic_and_binary():
     m1 = gen_random((40, 5), 0.3, seed=6)
     m2 = gen_random((40, 5), 0.3, seed=6)

@@ -172,6 +172,7 @@ def test_config_validation():
         ("alpha", -1.0, "alpha must be finite and non-negative"),
         ("alpha", np.inf, "alpha must be finite and non-negative"),
         ("d", 3, "d must be at least 4"),  # too narrow for cgm's timestamp split
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value, message):
@@ -199,6 +200,7 @@ TRAIN_CONFIG_MESSAGES = {
     "early_stop_patience": "early_stop_patience must be at least 1",
     "batch_size": "batch_size must be an integer",
     "epochs": "epochs must be an integer",
+    "seed": "seed must be a non-negative integer, got -3",
 }
 
 
@@ -220,12 +222,13 @@ TRAIN_CONFIG_MESSAGES = {
         ("batch_size", 4.5),
         ("batch_size", True),
         ("epochs", 2.0),
+        ("seed", -3),
     ],
     ids=[
         "lr-nan", "lr-inf", "lr-zero", "lr-string",
         "weights-one", "weights-three", "weights-nan", "weights-negative", "weights-string",
         "weights-scalar", "patience-zero", "patience-negative",
-        "batch-fractional", "batch-bool", "epochs-float",
+        "batch-fractional", "batch-bool", "epochs-float", "seed-negative",
     ],
 )
 def test_train_config_rejects_bad_values(field, value):
