@@ -47,6 +47,10 @@ the ``--repeats`` runs on a freshly built model:
   (B=32, 32 stride-96 windows of 40 synthetic days) on 4, 8 and 16 nodes;
   on 4, the model size ``perfbench``'s ``cli_defaults`` trains.  The three
   give the per-node slope of ``rss_mib`` and ``pool_step_mib``.
+- ``real_n80``, ``real_n160``, ``real_n325``: the CLI-default model on a
+  synthetic graph of 80, 160 and 325 nodes (325 is PEMS-BAY's size), 4 days
+  cut into 3 training windows, in batches of 1: the time and memory of a
+  step at real graph sizes.
 
 ``train_ms``, ``train_faults`` and ``train_sys_ms`` (``ru_stime``) cover a
 whole call; ``step_ms``, ``step_faults`` and ``step_sys_ms`` each full-batch
@@ -196,6 +200,13 @@ def _cli(n_nodes: int):
     return w, adjacency, ModelConfig(L=96, N=n_nodes), 32
 
 
+def _real(n_nodes: int):
+    from pastnet.model import ModelConfig
+
+    w, adjacency = _windows(n_nodes=n_nodes, n_days=4, seed=0)
+    return w, adjacency, ModelConfig(L=96, N=n_nodes), 1
+
+
 def _usage() -> tuple[float, int, float]:
     """(CPU s, minor faults, system CPU s) of this process so far."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -266,6 +277,9 @@ CASES = {
     "train_cli": partial(_train, partial(_cli, 4)),
     "cli_step_n8": partial(_train, partial(_cli, 8)),
     "cli_step_n16": partial(_train, partial(_cli, 16)),
+    "real_n80": partial(_train, partial(_real, 80)),
+    "real_n160": partial(_train, partial(_real, 160)),
+    "real_n325": partial(_train, partial(_real, 325)),
 }
 
 

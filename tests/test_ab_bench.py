@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -125,3 +127,17 @@ def test_ab_bench_cli_cases_train_the_cli_batch_on_4_8_and_16_nodes():
         windows, adjacency, config, batch_size = setup()
         assert (config.N, config.d, config.n, config.K, config.L) == (nodes, 64, 3, 2, 96)
         assert batch_size == len(windows) == 32 and adjacency.shape == (nodes, nodes)
+
+
+def test_ab_bench_real_cases_train_the_cli_model_one_window_at_a_time_on_80_160_and_325_nodes():
+    # real graph sizes: 4 synthetic days give 3 training windows, in batches
+    # of 1, and a held-out span shorter than a window, which no case reads
+    ab_bench = _ab_bench()
+    for case, nodes in (("real_n80", 80), ("real_n160", 160), ("real_n325", 325)):
+        train, setup = ab_bench.CASES[case].func, ab_bench.CASES[case].args[0]
+        assert train is ab_bench._train
+        with pytest.warns(RuntimeWarning, match="test span shorter than window length"):
+            windows, adjacency, config, batch_size = setup()
+        assert (config.N, config.d, config.n, config.K, config.L) == (nodes, 64, 3, 2, 96)
+        assert batch_size == 1 and len(windows) == 3
+        assert windows.values.shape == (3, 96, nodes) and adjacency.shape == (nodes, nodes)
