@@ -26,14 +26,14 @@ Buffers (see ``numcore.tensor``): each kernel's output, what a kernel
 saves for its VJP (the temporal degrees and aggregate) and the dropout
 mask are step buffers, with or without a tape; their temporaries and the
 state adjoints a VJP returns (the temporal ``gx``, the spatial ``gh``) are
-scratch.  A layer's two largest arrays, the weighted (G, L, L+1) temporal adjacency
-and the (L*B, N, (K+1)d) spatial stack, are scratch and not kept for
-backward.  The temporal VJP rebuilds the adjacency with the forward's
-numpy calls from the edge weights, the columns and the dropout mask, so
-it gets the same bits, and once it has read it writes the adjacency's
-adjoint into the same buffer.  The spatial VJP reads both of its adjoints
-from a stack of its own, the output adjoint's products with the
-transposed powers, and from ``h``.  Inside a pool (``train``,
+scratch.  A layer's two largest arrays, the weighted (G, L, L+1) temporal
+adjacency and the (L*B, N, (K+1)d) spatial stack, are scratch and not
+kept for backward.  The temporal VJP rebuilds the adjacency with the
+forward's numpy calls from the edge weights, the columns and the dropout
+mask, so it gets the same bits, and once it has read it writes the
+adjacency's adjoint into the same buffer.  The spatial VJP reads both of
+its adjoints from a stack of its own, the output adjoint's products with
+the transposed powers, and from ``h``.  Inside a pool (``train``,
 ``impute_span``) step buffers go by position, so a step's k-th request
 reuses the previous step's k-th buffer, and scratch shares the pool's
 arena: forward scratch goes back when the kernel's node is made, and
@@ -205,8 +205,6 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
         if b.requires_grad:
             gb = _summed_to(gz, b.shape)
         need_inj = inj is not None and inj.requires_grad
-        if not (x.requires_grad or need_inj or logits.requires_grad):
-            return (gx, gl, gw, gb, gi)[: len(parents)]
         g_agg = np.matmul(gz, w.data.T, out=scratch((L, G, d)))
         if logits.requires_grad:
             # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom

@@ -27,18 +27,19 @@ Only the operations the models run are implemented: broadcasting ``+``,
 ``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
 moves, gather and concat.  Indexing (``Tensor.__getitem__``) serves only
 the composite references of the tests: ``train`` and ``impute_span`` make
-no call to it.  The activations exist only inside the fused kernels, which
-take the logistic function from ``sigmoid`` below; the composite
-references the tests build their own on ``Tensor._make``.  Gradients flow
-only into tensors created with ``requires_grad=True`` or derived from one.
+no call to it, with either branch or both.  The activations exist only inside the
+fused kernels, which take the logistic function from ``sigmoid`` below; the
+composite references the tests compare them with build their own on
+``Tensor._make``.  Gradients flow only into tensors created with
+``requires_grad=True`` or derived from one.
 
 Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
 plain tensor with no parents and no VJP, so ``backward()`` cannot reach
 anything computed there.  A kernel makes the same buffer requests as with
 recording on, so what it saves is a step buffer (below) either way, and
-its values are the same bits.  Inference runs this way.  The switch is a context variable, so it holds for the
-current thread only, and the previous state comes back when the block
-exits, also by an exception.
+its values are the same bits.  Inference runs this way.  The switch is a
+context variable, so it holds for the current thread only, and the
+previous state comes back when the block exits, also by an exception.
 
 Buffer pool: ``buffer_pool()`` opens one ``ScratchPool`` for the current
 thread, in a second context variable, so that kernels reuse buffers instead
