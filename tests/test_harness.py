@@ -219,8 +219,8 @@ def test_plan_from_dict_rejects_wrong_typed_values_naming_section_and_key(raw, m
     ids=["plan-seed", "scenario-seed", "step-zero", "step-not-dividing", "noise-negative"],
 )
 def test_plan_with_a_negative_seed_or_a_bad_step_fails_to_load(raw, message):
-    # each of these loaded, then failed in numpy or by a division by zero when
-    # the run started, or (step 7, negative noise) ran
+    # each of these loaded; the run then failed in numpy, by a division by
+    # zero or (step 7) when the data was drawn, or drew no noise
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         plan_from_dict(raw)
 
