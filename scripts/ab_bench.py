@@ -33,9 +33,17 @@ the same per call as trained ones.
   branch.  Per call: ``impute_ms``, ``sys_ms`` (``ru_stime``; under the fixed
   mmap threshold mostly page faults on freshly mapped arrays) and
   ``minor_faults`` (``ru_minflt``).
+- ``span_l100``: ``span_past`` at L=100, which does not divide the 672
+  slots of a week: each of the span's 24 windows has its own slot codes,
+  so the calendar branch runs once per window (2400 slots, against 672 at
+  L=96).
+- ``span_n325``: ``impute_span`` of the CLI-default model over 8 synthetic
+  days on 325 nodes (768 steps, 8 windows) under the same block mask: the
+  time and memory of inference at real graph size.
 
-The training cases run ``train()`` itself, 3 epochs at lr 1e-2, each of
-the ``--repeats`` runs on a freshly built model:
+The training cases run ``train()`` itself, 3 epochs at lr 1e-2 (8 for the
+one-batch CLI cases below), each of the ``--repeats`` runs on a freshly
+built model:
 
 - ``train_desk``: the first 14 of the 16 desk training windows in batches
   of 4, so every epoch ends with a batch of 2; the model size
@@ -46,7 +54,9 @@ the ``--repeats`` runs on a freshly built model:
 - ``train_cli``, ``cli_step_n8``, ``cli_step_n16``: one CLI-default batch
   (B=32, 32 stride-96 windows of 40 synthetic days) on 4, 8 and 16 nodes;
   on 4, the model size ``perfbench``'s ``cli_defaults`` trains.  The three
-  give the per-node slope of ``rss_mib`` and ``pool_step_mib``.
+  give the per-node slope of ``rss_mib`` and ``pool_step_mib``.  A batch
+  makes one step per epoch, so they train 8 epochs: 7 sampled steps per
+  run, 42 per side at ``--rounds 2 --repeats 3``.
 - ``real_n80``, ``real_n160``, ``real_n325``: the CLI-default model on a
   synthetic graph of 80, 160 and 325 nodes (325 is PEMS-BAY's size), 4 days
   cut into 3 training windows, in batches of 1: the time and memory of a
@@ -91,6 +101,7 @@ MALLOC = {"pinned": {"MALLOC_MMAP_THRESHOLD_": str(128 << 10)}, "default": {}}
 DESK = dict(n_nodes=20, step_minutes=15, seed=9, noise_level=0.1)  # plans/desk_plan.json
 DESK_MODEL = dict(L=96, d=32, n=2, K=2, p_dropout=0.1, seed=9)
 METRIC_SUFFIXES = ("_ms", "_mib", "_faults")
+CLI_EPOCHS = 8  # the one-batch CLI cases: see the module docstring
 
 
 # ---- one case, in its own process ----
@@ -122,19 +133,40 @@ def _cpu_ms(fn) -> float:
     return (time.process_time() - t0) * 1e3
 
 
-def _span(repeats: int, **variant) -> dict:
+# each span set-up returns (model, impute_span's arguments, the case's model
+# settings that differ from its base model)
+
+
+def _span_inputs(dataset: dict, base: dict, **variant):
+    """An untrained model of ``base`` settings and ``variant`` on a synthetic
+    span under a block mask (r=0.4)."""
     import pastnet.data as data
     import pastnet.masking as masking
-    from pastnet.model import ModelConfig, PastModel, impute_span
+    from pastnet.model import ModelConfig, PastModel
 
-    raw = data.synthesize_dataset(n_days=24, **DESK)
+    raw = data.synthesize_dataset(**dataset)
     adjacency = data.build_spatial_adjacency(raw.n_nodes, raw.edges)
     mask = masking.generate_mask(
         raw.values.shape, masking.ScenarioConfig("block", 0.4, l=48, s=5, seed=1), adjacency
     )
-    model = PastModel.build(ModelConfig(N=raw.n_nodes, **DESK_MODEL, **variant), adjacency=adjacency)
+    model = PastModel.build(ModelConfig(N=raw.n_nodes, **{**base, **variant}), adjacency=adjacency)
     week, hour, bucket = data.time_feature_arrays(raw, 0, raw.n_steps)
-    args = (raw.values * mask, mask, week, hour, bucket)
+    return model, (raw.values * mask, mask, week, hour, bucket), variant
+
+
+def _desk_span(**variant):
+    return _span_inputs(dict(DESK, n_days=24), DESK_MODEL, **variant)
+
+
+def _span_n325():
+    return _span_inputs(dict(n_nodes=325, n_days=8, step_minutes=15, seed=0, noise_level=0.2),
+                        dict(L=96))
+
+
+def _span(setup, repeats: int) -> dict:
+    from pastnet.model import impute_span
+
+    model, args, variant = setup()
     first = impute_span(model, *args)  # warm-up
     out: dict = {"impute_ms": [], "sys_ms": [], "minor_faults": []}
     for _ in range(repeats):
@@ -147,7 +179,7 @@ def _span(repeats: int, **variant) -> dict:
         out["minor_faults"].append(after.ru_minflt - before.ru_minflt)
         if not np.array_equal(again, first):
             raise RuntimeError("impute_span output differs between identical calls")
-    out.update(variant, steps_x_nodes=int(raw.values.size),
+    out.update(variant, steps_x_nodes=int(args[0].size),
                output_sha256=hashlib.sha256(first.tobytes()).hexdigest())
     return out
 
@@ -213,13 +245,12 @@ def _usage() -> tuple[float, int, float]:
     return time.process_time(), usage.ru_minflt, usage.ru_stime
 
 
-def _train(setup, repeats: int) -> dict:
+def _train(setup, repeats: int, epochs: int = 3) -> dict:
     import pastnet.model as model_mod
     from pastnet.model import PastModel, TrainConfig
     from pastnet.numcore import tensor
 
     w, adjacency, config, batch_size = setup()
-    epochs = 3
     cfg = TrainConfig(lr=1e-2, batch_size=batch_size, epochs=epochs, seed=9,
                       early_stop_patience=epochs)
     marks = []  # _usage() at the start of train and after every step
@@ -269,14 +300,16 @@ def _train(setup, repeats: int) -> dict:
 
 CASES = {
     "import_cli": _import_cli,
-    "span_past": _span,
-    "span_wo_cgm": partial(_span, use_cgm=False),
-    "span_wo_gim": partial(_span, use_gim=False),
+    "span_past": partial(_span, _desk_span),
+    "span_wo_cgm": partial(_span, partial(_desk_span, use_cgm=False)),
+    "span_wo_gim": partial(_span, partial(_desk_span, use_gim=False)),
+    "span_l100": partial(_span, partial(_desk_span, L=100)),
+    "span_n325": partial(_span, _span_n325),
     "train_desk": partial(_train, _train_desk),
     "desk_distinct": partial(_train, _desk_distinct),
-    "train_cli": partial(_train, partial(_cli, 4)),
-    "cli_step_n8": partial(_train, partial(_cli, 8)),
-    "cli_step_n16": partial(_train, partial(_cli, 16)),
+    "train_cli": partial(_train, partial(_cli, 4), epochs=CLI_EPOCHS),
+    "cli_step_n8": partial(_train, partial(_cli, 8), epochs=CLI_EPOCHS),
+    "cli_step_n16": partial(_train, partial(_cli, 16), epochs=CLI_EPOCHS),
     "real_n80": partial(_train, partial(_real, 80)),
     "real_n160": partial(_train, partial(_real, 160)),
     "real_n325": partial(_train, partial(_real, 325)),

@@ -15,9 +15,11 @@ batch's S distinct slots, as (S, N, d) streams: the (B, L, N) surface is a
 row gather of the (S, N) slot surface, and each window's context vector is
 a count-weighted mean of slot rows, one numcore ``matmul`` per stream
 against the (B, S) matrix of slot shares.  S <= min(B * L, 672).
-``slot_rows`` is that layer stack alone, and ``CgmModule.span_windows`` is
-the span's slot cache: it runs the layers once over a whole span's slots
-and pools every window of ``model.impute_span`` from the same rows.
+``slot_rows`` is that layer stack alone.  For the same reason
+``model.impute_span`` runs ``forward`` once per distinct window of slot
+codes and reuses its output for every window with those codes: 7 windows
+plus the tail at L=96 on a 15-minute clock, but up to 672 of L slots each
+when L does not divide the 672 slots of a week.
 
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
@@ -31,7 +33,7 @@ the head return are scratch; ``_GateSide`` lists its own.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -237,49 +239,6 @@ class CgmModule:
         slots, inverse, share = _window_shares(code)
         streams, surface = self.slot_rows(slots)
         return embedding(surface, inverse), self.pooled_hiddens(share, streams)
-
-    def span_windows(
-        self, week, hour, minute_bucket, starts: list[int], with_hiddens: bool,
-        rewind: Callable[[], None],
-    ) -> tuple[list[np.ndarray], list]:
-        """(T,) span calendar -> per window starting at ``starts``, its (L, N)
-        surface and n x (1, N, d) hiddens (None unless ``with_hiddens``).
-
-        The layers take the span's distinct slots at most L at a time, which
-        keeps live activations at one window's size (all 672 slots at once:
-        traced peak 21.9 -> 60.2 MiB for a 24-day desk-size call, same bits).
-        Each window pools its own slots' stream rows with its (1, S_b) shares,
-        as ``forward`` does at B=1; the stream rows are freed before gim runs.
-        ``rewind`` is called before each chunk and each window's pooling, so
-        the caller's pool holds one chunk's step buffers; the hiddens
-        themselves are fresh arrays (the projection's bias add).
-        """
-        cfg = self.config
-        L = cfg.L
-        slots, inverse = np.unique(slot_codes(week, hour, minute_bucket), return_inverse=True)
-        S = slots.size
-        surface = np.empty((S, cfg.N))
-        shape = (S, cfg.N, cfg.d)
-        cache = [(np.empty(shape), np.empty(shape)) for _ in range(cfg.n)] if with_hiddens else []
-        for lo in range(0, S, L):
-            rewind()
-            streams, part_surface = self.slot_rows(slots[lo : lo + L])
-            surface[lo : lo + L] = part_surface.data
-            for cached, pair in zip(cache, streams):
-                for rows, stream in zip(cached, pair):
-                    rows[lo : lo + L] = stream.data
-        surfaces = [surface[inverse[s : s + L]] for s in starts]
-        if not with_hiddens:
-            return surfaces, [None] * len(starts)
-        hiddens = []
-        for s in starts:
-            rewind()
-            own, _, share = _window_shares(inverse[None, s : s + L])  # own: indices into slots
-            # a window that does not wrap the week owns one run of slots: a view, not a gather
-            rows = slice(own[0], own[-1] + 1) if own[-1] - own[0] + 1 == own.size else own
-            pairs = [(constant(s_rows[rows]), constant(t_rows[rows])) for s_rows, t_rows in cache]
-            hiddens.append(self.pooled_hiddens(share, pairs))
-        return surfaces, hiddens
 
     def slot_rows(self, slots: np.ndarray) -> tuple[list[tuple[Tensor, Tensor]], Tensor]:
         """Sorted distinct slot codes (S,) -> (n x ((S, N, d), (S, N, d)) spatial

@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .cgm import CgmModule, default_partition
+from .cgm import CgmModule, default_partition, slot_codes
 from .data import check_seed
 from .gim import GimModule, SpatialOperator, build_spatial_operator
 from .numcore import (
@@ -265,14 +265,19 @@ def impute_span(
     Y_cgm + Y_gim to an accumulator, overlapping sums are averaged, and the
     span is fused once at the end: observed entries pass through exactly.
 
-    The calendar branch's rows depend only on (time-of-week slot, node), so
-    ``CgmModule.span_windows`` computes them once per distinct slot of the
-    span, and every window pools the rows of its own slots as
-    ``CgmModule.forward`` would at B=1.
+    The calendar branch reads no measurements, so a window's surface and
+    hiddens depend only on its L time-of-week slot codes: each distinct
+    window runs ``CgmModule.forward`` at B=1 once, and windows with the same
+    codes reuse copies of its (L, N) surface and n (1, N, d) hiddens.  On a
+    15-minute clock the stride-L windows repeat after 672 / gcd(L, 672)
+    windows: 7 at L=96, so a span of any length costs cgm at most 8 passes
+    (672 slots plus the tail's L).  An L that does not divide 672, the slots
+    of a week, costs up to L slots per window instead: 168 distinct windows
+    at L=100, about 25 times the work of L=96 on a span of 25 weeks or more.
     The output equals that of imputing each window on its own, bit for bit.
     Runs without a tape, in one ``numcore.buffer_pool`` rewound before each
-    slot chunk and each window, so the pool holds one chunk's and one
-    window's buffers whatever the span's length.
+    branch pass, so the pool holds one window's buffers whatever the span's
+    length.
     """
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -298,17 +303,24 @@ def impute_span(
     if starts[-1] != T - L:
         starts.append(T - L)
 
+    if model.cgm is not None:
+        codes = slot_codes(**calendar)  # a bad calendar fails before any window runs
+    cgm_windows = {}  # a window's slot codes -> its cgm surface and hiddens, out of the pool
     with buffer_pool() as pool, no_grad():
-        surfaces = hiddens = [None] * len(starts)
-        if model.cgm is not None:
-            surfaces, hiddens = model.cgm.span_windows(
-                **calendar, starts=starts, with_hiddens=model.gim is not None, rewind=pool.rewind
-            )
         acc = np.zeros_like(values)
         counts = np.zeros((T, 1))
-        for s, y_cgm, injected in zip(starts, surfaces, hiddens):
-            pool.rewind()
+        for s in starts:
             sl = slice(s, s + L)
+            y_cgm = injected = None
+            if model.cgm is not None:
+                key = codes[sl].tobytes()
+                if key not in cgm_windows:
+                    pool.rewind()
+                    window = (np.asarray(a)[None, sl] for a in calendar.values())
+                    y, hiddens = model.cgm.forward(*window)
+                    cgm_windows[key] = y.data[0].copy(), [h.data.copy() for h in hiddens]
+                y_cgm, injected = cgm_windows[key]
+            pool.rewind()
             if model.gim is None:
                 acc[sl] += y_cgm
             else:

@@ -45,8 +45,8 @@ Buffer pool: ``buffer_pool()`` opens one ``ScratchPool`` for the current
 thread, in a second context variable, so that kernels reuse buffers instead
 of mapping, faulting and unmapping fresh pages every call.  ``train()``
 holds one for a run and rewinds it at every optimizer step;
-``impute_span()`` holds one for a call and rewinds it per slot chunk and per
-window.  Outside any pool every buffer below is a fresh array.  Every buffer
+``impute_span()`` holds one for a call and rewinds it before each branch
+pass of a window.  Outside any pool every buffer below is a fresh array.  Every buffer
 a pool holds is a flat float64 array, handed out as a view of the shape and
 dtype asked for, and it serves one of two lifetimes:
 

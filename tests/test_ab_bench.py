@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +128,10 @@ def test_ab_bench_cli_cases_train_the_cli_batch_on_4_8_and_16_nodes():
         windows, adjacency, config, batch_size = setup()
         assert (config.N, config.d, config.n, config.K, config.L) == (nodes, 64, 3, 2, 96)
         assert batch_size == len(windows) == 32 and adjacency.shape == (nodes, nodes)
+        # one step per epoch, the first not sampled: at least 40 steps per side
+        # from --rounds 2 --repeats 3
+        epochs = ab_bench.CASES[case].keywords["epochs"]
+        assert (epochs - 1) * 2 * 3 >= 40
 
 
 def test_ab_bench_real_cases_train_the_cli_model_one_window_at_a_time_on_80_160_and_325_nodes():
@@ -141,3 +146,28 @@ def test_ab_bench_real_cases_train_the_cli_model_one_window_at_a_time_on_80_160_
         assert (config.N, config.d, config.n, config.K, config.L) == (nodes, 64, 3, 2, 96)
         assert batch_size == 1 and len(windows) == 3
         assert windows.values.shape == (3, 96, nodes) and adjacency.shape == (nodes, nodes)
+
+
+@pytest.mark.parametrize(
+    "case, nodes, steps, model, variant",
+    [
+        ("span_past", 20, 2304, (32, 2, 2, 96), {}),
+        ("span_l100", 20, 2304, (32, 2, 2, 100), {"L": 100}),
+        ("span_n325", 325, 768, (64, 3, 2, 96), {}),
+    ],
+    ids=["span_past", "span_l100", "span_n325"],
+)
+def test_ab_bench_span_cases_impute_a_blocked_span(case, nodes, steps, model, variant):
+    # the set-up alone: span_l100 is span_past at L=100, span_n325 the CLI
+    # model over 8 days on 325 nodes
+    ab_bench = _ab_bench()
+    span, setup = ab_bench.CASES[case].func, ab_bench.CASES[case].args[0]
+    assert span is ab_bench._span
+    net, args, workload = setup()
+    values, mask, week, hour, bucket = args
+    config = net.config
+    assert (config.N, config.d, config.n, config.K, config.L) == (nodes, *model)
+    assert config.use_cgm and config.use_gim and workload == variant
+    assert values.shape == mask.shape == (steps, nodes)
+    assert week.shape == hour.shape == bucket.shape == (steps,)
+    assert 0.3 < 1.0 - mask.mean() < 0.5 and np.all(values[mask == 0.0] == 0.0)

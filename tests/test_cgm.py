@@ -7,7 +7,7 @@ import pytest
 from kernel_check import check_kernel, logistic, mean, sigmoid, tanh
 from pastnet import cgm
 from pastnet.cgm import CgmModule, cross_gate_layer, default_partition
-from pastnet.model import ModelConfig
+from pastnet.model import ModelConfig, PastModel, impute_span
 from pastnet.numcore import (
     ParamStore,
     Tensor,
@@ -507,34 +507,49 @@ def test_slot_forward_matches_full_grid(calendar, n_slots):
         assert np.max(np.abs(grads[path] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref)), path
 
 
-def test_span_windows_match_full_grid_per_window():
-    """Each span window's surface and hiddens equal the full grid on that window alone.
+@pytest.mark.parametrize("tail", [0, 5], ids=["aligned", "unaligned-tail"])
+def test_impute_span_runs_forward_once_per_distinct_window(tail, monkeypatch):
+    """``impute_span`` runs ``CgmModule.forward`` at B=1 once per distinct
+    window of slot codes, and every window gets that window's outputs.
 
-    The reference averages over its own stamps, so it checks the span path's
-    slot shares and which slots each window pools; the calendar repeats slots
-    unevenly within every window, and the last window overlaps the one before.
+    24 days at L=96 on a 15-minute clock start their windows on 7 distinct
+    days of the week; an unaligned tail window adds one call.  The reference
+    runs the full grid on each window alone, so it checks which cached
+    surface and hiddens each window gets.
     """
-    L, T = 12, 40
-    module, _ = build_module(N=3, d=8, n=3, seed=14, L=L)
-    week, hour, bucket = (c[0] for c in random_calendar(1, T, seed=15, cards=(2, 3, 4)))
-    starts = [0, 12, 24, T - L]  # the tail window starts off the stride
-    codes = (week * 24 + hour) * 4 + bucket
-    assert np.unique(codes).size > L  # the slot rows take more than one chunk
-    for s in starts:
-        counts = np.unique(codes[s : s + L], return_counts=True)[1]
-        assert np.unique(counts).size > 1  # uneven shares within the window
-    rewinds = []
-    with no_grad():
-        surfaces, hiddens = module.span_windows(
-            week, hour, bucket, starts, with_hiddens=True, rewind=lambda: rewinds.append(1)
-        )
-    assert len(surfaces) == len(hiddens) == len(starts)
-    assert len(rewinds) == 2 + len(starts)  # one per chunk of at most L slots, one per window
-    for s, surface, window_hiddens in zip(starts, surfaces, hiddens):
-        window = slice(s, s + L)
-        y_ref, hiddens_ref = full_grid_forward(
-            module, week[None, window], hour[None, window], bucket[None, window]
-        )
-        assert np.allclose(surface, y_ref.data[0], rtol=0.0, atol=1e-12), s
-        for h, h_ref in zip(window_hiddens, hiddens_ref, strict=True):
-            assert np.allclose(h.data, h_ref.data, rtol=0.0, atol=1e-12), s
+    L, N, T = 96, 3, 24 * 96 + tail
+    model = PastModel.build(ModelConfig(L=L, N=N, d=8, n=3, K=1, seed=14),
+                            adjacency=np.ones((N, N)) - np.eye(N))
+    t = np.arange(T)
+    calendar = (t // 96 % 7, t // 4 % 24, t % 4)
+    calls = []
+    real_forward = CgmModule.forward
+
+    def counted(self, *window):
+        calls.append(window[0].shape)
+        return real_forward(self, *window)
+
+    monkeypatch.setattr(CgmModule, "forward", counted)
+    injected, y_gim = [], []
+    real_gim = model.gim.forward
+
+    def recorded_gim(values, mask, hiddens):
+        injected.append([np.array(h) for h in hiddens])
+        y_gim.append(real_gim(values, mask, hiddens).data.copy())
+        return constant(y_gim[-1])
+
+    model.gim.forward = recorded_gim
+    zeros = np.zeros((T, N))  # every entry missing: the output is the branch sum
+    out = impute_span(model, zeros, zeros, *calendar)
+    assert calls == [(1, L)] * (7 + (tail > 0))
+    starts = [*range(0, T - L + 1, L), *([T - L] if tail else [])]
+    y_ref, hiddens_ref = full_grid_forward(
+        model.cgm, *(np.stack([c[s : s + L] for s in starts]) for c in calendar)
+    )
+    acc, counts = np.zeros((T, N)), np.zeros((T, 1))
+    for k, s in enumerate(starts):
+        acc[s : s + L] += y_ref.data[k] + y_gim[k][0]
+        counts[s : s + L] += 1.0
+        for h, h_ref in zip(injected[k], hiddens_ref, strict=True):
+            assert np.allclose(h, h_ref.data[k : k + 1], rtol=0.0, atol=1e-12), s
+    assert np.allclose(out, acc / counts, rtol=0.0, atol=1e-12)

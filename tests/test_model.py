@@ -1,8 +1,12 @@
 import contextlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from pastnet.numcore import (
 )
 from pastnet.numcore import tensor
 from pastnet.numcore.tensor import ScratchPool, _pool
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ring_adjacency(n):
@@ -383,6 +389,41 @@ def test_train_deterministic_across_runs():
     assert all(np.array_equal(params_a[p], params_b[p]) for p in params_a)
 
 
+# trains a model at N=20, d=64, n=3, large enough that OpenBLAS splits its
+# GEMMs between threads, and prints the history and each parameter's digest
+BLAS_CHILD = """
+import hashlib, json
+from pastnet.data import build_spatial_adjacency, synthesize_dataset, window_split
+from pastnet.masking import ScenarioConfig, generate_mask
+from pastnet.model import ModelConfig, PastModel, TrainConfig, train
+
+ds = synthesize_dataset(20, 4, seed=0)
+mask = generate_mask(ds.values.shape, ScenarioConfig("random", 0.3, seed=0))
+windows, _ = window_split(ds, L=96, stride=96, train_fraction=0.75, mask=mask)
+model = PastModel.build(ModelConfig(L=96, N=20, d=64, n=3, K=2, seed=0),
+                        adjacency=build_spatial_adjacency(ds.n_nodes, ds.edges))
+model, history = train(model, windows, TrainConfig(lr=1e-2, batch_size=2, epochs=2, seed=0))
+print(json.dumps({"loss1": history.loss1, "loss2": history.loss2,
+                  "params": {p: hashlib.sha256(a.tobytes()).hexdigest()
+                             for p, a in model.params.state_arrays().items()}}))
+"""
+
+
+def test_train_gives_the_same_bits_with_one_and_two_blas_threads():
+    # the tests run with OpenBLAS's default thread count and the benchmarks
+    # with one thread; their figures compare only if the bits agree
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(ROOT / "src"))
+        child = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr[-2000:]
+        runs.append(json.loads(child.stdout))
+    assert len(runs[0]["loss1"]) == 2 and len(runs[0]["params"]) > 0
+    assert runs[0] == runs[1]
+
+
 def test_train_seed_changes_history():
     _, train_w, _ = training_windows()
     _, h0 = train(tiny_model(), train_w, TrainConfig(lr=1e-3, batch_size=4, epochs=3, seed=0))
@@ -570,7 +611,7 @@ def test_impute_span_reads_no_buffer_after_handing_it_back(heap_bytes, monkeypat
 
 
 def test_impute_span_pool_holds_the_same_buffers_whatever_the_span(monkeypatch):
-    # rewound per slot chunk and per window: a 10-window span leaves the
+    # rewound before each branch pass: a 10-window span leaves the
     # pool holding what a 2-window span does
     model = tiny_model()
     L = model.config.L
@@ -733,7 +774,7 @@ def weekly_calendar(T, start=0):
 def test_impute_span_longer_than_a_week_matches_per_window_impute(branches):
     # 8 days and 5 steps from a Sunday-evening start: every slot of the week
     # occurs, the stamps wrap from week day 6 to 0, and the tail window is
-    # unaligned; the slot cache must reproduce window-by-window imputation
+    # unaligned; the per-window cache must reproduce window-by-window imputation
     model = tiny_model(**branches)
     L = model.config.L
     T = 8 * 96 + 5
