@@ -18,8 +18,8 @@ against the (B, S) matrix of slot shares.  S <= min(B * L, 672).
 ``slot_rows`` is that layer stack alone.  For the same reason
 ``model.impute_span`` runs ``forward`` once per distinct window of slot
 codes and reuses its output for every window with those codes: 7 windows
-plus the tail at L=96 on a 15-minute clock, but up to 672 of L slots each
-when L does not divide the 672 slots of a week.
+plus the tail at L=96 on a 15-minute clock, but up to 672 / gcd(L, 672)
+windows of L slots each when L does not divide the 672 slots of a week.
 
 Each layer owns exactly four d x d matrices (no biases); biases exist only
 in the per-layer hidden projection and the output head.
