@@ -15,7 +15,11 @@ setting is reported as ``<case>@default``.  Rounds alternate which
 checkout goes first.  Times are CPU ms of the measuring process
 (``time.process_time``); the report gives the median and quartiles of each
 metric's samples, and ``rss_mib`` is the case process's peak resident
-set.  ``--case`` selects cases (repeatable; default: all).
+set.  Every metric is better lower.  Each round runs the two checkouts
+back to back, so each case also reports ``rounds`` and, per metric,
+``after_won``: the number of rounds in which the after side's median of
+that round's samples is below the before side's (a tie counts for
+neither).  ``--case`` selects cases (repeatable; default: all).
 
 - ``import_cli``: a fresh interpreter that runs ``import pastnet.cli`` and
   exits, the start-up every ``pastnet`` command pays.  Per process:
@@ -417,6 +421,7 @@ def main() -> int:
     cases = [name if setting == "pinned" else f"{name}@{setting}" for name, setting in runs]
     trees = {"before": args.before, "after": args.after}
     samples = {case: {side: {} for side in trees} for case in cases}
+    round_medians = {case: {side: {} for side in trees} for case in cases}
     workload = {case: {} for case in cases}
     hashes = {case: set() for case in cases}
     for r in range(args.rounds):
@@ -429,6 +434,8 @@ def main() -> int:
                 for key, value in result.items():
                     if key.endswith(METRIC_SUFFIXES):
                         samples[case][side].setdefault(key, []).extend(value)
+                        medians = round_medians[case][side].setdefault(key, [])
+                        medians.append(float(np.median(value)))
                     else:
                         workload[case][key] = value  # the script's inputs: same on both sides
     report_cases = {}
@@ -439,6 +446,12 @@ def main() -> int:
         entry["after_over_before"] = {  # a metric only one checkout reports has no ratio
             k: _ratio(entry["after"][k]["median"], entry["before"][k]["median"])
             for k in entry["before"] if k in entry["after"]
+        }
+        medians = round_medians[case]
+        entry["rounds"] = args.rounds
+        entry["after_won"] = {  # every metric is better lower; a tie counts for neither side
+            k: sum(a < b for a, b in zip(medians["after"][k], medians["before"][k]))
+            for k in entry["after_over_before"]
         }
         report_cases[case] = entry
     selected = "".join(f" --case {case}" for case in args.case or ())
@@ -457,7 +470,8 @@ def main() -> int:
     for case, entry in report_cases.items():
         for key, ratio in entry["after_over_before"].items():
             print(f"{case:22s} {key:16s} before {entry['before'][key]['median']:10.2f}  "
-                  f"after {entry['after'][key]['median']:10.2f}  ratio {ratio}")
+                  f"after {entry['after'][key]['median']:10.2f}  ratio {ratio}  "
+                  f"after won {entry['after_won'][key]}/{entry['rounds']}")
         print(f"{case:22s} outputs identical: {entry['outputs_identical']}  "
               f"{' '.join(sorted(hashes[case]))}")
     return 0

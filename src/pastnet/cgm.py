@@ -231,14 +231,16 @@ class CgmModule:
         The layers run once per distinct slot of the batch (``slot_rows``).
         The surface gathers each stamp's slot row, and window b's hidden
         state pools the slot rows weighted by their share of b's L stamps,
-        which is the time-mean over the window's stamps.
+        which is the time-mean over the window's stamps.  Only gim reads
+        the hiddens: without it (``config.use_gim`` false) the list is empty.
         """
         code = slot_codes(week, hour, minute_bucket)
         if code.ndim != 2:
             raise ValueError("week, hour, minute_bucket must share a (B, L) shape")
         slots, inverse, share = _window_shares(code)
         streams, surface = self.slot_rows(slots)
-        return embedding(surface, inverse), self.pooled_hiddens(share, streams)
+        hiddens = self.pooled_hiddens(share, streams) if self.config.use_gim else []
+        return embedding(surface, inverse), hiddens
 
     def slot_rows(self, slots: np.ndarray) -> tuple[list[tuple[Tensor, Tensor]], Tensor]:
         """Sorted distinct slot codes (S,) -> (n x ((S, N, d), (S, N, d)) spatial

@@ -10,8 +10,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     build_spatial_adjacency,
@@ -26,7 +24,7 @@ from .data import (
 )
 from .masking import ScenarioConfig, generate_mask, load_mask_csv, save_mask_csv
 from .metrics import rmse_mae
-from .model import ModelConfig, PastModel, TrainConfig, impute_span, train
+from .model import ModelConfig, PastModel, TrainConfig, fuse, impute_span, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,7 +174,7 @@ def _cmd_impute(args) -> int:
     if model.norm_stats is not None:
         out = out * std + mean
     # denormalizing can move an observed value by an ulp; pass the input through
-    out = np.where(mask == 1.0, ds.values, out)
+    out = fuse(ds.values, mask, out)
     save_values_csv(args.out, out, ds.node_ids)
     print(f"wrote {args.out}")
     return 0

@@ -56,36 +56,7 @@ if TYPE_CHECKING:
 DEGREE_EPS = 1e-6
 
 
-# ---- temporal graph construction ----
-
-
-def build_temporal_adjacency(mask_column: np.ndarray, include_injection: bool = True) -> np.ndarray:
-    """Adjacency mask of one node-window graph; entry (i, j) = edge j -> i.
-
-    Row/column L is the injection vertex: no incoming edges, outgoing to
-    every data vertex when enabled.  Data vertex j emits edges only while
-    observed, so column j of the data block equals mask[j] off-diagonal.
-    The model never builds this matrix (``temporal_forward`` applies the
-    rule directly); it is the rule's dense reference.
-    """
-    col = np.asarray(mask_column, dtype=np.float64)
-    if col.ndim != 1:
-        raise ValueError("mask_column must be 1-d")
-    if not np.all((col == 0.0) | (col == 1.0)):
-        raise ValueError("mask_column entries must be 0 or 1")
-    return _batch_temporal_adjacency(col[None, :], include_injection)[0]
-
-
-def _batch_temporal_adjacency(columns: np.ndarray, include_injection: bool) -> np.ndarray:
-    """Stacked dense adjacency masks for (G, L) mask columns -> (G, L+1, L+1)."""
-    G, L = columns.shape
-    adj = np.zeros((G, L + 1, L + 1))
-    adj[:, :L, :L] = columns[:, None, :]
-    idx = np.arange(L)
-    adj[:, idx, idx] = 0.0
-    if include_injection:
-        adj[:, :L, L] = 1.0
-    return adj
+# ---- edge dropout ----
 
 
 def dropout_beta(alpha: float, p: float, L: int) -> float:
@@ -128,16 +99,6 @@ def interval_dropout_mask(
     drop = np.less(draw, prob, out=step_buffer((G, L, L), bool))
     drop &= eligible
     return drop
-
-
-def _batch_interval_dropout(
-    adj: np.ndarray, columns: np.ndarray, alpha: float, beta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Dense reference: a copy of ``adj`` without the edges sampled for (G, L) columns."""
-    out = adj.copy()
-    L = columns.shape[1]
-    out[:, :L, :L][interval_dropout_mask(columns.T, alpha, beta, rng)] = 0.0
-    return out
 
 
 # ---- forward operators ----

@@ -83,40 +83,48 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def fuse(x: np.ndarray, m: np.ndarray, y_gim: np.ndarray, y_cgm: np.ndarray) -> np.ndarray:
-    """M * X + (1 - M) * (Y_cgm + Y_gim), shapes equal, M binary.
+def _first_non_finite(values: np.ndarray, mask: np.ndarray | None = None) -> tuple[int, ...] | None:
+    """Index of the first non-finite entry of ``values``, of those where
+    ``mask`` is 1 if a mask is given; None when there is none."""
+    bad = ~np.isfinite(values)
+    if mask is not None:
+        bad &= mask == 1.0
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
 
-    Computed as a selection, so an observed entry passes through exactly
-    even where a branch output is not finite.
+
+def fuse(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """M * X + (1 - M) * Y for the branch sum Y = Y_cgm + Y_gim, shapes equal, M binary.
+
+    The one observed-entry pass-through (``impute_span``, ``pastnet impute``),
+    computed as a selection, so an observed entry passes through exactly
+    even where Y is not finite.
     """
-    x, m = np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64)
-    y_gim = np.asarray(y_gim, dtype=np.float64)
-    y_cgm = np.asarray(y_cgm, dtype=np.float64)
-    if not (x.shape == m.shape == y_gim.shape == y_cgm.shape):
+    x, m, y = (np.asarray(a, dtype=np.float64) for a in (x, m, y))
+    if not (x.shape == m.shape == y.shape):
         raise ValueError("fuse inputs must share one shape")
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
-    return np.where(m == 1.0, x, y_cgm + y_gim)
+    return np.where(m == 1.0, x, y)
 
 
 def compute_losses(
     x,
     m,
-    y_gim: Tensor,
-    y_cgm: Tensor,
+    y_gim: Tensor | None,
+    y_cgm: Tensor | None,
     sever_residual: bool = True,
-) -> tuple[Tensor, Tensor]:
-    """Dual objectives on observed entries.
+) -> tuple[Tensor | None, Tensor | None]:
+    """Dual objectives on observed entries; an absent branch (None) has no loss.
 
     loss1 = masked_mse(y_gim, x, m).  loss2 = masked_mse(y_cgm, r, m) with
     r = x - y_gim; by default y_gim enters r as a constant so loss2 cannot
-    move the first branch.
+    move the first branch.  Without a gim branch r = x: cgm alone fits the
+    values directly.
     """
     x_c = constant(np.asarray(x, dtype=np.float64))
-    loss1 = masked_mse(y_gim, x_c, m)
-    gim_term = y_gim.detach() if sever_residual else y_gim
-    residual = x_c - gim_term
-    loss2 = masked_mse(y_cgm, residual, m)
+    loss1 = None if y_gim is None else masked_mse(y_gim, x_c, m)
+    target = x_c if y_gim is None else x_c - (y_gim.detach() if sever_residual else y_gim)
+    loss2 = None if y_cgm is None else masked_mse(y_cgm, target, m)
     return loss1, loss2
 
 
@@ -197,22 +205,15 @@ class PastModel:
         rng: np.random.Generator | None = None,
         sever: bool = True,
     ) -> tuple[Tensor, float, float]:
-        """Weighted total plus the two raw loss values (nan for absent branch)."""
+        """Weighted sum of the losses ``compute_losses`` returns, plus the two
+        raw loss values (nan for an absent branch)."""
         y_gim, y_cgm = self.forward(
             values, masks, week, hour, minute_bucket, training=training, rng=rng, sever=sever
         )
-        w1, w2 = loss_weights
-        if y_gim is not None and y_cgm is not None:
-            loss1, loss2 = compute_losses(values, masks, y_gim, y_cgm, sever_residual=sever)
-            total = loss1 * w1 + loss2 * w2
-            return total, float(loss1.data), float(loss2.data)
-        x_c = constant(np.asarray(values, dtype=np.float64))
-        if y_gim is not None:
-            loss1 = masked_mse(y_gim, x_c, masks)
-            return loss1 * w1, float(loss1.data), float("nan")
-        # cgm alone fits the values directly: the absent branch contributes 0
-        loss2 = masked_mse(y_cgm, x_c, masks)
-        return loss2 * w2, float("nan"), float(loss2.data)
+        losses = compute_losses(values, masks, y_gim, y_cgm, sever_residual=sever)
+        weighted = [loss * w for loss, w in zip(losses, loss_weights) if loss is not None]
+        loss1, loss2 = (float("nan") if loss is None else float(loss.data) for loss in losses)
+        return sum(weighted[1:], weighted[0]), loss1, loss2
 
     def impute(
         self,
@@ -262,18 +263,22 @@ def impute_span(
 
     Windows start at 0, L, 2L, ...; an unaligned tail gets one extra window
     ending exactly at the span end.  Each window adds its branch sum
-    Y_cgm + Y_gim to an accumulator, overlapping sums are averaged, and the
-    span is fused once at the end: observed entries pass through exactly.
+    Y_cgm + Y_gim to an accumulator, overlapping sums are averaged, and
+    ``fuse`` runs once at the end: observed entries pass through exactly.
+    Hidden entries are never read, so NaN may mark them; a non-finite
+    observed value raises ``ValueError`` naming its step and node before
+    any window runs.
 
     The calendar branch reads no measurements, so a window's surface and
     hiddens depend only on its L time-of-week slot codes: each distinct
     window runs ``CgmModule.forward`` at B=1 once, and windows with the same
-    codes reuse copies of its (L, N) surface and n (1, N, d) hiddens.  On a
-    15-minute clock the stride-L windows repeat after 672 / gcd(L, 672)
-    windows: 7 at L=96, so a span of any length costs cgm at most 8 passes
-    (672 slots plus the tail's L).  An L that does not divide 672, the slots
-    of a week, costs up to L slots per window instead: 168 distinct windows
-    at L=100, about 25 times the work of L=96 on a span of 25 weeks or more.
+    codes reuse copies of its (L, N) surface and n (1, N, d) hiddens (none
+    without gim, which alone reads them).  On a 15-minute clock the
+    stride-L windows repeat after 672 / gcd(L, 672) windows: 7 at L=96, so
+    a span of any length costs cgm at most 8 passes (672 slots plus the
+    tail's L).  An L that does not divide 672, the slots of a week, costs
+    up to L slots per window instead: 168 distinct windows at L=100, about
+    25 times the work of L=96 on a span of 25 weeks or more.
     The output equals that of imputing each window on its own, bit for bit.
     Runs without a tape, in one ``numcore.buffer_pool`` rewound before each
     branch pass, so the pool holds one window's buffers whatever the span's
@@ -293,6 +298,10 @@ def impute_span(
         )
     if not np.all((mask == 0.0) | (mask == 1.0)):  # NaN included
         raise ValueError("mask entries must be 0 or 1")
+    at = _first_non_finite(values, mask)
+    if at is not None:
+        t, u = at
+        raise ValueError(f"observed value at step {t}, node {u} is not finite: {values[at]}")
     calendar = {"week": week, "hour": hour, "minute_bucket": minute_bucket}
     for name, arr in calendar.items():
         if np.shape(arr) != (T,):
@@ -328,7 +337,7 @@ def impute_span(
                 acc[sl] += y_gim if y_cgm is None else y_cgm + y_gim
             counts[sl] += 1.0
     acc /= counts
-    return np.where(mask == 1.0, values, acc)
+    return fuse(values, mask, acc)
 
 
 # ---- training ----
@@ -385,7 +394,10 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     stream seeded from cfg.seed spans the whole run, so two identically
     configured runs produce bit-identical histories.  Stops early when the
     first branch's epoch loss fails to improve for early_stop_patience
-    epochs.  Raises on non-finite losses, naming the epoch and batch.
+    epochs.  Before the first step, raises ``ValueError`` naming the
+    window, step and node of the first non-finite value, observed or
+    hidden: the masked losses weight a hidden entry by 0, and 0 * NaN is
+    NaN.  Raises on non-finite losses, naming the epoch and batch.
 
     The run holds one ``numcore.buffer_pool`` and rewinds it at the start
     of every optimizer step, so each step's kernels write into the previous
@@ -399,6 +411,13 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     """
     if len(windows) == 0:
         raise ValueError("cannot train on an empty window batch")
+    at = _first_non_finite(windows.values)
+    if at is not None:
+        w, t, u = at
+        raise ValueError(
+            f"window {w} holds a non-finite value at step {t}, node {u}: "
+            f"{windows.values[at]} (the losses read hidden entries too)"
+        )
     history = TrainHistory()
     if cfg.epochs == 0:
         return model, history

@@ -24,14 +24,14 @@ only into arrays it allocated or took as scratch in that call, so
 ``backward()`` can run more than once.
 
 Only the operations the models run are implemented: broadcasting ``+``,
-``-`` and ``*`` with a tensor on the left, batched matmul, sums, shape
-moves, gather and concat.  Indexing (``Tensor.__getitem__``) serves only
-the composite references of the tests: ``train`` and ``impute_span`` make
-no call to it, with either branch or both.  The activations exist only inside the
-fused kernels, which take the logistic function from ``sigmoid`` below; the
-composite references the tests compare them with build their own on
-``Tensor._make``.  Gradients flow only into tensors created with
-``requires_grad=True`` or derived from one.
+``-`` and ``*`` with a tensor on the left, batched matmul, sums, reshape,
+transpose, the row gather ``embedding`` and ``concat``.  There is no
+indexing: a reference that needs some rows of a tensor takes them with a
+constant selector matmul, such as ``constant(np.eye(L, L + 1)) @ t``.  The
+activations exist only inside the fused kernels, which take the logistic
+function from ``sigmoid`` below; the composite references the tests
+compare them with build their own on ``Tensor._make``.  Gradients flow
+only into tensors created with ``requires_grad=True`` or derived from one.
 
 Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
 plain tensor with no parents and no VJP, so ``backward()`` cannot reach
@@ -503,24 +503,6 @@ class Tensor:
 
         def vjp(g):
             return (np.transpose(g, inverse),)
-
-        return Tensor._make(data, (a,), vjp)
-
-    def __getitem__(self, index) -> "Tensor":
-        a = self
-        data = a.data[index]
-        basic = all(
-            isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
-            for i in (index if isinstance(index, tuple) else (index,))
-        )
-
-        def vjp(g):
-            full = np.zeros_like(a.data)
-            if basic:
-                full[index] = g  # a basic index selects each element at most once
-            else:
-                np.add.at(full, index, g)  # integer arrays may repeat an element
-            return (full,)
 
         return Tensor._make(data, (a,), vjp)
 

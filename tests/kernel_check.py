@@ -11,11 +11,17 @@ The composite references use operations the library does not run: the four
 activations, division, ``mean`` and ``broadcast_to``.  They are defined here
 as plain tape nodes on ``Tensor._make``, each with its own numpy VJP.
 
+``build_temporal_adjacency`` (one graph) and ``_batch_temporal_adjacency``
+(a stack) build the dense (L+1, L+1) adjacency of gim's per-node graphs,
+and ``_batch_interval_dropout`` removes from it the edges gim's dropout
+draws: the dense references of the temporal kernel.
+
 ``poison_returned_buffers`` makes a read of a pool buffer after it was
 handed back change the result.
 """
 import numpy as np
 
+from pastnet.gim import interval_dropout_mask
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check
 from pastnet.numcore.tensor import ScratchPool, _unbroadcast
 
@@ -104,6 +110,45 @@ def softplus(x: Tensor) -> Tensor:
 def vertex_embedding_reference(xz, m, w, b, mask_token) -> Tensor:
     """gim's vertex embedding as the five numcore products and sums it was."""
     return constant(m) * (constant(xz) * w + b) + constant(1.0 - m) * mask_token
+
+
+def build_temporal_adjacency(mask_column: np.ndarray, include_injection: bool = True) -> np.ndarray:
+    """Adjacency mask of one node-window graph; entry (i, j) = edge j -> i.
+
+    Row/column L is the injection vertex: no incoming edges, outgoing to
+    every data vertex when enabled.  Data vertex j emits edges only while
+    observed, so column j of the data block equals mask[j] off-diagonal.
+    The model never builds this matrix (gim's ``temporal_forward`` applies
+    the rule directly); it is the rule's dense reference.
+    """
+    col = np.asarray(mask_column, dtype=np.float64)
+    if col.ndim != 1:
+        raise ValueError("mask_column must be 1-d")
+    if not np.all((col == 0.0) | (col == 1.0)):
+        raise ValueError("mask_column entries must be 0 or 1")
+    return _batch_temporal_adjacency(col[None, :], include_injection)[0]
+
+
+def _batch_temporal_adjacency(columns: np.ndarray, include_injection: bool) -> np.ndarray:
+    """Stacked dense adjacency masks for (G, L) mask columns -> (G, L+1, L+1)."""
+    G, L = columns.shape
+    adj = np.zeros((G, L + 1, L + 1))
+    adj[:, :L, :L] = columns[:, None, :]
+    idx = np.arange(L)
+    adj[:, idx, idx] = 0.0
+    if include_injection:
+        adj[:, :L, L] = 1.0
+    return adj
+
+
+def _batch_interval_dropout(
+    adj: np.ndarray, columns: np.ndarray, alpha: float, beta: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Dense reference: a copy of ``adj`` without the edges sampled for (G, L) columns."""
+    out = adj.copy()
+    L = columns.shape[1]
+    out[:, :L, :L][interval_dropout_mask(columns.T, alpha, beta, rng)] = 0.0
+    return out
 
 
 def _outputs(fn, tensors) -> tuple:

@@ -32,11 +32,14 @@ def test_ab_bench_smallest_case_runs(tmp_path):
     assert set(report) == {"command", "commits", "machine", "cases"}
     assert list(report["cases"]) == ["span_wo_gim"]
     entry = report["cases"]["span_wo_gim"]
-    assert set(entry) == {"workload", "before", "after", "after_over_before", "outputs_identical"}
+    assert set(entry) == {"workload", "before", "after", "after_over_before", "outputs_identical",
+                          "rounds", "after_won"}
     assert entry["outputs_identical"] is True
+    assert entry["rounds"] == 1
     assert entry["workload"] == {"use_gim": False, "steps_x_nodes": 2304 * 20}
     metrics = {"impute_ms", "sys_ms", "minor_faults", "rss_mib", "host_numpy_ms", "host_python_ms"}
     assert set(entry["before"]) == set(entry["after"]) == set(entry["after_over_before"]) == metrics
+    assert set(entry["after_won"]) == metrics and set(entry["after_won"].values()) <= {0, 1}
     # the host-speed probe runs at the case process's start and end
     assert entry["after"]["host_numpy_ms"]["n"] == entry["after"]["host_python_ms"]["n"] == 2
     assert 0 < entry["after"]["host_numpy_ms"]["q1"] and 0 < entry["after"]["host_python_ms"]["q1"]
@@ -109,6 +112,35 @@ def test_ab_bench_child_environment_carries_only_the_chosen_allocator_setting(mo
         assert env["PYTHONPATH"] == str(ROOT / "src")
         assert "MALLOC_ARENA_MAX" not in env and "GLIBC_TUNABLES" not in env
     assert not any(key.startswith("MALLOC_") for key in default)
+
+
+def test_ab_bench_counts_the_rounds_the_after_side_wins(tmp_path, monkeypatch):
+    # stubbed case runs, no child process: each round's median is the middle
+    # sample; after wins rounds 0 and 2, ties round 1 and loses round 3
+    ab_bench = _ab_bench()
+    medians = {"before": [10.0, 10.0, 10.0, 10.0], "after": [9.0, 10.0, 8.0, 11.0]}
+    runs = []
+
+    def run_child(tree, case, repeats, setting):
+        side = "before" if tree == "B" else "after"
+        x = medians[side][runs.count(side)]
+        runs.append(side)
+        return {"impute_ms": [x - 1.0, x, x + 5.0], "rss_mib": [50.0], "use_gim": False,
+                "output_sha256": "same"}
+
+    out = tmp_path / "ab.json"
+    monkeypatch.setattr(ab_bench, "_run_child", run_child)
+    monkeypatch.setattr(sys, "argv", [
+        "ab_bench.py", "--before", "B", "--after", "A", "--rounds", "4", "--repeats", "3",
+        "--case", "span_wo_gim", "--out", str(out),
+    ])
+    assert ab_bench.main() == 0
+    # rounds alternate which side goes first
+    assert runs == ["before", "after", "after", "before"] * 2
+    entry = json.loads(out.read_text())["cases"]["span_wo_gim"]
+    assert entry["rounds"] == 4
+    assert entry["after_won"] == {"impute_ms": 2, "rss_mib": 0}
+    assert entry["after"]["impute_ms"]["n"] == 12 and entry["outputs_identical"] is True
 
 
 def test_ab_bench_ratio_of_a_zero_before_median_is_none():

@@ -15,14 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernel_check import _batch_interval_dropout, build_temporal_adjacency
 from pastnet.data import WindowBatch, build_spatial_adjacency, synthesize_dataset
-from pastnet.gim import (
-    GimModule,
-    _batch_interval_dropout,
-    build_spatial_operator,
-    build_temporal_adjacency,
-    dropout_beta,
-)
+from pastnet.gim import GimModule, build_spatial_operator, dropout_beta
 from pastnet.cgm import CgmModule, cross_gate_layer
 from pastnet.harness import load_plan, run_experiment
 from pastnet.masking import ScenarioConfig, generate_mask

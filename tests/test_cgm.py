@@ -553,3 +553,38 @@ def test_impute_span_runs_forward_once_per_distinct_window(tail, monkeypatch):
         for h, h_ref in zip(injected[k], hiddens_ref, strict=True):
             assert np.allclose(h, h_ref.data[k : k + 1], rtol=0.0, atol=1e-12), s
     assert np.allclose(out, acc / counts, rtol=0.0, atol=1e-12)
+
+@pytest.mark.parametrize("use_gim", [False, True], ids=["wo-gim", "past"])
+def test_hiddens_are_pooled_only_for_gim(use_gim, monkeypatch):
+    """Only gim reads the hiddens: without it neither ``impute_span`` nor a
+    ``train`` step pools them, and ``forward`` returns none; with it both pool."""
+    from pastnet.data import WindowBatch
+    from pastnet.model import TrainConfig, train
+
+    L, N, T = 12, 3, 3 * 12 + 5
+    model = PastModel.build(ModelConfig(L=L, N=N, d=8, n=2, K=1, seed=4, use_gim=use_gim),
+                            adjacency=np.ones((N, N)) - np.eye(N))
+    calls = []
+    real_pooled = CgmModule.pooled_hiddens
+
+    def counted(self, share, streams):
+        calls.append(share.shape)
+        return real_pooled(self, share, streams)
+
+    monkeypatch.setattr(CgmModule, "pooled_hiddens", counted)
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(T, N))
+    mask = (rng.random((T, N)) < 0.7).astype(float)
+    t = np.arange(T)
+    calendar = (t // 96 % 7, t // 4 % 24, t % 4)
+    impute_span(model, values, mask, *calendar)
+    span_calls = len(calls)
+    windows = WindowBatch(values[: 2 * L].reshape(2, L, N), mask[: 2 * L].reshape(2, L, N),
+                          *(c[: 2 * L].reshape(2, L) for c in calendar), np.array([0, L]))
+    train(model, windows, TrainConfig(lr=1e-2, batch_size=2, epochs=1))
+    _, hiddens = model.cgm.forward(*(c[None, :L] for c in calendar))
+    if use_gim:
+        assert span_calls > 0 and len(calls) > span_calls + 1
+        assert len(hiddens) == 2
+    else:
+        assert calls == [] and hiddens == []

@@ -10,6 +10,9 @@ import pytest
 
 from kernel_check import (
     TOL,
+    _batch_interval_dropout,
+    _batch_temporal_adjacency,
+    build_temporal_adjacency,
     check_kernel,
     divide,
     poison_returned_buffers,
@@ -22,14 +25,11 @@ from pastnet.gim import (
     DEGREE_EPS,
     GimModule,
     build_spatial_operator,
-    build_temporal_adjacency,
     dropout_beta,
     interval_dropout_mask,
     spatial_forward,
     temporal_forward,
     vertex_embedding,
-    _batch_interval_dropout,
-    _batch_temporal_adjacency,
 )
 from pastnet.model import ModelConfig
 from pastnet.numcore import (
@@ -331,13 +331,14 @@ def dense_temporal(adj, vertices, logits, w, b):
 
 def temporal_reference(adj):
     """``temporal_forward``'s contract through ``dense_temporal``: time-major
-    data states in, the injection row appended and sliced away again."""
+    data states in, the injection row appended and selected away again."""
 
     def reference(states, injection, logits, w, b):
         L, G, d = states.shape
         row = constant(np.zeros((G, d))) if injection is None else constant(injection)
         vertices = concat([states.transpose((1, 0, 2)), row.reshape(G, 1, d)], axis=1)
-        return dense_temporal(adj, vertices, logits, w, b)[:, :L].transpose((1, 0, 2))
+        data_rows = constant(np.eye(L, L + 1)) @ dense_temporal(adj, vertices, logits, w, b)
+        return data_rows.transpose((1, 0, 2))
 
     return reference
 
@@ -810,7 +811,8 @@ def dense_layout_forward(module, x, m, hiddens, rng):
             p[f"{prefix}/temporal/W"],
             p[f"{prefix}/temporal/b"],
         )
-        per_step = after[:, :L].reshape(B, N, L, d).transpose((0, 2, 1, 3)).reshape(B * L, N, d)
+        data_rows = constant(np.eye(L, L + 1)) @ after
+        per_step = data_rows.reshape(B, N, L, d).transpose((0, 2, 1, 3)).reshape(B * L, N, d)
         mixed = spatial_reference(module.spatial_op)(
             per_step, p[f"{prefix}/spatial/W"], p[f"{prefix}/spatial/b"]
         )

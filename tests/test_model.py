@@ -81,8 +81,8 @@ def training_windows(L=12, n_nodes=4, n_days=2, rate=0.3, seed=0):
 
 
 def test_fuse_hand_case():
-    # row by row: observed 1 passes through; missing slot gets 3 + 4 = 7
-    out = fuse([1.0, 2.0], [1.0, 0.0], [9.0, 3.0], [9.0, 4.0])
+    # row by row: observed 1 passes through; missing slot gets the branch sum 3 + 4 = 7
+    out = fuse([1.0, 2.0], [1.0, 0.0], np.add([9.0, 3.0], [9.0, 4.0]))
     assert out.tolist() == [1.0, 7.0]
 
 
@@ -90,22 +90,22 @@ def test_fuse_observed_passthrough_bitwise():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 5)) * 1e3
     m = (rng.random((6, 5)) < 0.5).astype(float)
-    out = fuse(x, m, rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
+    out = fuse(x, m, rng.normal(size=(6, 5)) + rng.normal(size=(6, 5)))
     assert np.array_equal(out[m == 1.0], x[m == 1.0])
 
 
 def test_fuse_observed_passes_through_non_finite_branches():
     m = np.array([1.0, 1.0, 0.0, 1.0])
     x = np.array([1.5, -2.0, 0.0, 3.0])
-    out = fuse(x, m, np.array([np.nan, np.inf, 1.0, -np.inf]), np.array([0.0, 1.0, 2.0, np.nan]))
+    out = fuse(x, m, np.array([np.nan, np.inf, 1.0, -np.inf]) + np.array([0.0, 1.0, 2.0, np.nan]))
     assert np.array_equal(out, [1.5, -2.0, 3.0, 3.0])
 
 
 def test_fuse_validation():
     with pytest.raises(ValueError, match="shape"):
-        fuse(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+        fuse(np.zeros(3), np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError, match="0 or 1"):
-        fuse(np.zeros(3), np.full(3, 0.5), np.zeros(3), np.zeros(3))
+        fuse(np.zeros(3), np.full(3, 0.5), np.zeros(3))
 
 
 # ---- dual losses ----
@@ -125,6 +125,17 @@ def test_compute_losses_sign_convention():
     x, m = np.array([2.0]), np.array([1.0])
     y_gim, y_cgm = constant(np.array([1.0])), constant(np.array([0.5]))
     assert float(compute_losses(x, m, y_gim, y_cgm)[1].data) == 0.25
+
+
+def test_compute_losses_absent_branch_has_no_loss():
+    # the hidden second entry is never read; y sits 1 away from x=2
+    x, m = np.array([2.0, 5.0]), np.array([1.0, 0.0])
+    y = constant(np.array([1.0, 0.0]))
+    l1, l2 = compute_losses(x, m, y, None)
+    assert float(l1.data) == 1.0 and l2 is None
+    # without gim, loss2's target is x itself
+    l1, l2 = compute_losses(x, m, None, y)
+    assert l1 is None and float(l2.data) == 1.0
 
 
 def test_loss2_gradient_stops_at_residual():
@@ -286,6 +297,41 @@ def test_objective_cgm_only_fits_values():
     assert l2 == pytest.approx(float(masked_mse(y_cgm, constant(v), m).data), rel=1e-12)
 
 
+def masked_mse_until(returned):
+    """``masked_mse``, failing if called once ``compute_losses`` has returned."""
+
+    def guarded(*args):
+        assert not returned, "masked_mse called outside compute_losses"
+        return masked_mse(*args)
+
+    return guarded
+
+
+@pytest.mark.parametrize(
+    "branches", [{}, {"use_cgm": False}, {"use_gim": False}], ids=["past", "wo-cgm", "wo-gim"]
+)
+def test_objective_weights_the_losses_of_one_compute_losses_call(branches, monkeypatch):
+    model = tiny_model(**branches)
+    v, m, w, h, b = random_window_inputs(model.config)
+    returned = []
+    real = model_module.compute_losses
+
+    def recorded(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(model_module, "compute_losses", recorded)
+    monkeypatch.setattr(model_module, "masked_mse", masked_mse_until(returned))
+    total, l1, l2 = model.objective(v, m, w, h, b, loss_weights=(2.0, 0.5))
+    assert len(returned) == 1
+    loss1, loss2 = returned[0]
+    assert (loss1 is None) == ("use_gim" in branches) and (loss2 is None) == ("use_cgm" in branches)
+    raw = [np.nan if loss is None else float(loss.data) for loss in (loss1, loss2)]
+    assert np.array_equal([l1, l2], raw, equal_nan=True)
+    expected = sum(weight * value for weight, value in zip((2.0, 0.5), raw) if not np.isnan(value))
+    assert float(total.data) == expected
+
+
 # ---- gradient partition ----
 
 
@@ -437,6 +483,23 @@ def test_train_divergence_abort_names_position():
     model.params["gim/head/b"].data[:] = np.nan
     with pytest.raises(RuntimeError, match="diverged at epoch 0 batch 0"):
         train(model, train_w, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observed", "hidden"])
+def test_train_rejects_a_non_finite_value_before_the_first_step(observed):
+    # a hidden NaN too: the masked losses weight it by 0, and 0 * NaN is NaN
+    _, train_w, _ = training_windows()
+    values, masks = train_w.values.copy(), train_w.masks.copy()
+    values[1, 3, 2] = np.nan
+    masks[1, 3, 2] = 1.0 if observed else 0.0
+    values[2, 0, 0] = np.inf  # a later window
+    windows = type(train_w)(values, masks, train_w.week, train_w.hour, train_w.minute_bucket,
+                            train_w.starts)
+    model = tiny_model()
+    before = snapshot(model.params)
+    with pytest.raises(ValueError, match=r"window 1 holds a non-finite value at step 3, node 2"):
+        train(model, windows, TrainConfig(epochs=1))
+    assert not changed_paths(model.params, before)
 
 
 def test_train_early_stop_on_plateau():
@@ -735,7 +798,7 @@ def reference_window(model, v, m, w, h, b):
     with no_grad():
         branches = model.forward(v[None], m[None], w[None], h[None], b[None])
     y_gim, y_cgm = (np.zeros((1, *v.shape)) if y is None else y.data for y in branches)
-    return fuse(v[None], m[None], y_gim, y_cgm)[0]
+    return fuse(v[None], m[None], y_cgm + y_gim)[0]
 
 
 def test_impute_span_aligned_matches_windows():
@@ -819,6 +882,34 @@ def test_impute_span_rejects_inputs_that_do_not_fit(change, message):
     model.gim.forward = model.cgm.slot_rows = branch_ran
     with pytest.raises(ValueError, match=message):
         impute_span(model, **args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_impute_span_rejects_a_non_finite_observed_value(bad):
+    model = tiny_model()
+    v, m, w, h, b = span_inputs(model, 2 * model.config.L)
+    m[5, 2] = m[9, 1] = 1.0
+    v[9, 1] = v[5, 2] = bad  # the first in step order is named
+
+    def branch_ran(*_args, **_kwargs):
+        raise AssertionError("a branch ran before the inputs were checked")
+
+    model.gim.forward = model.cgm.slot_rows = branch_ran
+    with pytest.raises(ValueError, match=r"observed value at step 5, node 2 is not finite"):
+        impute_span(model, v, m, w, h, b)
+
+
+@pytest.mark.parametrize(
+    "branches", [{}, {"use_cgm": False}, {"use_gim": False}], ids=["past", "wo-cgm", "wo-gim"]
+)
+def test_impute_span_reads_no_hidden_value(branches):
+    # a NaN under mask 0 imputes exactly as a 0 there
+    model = tiny_model(**branches)
+    v, m, w, h, b = span_inputs(model, 2 * model.config.L + 3, seed=2)
+    assert (m == 0.0).any()
+    out = impute_span(model, np.where(m == 1.0, v, np.nan), m, w, h, b)
+    assert np.array_equal(out, impute_span(model, np.where(m == 1.0, v, 0.0), m, w, h, b))
+    assert np.isfinite(out).all()
 
 
 @pytest.mark.parametrize(
