@@ -218,9 +218,14 @@ def _weighted_adjacency(weight, cols, drop, a: np.ndarray) -> np.ndarray:
 
 
 def _relu_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g * (out > 0) in scratch: the adjoint through relu."""
-    live = np.greater(out, 0.0, out=scratch(out.shape, bool))
-    return np.multiply(g, live, out=scratch(out.shape))
+    """g * (out > 0) in scratch: the adjoint through relu.
+
+    The mask is written as 0.0 and 1.0 straight into the adjoint's buffer
+    and multiplied by g in place: the products of g * mask, in one buffer.
+    """
+    gz = np.greater(out, 0.0, out=scratch(out.shape))
+    gz *= g
+    return gz
 
 
 def _summed_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
