@@ -26,10 +26,13 @@ in the per-layer hidden projection and the output head.
 
 Buffers (see ``numcore.tensor``): inside a pool (``train``,
 ``impute_span``) the last layer's pair rows (numcore ``concat``), the head
-and pooling products (numcore ``matmul``) and the gates' outputs and saved
-arrays are step buffers, handed out by position and valid until the pool's
-next rewind, under ``no_grad`` too, and the stream adjoints the gates and
-the head return are scratch; ``_GateSide`` lists its own.
+and pooling products (numcore ``matmul``) and the gates' outputs are step
+buffers, handed out by position and valid until the pool's next rewind,
+under ``no_grad`` too.  A gate saves nothing else: its projections,
+sigmoids, tanhs and updates are scratch, and its VJPs recompute what they
+read from the gate's inputs, which the tape keeps anyway.  The stream
+adjoints the gates and the head return are scratch; ``_GateSide`` lists
+its own.
 """
 from __future__ import annotations
 
@@ -106,75 +109,101 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
 
     Each stream's [projection | gate] comes from one GEMM against its
     concatenated weights.  The two outputs are two tape nodes sharing one
-    forward pass; saved for backward, per stream: the concatenated weights,
-    the projection next to the sigmoid of the gate, the tanh of the gate
-    and the product projection * sigmoid.  All but the weights are step
-    buffers, with or without a tape: making one side's node hands back no
-    array that the other side reads.
+    forward pass, and the outputs are all it keeps, with or without a tape:
+    the projections, sigmoids, tanhs and updates are scratch, and both
+    outputs go into step buffers before either node is made, since making
+    a node hands the scratch back.  Each node's VJP recomputes what it reads
+    (selective recompute, Chen et al. 2016, arXiv:1604.06174): its own
+    stream's [projection | sigmoid] and update, and the other stream's tanh,
+    each from that stream's full GEMM with the forward's numpy calls, so the
+    gradients have the bits of keeping them.  The tape keeps both streams'
+    inputs anyway.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
-    np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
+    shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
     side_s, side_t = _GateSide(s, w_sp, w_sg), _GateSide(t, w_tp, w_tg)
-    return side_s.node(side_t), side_t.node(side_s)
+    (update_s, tanh_s), (update_t, tanh_t) = side_s.gated(), side_t.gated()
+    out_s = np.multiply(update_s, tanh_t, out=step_buffer(shape))
+    out_s += s.data
+    out_t = np.multiply(update_t, tanh_s, out=step_buffer(shape))
+    out_t += t.data
+    return side_s.node(out_s, side_t), side_t.node(out_t, side_s)
 
 
 class _GateSide:
-    """One stream's half of a cross gate: v, [v W_p | sigmoid(v W_g)], tanh(v W_g).
+    """One stream's half of a cross gate: v and its weights [W_p | W_g].
 
-    The saved projections, tanh and product projection * sigmoid and the
-    output are step buffers; the VJP's intermediates and the stream adjoints
-    it returns, ``gv`` and ``go``, are scratch, and the weight adjoints are
-    fresh arrays that the tape adds into the parameters' accumulators.
+    It keeps nothing of the forward pass but the concatenated weights.
+    What ``gated`` and the VJP compute, and the stream adjoints the VJP
+    returns, ``gv`` and ``go``, are scratch; the weight adjoints are fresh
+    arrays that the tape adds into the parameters' accumulators.
     """
 
     def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
         self.v, self.w_p, self.w_g = v, w_p, w_g
-        rows, d = v.shape[:-1], v.shape[-1]
         self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
-        self.proj_sig = np.matmul(v.data, self.w_cat, out=step_buffer(rows + (2 * d,)))
-        self.proj = self.proj_sig[..., :d]
-        gate = self.proj_sig[..., d:]
-        self.tanh = np.tanh(gate, out=step_buffer(rows + (d,)))
-        self.sig = sigmoid(gate, out=gate)  # the raw gate is not needed again
-        self.update = np.multiply(self.proj, self.sig, out=step_buffer(rows + (d,)))
 
-    def node(self, other: "_GateSide") -> Tensor:
-        """v + (v W_p) * sigmoid(v W_g) * tanh(other's gate), as one tape node."""
-        v, d = self.v, self.v.shape[-1]
-        shape = np.broadcast_shapes(self.update.shape, other.tanh.shape)
-        out = np.multiply(self.update, other.tanh, out=step_buffer(shape))
-        out += v.data
+    def projected(self, out: np.ndarray | None = None) -> np.ndarray:
+        """[v W_p | v W_g]: one GEMM into ``out``, or into new scratch."""
+        if out is None:
+            out = scratch(self.v.shape[:-1] + (2 * self.v.shape[-1],))
+        return np.matmul(self.v.data, self.w_cat, out=out)
+
+    def tanh(self, proj_gate: np.ndarray) -> np.ndarray:
+        """tanh(v W_g) into new scratch, from ``projected``'s array."""
+        return np.tanh(proj_gate[..., self.v.shape[-1] :], out=scratch(self.v.shape))
+
+    def sigmoid(self, proj_gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v W_p, sigmoid(v W_g)), views of ``projected``'s array; the gate is overwritten."""
+        d = self.v.shape[-1]
+        return proj_gate[..., :d], sigmoid(proj_gate[..., d:], out=proj_gate[..., d:])
+
+    def gated(self) -> tuple[np.ndarray, np.ndarray]:
+        """(update (v W_p) * sigmoid(v W_g), tanh(v W_g)), both in scratch."""
+        proj_gate = self.projected()
+        tanh = self.tanh(proj_gate)
+        proj, sig = self.sigmoid(proj_gate)
+        return np.multiply(proj, sig, out=proj), tanh
+
+    def node(self, out: np.ndarray, other: "_GateSide") -> Tensor:
+        """The tape node of ``out`` = v + update * tanh(other's gate)."""
+        v, d, shape = self.v, self.v.shape[-1], out.shape
 
         def vjp(g):
-            # every array written below is scratch or allocated here; g and
-            # the saved forward arrays are only read
+            # g is only read; every array written below is scratch or
+            # allocated here, and a spent one is written again at its shape
             gv = go = gw_p = gw_g = gw_og = None
-            prod = np.multiply(g, other.tanh, out=scratch(shape))
-            g_update = _unbroadcast(prod, self.update.shape)
-            if v.requires_grad or self.w_p.requires_grad or self.w_g.requires_grad:
-                g_proj_sig = scratch(self.proj_sig.shape)
-                g_gate = g_proj_sig[..., d:]
-                np.multiply(g_update, self.sig, out=g_proj_sig[..., :d])
-                np.multiply(g_update, self.proj, out=g_gate)
-                g_gate *= self.sig
-                g_gate *= np.subtract(1.0, self.sig, out=g_update)  # g_update is spent
-                if v.requires_grad:
-                    gv = np.matmul(g_proj_sig, self.w_cat.T, out=scratch(v.shape))
-                    gv += _unbroadcast(g, v.shape)
-                if self.w_p.requires_grad or self.w_g.requires_grad:
-                    gw = _fold(v.data).T @ _fold(g_proj_sig)
-                    gw_p, gw_g = gw[:, :d], gw[:, d:]
+            spent = other.projected()
+            tanh_o = other.tanh(spent)
+            proj_sig = self.projected(spent if spent.shape[:-1] == v.shape[:-1] else None)
+            proj, sig = self.sigmoid(proj_sig)
+            prod = np.multiply(g, tanh_o, out=scratch(shape))
+            g_update = _unbroadcast(prod, v.shape)
+            own = scratch(v.shape)  # the update, then the gate's adjoint, then gv
             if other.v.requires_grad or other.w_g.requires_grad:
-                # prod is spent once reduced away; else a scratch of its own
-                spare = prod if g_update is not prod else scratch(shape)
-                g_tanh = _unbroadcast(np.multiply(g, self.update, out=spare), other.tanh.shape)
-                spare = g_update if g_update.shape == g_tanh.shape else None
-                dtanh = np.multiply(other.tanh, other.tanh, out=spare)
+                update = np.multiply(proj, sig, out=own)
+                full = update if v.shape == shape else prod  # prod is spent once reduced away
+                g_tanh = _unbroadcast(np.multiply(g, update, out=full), other.v.shape)
+                dtanh = np.multiply(tanh_o, tanh_o, out=tanh_o)  # tanh_o is spent
                 g_tanh *= np.subtract(1.0, dtanh, out=dtanh)
                 if other.v.requires_grad:
-                    go = np.matmul(g_tanh, other.w_g.data.T, out=scratch(other.v.shape))
+                    go = np.matmul(g_tanh, other.w_g.data.T, out=dtanh)
                 if other.w_g.requires_grad:
                     gw_og = _fold(other.v.data).T @ _fold(g_tanh)
+            if v.requires_grad or self.w_p.requires_grad or self.w_g.requires_grad:
+                # proj_sig becomes [g_update * sig | g_update * proj * sig * (1 - sig)],
+                # each half written once its own values are read
+                g_gate = np.multiply(g_update, proj, out=own)
+                g_gate *= sig
+                np.multiply(g_update, sig, out=proj)
+                one_minus_sig = np.subtract(1.0, sig, out=g_update)  # g_update is spent
+                np.multiply(g_gate, one_minus_sig, out=sig)
+                if v.requires_grad:
+                    gv = np.matmul(proj_sig, self.w_cat.T, out=own)  # the gate's adjoint is spent
+                    gv += _unbroadcast(g, v.shape)
+                if self.w_p.requires_grad or self.w_g.requires_grad:
+                    gw = _fold(v.data).T @ _fold(proj_sig)
+                    gw_p, gw_g = gw[:, :d], gw[:, d:]
             return gv, go, gw_p, gw_g, gw_og
 
         return Tensor._make(out, (v, other.v, self.w_p, self.w_g, other.w_g), vjp)

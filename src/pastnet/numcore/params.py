@@ -56,12 +56,6 @@ class ParamStore:
     def __getitem__(self, path: str) -> Tensor:
         return self._entries[path]
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def paths(self) -> list[str]:
         return sorted(self._entries)
 
@@ -76,9 +70,6 @@ class ParamStore:
             t.grad[...] = 0.0
 
     # ---- serialization support ----
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {p: t.data for p, t in self.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Overwrite parameter values in place; paths and shapes must match."""

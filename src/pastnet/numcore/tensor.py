@@ -37,7 +37,9 @@ Inside ``with no_grad():`` nothing is recorded: ``Tensor._make`` returns a
 plain tensor with no parents and no VJP, so ``backward()`` cannot reach
 anything computed there.  A kernel makes the same buffer requests as with
 recording on, so what it saves is a step buffer (below) either way, and
-its values are the same bits.  Inference runs this way.  The switch is a
+its values are the same bits.  A kernel may save nothing but its output
+and recompute the rest in its VJP, as cgm's cross gate does; then
+``no_grad`` holds no more than its output either.  Inference runs this way.  The switch is a
 context variable, so it holds for the current thread only, and the
 previous state comes back when the block exits, also by an exception.
 
@@ -141,10 +143,6 @@ class ScratchPool:
     def arena_buffers(self) -> list[Array]:
         """Every arena buffer, idle or handed out."""
         return self.idle + [flat for flat, _ in self.viewed.values()]
-
-    def values(self) -> list[Array]:
-        """Every buffer the pool holds."""
-        return self.steps + self.arena_buffers()
 
     def stats(self) -> dict[str, int]:
         """Bytes held as step buffers and in the arena, and the most the

@@ -17,7 +17,8 @@ and ``_batch_interval_dropout`` removes from it the edges gim's dropout
 draws: the dense references of the temporal kernel.
 
 ``poison_returned_buffers`` makes a read of a pool buffer after it was
-handed back change the result.
+handed back change the result.  ``param_arrays`` and ``pool_buffers`` read
+a parameter store's values and a pool's buffers.
 """
 import numpy as np
 
@@ -223,6 +224,16 @@ def check_kernel(kernel, reference, arrays, seed=0, fd_tol=1e-6):
     assert grad_check(loss_fn, store, n_samples=64) < fd_tol
 
 
+def param_arrays(params: ParamStore) -> dict[str, np.ndarray]:
+    """Each parameter's values by path: the store's own arrays, not copies."""
+    return {p: t.data for p, t in params.items()}
+
+
+def pool_buffers(pool: ScratchPool) -> list[np.ndarray]:
+    """Every buffer the pool holds: its step buffers, then its arena."""
+    return pool.steps + pool.arena_buffers()
+
+
 def _poison(view: np.ndarray, flat: np.ndarray) -> None:
     if view.dtype == bool:
         np.logical_not(view, out=view)
@@ -247,7 +258,7 @@ def poison_returned_buffers(monkeypatch) -> None:
         real_idle(pool, flat)
 
     def rewind(pool):
-        for flat in pool.values():  # nothing is read across a rewind
+        for flat in pool_buffers(pool):  # nothing is read across a rewind
             _poison(flat, flat)
         real_rewind(pool)
 

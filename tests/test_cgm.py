@@ -4,7 +4,15 @@ slot-path forward against the full (B, L, N, d) grid it replaces."""
 import numpy as np
 import pytest
 
-from kernel_check import check_kernel, logistic, mean, sigmoid, tanh
+from kernel_check import (
+    TOL,
+    check_kernel,
+    logistic,
+    mean,
+    poison_returned_buffers,
+    sigmoid,
+    tanh,
+)
 from pastnet import cgm
 from pastnet.cgm import CgmModule, cross_gate_layer, default_partition
 from pastnet.model import ModelConfig, PastModel, impute_span
@@ -179,9 +187,9 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
         arena = pool.arena_buffers()
         steps = pool.steps
     assert len(sides) == 2 * len(weights)
-    for side in sides:  # what the gate saves is a step buffer without a tape too
-        for saved in (side.proj_sig, side.tanh, side.update):
-            assert any(saved.base is buf for buf in steps)
+    # the gate keeps nothing but its outputs: they are the pool's step buffers
+    assert len(steps) == len(outs)
+    assert all(out.base is buf for out, buf in zip(outs, steps))
     for i, out in enumerate(outs):
         assert np.array_equal(out, recorded[i])
         assert all(not np.shares_memory(out, buf) for buf in arena)
@@ -211,6 +219,51 @@ def test_cross_gate_kernel_matches_composite(s_shape, t_shape):
     arrays = [rng.normal(size=s_shape), rng.normal(size=t_shape)]
     arrays += [rng.normal(size=(d, d)) for _ in range(4)]
     check_kernel(cross_gate_layer, cross_gate_reference, arrays, seed=len(s_shape))
+
+
+@pytest.mark.parametrize("differentiable", ["s", "t", "both"])
+@pytest.mark.parametrize("streams", ["broadcast", "full"])
+def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, differentiable):
+    # two gate layers in a pool that poisons every buffer handed back, every
+    # temporary from the arena: the forward keeps only its outputs and hands
+    # its projections, sigmoids, tanhs and updates back when each node is
+    # made, so a VJP that read one instead of recomputing it would see NaN.
+    # Only one stream's input and weights, or both streams', take adjoints,
+    # so each side's VJP also runs each half alone.  Two backward passes give
+    # the bits of the same layers outside any pool, and both match the
+    # composite reference.
+    monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", 0)
+    rng = np.random.default_rng(43)
+    d = 3
+    shapes = {"broadcast": [(1, 4, d), (5, 1, d)], "full": [(5, 4, d), (5, 4, d)]}[streams]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    arrays += [rng.normal(size=(d, d)) for _ in range(4)]  # w_sp, w_tp, w_sg, w_tg
+    wanted = {"s": (0, 2, 4), "t": (1, 3, 5), "both": range(6)}[differentiable]
+    cotangents = [rng.normal(size=(5, 4, d)) for _ in range(2)]
+
+    def two_layers(gate):
+        tensors = [Tensor(a.copy(), requires_grad=i in wanted) for i, a in enumerate(arrays)]
+        v_s, v_t, *weights = tensors
+        out_s, out_t = gate(*gate(v_s, v_t, *weights), *weights)
+        passes = []
+        for _ in range(2):
+            loss = (out_s * constant(cotangents[0])).sum() + (out_t * constant(cotangents[1])).sum()
+            loss.backward()
+            passes.append([t.grad for t in tensors if t.requires_grad])
+            for t in tensors:
+                t.grad = None
+        return passes
+
+    plain, again = two_layers(cross_gate_layer)
+    reference, _ = two_layers(cross_gate_reference)
+    poison_returned_buffers(monkeypatch)
+    with buffer_pool():
+        pooled = two_layers(cross_gate_layer)
+    assert len(plain) == len(wanted)
+    for grads in (again, *pooled):
+        assert all(g.tobytes() == p.tobytes() for g, p in zip(grads, plain, strict=True))
+    for g, r in zip(plain, reference, strict=True):
+        assert np.allclose(g, r, rtol=TOL, atol=TOL), np.max(np.abs(g - r))
 
 
 def test_forward_shapes_and_determinism():

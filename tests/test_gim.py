@@ -637,8 +637,8 @@ def test_spatial_kernel_outputs_never_alias_the_scratch_pool():
 
 def test_kernels_save_step_buffers_under_no_grad_too():
     # a kernel's requests do not depend on the tape: what it saves for its
-    # VJP (the temporal degrees and aggregate, the cross gate's projections,
-    # tanh and update) is a step buffer in a pool under no_grad as well
+    # VJP (the temporal degrees and aggregate) is a step buffer in a pool
+    # under no_grad as well; the cross gate saves nothing but its outputs
     rng = np.random.default_rng(33)
     L, G, d = 5, 3, 4
     temporal = (
@@ -648,8 +648,8 @@ def test_kernels_save_step_buffers_under_no_grad_too():
     )
     gate = (rng.normal(size=(1, 4, d)), rng.normal(size=(3, 1, d)),
             *(rng.normal(size=(d, d)) for _ in range(4)))
-    # the saved arrays plus the outputs: 2 + 1 and 2 x (3 + 1)
-    for kernel, args, requests in ((temporal_forward, temporal, 3), (cross_gate_layer, gate, 8)):
+    # the saved arrays plus the outputs: 2 + 1, and the gate's two outputs
+    for kernel, args, requests in ((temporal_forward, temporal, 3), (cross_gate_layer, gate, 2)):
         for tape in (contextlib.nullcontext(), no_grad()):
             with buffer_pool() as pool, tape:
                 kernel(*args)

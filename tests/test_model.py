@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pastnet.model as model_module
-from kernel_check import poison_returned_buffers
+from kernel_check import param_arrays, poison_returned_buffers, pool_buffers
 from pastnet import checkpoint
 from pastnet.checkpoint import load_checkpoint, save_checkpoint
 from pastnet.data import WindowBatch, synthesize_dataset, window_split
@@ -450,8 +450,8 @@ model = PastModel.build(ModelConfig(L=96, N=20, d=64, n=3, K=2, seed=0),
                         adjacency=build_spatial_adjacency(ds.n_nodes, ds.edges))
 model, history = train(model, windows, TrainConfig(lr=1e-2, batch_size=2, epochs=2, seed=0))
 print(json.dumps({"loss1": history.loss1, "loss2": history.loss2,
-                  "params": {p: hashlib.sha256(a.tobytes()).hexdigest()
-                             for p, a in model.params.state_arrays().items()}}))
+                  "params": {p: hashlib.sha256(t.data.tobytes()).hexdigest()
+                             for p, t in model.params.items()}}))
 """
 
 
@@ -583,7 +583,7 @@ def test_train_matches_a_hand_written_loop_outside_any_pool(model_kw, data_kw):
     trained, history = train(PastModel.build(config, adjacency=adjacency), windows, cfg)
     by_hand = PastModel.build(config, adjacency=adjacency)
     assert (history.loss1, history.loss2) == hand_trained(by_hand, windows, cfg)
-    a, b = trained.params.state_arrays(), by_hand.params.state_arrays()
+    a, b = param_arrays(trained.params), param_arrays(by_hand.params)
     assert list(a) == list(b) and all(a[p].tobytes() == b[p].tobytes() for p in a)
 
 
@@ -606,7 +606,7 @@ def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
     def step_and_look(params, state):
         adam_step(params, state)
         pool = _pool.get()
-        steps.append((pool.values(), list(handed), list(pool.idle), pool.viewed))
+        steps.append((pool_buffers(pool), list(handed), list(pool.idle), pool.viewed))
         handed.clear()
 
     monkeypatch.setattr(ScratchPool, "take", take_and_note)
@@ -650,7 +650,7 @@ def test_train_reads_no_buffer_after_handing_it_back(monkeypatch):
 
     def trained():
         model, history = train(PastModel.build(config, adjacency=ring_adjacency(20)), windows, cfg)
-        return (history.loss1, history.loss2), model.params.state_arrays()
+        return (history.loss1, history.loss2), param_arrays(model.params)
 
     plain_history, plain = trained()
     poison_returned_buffers(monkeypatch)
@@ -685,7 +685,7 @@ def test_impute_span_pool_holds_the_same_buffers_whatever_the_span(monkeypatch):
     def kept_pool():
         with real_pool() as pool:
             yield pool
-            held.append(sorted((buf.nbytes, buf.dtype.str) for buf in pool.values()))
+            held.append(sorted((buf.nbytes, buf.dtype.str) for buf in pool_buffers(pool)))
 
     monkeypatch.setattr(model_module, "buffer_pool", kept_pool)
     for windows in (2, 10):
@@ -701,7 +701,7 @@ def test_train_drops_its_pool_when_it_returns_or_raises(raises, monkeypatch):
 
     def step_and_watch(params, state):
         adam_step(params, state)
-        refs.extend(weakref.ref(buf) for buf in _pool.get().values())
+        refs.extend(weakref.ref(buf) for buf in pool_buffers(_pool.get()))
         if raises:
             raise RuntimeError("raised after a step")
 
@@ -1003,7 +1003,7 @@ def test_train_interleaved_with_impute_span_is_bit_identical(monkeypatch):
     model, history = train(model, train_w, cfg)
     assert len(calls) > 1 and not np.array_equal(calls[0], calls[-1])
     assert history.loss1 == plain_history.loss1 and history.loss2 == plain_history.loss2
-    a, b = plain.params.state_arrays(), model.params.state_arrays()
+    a, b = param_arrays(plain.params), param_arrays(model.params)
     assert all(np.array_equal(a[p], b[p]) for p in a)
 
 
@@ -1019,7 +1019,7 @@ def test_impute_span_rejects_short_series():
 
 def test_fresh_models_identically_seeded_are_identical():
     a, b = tiny_model(), tiny_model()
-    sa, sb = a.params.state_arrays(), b.params.state_arrays()
+    sa, sb = param_arrays(a.params), param_arrays(b.params)
     assert sorted(sa) == sorted(sb)
     assert all(np.array_equal(sa[p], sb[p]) for p in sa)
 
@@ -1035,7 +1035,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
     assert loaded.config == model.config
     assert loaded.norm_stats == model.norm_stats
-    orig, back = model.params.state_arrays(), loaded.params.state_arrays()
+    orig, back = param_arrays(model.params), param_arrays(loaded.params)
     assert sorted(orig) == sorted(back)
     assert all(np.array_equal(orig[p], back[p]) for p in orig)
     for p0, p1 in zip(model.spatial_op.normalized_powers, loaded.spatial_op.normalized_powers):
@@ -1091,7 +1091,7 @@ def test_checkpoint_with_legacy_optimizer_state_loads_bitwise(tmp_path):
     loaded = load_checkpoint(legacy)
 
     assert loaded.config == model.config and loaded.norm_stats == model.norm_stats
-    orig, back = model.params.state_arrays(), loaded.params.state_arrays()
+    orig, back = param_arrays(model.params), param_arrays(loaded.params)
     assert sorted(orig) == sorted(back)
     assert all(np.array_equal(orig[p], back[p]) for p in orig)
     v, m, w, h, b = random_window_inputs(model.config, batch=2, seed=7)
@@ -1135,7 +1135,7 @@ def test_checkpoint_config_value_of_wrong_type_raises(tmp_path):
 
 
 def same_model(a, b):
-    sa, sb = a.params.state_arrays(), b.params.state_arrays()
+    sa, sb = param_arrays(a.params), param_arrays(b.params)
     return (
         a.config == b.config
         and a.norm_stats == b.norm_stats

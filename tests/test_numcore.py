@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pastnet.numcore
-from kernel_check import broadcast_to, divide, mean, relu, sigmoid, softplus, tanh
+from kernel_check import broadcast_to, divide, mean, pool_buffers, relu, sigmoid, softplus, tanh
 from pastnet.numcore import (
     AdamState,
     EmptyMaskError,
@@ -454,9 +454,9 @@ def test_step_buffers_outside_a_training_pool_are_fresh(monkeypatch):
 
     def impute_then_step(params, state):
         pool = _pool.get()
-        held = [(buf, buf.tobytes()) for buf in pool.values()]
+        held = [(buf, buf.tobytes()) for buf in pool_buffers(pool)]
         impute_span(model, values, masks, **calendar)
-        now = pool.values()
+        now = pool_buffers(pool)
         intact.append(
             _pool.get() is pool and len(now) == len(held)
             and all(a is buf and a.tobytes() == data for a, (buf, data) in zip(now, held))
@@ -494,7 +494,7 @@ def test_training_pool_is_dropped_when_its_block_exits(raises):
         with buffer_pool():
             step_buffer((64, 64))
             scratch((128, 128))
-            refs.extend(weakref.ref(buf) for buf in _pool.get().values())
+            refs.extend(weakref.ref(buf) for buf in pool_buffers(_pool.get()))
             if raises:
                 raise RuntimeError("raised inside buffer_pool")
     assert len(refs) == 2 and all(r() is None for r in refs) and _pool.get() is None
