@@ -220,8 +220,8 @@ def _weighted_adjacency(weight, cols, drop, a: np.ndarray) -> np.ndarray:
 def _relu_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """g * (out > 0) in scratch: the adjoint through relu.
 
-    The mask is written as 0.0 and 1.0 straight into the adjoint's buffer
-    and multiplied by g in place: the products of g * mask, in one buffer.
+    The 0/1 mask goes straight into the adjoint's float buffer and is
+    multiplied by g in place, which gives the products of g * mask.
     """
     gz = np.greater(out, 0.0, out=scratch(out.shape))
     gz *= g

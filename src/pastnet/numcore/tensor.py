@@ -39,9 +39,10 @@ anything computed there.  A kernel makes the same buffer requests as with
 recording on, so what it saves is a step buffer (below) either way, and
 its values are the same bits.  A kernel may save nothing but its output
 and recompute the rest in its VJP, as cgm's cross gate does; then
-``no_grad`` holds no more than its output either.  Inference runs this way.  The switch is a
-context variable, so it holds for the current thread only, and the
-previous state comes back when the block exits, also by an exception.
+``no_grad`` holds no more than its output either.  Inference runs this
+way.  The switch is a context variable, so it holds for the current
+thread only, and the previous state comes back when the block exits,
+also by an exception.
 
 Buffer pool: ``buffer_pool()`` opens one ``ScratchPool`` for the current
 thread, in a second context variable, so that kernels reuse buffers instead
