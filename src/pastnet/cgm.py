@@ -28,14 +28,16 @@ Buffers (see ``numcore.tensor``): inside a pool (``train``,
 ``impute_span``) the last layer's pair rows (numcore ``concat``), the head
 and pooling products (numcore ``matmul``) and the gates' outputs are step
 buffers, handed out by position and valid until the pool's next rewind,
-under ``no_grad`` too.  A gate saves nothing else: its projections,
-sigmoids, tanhs and updates are scratch, and its VJPs recompute what they
-read from the gate's inputs, which the tape keeps anyway.  The stream
-adjoints the gates and the head return are scratch; ``_GateSide`` lists
-its own.
+under ``no_grad`` too.  A gate saves nothing else: each layer is one tape
+node with two outputs, its projections, gates, sigmoids, tanhs and
+updates are scratch, and its one VJP recomputes them once per stream from
+the gate's inputs, which the tape keeps anyway.  The stream adjoints the
+gates and the head return are scratch; a gate's weight adjoints are new
+(d, d) arrays.
 """
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,106 +109,136 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     and both outputs take the broadcast shape, so a (1, 1, N, d) node stream
     and a (B, L, 1, d) timestamp stream cost N and B*L rows of projection.
 
-    Each stream's [projection | gate] comes from one GEMM against its
-    concatenated weights.  The two outputs are two tape nodes sharing one
-    forward pass, and the outputs are all it keeps, with or without a tape:
-    the projections, sigmoids, tanhs and updates are scratch, and both
-    outputs go into step buffers before either node is made, since making
-    a node hands the scratch back.  Each node's VJP recomputes what it reads
-    (selective recompute, Chen et al. 2016, arXiv:1604.06174): its own
-    stream's [projection | sigmoid] and update, and the other stream's tanh,
-    each from that stream's full GEMM with the forward's numpy calls, so the
-    gradients have the bits of keeping them.  The tape keeps both streams'
-    inputs anyway.
+    Each stream's projection and gate are two contiguous arrays from two
+    GEMMs at the stream's own batching, which give the bits of one GEMM
+    against [W_p | W_g].  The layer is one tape node with two outputs, and
+    the outputs are all it keeps, with or without a tape: the projections,
+    gates, sigmoids, tanhs and updates are scratch, handed back when the
+    node is made.  Its one VJP receives both outputs' adjoints and
+    recomputes each stream's projection, gate, sigmoid, tanh and update
+    once from the inputs, which the tape keeps anyway (selective recompute, Chen et al.
+    2016, arXiv:1604.06174); it returns one adjoint per input.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
-    side_s, side_t = _GateSide(s, w_sp, w_sg), _GateSide(t, w_tp, w_tg)
-    (update_s, tanh_s), (update_t, tanh_t) = side_s.gated(), side_t.gated()
+    streams = (_Stream(s, w_sp, w_sg), _Stream(t, w_tp, w_tg))
+    ((update_s, _), tanh_s), ((update_t, _), tanh_t) = (x.gated() for x in streams)
     out_s = np.multiply(update_s, tanh_t, out=step_buffer(shape))
     out_s += s.data
     out_t = np.multiply(update_t, tanh_s, out=step_buffer(shape))
     out_t += t.data
-    return side_s.node(out_s, side_t), side_t.node(out_t, side_s)
+
+    def vjp(g_s, g_t):
+        (gs, gw_sp, gw_sg), (gt, gw_tp, gw_tg) = _gate_adjoints(streams, shape, (g_s, g_t))
+        return gs, gt, gw_sp, gw_tp, gw_sg, gw_tg
+
+    return Tensor._make((out_s, out_t), (s, t, w_sp, w_tp, w_sg, w_tg), vjp)
 
 
-class _GateSide:
-    """One stream's half of a cross gate: v and its weights [W_p | W_g].
-
-    It keeps nothing of the forward pass but the concatenated weights.
-    What ``gated`` and the VJP compute, and the stream adjoints the VJP
-    returns, ``gv`` and ``go``, are scratch; the weight adjoints are fresh
-    arrays that the tape adds into the parameters' accumulators.
-    """
+class _Stream:
+    """One stream of a cross gate: v and its projection and gate weights."""
 
     def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
         self.v, self.w_p, self.w_g = v, w_p, w_g
-        self.w_cat = np.concatenate([w_p.data, w_g.data], axis=1)
+        self.needs_grad = v.requires_grad or w_p.requires_grad or w_g.requires_grad
 
-    def projected(self, out: np.ndarray | None = None) -> np.ndarray:
-        """[v W_p | v W_g]: one GEMM into ``out``, or into new scratch."""
-        if out is None:
-            out = scratch(self.v.shape[:-1] + (2 * self.v.shape[-1],))
-        return np.matmul(self.v.data, self.w_cat, out=out)
+    def gated(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """((update, sigmoid(v W_g)), tanh(v W_g)), three scratch arrays of
+        v's shape; update = (v W_p) * sigmoid(v W_g)."""
+        v = self.v
+        proj = np.matmul(v.data, self.w_p.data, out=scratch(v.shape))
+        gate = np.matmul(v.data, self.w_g.data, out=scratch(v.shape))
+        tanh = np.tanh(gate, out=scratch(v.shape))
+        sig = sigmoid(gate, out=gate)
+        np.multiply(proj, sig, out=proj)
+        return (proj, sig), tanh
 
-    def tanh(self, proj_gate: np.ndarray) -> np.ndarray:
-        """tanh(v W_g) into new scratch, from ``projected``'s array."""
-        return np.tanh(proj_gate[..., self.v.shape[-1] :], out=scratch(self.v.shape))
+    def adjoints(self, g, d_p, d_g, out):
+        """(adjoint of v, of W_p, of W_g) from g, the adjoint of v's output
+        (or None), and those of v W_p (or None) and v W_g.  The stream's
+        adjoint goes into ``out``, scratch of v's shape; ``d_g`` is spent."""
+        v, w_p, w_g = self.v, self.w_p, self.w_g
+        gw_p = _fold(v.data).T @ _fold(d_p) if w_p.requires_grad and d_p is not None else None
+        gw_g = _fold(v.data).T @ _fold(d_g) if w_g.requires_grad else None
+        if not v.requires_grad:
+            return None, gw_p, gw_g
+        gv = np.matmul(d_g, w_g.data.T, out=out)
+        if d_p is not None:
+            gv += np.matmul(d_p, w_p.data.T, out=d_g)
+        if g is not None:
+            gv += _unbroadcast(g, v.shape)
+        return gv, gw_p, gw_g
 
-    def sigmoid(self, proj_gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(v W_p, sigmoid(v W_g)), views of ``projected``'s array; the gate is overwritten."""
-        d = self.v.shape[-1]
-        return proj_gate[..., :d], sigmoid(proj_gate[..., d:], out=proj_gate[..., d:])
 
-    def gated(self) -> tuple[np.ndarray, np.ndarray]:
-        """(update (v W_p) * sigmoid(v W_g), tanh(v W_g)), both in scratch."""
-        proj_gate = self.projected()
-        tanh = self.tanh(proj_gate)
-        proj, sig = self.sigmoid(proj_gate)
-        return np.multiply(proj, sig, out=proj), tanh
+def _gate_adjoints(streams, shape, adjoints):
+    """Each stream's (adjoint of v, of W_p, of W_g) from the adjoints of the
+    gate's two outputs of ``shape`` (each may be None).
 
-    def node(self, out: np.ndarray, other: "_GateSide") -> Tensor:
-        """The tape node of ``out`` = v + update * tanh(other's gate)."""
-        v, d, shape = self.v, self.v.shape[-1], out.shape
+    Recomputes both streams' updates, sigmoids and tanhs (6 arrays of a
+    stream's shape), and ``_pass_back`` turns them into the adjoints of
+    v W_p and v W_g in place.  Its one temporary has the output's shape when
+    a stream broadcasts, since its terms are sums over the output; for
+    streams of one shape every term is elementwise, and it runs a block of
+    leading rows at a time through a temporary of one block.
+    """
+    gated = [x.gated() for x in streams]
+    if streams[0].v.shape == streams[1].v.shape:
+        step = max(1, _PASS_BACK_ELEMENTS // math.prod(shape[1:]))
+        blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+        tmp = scratch((min(step, shape[0]),) + shape[1:])
+    else:
+        blocks, tmp = [slice(None)], scratch(shape)
+    for rows in blocks:
+        for x, y in ((0, 1), (1, 0)):
+            if adjoints[x] is not None:
+                g = adjoints[x][rows]
+                (u, sig), tanh_y = (a[rows] for a in gated[x][0]), gated[y][1][rows]
+                pass_x, pass_y = streams[x].needs_grad, streams[y].needs_grad
+                _pass_back(g, u, sig, tanh_y, tmp[: g.shape[0]], pass_x, pass_y)
+    grads = []
+    for x, stream in enumerate(streams):
+        (u, sig), tanh = gated[x]
+        if not stream.needs_grad:
+            grads.append((None, None, None))
+        elif adjoints[x] is None:  # only the other output's adjoint reaches this stream
+            grads.append(stream.adjoints(None, None, tanh, out=u))
+        else:
+            if adjoints[1 - x] is not None:
+                u += tanh
+            grads.append(stream.adjoints(adjoints[x], sig, u, out=tanh))
+    return grads
 
-        def vjp(g):
-            # g is only read; every array written below is scratch or
-            # allocated here, and a spent one is written again at its shape
-            gv = go = gw_p = gw_g = gw_og = None
-            spent = other.projected()
-            tanh_o = other.tanh(spent)
-            proj_sig = self.projected(spent if spent.shape[:-1] == v.shape[:-1] else None)
-            proj, sig = self.sigmoid(proj_sig)
-            prod = np.multiply(g, tanh_o, out=scratch(shape))
-            g_update = _unbroadcast(prod, v.shape)
-            own = scratch(v.shape)  # the update, then the gate's adjoint, then gv
-            if other.v.requires_grad or other.w_g.requires_grad:
-                update = np.multiply(proj, sig, out=own)
-                full = update if v.shape == shape else prod  # prod is spent once reduced away
-                g_tanh = _unbroadcast(np.multiply(g, update, out=full), other.v.shape)
-                dtanh = np.multiply(tanh_o, tanh_o, out=tanh_o)  # tanh_o is spent
-                g_tanh *= np.subtract(1.0, dtanh, out=dtanh)
-                if other.v.requires_grad:
-                    go = np.matmul(g_tanh, other.w_g.data.T, out=dtanh)
-                if other.w_g.requires_grad:
-                    gw_og = _fold(other.v.data).T @ _fold(g_tanh)
-            if v.requires_grad or self.w_p.requires_grad or self.w_g.requires_grad:
-                # proj_sig becomes [g_update * sig | g_update * proj * sig * (1 - sig)],
-                # each half written once its own values are read
-                g_gate = np.multiply(g_update, proj, out=own)
-                g_gate *= sig
-                np.multiply(g_update, sig, out=proj)
-                one_minus_sig = np.subtract(1.0, sig, out=g_update)  # g_update is spent
-                np.multiply(g_gate, one_minus_sig, out=sig)
-                if v.requires_grad:
-                    gv = np.matmul(proj_sig, self.w_cat.T, out=own)  # the gate's adjoint is spent
-                    gv += _unbroadcast(g, v.shape)
-                if self.w_p.requires_grad or self.w_g.requires_grad:
-                    gw = _fold(v.data).T @ _fold(proj_sig)
-                    gw_p, gw_g = gw[:, :d], gw[:, d:]
-            return gv, go, gw_p, gw_g, gw_og
 
-        return Tensor._make(out, (v, other.v, self.w_p, self.w_g, other.w_g), vjp)
+_PASS_BACK_ELEMENTS = 8192  # rows of about 64 KiB per block, at least one
+
+
+def _pass_back(g, u, sig, tanh_y, tmp, pass_x, pass_y):
+    """What out_x = v_x + u * tanh_y passes back from its adjoint g, in place.
+
+    u = (v_x W_p) * sig with sig = sigmoid(v_x W_g), and du = g * tanh_y.
+    With ``pass_x``, sig becomes v_x W_p's adjoint du * sig and u v_x W_g's
+    adjoint through u, du * u * (1 - sig); with ``pass_y``, tanh_y becomes
+    v_y W_g's adjoint through tanh_y, (1 - tanh_y^2) * g * u.  A product is
+    summed down to the shape of the array it goes into, through ``tmp``
+    (scratch of g's shape).  g is only read.
+    """
+    summed = pass_y and tanh_y.shape != g.shape
+    if summed:  # before tmp holds du
+        g_u = _unbroadcast(np.multiply(g, u, out=tmp), tanh_y.shape)
+    if pass_x:
+        du = _unbroadcast(np.multiply(g, tanh_y, out=tmp), u.shape)
+    if pass_y:
+        np.multiply(tanh_y, tanh_y, out=tanh_y)
+        np.subtract(1.0, tanh_y, out=tanh_y)
+        if summed:
+            tanh_y *= g_u
+        else:
+            tanh_y *= g
+            tanh_y *= u
+    if pass_x:
+        sig *= du
+        du -= sig  # du * (1 - sig)
+        u *= du
 
 
 def _fold(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,15 @@ without one gets a writable copy of its first contribution.
 
 Layer kernels with hand-written VJPs live next to their models in gim and
 cgm (vertex embedding, temporal aggregation, spatial mixing, cross gate),
-each one or two tape nodes built with ``Tensor._make``.  A VJP reads only
+each one tape node built with ``Tensor._make``.  A kernel with two outputs
+(the cross gate's two streams) hands ``_make`` a tuple of arrays and gets
+one tensor per output, whose only parent is the kernel's node.
+``backward()`` calls no VJP for such an output: it hands the output's
+complete adjoint on to the kernel node, which runs its one VJP after all
+of its outputs, with one adjoint per output and ``None`` for an output no
+consumer reached.  The tape still owns the adjoints it hands on: the VJP
+only reads them, and ``backward()`` releases them all when the VJP
+returns, as it releases a one-output node's adjoint.  A VJP reads only
 its inputs, what its forward pass saved and its own scratch, and writes
 only into arrays it allocated or took as scratch in that call, so
 ``backward()`` can run more than once.
@@ -318,7 +326,10 @@ class Tensor:
     ``data`` is always a float64 ndarray.  ``grad`` is lazily allocated for
     interior nodes; leaf parameters keep a persistent accumulator managed by
     their store.  ``_vjp`` maps the node's adjoint to a tuple of parent
-    adjoints (``None`` for parents that do not need one).
+    adjoints (``None`` for parents that do not need one).  A kernel node
+    with several outputs holds no value, and while ``backward()`` runs its
+    ``grad`` is the list of its outputs' adjoints; each output's ``_vjp``
+    is an ``_Output``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -353,16 +364,31 @@ class Tensor:
     # ---- graph construction ----
 
     @staticmethod
-    def _make(data: Array, parents: tuple["Tensor", ...], vjp) -> "Tensor":
+    def _make(data, parents: tuple["Tensor", ...], vjp):
+        """The tape node of ``data``, computed from ``parents``.
+
+        ``vjp(g)`` maps the node's adjoint to one adjoint (or ``None``) per
+        parent.  ``data`` may instead be a tuple of arrays, a kernel's
+        outputs: then one tensor comes back per output, and ``backward()``
+        calls ``vjp(g_0, g_1, ...)`` once, with every output's complete
+        adjoint, ``None`` for one that no consumer reached.
+        """
         pool = _pool.get()
         if pool is not None:
             pool.settle()  # the kernel that made ``data`` is done with its scratch
+        several = isinstance(data, tuple)
         if not (_recording.get() and any(p.requires_grad for p in parents)):
-            return Tensor(data)
-        out = Tensor(data, requires_grad=True)
-        out._parents = parents
-        out._vjp = vjp
-        return out
+            return tuple(Tensor(d) for d in data) if several else Tensor(data)
+        node = Tensor(np.empty(0) if several else data, requires_grad=True)
+        node._parents = parents
+        node._vjp = vjp
+        if not several:
+            return node
+        outs = tuple(Tensor(d, requires_grad=True) for d in data)
+        for k, out in enumerate(outs):
+            out._parents = (node,)
+            out._vjp = _Output(k, len(outs))
+        return outs
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable ``.grad``.
@@ -372,8 +398,10 @@ class Tensor:
         receives a fresh writable array.  Interior adjoints may be views
         shared with other nodes: a second contribution is added in place
         only into an arena buffer that the node alone views, else out of
-        place.  Inside a pool, every arena buffer goes back once the last
-        interior adjoint viewing it is consumed.
+        place.  An output of a kernel node hands its adjoint on, and the
+        kernel's VJP runs once with every output's adjoint.  Inside a pool,
+        every arena buffer goes back once the last interior adjoint viewing
+        it is consumed.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -402,7 +430,16 @@ class Tensor:
             for node in reversed(topo):
                 if node._vjp is None or node.grad is None:
                     continue
-                for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if type(node._vjp) is _Output:  # hand the adjoint on to the kernel node
+                    kernel, k = node._parents[0], node._vjp.index
+                    if kernel.grad is None:
+                        kernel.grad = [None] * node._vjp.count
+                    kernel.grad[k] = node.grad  # the kernel node releases it
+                    if node is not self:
+                        node.grad = None
+                    continue
+                adjoints = node.grad if type(node.grad) is list else (node.grad,)
+                for parent, g in zip(node._parents, node._vjp(*adjoints)):
                     if g is None or not parent.requires_grad:
                         continue
                     if parent._vjp is None:  # a leaf
@@ -422,7 +459,9 @@ class Tensor:
                         pool.hold(total)
                 pool.settle()
                 if node is not self:
-                    pool.release(node.grad)
+                    for g in adjoints:
+                        if g is not None:
+                            pool.release(g)
                     node.grad = None  # free interior adjoints as soon as consumed
         finally:
             pool.finish()
@@ -504,6 +543,19 @@ class Tensor:
             return (np.transpose(g, inverse),)
 
         return Tensor._make(data, (a,), vjp)
+
+
+class _Output:
+    """The ``_vjp`` of output ``index`` of a kernel node with ``count`` outputs.
+
+    The output's only parent is the kernel node.  ``backward()`` calls no VJP
+    for it: it hands the output's complete adjoint to the kernel node.
+    """
+
+    __slots__ = ("index", "count")
+
+    def __init__(self, index: int, count: int):
+        self.index, self.count = index, count
 
 
 def _wrap(x) -> Tensor:

@@ -1,11 +1,12 @@
 """Shared checks for the fused layer kernels of gim and cgm.
 
-A kernel is one or two tape nodes with a hand-written VJP.  ``check_kernel``
-compares it with a composite reference built from numcore primitives: the
-forward values and every parent adjoint must agree to 1e-12.  It also runs a
-finite-difference check through the kernel, hands it the read-only
-broadcast adjoint that ``sum()`` produces, and backpropagates twice through
-one graph, which must give the same gradients both times.
+A kernel is one tape node, with one or two outputs, and a hand-written
+VJP.  ``check_kernel`` compares it with a composite reference built from
+numcore primitives: the forward values and every parent adjoint must agree
+to 1e-12.  It also runs a finite-difference check through the kernel,
+hands it the read-only broadcast adjoint that ``sum()`` produces, and
+backpropagates twice through one graph, which must give the same gradients
+both times.
 
 The composite references use operations the library does not run: the four
 activations, division, ``mean`` and ``broadcast_to``.  They are defined here

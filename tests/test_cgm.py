@@ -164,14 +164,14 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
     d = 3
     weights = [[constant(rng.normal(size=(d, d))) for _ in range(4)] for _ in range(3)]
     node, stamp = rng.normal(size=(1, 4, d)), rng.normal(size=(5, 1, d))
-    sides = []
-    made = cgm._GateSide.__init__
+    streams = []
+    made = cgm._Stream.__init__
 
-    def recorded_side(side, *args):
-        made(side, *args)
-        sides.append(side)
+    def recorded_stream(stream, *args):
+        made(stream, *args)
+        streams.append(stream)
 
-    monkeypatch.setattr(cgm._GateSide, "__init__", recorded_side)
+    monkeypatch.setattr(cgm._Stream, "__init__", recorded_stream)
 
     def layers():
         outs, s, t = [], node, stamp
@@ -181,12 +181,12 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
         return outs
 
     recorded = layers()
-    sides.clear()
+    streams.clear()
     with buffer_pool() as pool, no_grad():
         outs = layers()
         arena = pool.arena_buffers()
         steps = pool.steps
-    assert len(sides) == 2 * len(weights)
+    assert len(streams) == 2 * len(weights)
     # the gate keeps nothing but its outputs: they are the pool's step buffers
     assert len(steps) == len(outs)
     assert all(out.base is buf for out, buf in zip(outs, steps))
@@ -226,12 +226,13 @@ def test_cross_gate_kernel_matches_composite(s_shape, t_shape):
 def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, differentiable):
     # two gate layers in a pool that poisons every buffer handed back, every
     # temporary from the arena: the forward keeps only its outputs and hands
-    # its projections, sigmoids, tanhs and updates back when each node is
-    # made, so a VJP that read one instead of recomputing it would see NaN.
+    # its projections, sigmoids, tanhs and updates back when the layer's
+    # node is made, so a VJP that read one instead of recomputing it would
+    # see NaN.
     # Only one stream's input and weights, or both streams', take adjoints,
-    # so each side's VJP also runs each half alone.  Two backward passes give
-    # the bits of the same layers outside any pool, and both match the
-    # composite reference.
+    # so the VJP also passes back through each stream alone.  Two backward
+    # passes give the bits of the same layers outside any pool, and both
+    # match the composite reference.
     monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", 0)
     rng = np.random.default_rng(43)
     d = 3
@@ -264,6 +265,59 @@ def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, diffe
         assert all(g.tobytes() == p.tobytes() for g, p in zip(grads, plain, strict=True))
     for g, r in zip(plain, reference, strict=True):
         assert np.allclose(g, r, rtol=TOL, atol=TOL), np.max(np.abs(g - r))
+
+
+def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypatch):
+    # each cross-gate layer is one tape node with two outputs: over one
+    # train() step each stream's projection and gate product run once
+    # forward and once in the layer's one VJP call, which returns exactly
+    # one adjoint for each of the layer's six inputs
+    from pastnet.data import WindowBatch
+    from pastnet.model import TrainConfig, train
+
+    L, N, n = 12, 3, 3
+    model = PastModel.build(ModelConfig(L=L, N=N, d=8, n=n, K=1, seed=4),
+                            adjacency=np.ones((N, N)) - np.eye(N))
+    gated = []
+    real_gated = cgm._Stream.gated
+
+    def counted(stream):
+        gated.append(stream.w_p)
+        return real_gated(stream)
+
+    adjoints = []  # per gate VJP call: the node's inputs and what it returned for each
+    real_layer = cgm.cross_gate_layer
+
+    def recorded_layer(*args):
+        out_s, out_t = real_layer(*args)
+        (node,) = out_s._parents
+        assert out_t._parents == (node,)
+        real_vjp = node._vjp
+
+        def vjp(*gs):
+            grads = real_vjp(*gs)
+            adjoints.append(list(zip(node._parents, grads, strict=True)))
+            return grads
+
+        node._vjp = vjp
+        return out_s, out_t
+
+    monkeypatch.setattr(cgm._Stream, "gated", counted)
+    monkeypatch.setattr(cgm, "cross_gate_layer", recorded_layer)
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(2, L, N))
+    t = np.arange(2 * L).reshape(2, L)
+    windows = WindowBatch(values, (rng.random((2, L, N)) < 0.7).astype(float),
+                          t // 96 % 7, t // 4 % 24, t % 4, np.array([0, L]))
+    train(model, windows, TrainConfig(lr=1e-2, batch_size=2, epochs=1))
+    p = model.params
+    for i in range(n):
+        for name in ("W_sp", "W_tp"):
+            assert sum(w is p[f"cgm/layer{i}/{name}"] for w in gated) == 2
+    assert len(gated) == 4 * n
+    assert len(adjoints) == n
+    inputs = [parent for call in adjoints for parent, g in call if g is not None]
+    assert len(inputs) == 6 * n and len({id(x) for x in inputs}) == 6 * n
 
 
 def test_forward_shapes_and_determinism():

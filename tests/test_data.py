@@ -1,6 +1,7 @@
 """Dataset construction, transforms, calendar features, windowing, file IO."""
 import hashlib
 import json
+import pathlib
 import re
 import warnings
 
@@ -456,3 +457,84 @@ def test_graph_json_integer_valued_floats_still_load(tmp_path):
         json.dump(meta, fh)
     loaded = load_dataset(vpath, gpath)
     assert loaded.step_minutes == expected.step_minutes and loaded.edges == expected.edges
+
+
+# ---- text formats under mutation ----
+
+FUZZ_TOKENS = (b"nan", b"inf", b"-inf", b"null", b"[]", b"NaN", b"1e999")
+
+
+def mutations(blob: bytes, count: int, seed: int):
+    """``count`` mutated copies of ``blob``: 1-3 byte flips, a truncation, a
+    deleted run of 1-8 bytes, or one of ``FUZZ_TOKENS`` inserted or written
+    over the bytes at a random position."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        b = bytearray(blob)
+        kind = rng.integers(5)
+        at = int(rng.integers(len(b)))
+        if kind == 0:
+            for _ in range(rng.integers(1, 4)):
+                b[rng.integers(len(b))] = rng.integers(256)
+        elif kind == 1:
+            del b[at:]
+        elif kind == 2:
+            del b[at : at + rng.integers(1, 9)]
+        else:
+            token = FUZZ_TOKENS[rng.integers(len(FUZZ_TOKENS))]
+            b[at : at + (len(token) if kind == 3 else 0)] = token
+        yield bytes(b)
+
+
+def load_checked(kind: str, paths: dict) -> None:
+    """Load one file set as the CLI and harness do and check what the model
+    relies on; a ValueError passes through."""
+    from pastnet.harness import _model_config, _train_config, load_plan
+    from pastnet.masking import load_mask_csv
+
+    if kind == "mask":
+        mask = load_mask_csv(paths["mask"])
+        assert mask.ndim == 2 and np.isin(mask, (0.0, 1.0)).all()
+    elif kind == "plan":
+        plan = load_plan(paths["plan"])
+        for method in plan.methods:
+            _model_config(plan, 4, method)
+        for scenario in plan.scenarios:
+            _train_config(plan, scenario)
+    else:
+        ds = load_dataset(paths["values"], paths["graph"])
+        assert ds.values.ndim == 2 and np.isfinite(ds.values).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # "all edge distances equal"
+            adjacency = build_spatial_adjacency(ds.n_nodes, ds.edges)
+        assert np.isfinite(adjacency).all() and (adjacency >= 0).all()
+
+
+@pytest.mark.parametrize("kind", ["values", "mask", "graph", "plan"])
+def test_mutated_text_files_raise_value_error_or_load_checked_data(kind, tmp_path):
+    # no checksum guards these formats, so a mutated file may load other
+    # values; it must then still pass every check the model relies on
+    from pastnet.masking import save_mask_csv
+
+    ds = synthesize_dataset(4, 2, step_minutes=240, seed=1)  # 12 steps
+    paths = {k: str(tmp_path / f"{k}.txt") for k in ("values", "mask", "graph", "plan")}
+    save_values_csv(paths["values"], ds.values, ds.node_ids)
+    save_mask_csv(paths["mask"], np.random.default_rng(0).random(ds.values.shape) < 0.7,
+                  ds.node_ids)
+    save_graph_json(paths["graph"], ds)
+    plan = pathlib.Path(__file__).resolve().parents[1] / "plans" / "desk_plan.json"
+    pathlib.Path(paths["plan"]).write_bytes(plan.read_bytes())
+    load_checked(kind, paths)  # the intact files load
+    with open(paths[kind], "rb") as fh:
+        blob = fh.read()
+    outcomes = {"raised": 0, "loaded": 0}
+    for mutated in mutations(blob, 400, seed=len(kind)):
+        with open(paths[kind], "wb") as fh:
+            fh.write(mutated)
+        try:
+            load_checked(kind, paths)
+        except ValueError:
+            outcomes["raised"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["raised"] > 0 and outcomes["loaded"] > 0, outcomes

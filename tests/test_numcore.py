@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import pastnet.numcore
-from kernel_check import broadcast_to, divide, mean, pool_buffers, relu, sigmoid, softplus, tanh
+from kernel_check import (
+    broadcast_to,
+    divide,
+    mean,
+    poison_returned_buffers,
+    pool_buffers,
+    relu,
+    sigmoid,
+    softplus,
+    tanh,
+)
 from pastnet.numcore import (
     AdamState,
     EmptyMaskError,
@@ -32,6 +42,7 @@ from pastnet.numcore import (
     scratch,
     step_buffer,
 )
+from pastnet.numcore import tensor as tensor_module
 from pastnet.numcore.tensor import ScratchPool, _pool
 
 
@@ -635,6 +646,109 @@ def test_backward_that_raises_leaves_no_buffer_counted():
         with pytest.raises(RuntimeError, match="inside a VJP"):
             ((broken + (h @ w).sum()) * 1.0).backward()
         assert not pool.viewed and pool.live == 0
+
+
+# ---- a kernel node with two outputs ----
+
+
+def matmul_and_tanh(x, w, calls):
+    """(x @ w, tanh(x)) as one tape node with two outputs, built as a fused
+    kernel builds its node; each VJP call appends the adjoints it got to
+    ``calls``."""
+    y0 = np.matmul(x.data, w.data, out=step_buffer(x.shape[:-1] + w.shape[-1:]))
+    y1 = np.tanh(x.data, out=step_buffer(x.shape))
+
+    def vjp(g0, g1):
+        calls.append((g0, g1))
+        gx = gw = None
+        if g0 is not None:
+            gx = np.matmul(g0, w.data.T, out=scratch(x.shape))
+            gw = x.data.reshape(-1, x.shape[-1]).T @ g0.reshape(-1, g0.shape[-1])
+        if g1 is not None:
+            d_tanh = np.multiply(y1, y1, out=scratch(x.shape))
+            np.subtract(1.0, d_tanh, out=d_tanh)
+            d_tanh *= g1
+            gx = d_tanh if gx is None else np.add(gx, d_tanh, out=gx)
+        return gx, gw
+
+    return Tensor._make((y0, y1), (x, w), vjp)
+
+
+def composed_matmul_and_tanh(x, w, calls):
+    return x @ w, tanh(x)
+
+
+TWO_OUTPUT_SHAPES = [(8, 64, 48), (48, 32)]  # adjoints of 128 KiB and more
+
+
+def two_output_grads(kernel, reached, runs=1, calls=None):
+    """Leaf gradients of a loss over the outputs in ``reached`` (0, 1 or both);
+    output 0 has two consumers, so its adjoint adds two contributions."""
+    rng = np.random.default_rng(21)
+    x, w = (Tensor(rng.normal(size=s), requires_grad=True) for s in TWO_OUTPUT_SHAPES)
+    c0, c1 = rng.normal(size=(8, 64, 32)), rng.normal(size=(8, 64, 48))
+    y0, y1 = kernel(x, w, [] if calls is None else calls)
+    passes = []
+    for _ in range(runs):  # each pass builds its own loss on the one kernel node
+        terms = {0: [(y0 * constant(c0)).sum(), (y0 @ constant(c0[0].T)).sum()],
+                 1: [(y1 * constant(c1)).sum()]}
+        loss, *rest = [t for k in reached for t in terms[k]]
+        for term in rest:
+            loss = loss + term
+        loss.backward()
+        passes.append([x.grad, w.grad])
+        x.grad = w.grad = None
+    return passes
+
+
+@pytest.mark.parametrize("reached", [(0, 1), (0,), (1,)], ids=["both", "first", "second"])
+def test_two_output_node_hands_its_vjp_each_complete_adjoint_once(reached):
+    calls = []
+    (got,) = two_output_grads(matmul_and_tanh, reached, calls=calls)
+    (expected,) = two_output_grads(composed_matmul_and_tanh, reached)
+    assert len(calls) == 1
+    # an output no consumer reached gets None: no zeros are made for it
+    assert [g is not None for g in calls[0]] == [k in reached for k in (0, 1)]
+    for g, e in zip(got, expected, strict=True):
+        if 0 not in reached and e is None:
+            assert g is None  # tanh(x) does not depend on w
+        else:
+            assert np.allclose(g, e, rtol=1e-12, atol=1e-12), np.max(np.abs(g - e))
+
+
+def test_two_output_node_gives_the_same_bits_on_a_second_backward():
+    calls = []
+    first, second = two_output_grads(matmul_and_tanh, (0, 1), runs=2, calls=calls)
+    assert len(calls) == 2
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second, strict=True))
+
+
+def test_two_output_node_under_no_grad_returns_plain_tensors():
+    rng = np.random.default_rng(22)
+    x, w = (Tensor(rng.normal(size=s), requires_grad=True) for s in TWO_OUTPUT_SHAPES)
+    recorded = matmul_and_tanh(x, w, [])
+    with no_grad():
+        plain = matmul_and_tanh(x, w, [])
+    assert isinstance(plain, tuple) and len(plain) == 2
+    for p, r in zip(plain, recorded, strict=True):
+        assert p._parents == () and p._vjp is None and not p.requires_grad
+        assert np.array_equal(p.data, r.data)
+    (node,) = recorded[0]._parents
+    assert recorded[1]._parents == (node,) and node._parents == (x, w)
+
+
+def test_two_output_node_in_a_poisoned_pool_gives_the_bits_of_no_pool(monkeypatch):
+    # every buffer is poisoned as it is handed back and every temporary comes
+    # from the arena: an adjoint handed to the kernel node that went back to
+    # the arena before its VJP ran would read NaN
+    plain = two_output_grads(matmul_and_tanh, (0, 1), runs=2)
+    monkeypatch.setattr(tensor_module, "HEAP_ADJOINT_BYTES", 0)
+    poison_returned_buffers(monkeypatch)
+    with buffer_pool() as pool:
+        pooled = two_output_grads(matmul_and_tanh, (0, 1), runs=2)
+        assert not pool.viewed and pool.live == 0
+    for p, q in zip(plain, pooled, strict=True):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(p, q, strict=True))
 
 
 def test_masked_mse_hand_value():
