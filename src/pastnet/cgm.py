@@ -110,23 +110,30 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     and a (B, L, 1, d) timestamp stream cost N and B*L rows of projection.
 
     Each stream's projection and gate are two contiguous arrays from two
-    GEMMs at the stream's own batching, which give the bits of one GEMM
-    against [W_p | W_g].  The layer is one tape node with two outputs, and
-    the outputs are all it keeps, with or without a tape: the projections,
-    gates, sigmoids, tanhs and updates are scratch, handed back when the
-    node is made.  Its one VJP receives both outputs' adjoints and
-    recomputes each stream's projection, gate, sigmoid, tanh and update
-    once from the inputs, which the tape keeps anyway (selective recompute, Chen et al.
-    2016, arXiv:1604.06174); it returns one adjoint per input.
+    GEMMs at the stream's own batching; at the model's shapes they have the
+    bits of one GEMM against [W_p | W_g].  The layer is one tape node with
+    two outputs, and the outputs are all it keeps, with or without a tape:
+    the projections, gates, sigmoids, tanhs and updates are scratch, handed
+    back when the node is made.  Its one VJP receives both outputs'
+    adjoints, recomputes each stream's projection, gate, sigmoid, tanh and
+    update once from the inputs, which the tape keeps anyway (selective
+    recompute, Chen et al. 2016, arXiv:1604.06174), and returns one adjoint
+    per input.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
     streams = (_Stream(s, w_sp, w_sg), _Stream(t, w_tp, w_tg))
-    ((update_s, _), tanh_s), ((update_t, _), tanh_t) = (x.gated() for x in streams)
-    out_s = np.multiply(update_s, tanh_t, out=step_buffer(shape))
-    out_s += s.data
-    out_t = np.multiply(update_t, tanh_s, out=step_buffer(shape))
-    out_t += t.data
+    blocks, block = _row_blocks(streams, shape)
+    buffers = [x.buffers(block) for x in streams]
+    out_s, out_t = step_buffer(shape), step_buffer(shape)
+    for rows in blocks:
+        ((update_s, _), tanh_s), ((update_t, _), tanh_t) = (
+            x.gated(rows, b) for x, b in zip(streams, buffers)
+        )
+        o_s = np.multiply(update_s, tanh_t, out=out_s[rows])
+        o_s += s.data[rows]
+        o_t = np.multiply(update_t, tanh_s, out=out_t[rows])
+        o_t += t.data[rows]
 
     def vjp(g_s, g_t):
         (gs, gw_sp, gw_sg), (gt, gw_tp, gw_tg) = _gate_adjoints(streams, shape, (g_s, g_t))
@@ -142,74 +149,106 @@ class _Stream:
         self.v, self.w_p, self.w_g = v, w_p, w_g
         self.needs_grad = v.requires_grad or w_p.requires_grad or w_g.requires_grad
 
-    def gated(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """((update, sigmoid(v W_g)), tanh(v W_g)), three scratch arrays of
-        v's shape; update = (v W_p) * sigmoid(v W_g)."""
-        v = self.v
-        proj = np.matmul(v.data, self.w_p.data, out=scratch(v.shape))
-        gate = np.matmul(v.data, self.w_g.data, out=scratch(v.shape))
-        tanh = np.tanh(gate, out=scratch(v.shape))
+    def buffers(self, block: tuple[int, ...] | None) -> list[np.ndarray]:
+        """Three arrays for ``gated``: of one row block, or of v's shape.
+
+        They are plain arrays, not arena scratch: a small request would take
+        a whole idle arena buffer, however large, for the call.
+        """
+        return [np.empty(self.v.shape if block is None else block) for _ in range(3)]
+
+    def gated(self, rows: slice, buffers) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """((update, sigmoid(v W_g)), tanh(v W_g)) of v's ``rows``, in ``buffers``;
+        update = (v W_p) * sigmoid(v W_g)."""
+        v = self.v.data[rows]
+        proj, gate, tanh = (b[: v.shape[0]] for b in buffers)
+        np.matmul(v, self.w_p.data, out=proj)
+        np.matmul(v, self.w_g.data, out=gate)
+        np.tanh(gate, out=tanh)
         sig = sigmoid(gate, out=gate)
         np.multiply(proj, sig, out=proj)
         return (proj, sig), tanh
 
-    def adjoints(self, g, d_p, d_g, out):
+    def adjoints(self, g, d_p, d_g, blocks, buffers):
         """(adjoint of v, of W_p, of W_g) from g, the adjoint of v's output
         (or None), and those of v W_p (or None) and v W_g.  The stream's
-        adjoint goes into ``out``, scratch of v's shape; ``d_g`` is spent."""
+        adjoint goes into ``d_g``, a block of rows at a time through two of
+        ``buffers``."""
         v, w_p, w_g = self.v, self.w_p, self.w_g
         gw_p = _fold(v.data).T @ _fold(d_p) if w_p.requires_grad and d_p is not None else None
         gw_g = _fold(v.data).T @ _fold(d_g) if w_g.requires_grad else None
         if not v.requires_grad:
             return None, gw_p, gw_g
-        gv = np.matmul(d_g, w_g.data.T, out=out)
-        if d_p is not None:
-            gv += np.matmul(d_p, w_p.data.T, out=d_g)
-        if g is not None:
-            gv += _unbroadcast(g, v.shape)
-        return gv, gw_p, gw_g
+        for rows in blocks:
+            block = d_g[rows]
+            gv, prod = (b[: block.shape[0]] for b in buffers[:2])
+            np.matmul(block, w_g.data.T, out=gv)
+            if d_p is not None:
+                gv += np.matmul(d_p[rows], w_p.data.T, out=prod)
+            if g is not None:
+                gv += _unbroadcast(g[rows], gv.shape)
+            block[...] = gv
+        return d_g, gw_p, gw_g
+
+
+_BLOCK_ELEMENTS = 8192  # rows of about 64 KiB per block, at least one
+
+
+def _row_blocks(streams, shape) -> tuple[list[slice], tuple[int, ...] | None]:
+    """The slices of leading rows a gate runs one at a time, and a block's shape.
+
+    Streams of one shape meet row by row, and np.matmul on a block of leading
+    rows gives the bits of the batched product, so they run in blocks of
+    about ``_BLOCK_ELEMENTS``; a broadcast stream, or a 1-d one, runs whole
+    (shape None).
+    """
+    if streams[0].v.shape != streams[1].v.shape or len(shape) < 2:
+        return [slice(None)], None
+    step = max(1, _BLOCK_ELEMENTS // math.prod(shape[1:]))
+    blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+    return blocks, (min(step, shape[0]),) + shape[1:]
 
 
 def _gate_adjoints(streams, shape, adjoints):
     """Each stream's (adjoint of v, of W_p, of W_g) from the adjoints of the
     gate's two outputs of ``shape`` (each may be None).
 
-    Recomputes both streams' updates, sigmoids and tanhs (6 arrays of a
-    stream's shape), and ``_pass_back`` turns them into the adjoints of
-    v W_p and v W_g in place.  Its one temporary has the output's shape when
-    a stream broadcasts, since its terms are sums over the output; for
-    streams of one shape every term is elementwise, and it runs a block of
-    leading rows at a time through a temporary of one block.
+    Recomputes each stream's update, sigmoid and tanh a row block at a time
+    (``_row_blocks``), ``_pass_back`` turns them into the adjoints of v W_p
+    and v W_g in place, and those go into one array each of the stream's
+    shape: the VJP holds 4 such arrays.  ``_pass_back``'s temporary has the
+    output's shape when a stream broadcasts, since its terms are then sums
+    over the output.
     """
-    gated = [x.gated() for x in streams]
-    if streams[0].v.shape == streams[1].v.shape:
-        step = max(1, _PASS_BACK_ELEMENTS // math.prod(shape[1:]))
-        blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-        tmp = scratch((min(step, shape[0]),) + shape[1:])
-    else:
-        blocks, tmp = [slice(None)], scratch(shape)
+    blocks, block = _row_blocks(streams, shape)
+    buffers = [x.buffers(block) for x in streams]
+    tmp = scratch(shape) if block is None else np.empty(block)
+    d_p = [scratch(x.v.shape) if x.needs_grad and g is not None else None
+           for x, g in zip(streams, adjoints)]
+    d_g = [scratch(x.v.shape) if x.needs_grad else None for x in streams]
     for rows in blocks:
+        gated = [x.gated(rows, b) for x, b in zip(streams, buffers)]
         for x, y in ((0, 1), (1, 0)):
             if adjoints[x] is not None:
                 g = adjoints[x][rows]
-                (u, sig), tanh_y = (a[rows] for a in gated[x][0]), gated[y][1][rows]
+                (u, sig), tanh_y = gated[x][0], gated[y][1]
                 pass_x, pass_y = streams[x].needs_grad, streams[y].needs_grad
                 _pass_back(g, u, sig, tanh_y, tmp[: g.shape[0]], pass_x, pass_y)
-    grads = []
-    for x, stream in enumerate(streams):
-        (u, sig), tanh = gated[x]
-        if not stream.needs_grad:
-            grads.append((None, None, None))
-        elif adjoints[x] is None:  # only the other output's adjoint reaches this stream
-            grads.append(stream.adjoints(None, None, tanh, out=u))
-        else:
-            if adjoints[1 - x] is not None:
-                u += tanh
-            grads.append(stream.adjoints(adjoints[x], sig, u, out=tanh))
-    return grads
-
-
-_PASS_BACK_ELEMENTS = 8192  # rows of about 64 KiB per block, at least one
+        for x in (0, 1):
+            (u, sig), tanh = gated[x]
+            if d_g[x] is None:
+                continue
+            if adjoints[x] is None:  # only the other output's adjoint reaches this stream
+                d_g[x][rows] = tanh
+            elif adjoints[1 - x] is None:
+                d_p[x][rows], d_g[x][rows] = sig, u
+            else:
+                d_p[x][rows] = sig
+                np.add(u, tanh, out=d_g[x][rows])
+    return [
+        x.adjoints(g, p, q, blocks, b) if q is not None else (None, None, None)
+        for x, g, p, q, b in zip(streams, adjoints, d_p, d_g, buffers)
+    ]
 
 
 def _pass_back(g, u, sig, tanh_y, tmp, pass_x, pass_y):

@@ -269,26 +269,29 @@ def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, diffe
 
 def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypatch):
     # each cross-gate layer is one tape node with two outputs: over one
-    # train() step each stream's projection and gate product run once
-    # forward and once in the layer's one VJP call, which returns exactly
-    # one adjoint for each of the layer's six inputs
+    # train() step each stream's projection and gate product run over each
+    # of its rows once forward and once in the layer's one VJP call, which
+    # returns exactly one adjoint for each of the layer's six inputs
     from pastnet.data import WindowBatch
     from pastnet.model import TrainConfig, train
 
     L, N, n = 12, 3, 3
     model = PastModel.build(ModelConfig(L=L, N=N, d=8, n=n, K=1, seed=4),
                             adjacency=np.ones((N, N)) - np.eye(N))
-    gated = []
+    gated = []  # per call: the stream's projection weight and the values it gated
     real_gated = cgm._Stream.gated
 
-    def counted(stream):
-        gated.append(stream.w_p)
-        return real_gated(stream)
+    def counted(stream, rows, buffers):
+        gated.append((stream.w_p, stream.v.data[rows].size))
+        return real_gated(stream, rows, buffers)
 
     adjoints = []  # per gate VJP call: the node's inputs and what it returned for each
     real_layer = cgm.cross_gate_layer
 
+    inputs_of = []  # each layer's two stream inputs
+
     def recorded_layer(*args):
+        inputs_of.append(args[:2])
         out_s, out_t = real_layer(*args)
         (node,) = out_s._parents
         assert out_t._parents == (node,)
@@ -311,10 +314,11 @@ def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypa
                           t // 96 % 7, t // 4 % 24, t % 4, np.array([0, L]))
     train(model, windows, TrainConfig(lr=1e-2, batch_size=2, epochs=1))
     p = model.params
-    for i in range(n):
-        for name in ("W_sp", "W_tp"):
-            assert sum(w is p[f"cgm/layer{i}/{name}"] for w in gated) == 2
-    assert len(gated) == 4 * n
+    for i, (s_in, t_in) in enumerate(inputs_of):
+        for name, stream in (("W_sp", s_in), ("W_tp", t_in)):
+            runs = sum(size for w, size in gated if w is p[f"cgm/layer{i}/{name}"])
+            assert runs == 2 * stream.data.size  # once forward, once in the VJP
+    assert sum(size for _, size in gated) == 2 * sum(s.data.size + t.data.size for s, t in inputs_of)
     assert len(adjoints) == n
     inputs = [parent for call in adjoints for parent, g in call if g is not None]
     assert len(inputs) == 6 * n and len({id(x) for x in inputs}) == 6 * n
