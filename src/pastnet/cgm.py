@@ -29,11 +29,11 @@ Buffers (see ``numcore.tensor``): inside a pool (``train``,
 and pooling products (numcore ``matmul``) and the gates' outputs are step
 buffers, handed out by position and valid until the pool's next rewind,
 under ``no_grad`` too.  A gate saves nothing else: each layer is one tape
-node with two outputs, its projections, gates, sigmoids, tanhs and
-updates are scratch, and its one VJP recomputes them once per stream from
-the gate's inputs, which the tape keeps anyway.  The stream adjoints the
-gates and the head return are scratch; a gate's weight adjoints are new
-(d, d) arrays.
+node with two outputs, it computes its projections, gates, sigmoids, tanhs
+and updates a block of slot rows at a time in small plain arrays, and its
+one VJP recomputes them once per stream from the gate's inputs, which the
+tape keeps anyway.  The stream adjoints the gates and the head return are
+scratch; a gate's weight adjoints are new (d, d) arrays.
 """
 from __future__ import annotations
 
@@ -109,16 +109,16 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     and both outputs take the broadcast shape, so a (1, 1, N, d) node stream
     and a (B, L, 1, d) timestamp stream cost N and B*L rows of projection.
 
-    Each stream's projection and gate are two contiguous arrays from two
-    GEMMs at the stream's own batching; at the model's shapes they have the
-    bits of one GEMM against [W_p | W_g].  The layer is one tape node with
-    two outputs, and the outputs are all it keeps, with or without a tape:
-    the projections, gates, sigmoids, tanhs and updates are scratch, handed
-    back when the node is made.  Its one VJP receives both outputs'
-    adjoints, recomputes each stream's projection, gate, sigmoid, tanh and
-    update once from the inputs, which the tape keeps anyway (selective
-    recompute, Chen et al. 2016, arXiv:1604.06174), and returns one adjoint
-    per input.
+    Each stream's projection and gate are two GEMMs at the stream's own
+    batching into contiguous arrays; at the model's shapes they have the
+    bits of one GEMM against [W_p | W_g].  Streams of one shape run a block
+    of leading rows at a time (``_row_blocks``), so the layer's temporaries
+    are a few block-sized arrays.  The layer is one tape node with two
+    outputs, and the outputs are all it keeps, with or without a tape.  Its
+    one VJP receives both outputs' adjoints, recomputes each stream's
+    projection, gate, sigmoid, tanh and update once from the inputs, which
+    the tape keeps anyway (selective recompute, Chen et al. 2016,
+    arXiv:1604.06174), and returns one adjoint per input.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
@@ -235,9 +235,9 @@ def _gate_adjoints(streams, shape, adjoints):
                 pass_x, pass_y = streams[x].needs_grad, streams[y].needs_grad
                 _pass_back(g, u, sig, tanh_y, tmp[: g.shape[0]], pass_x, pass_y)
         for x in (0, 1):
-            (u, sig), tanh = gated[x]
             if d_g[x] is None:
                 continue
+            (u, sig), tanh = gated[x]
             if adjoints[x] is None:  # only the other output's adjoint reaches this stream
                 d_g[x][rows] = tanh
             elif adjoints[1 - x] is None:
@@ -259,7 +259,7 @@ def _pass_back(g, u, sig, tanh_y, tmp, pass_x, pass_y):
     adjoint through u, du * u * (1 - sig); with ``pass_y``, tanh_y becomes
     v_y W_g's adjoint through tanh_y, (1 - tanh_y^2) * g * u.  A product is
     summed down to the shape of the array it goes into, through ``tmp``
-    (scratch of g's shape).  g is only read.
+    (of g's shape).  g is only read.
     """
     summed = pass_y and tanh_y.shape != g.shape
     if summed:  # before tmp holds du
