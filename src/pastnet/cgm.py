@@ -30,9 +30,9 @@ and pooling products (numcore ``matmul``) and the gates' outputs are step
 buffers, handed out by position and valid until the pool's next rewind,
 under ``no_grad`` too.  A gate saves nothing else: each layer is one tape
 node with two outputs, it computes its projections, gates, sigmoids, tanhs
-and updates a block of slot rows at a time in small plain arrays, and its
-one VJP recomputes them once per stream from the gate's inputs, which the
-tape keeps anyway.  The stream adjoints the gates and the head return are
+and updates a block of slot rows at a time in views of one scratch request,
+and its one VJP recomputes them once per stream from the gate's inputs,
+which the tape keeps anyway.  The stream adjoints the gates and the head return are
 scratch; a gate's weight adjoints are new (d, d) arrays.
 """
 from __future__ import annotations
@@ -124,7 +124,7 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
     streams = (_Stream(s, w_sp, w_sg), _Stream(t, w_tp, w_tg))
     blocks, block = _row_blocks(streams, shape)
-    buffers = [x.buffers(block) for x in streams]
+    buffers = _work_arrays(streams, block)
     out_s, out_t = step_buffer(shape), step_buffer(shape)
     for rows in blocks:
         ((update_s, _), tanh_s), ((update_t, _), tanh_t) = (
@@ -148,14 +148,6 @@ class _Stream:
     def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
         self.v, self.w_p, self.w_g = v, w_p, w_g
         self.needs_grad = v.requires_grad or w_p.requires_grad or w_g.requires_grad
-
-    def buffers(self, block: tuple[int, ...] | None) -> list[np.ndarray]:
-        """Three arrays for ``gated``: of one row block, or of v's shape.
-
-        They are plain arrays, not arena scratch: a small request would take
-        a whole idle arena buffer, however large, for the call.
-        """
-        return [np.empty(self.v.shape if block is None else block) for _ in range(3)]
 
     def gated(self, rows: slice, buffers) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """((update, sigmoid(v W_g)), tanh(v W_g)) of v's ``rows``, in ``buffers``;
@@ -191,7 +183,7 @@ class _Stream:
         return d_g, gw_p, gw_g
 
 
-_BLOCK_ELEMENTS = 8192  # rows of about 64 KiB per block, at least one
+_BLOCK_ELEMENTS = 8192  # elements per row block (64 KiB), or one row if a row is larger
 
 
 def _row_blocks(streams, shape) -> tuple[list[slice], tuple[int, ...] | None]:
@@ -209,6 +201,25 @@ def _row_blocks(streams, shape) -> tuple[list[slice], tuple[int, ...] | None]:
     return blocks, (min(step, shape[0]),) + shape[1:]
 
 
+def _work_arrays(streams, block, *more) -> tuple[list[np.ndarray], ...]:
+    """Each stream's three arrays for ``gated`` (of one row block, or of the
+    stream's shape when ``block`` is None), then an array of each shape in
+    ``more``: views of one ``scratch`` request.
+
+    One request takes at most one arena buffer, and the call hands it back
+    whole; separate plain arrays of a few hundred KiB would be mapped and
+    faulted in again on every call under a fixed mmap threshold.
+    """
+    shapes = [x.v.shape if block is None else block for x in streams for _ in range(3)]
+    shapes += more
+    flat = scratch((sum(math.prod(x) for x in shapes),))
+    arrays, lo = [], 0
+    for x in shapes:
+        arrays.append(flat[lo : lo + math.prod(x)].reshape(x))
+        lo += math.prod(x)
+    return (arrays[:3], arrays[3:6], *arrays[6:])
+
+
 def _gate_adjoints(streams, shape, adjoints):
     """Each stream's (adjoint of v, of W_p, of W_g) from the adjoints of the
     gate's two outputs of ``shape`` (each may be None).
@@ -221,11 +232,10 @@ def _gate_adjoints(streams, shape, adjoints):
     over the output.
     """
     blocks, block = _row_blocks(streams, shape)
-    buffers = [x.buffers(block) for x in streams]
-    tmp = scratch(shape) if block is None else np.empty(block)
     d_p = [scratch(x.v.shape) if x.needs_grad and g is not None else None
            for x, g in zip(streams, adjoints)]
     d_g = [scratch(x.v.shape) if x.needs_grad else None for x in streams]
+    *buffers, tmp = _work_arrays(streams, block, shape if block is None else block)
     for rows in blocks:
         gated = [x.gated(rows, b) for x, b in zip(streams, buffers)]
         for x, y in ((0, 1), (1, 0)):
