@@ -32,8 +32,9 @@ under ``no_grad`` too.  A gate saves nothing else: each layer is one tape
 node with two outputs, it computes its projections, gates, sigmoids, tanhs
 and updates a block of slot rows at a time in views of one scratch request,
 and its one VJP recomputes them once per stream from the gate's inputs,
-which the tape keeps anyway.  The stream adjoints the gates and the head return are
-scratch; a gate's weight adjoints are new (d, d) arrays.
+which the tape keeps anyway, and returns an adjoint for every input.  The
+stream adjoints the gates and the head return are scratch; a gate's
+weight adjoints are new (d, d) arrays.
 """
 from __future__ import annotations
 
@@ -115,72 +116,65 @@ def cross_gate_layer(v_s, v_t, w_sp, w_tp, w_sg, w_tg) -> tuple[Tensor, Tensor]:
     of leading rows at a time (``_row_blocks``), so the layer's temporaries
     are a few block-sized arrays.  The layer is one tape node with two
     outputs, and the outputs are all it keeps, with or without a tape.  Its
-    one VJP receives both outputs' adjoints, recomputes each stream's
+    one VJP receives both outputs' adjoints (zeros of the output's shape
+    for an output no consumer reached), recomputes each stream's
     projection, gate, sigmoid, tanh and update once from the inputs, which
     the tape keeps anyway (selective recompute, Chen et al. 2016,
-    arXiv:1604.06174), and returns one adjoint per input.
+    arXiv:1604.06174), and returns an adjoint for every input.
     """
     s, t, w_sp, w_tp, w_sg, w_tg = (_wrap(x) for x in (v_s, v_t, w_sp, w_tp, w_sg, w_tg))
     shape = np.broadcast_shapes(s.shape, t.shape)  # ValueError if they do not broadcast
-    streams = (_Stream(s, w_sp, w_sg), _Stream(t, w_tp, w_tg))
+    streams = ((s.data, w_sp.data, w_sg.data), (t.data, w_tp.data, w_tg.data))
     blocks, block = _row_blocks(streams, shape)
     buffers = _work_arrays(streams, block)
     out_s, out_t = step_buffer(shape), step_buffer(shape)
     for rows in blocks:
         ((update_s, _), tanh_s), ((update_t, _), tanh_t) = (
-            x.gated(rows, b) for x, b in zip(streams, buffers)
+            _gated(x, rows, b) for x, b in zip(streams, buffers)
         )
         o_s = np.multiply(update_s, tanh_t, out=out_s[rows])
         o_s += s.data[rows]
         o_t = np.multiply(update_t, tanh_s, out=out_t[rows])
         o_t += t.data[rows]
 
-    def vjp(g_s, g_t):
+    def vjp(*adjoints):
+        g_s, g_t = (np.zeros(shape) if g is None else g for g in adjoints)
         (gs, gw_sp, gw_sg), (gt, gw_tp, gw_tg) = _gate_adjoints(streams, shape, (g_s, g_t))
         return gs, gt, gw_sp, gw_tp, gw_sg, gw_tg
 
     return Tensor._make((out_s, out_t), (s, t, w_sp, w_tp, w_sg, w_tg), vjp)
 
 
-class _Stream:
-    """One stream of a cross gate: v and its projection and gate weights."""
+def _gated(stream, rows: slice, buffers) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """((update, sigmoid(v W_g)), tanh(v W_g)) of the ``rows`` of a stream
+    (v, W_p, W_g), in ``buffers``; update = (v W_p) * sigmoid(v W_g)."""
+    v, w_p, w_g = stream
+    v = v[rows]
+    proj, gate, tanh = (b[: v.shape[0]] for b in buffers)
+    np.matmul(v, w_p, out=proj)
+    np.matmul(v, w_g, out=gate)
+    np.tanh(gate, out=tanh)
+    sig = sigmoid(gate, out=gate)
+    np.multiply(proj, sig, out=proj)
+    return (proj, sig), tanh
 
-    def __init__(self, v: Tensor, w_p: Tensor, w_g: Tensor):
-        self.v, self.w_p, self.w_g = v, w_p, w_g
-        self.needs_grad = v.requires_grad or w_p.requires_grad or w_g.requires_grad
 
-    def gated(self, rows: slice, buffers) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """((update, sigmoid(v W_g)), tanh(v W_g)) of v's ``rows``, in ``buffers``;
-        update = (v W_p) * sigmoid(v W_g)."""
-        v = self.v.data[rows]
-        proj, gate, tanh = (b[: v.shape[0]] for b in buffers)
-        np.matmul(v, self.w_p.data, out=proj)
-        np.matmul(v, self.w_g.data, out=gate)
-        np.tanh(gate, out=tanh)
-        sig = sigmoid(gate, out=gate)
-        np.multiply(proj, sig, out=proj)
-        return (proj, sig), tanh
-
-    def adjoints(self, g, d_p, d_g, blocks, buffers):
-        """(adjoint of v, of W_p, of W_g) from g, the adjoint of v's output
-        (or None), and those of v W_p (or None) and v W_g.  The stream's
-        adjoint goes into ``d_g``, a block of rows at a time through two of
-        ``buffers``."""
-        v, w_p, w_g = self.v, self.w_p, self.w_g
-        gw_p = _fold(v.data).T @ _fold(d_p) if w_p.requires_grad and d_p is not None else None
-        gw_g = _fold(v.data).T @ _fold(d_g) if w_g.requires_grad else None
-        if not v.requires_grad:
-            return None, gw_p, gw_g
-        for rows in blocks:
-            block = d_g[rows]
-            gv, prod = (b[: block.shape[0]] for b in buffers[:2])
-            np.matmul(block, w_g.data.T, out=gv)
-            if d_p is not None:
-                gv += np.matmul(d_p[rows], w_p.data.T, out=prod)
-            if g is not None:
-                gv += _unbroadcast(g[rows], gv.shape)
-            block[...] = gv
-        return d_g, gw_p, gw_g
+def _stream_adjoints(stream, g, d_p, d_g, blocks, buffers):
+    """(adjoint of v, of W_p, of W_g) of a stream (v, W_p, W_g) from g, the
+    adjoint of its output, and those of v W_p and v W_g.  The stream's
+    adjoint goes into ``d_g``, a block of rows at a time through two of
+    ``buffers``."""
+    v, w_p, w_g = stream
+    gw_p = _fold(v).T @ _fold(d_p)
+    gw_g = _fold(v).T @ _fold(d_g)
+    for rows in blocks:
+        block = d_g[rows]
+        gv, prod = (b[: block.shape[0]] for b in buffers[:2])
+        np.matmul(block, w_g.T, out=gv)
+        gv += np.matmul(d_p[rows], w_p.T, out=prod)
+        gv += _unbroadcast(g[rows], gv.shape)
+        block[...] = gv
+    return d_g, gw_p, gw_g
 
 
 _BLOCK_ELEMENTS = 8192  # elements per row block (64 KiB), or one row if a row is larger
@@ -194,7 +188,7 @@ def _row_blocks(streams, shape) -> tuple[list[slice], tuple[int, ...] | None]:
     about ``_BLOCK_ELEMENTS``; a broadcast stream, or a 1-d one, runs whole
     (shape None).
     """
-    if streams[0].v.shape != streams[1].v.shape or len(shape) < 2:
+    if streams[0][0].shape != streams[1][0].shape or len(shape) < 2:
         return [slice(None)], None
     step = max(1, _BLOCK_ELEMENTS // math.prod(shape[1:]))
     blocks = [slice(lo, lo + step) for lo in range(0, shape[0], step)]
@@ -202,7 +196,7 @@ def _row_blocks(streams, shape) -> tuple[list[slice], tuple[int, ...] | None]:
 
 
 def _work_arrays(streams, block, *more) -> tuple[list[np.ndarray], ...]:
-    """Each stream's three arrays for ``gated`` (of one row block, or of the
+    """Each stream's three arrays for ``_gated`` (of one row block, or of the
     stream's shape when ``block`` is None), then an array of each shape in
     ``more``: views of one ``scratch`` request.
 
@@ -210,7 +204,7 @@ def _work_arrays(streams, block, *more) -> tuple[list[np.ndarray], ...]:
     whole; separate plain arrays of a few hundred KiB would be mapped and
     faulted in again on every call under a fixed mmap threshold.
     """
-    shapes = [x.v.shape if block is None else block for x in streams for _ in range(3)]
+    shapes = [v.shape if block is None else block for v, _, _ in streams for _ in range(3)]
     shapes += more
     flat = scratch((sum(math.prod(x) for x in shapes),))
     arrays, lo = [], 0
@@ -222,7 +216,7 @@ def _work_arrays(streams, block, *more) -> tuple[list[np.ndarray], ...]:
 
 def _gate_adjoints(streams, shape, adjoints):
     """Each stream's (adjoint of v, of W_p, of W_g) from the adjoints of the
-    gate's two outputs of ``shape`` (each may be None).
+    gate's two outputs of ``shape``.
 
     Recomputes each stream's update, sigmoid and tanh a row block at a time
     (``_row_blocks``), ``_pass_back`` turns them into the adjoints of v W_p
@@ -232,62 +226,48 @@ def _gate_adjoints(streams, shape, adjoints):
     over the output.
     """
     blocks, block = _row_blocks(streams, shape)
-    d_p = [scratch(x.v.shape) if x.needs_grad and g is not None else None
-           for x, g in zip(streams, adjoints)]
-    d_g = [scratch(x.v.shape) if x.needs_grad else None for x in streams]
+    d_p = [scratch(v.shape) for v, _, _ in streams]
+    d_g = [scratch(v.shape) for v, _, _ in streams]
     *buffers, tmp = _work_arrays(streams, block, shape if block is None else block)
     for rows in blocks:
-        gated = [x.gated(rows, b) for x, b in zip(streams, buffers)]
+        gated = [_gated(x, rows, b) for x, b in zip(streams, buffers)]
         for x, y in ((0, 1), (1, 0)):
-            if adjoints[x] is not None:
-                g = adjoints[x][rows]
-                (u, sig), tanh_y = gated[x][0], gated[y][1]
-                pass_x, pass_y = streams[x].needs_grad, streams[y].needs_grad
-                _pass_back(g, u, sig, tanh_y, tmp[: g.shape[0]], pass_x, pass_y)
+            g = adjoints[x][rows]
+            (u, sig), tanh_y = gated[x][0], gated[y][1]
+            _pass_back(g, u, sig, tanh_y, tmp[: g.shape[0]])
         for x in (0, 1):
-            if d_g[x] is None:
-                continue
             (u, sig), tanh = gated[x]
-            if adjoints[x] is None:  # only the other output's adjoint reaches this stream
-                d_g[x][rows] = tanh
-            elif adjoints[1 - x] is None:
-                d_p[x][rows], d_g[x][rows] = sig, u
-            else:
-                d_p[x][rows] = sig
-                np.add(u, tanh, out=d_g[x][rows])
+            d_p[x][rows] = sig
+            np.add(u, tanh, out=d_g[x][rows])
     return [
-        x.adjoints(g, p, q, blocks, b) if q is not None else (None, None, None)
+        _stream_adjoints(x, g, p, q, blocks, b)
         for x, g, p, q, b in zip(streams, adjoints, d_p, d_g, buffers)
     ]
 
 
-def _pass_back(g, u, sig, tanh_y, tmp, pass_x, pass_y):
+def _pass_back(g, u, sig, tanh_y, tmp):
     """What out_x = v_x + u * tanh_y passes back from its adjoint g, in place.
 
     u = (v_x W_p) * sig with sig = sigmoid(v_x W_g), and du = g * tanh_y.
-    With ``pass_x``, sig becomes v_x W_p's adjoint du * sig and u v_x W_g's
-    adjoint through u, du * u * (1 - sig); with ``pass_y``, tanh_y becomes
-    v_y W_g's adjoint through tanh_y, (1 - tanh_y^2) * g * u.  A product is
-    summed down to the shape of the array it goes into, through ``tmp``
-    (of g's shape).  g is only read.
+    sig becomes v_x W_p's adjoint du * sig, u v_x W_g's adjoint through u,
+    du * u * (1 - sig), and tanh_y v_y W_g's adjoint through tanh_y,
+    (1 - tanh_y^2) * g * u.  A product is summed down to the shape of the
+    array it goes into, through ``tmp`` (of g's shape).  g is only read.
     """
-    summed = pass_y and tanh_y.shape != g.shape
+    summed = tanh_y.shape != g.shape
     if summed:  # before tmp holds du
         g_u = _unbroadcast(np.multiply(g, u, out=tmp), tanh_y.shape)
-    if pass_x:
-        du = _unbroadcast(np.multiply(g, tanh_y, out=tmp), u.shape)
-    if pass_y:
-        np.multiply(tanh_y, tanh_y, out=tanh_y)
-        np.subtract(1.0, tanh_y, out=tanh_y)
-        if summed:
-            tanh_y *= g_u
-        else:
-            tanh_y *= g
-            tanh_y *= u
-    if pass_x:
-        sig *= du
-        du -= sig  # du * (1 - sig)
-        u *= du
+    du = _unbroadcast(np.multiply(g, tanh_y, out=tmp), u.shape)
+    np.multiply(tanh_y, tanh_y, out=tanh_y)
+    np.subtract(1.0, tanh_y, out=tanh_y)
+    if summed:
+        tanh_y *= g_u
+    else:
+        tanh_y *= g
+        tanh_y *= u
+    sig *= du
+    du -= sig  # du * (1 - sig)
+    u *= du
 
 
 def _fold(a: np.ndarray) -> np.ndarray:

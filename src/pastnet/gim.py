@@ -159,42 +159,35 @@ def temporal_forward(states, injection, columns, drop, edge_logits, w, b) -> Ten
     parents = (x, logits, w, b) if inj is None else (x, logits, w, b, inj)
 
     def vjp(g):
-        gx = gi = gl = gw = gb = None
         gz = _relu_adjoint(g, out)
-        if w.requires_grad:
-            gw = agg.reshape(-1, d).T @ gz.reshape(-1, gz.shape[-1])
-        if b.requires_grad:
-            gb = _summed_to(gz, b.shape)
-        need_inj = inj is not None and inj.requires_grad
+        gw = agg.reshape(-1, d).T @ gz.reshape(-1, gz.shape[-1])
+        gb = _summed_to(gz, b.shape)
         g_agg = np.matmul(gz, w.data.T, out=scratch((L, G, d)))
-        if logits.requires_grad:
-            # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom
-            spare = gz if gz.shape == agg.shape else None  # gz is spent
-            g_denom = np.multiply(g_agg, agg, out=spare).sum(axis=-1)
-            g_denom /= denom[..., 0]
+        # agg = num / denom, so d/d(denom) = -sum over d of g_agg * agg / denom
+        spare = gz if gz.shape == agg.shape else None  # gz is spent
+        g_denom = np.multiply(g_agg, agg, out=spare).sum(axis=-1)
+        g_denom /= denom[..., 0]
         g_agg /= denom  # now the adjoint of num = A @ H
-        if x.requires_grad or logits.requires_grad:
-            a = _weighted_adjacency(weight, cols, drop, scratch((G, L, width)))
-        if x.requires_grad:
-            gx = scratch((L, G, d))
-            np.matmul(
-                a[..., :L].transpose(0, 2, 1), g_agg.transpose(1, 0, 2), out=gx.transpose(1, 0, 2)
-            )
-        if need_inj:
+        a = _weighted_adjacency(weight, cols, drop, scratch((G, L, width)))
+        gx = scratch((L, G, d))
+        np.matmul(
+            a[..., :L].transpose(0, 2, 1), g_agg.transpose(1, 0, 2), out=gx.transpose(1, 0, 2)
+        )
+        gi = None
+        if inj is not None and inj.requires_grad:  # only when forward runs with sever=False
             gi = (weight[:, L] @ g_agg.reshape(L, G * d)).reshape(G, d)
-        if logits.requires_grad:
-            # the graph's edges, where A holds softplus > 0; then A's buffer is spent
-            edges = np.not_equal(a, 0.0, out=scratch(a.shape, bool))
-            ga = a
-            per_graph = g_agg.transpose(1, 0, 2)
-            np.matmul(per_graph, x.data.transpose(1, 2, 0), out=ga[..., :L])
-            if inj is not None:
-                np.matmul(per_graph, inj.data[:, :, None], out=ga[..., L:])
-            ga -= g_denom.T[:, :, None]  # every entry of a row feeds that row's degree
-            ga *= edges
-            gl = np.zeros(logits.shape)
-            np.sum(ga, axis=0, out=gl[:L, :width])
-            gl[:L, :width] *= sigmoid(logits.data[:L, :width])
+        # the graph's edges, where A holds softplus > 0; then A's buffer is spent
+        edges = np.not_equal(a, 0.0, out=scratch(a.shape, bool))
+        ga = a
+        per_graph = g_agg.transpose(1, 0, 2)
+        np.matmul(per_graph, x.data.transpose(1, 2, 0), out=ga[..., :L])
+        if inj is not None:
+            np.matmul(per_graph, inj.data[:, :, None], out=ga[..., L:])
+        ga -= g_denom.T[:, :, None]  # every entry of a row feeds that row's degree
+        ga *= edges
+        gl = np.zeros(logits.shape)
+        np.sum(ga, axis=0, out=gl[:L, :width])
+        gl[:L, :width] *= sigmoid(logits.data[:L, :width])
         return (gx, gl, gw, gb, gi)[: len(parents)]
 
     return Tensor._make(out, parents, vjp)
@@ -302,18 +295,16 @@ def spatial_forward(h_nodes, op: SpatialOperator, w, b) -> Tensor:
     np.maximum(out, 0.0, out=out)
 
     def vjp(g):
-        gh = gw = gb = None
         gz = _relu_adjoint(g, out)
-        if b.requires_grad:
-            gb = _summed_to(gz, b.shape)
+        gb = _summed_to(gz, b.shape)
         e = gz.shape[-1]
         stack = _stacked_aggregations([p.T for p in powers], gz, scratch(rows + (orders * e,)))
-        if w.requires_grad:  # (d, (K+1)e): column block k is W_k's adjoint
-            gw = x.reshape(-1, d).T @ stack.reshape(-1, orders * e)
-            gw = gw.reshape(d, orders, e).transpose(1, 0, 2).reshape(w.shape)
-        if h.requires_grad:  # W^T's column blocks W_k^T moved to row blocks
-            w_t = w.data.T.reshape(e, orders, d).transpose(1, 0, 2).reshape(orders * e, d)
-            gh = np.matmul(stack, w_t, out=scratch(h.shape))
+        # (d, (K+1)e): column block k is W_k's adjoint
+        gw = x.reshape(-1, d).T @ stack.reshape(-1, orders * e)
+        gw = gw.reshape(d, orders, e).transpose(1, 0, 2).reshape(w.shape)
+        # W^T's column blocks W_k^T moved to row blocks
+        w_t = w.data.T.reshape(e, orders, d).transpose(1, 0, 2).reshape(orders * e, d)
+        gh = np.matmul(stack, w_t, out=scratch(h.shape))
         return gh, gw, gb
 
     return Tensor._make(out, (h, w, b), vjp)
@@ -343,11 +334,9 @@ def vertex_embedding(xz, m, w, b, mask_token) -> Tensor:
     def vjp(g):
         g_set = np.multiply(g, m, out=scratch(shape))
         prod = scratch(shape)
-        gw = _summed_to(np.multiply(g_set, xz, out=prod), w.shape) if w.requires_grad else None
-        gb = _summed_to(g_set, b.shape) if b.requires_grad else None
-        gt = None
-        if tok.requires_grad:
-            gt = _summed_to(np.multiply(g, unset, out=prod), tok.shape)
+        gw = _summed_to(np.multiply(g_set, xz, out=prod), w.shape)
+        gb = _summed_to(g_set, b.shape)
+        gt = _summed_to(np.multiply(g, unset, out=prod), tok.shape)
         return gw, gb, gt
 
     return Tensor._make(out, (w, b, tok), vjp)

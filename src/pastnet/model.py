@@ -397,7 +397,11 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     epochs.  Before the first step, raises ``ValueError`` naming the
     window, step and node of the first non-finite value, observed or
     hidden: the masked losses weight a hidden entry by 0, and 0 * NaN is
-    NaN.  Raises on non-finite losses, naming the epoch and batch.
+    NaN.  Raises on non-finite losses, naming the epoch and batch.  A batch
+    with no observed entry gives the masked losses nothing to average, so
+    it is skipped: no forward pass, no dropout draw, no Adam step and no
+    share in the epoch's mean loss.  When no window has an observed entry,
+    ``ValueError`` is raised before the first step.
 
     The run holds one ``numcore.buffer_pool`` and rewinds it at the start
     of every optimizer step, so each step's kernels write into the previous
@@ -418,6 +422,9 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
             f"window {w} holds a non-finite value at step {t}, node {u}: "
             f"{windows.values[at]} (the losses read hidden entries too)"
         )
+    observed = (windows.masks == 1.0).reshape(len(windows), -1).any(axis=1)
+    if not observed.any():
+        raise ValueError("no training window holds an observed entry: the losses average over none")
     history = TrainHistory()
     if cfg.epochs == 0:
         return model, history
@@ -431,8 +438,10 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
             sums = np.zeros(2)
             batches = 0
             for lo in range(0, len(order), cfg.batch_size):
-                pool.rewind()
                 idx = order[lo : lo + cfg.batch_size]
+                if not observed[idx].any():
+                    continue
+                pool.rewind()
                 total, l1, l2 = model.objective(
                     windows.values[idx],
                     windows.masks[idx],
@@ -445,7 +454,7 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
                 )
                 if not np.isfinite(float(total.data)):
                     raise RuntimeError(
-                        f"training diverged at epoch {epoch} batch {batches}: "
+                        f"training diverged at epoch {epoch} batch {lo // cfg.batch_size}: "
                         f"loss1={l1:g} loss2={l2:g}"
                     )
                 total.backward()

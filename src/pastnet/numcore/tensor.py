@@ -9,12 +9,11 @@ is bitwise reproducible.
 
 Adjoint ownership: a VJP may return views of its input adjoint (a reshape,
 a transpose, a read-only broadcast, one piece of a concat split), and one
-such view may reach several parents.  ``backward()`` therefore writes into
-an interior node's adjoint only where it knows that no other adjoint views
-the same memory: an arena buffer of the pool (below) that this node's
-adjoint alone still views.  Any other second contribution is added out of
-place, into new scratch.  Leaf accumulators are written in place; a leaf
-without one gets a writable copy of its first contribution.
+such view may reach several parents.  ``backward()`` therefore never writes
+into an interior node's adjoint: a second contribution is added out of
+place, into new scratch, and the sum replaces the adjoint so far.  Leaf
+accumulators are written in place; a leaf without one gets a writable copy
+of its first contribution.
 
 Layer kernels with hand-written VJPs live next to their models in gim and
 cgm (vertex embedding, temporal aggregation, spatial mixing, cross gate),
@@ -88,11 +87,11 @@ The rules that make reuse safe: a scratch buffer leaves the call that asked
 for it only as an adjoint its VJP returns, and that call makes no tape node
 while it still reads the buffer; nothing holds a step buffer past the
 pool's next rewind.  Who may write an adjoint: the VJP that took it from
-``scratch``, until it returns it, and then only ``backward()``, which adds
-into it in place only while the node it accumulates for is its only
-holder.  A VJP never writes into its incoming adjoint and returns no step
-buffer (nor a view of one), because ``backward()`` keeps what it returns as
-interior adjoints and leaf gradients.
+``scratch``, until it returns it, and no one after that; ``backward()``
+writes only into leaf accumulators.  A VJP never writes into its incoming
+adjoint and returns no step buffer (nor a view of one), because
+``backward()`` keeps what it returns as interior adjoints and leaf
+gradients.
 """
 from __future__ import annotations
 
@@ -132,7 +131,8 @@ class ScratchPool:
     the number of interior adjoints the tape holds that view it.  An arena
     buffer goes idle at the next ``settle()`` after it was taken, unless the
     tape keeps a view of it, and then when the last such view is consumed.
-    ``live`` counts the arena bytes handed out and not yet idle, ``peak``
+    The count decides only when a buffer goes idle: nothing writes into an
+    adjoint the tape holds.  ``live`` counts the arena bytes handed out and not yet idle, ``peak``
     its largest value since the last rewind.
     """
 
@@ -204,11 +204,6 @@ class ScratchPool:
             entry[1] -= 1
             if entry[1] == 0:
                 self._idle(entry[0])
-
-    def alone(self, adjoint: Array) -> bool:
-        """Whether ``adjoint`` is writable and the only adjoint viewing its buffer."""
-        entry = self._entry(adjoint)
-        return entry is not None and entry[1] == 1 and adjoint.flags.writeable
 
     def settle(self) -> None:
         """Take back what was handed out since the last settle and the tape did not keep."""
@@ -396,12 +391,11 @@ class Tensor:
         ``self`` must hold a single element.  Existing leaf accumulators are
         added to in place, so they keep their identity; a leaf without one
         receives a fresh writable array.  Interior adjoints may be views
-        shared with other nodes: a second contribution is added in place
-        only into an arena buffer that the node alone views, else out of
-        place.  An output of a kernel node hands its adjoint on, and the
-        kernel's VJP runs once with every output's adjoint.  Inside a pool,
-        every arena buffer goes back once the last interior adjoint viewing
-        it is consumed.
+        shared with other nodes, so none is written: a second contribution
+        is added out of place into scratch.  An output of a kernel node
+        hands its adjoint on, and the kernel's VJP runs once with every
+        output's adjoint.  Inside a pool, every arena buffer goes back once
+        the last interior adjoint viewing it is consumed.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -450,8 +444,6 @@ class Tensor:
                     elif parent.grad is None:
                         parent.grad = g
                         pool.hold(g)
-                    elif pool.alone(parent.grad):
-                        np.add(parent.grad, g, out=parent.grad)
                     else:  # g or the adjoint so far may be shared: never write into either
                         total = np.add(parent.grad, g, out=scratch(parent.grad.shape))
                         pool.release(parent.grad)

@@ -165,13 +165,13 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
     weights = [[constant(rng.normal(size=(d, d))) for _ in range(4)] for _ in range(3)]
     node, stamp = rng.normal(size=(1, 4, d)), rng.normal(size=(5, 1, d))
     streams = []
-    made = cgm._Stream.__init__
+    real_gated = cgm._gated
 
     def recorded_stream(stream, *args):
-        made(stream, *args)
         streams.append(stream)
+        return real_gated(stream, *args)
 
-    monkeypatch.setattr(cgm._Stream, "__init__", recorded_stream)
+    monkeypatch.setattr(cgm, "_gated", recorded_stream)
 
     def layers():
         outs, s, t = [], node, stamp
@@ -267,6 +267,33 @@ def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, diffe
         assert np.allclose(g, r, rtol=TOL, atol=TOL), np.max(np.abs(g - r))
 
 
+@pytest.mark.parametrize("read", ["s", "t"])
+@pytest.mark.parametrize("streams", ["broadcast", "full"])
+def test_cross_gate_vjp_of_a_loss_that_reads_one_output(streams, read):
+    # a loss that reads one output leaves the other unreached: the VJP takes
+    # zeros for its adjoint and still returns one for every input
+    rng = np.random.default_rng(44)
+    d = 3
+    shapes = {"broadcast": [(1, 4, d), (5, 1, d)], "full": [(5, 4, d), (5, 4, d)]}[streams]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    arrays += [rng.normal(size=(d, d)) for _ in range(4)]
+    cotangent = constant(rng.normal(size=(5, 4, d)))
+
+    def grads(gate):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out_s, out_t = gate(*tensors)
+        ((out_s if read == "s" else out_t) * cotangent).sum().backward()
+        return [t.grad for t in tensors]
+
+    kernel, reference = grads(cross_gate_layer), grads(cross_gate_reference)
+    # the composite never reaches the other stream's W_p; the kernel returns its zeros
+    unreached = 3 if read == "s" else 2
+    assert reference[unreached] is None and not np.any(kernel[unreached])
+    reference[unreached] = np.zeros((d, d))
+    for g, r in zip(kernel, reference, strict=True):
+        assert np.allclose(g, r, rtol=TOL, atol=TOL), np.max(np.abs(g - r))
+
+
 def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypatch):
     # each cross-gate layer is one tape node with two outputs: over one
     # train() step each stream's projection and gate product run over each
@@ -279,10 +306,11 @@ def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypa
     model = PastModel.build(ModelConfig(L=L, N=N, d=8, n=n, K=1, seed=4),
                             adjacency=np.ones((N, N)) - np.eye(N))
     gated = []  # per call: the stream's projection weight and the values it gated
-    real_gated = cgm._Stream.gated
+    real_gated = cgm._gated
 
     def counted(stream, rows, buffers):
-        gated.append((stream.w_p, stream.v.data[rows].size))
+        v, w_p, _ = stream
+        gated.append((w_p, v[rows].size))
         return real_gated(stream, rows, buffers)
 
     adjoints = []  # per gate VJP call: the node's inputs and what it returned for each
@@ -305,7 +333,7 @@ def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypa
         node._vjp = vjp
         return out_s, out_t
 
-    monkeypatch.setattr(cgm._Stream, "gated", counted)
+    monkeypatch.setattr(cgm, "_gated", counted)
     monkeypatch.setattr(cgm, "cross_gate_layer", recorded_layer)
     rng = np.random.default_rng(0)
     values = rng.normal(size=(2, L, N))
@@ -316,7 +344,7 @@ def test_a_train_step_runs_each_gate_stream_twice_and_one_vjp_per_layer(monkeypa
     p = model.params
     for i, (s_in, t_in) in enumerate(inputs_of):
         for name, stream in (("W_sp", s_in), ("W_tp", t_in)):
-            runs = sum(size for w, size in gated if w is p[f"cgm/layer{i}/{name}"])
+            runs = sum(size for w, size in gated if w is p[f"cgm/layer{i}/{name}"].data)
             assert runs == 2 * stream.data.size  # once forward, once in the VJP
     assert sum(size for _, size in gated) == 2 * sum(s.data.size + t.data.size for s, t in inputs_of)
     assert len(adjoints) == n

@@ -247,3 +247,21 @@ def test_train_out_of_range_dropout_exits_2(tmp_path, capsys):
     assert code == 2
     assert "p_dropout must be in [0, 1)" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_train_skips_windows_with_no_observed_entry(tmp_path, capsys):
+    # a 200-step block over all 4 nodes hides 7 of the 19 training windows
+    # whole; at one window per batch their batches used to stop the run
+    # with "empty mask"
+    out = tmp_path / "d"
+    assert main(["synth", "--nodes", "4", "--days", "6", "--out-dir", str(out)]) == 0
+    values, graph, mask = (str(out / f) for f in ("values.csv", "graph.json", "mask.csv"))
+    assert main(["mask", "--values", values, "--graph", graph, "--kind", "block",
+                 "--rate", "0.5", "--length", "200", "--span-nodes", "4", "--seed", "1",
+                 "--out", mask]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["train", "--values", values, "--graph", graph, "--mask", mask,
+                 "--out", str(ckpt), "--window", "24", "--dim", "8", "--layers", "1",
+                 "--epochs", "2", "--batch-size", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert ckpt.exists()

@@ -1,6 +1,7 @@
 """Dataset construction, transforms, calendar features, windowing, file IO."""
 import hashlib
 import json
+import math
 import pathlib
 import re
 import warnings
@@ -486,6 +487,42 @@ def mutations(blob: bytes, count: int, seed: int):
         yield bytes(b)
 
 
+JSON_VALUES = (None, "x", [], {}, True, math.inf, -math.inf, -1, 1.5, 10**30)
+
+
+def json_mutations(blob: bytes, count: int, seed: int):
+    """``count`` copies of the JSON document ``blob``, each with one object
+    key or list item deleted or its value set to one of ``JSON_VALUES``
+    (infinities written as ``1e999`` and ``-1e999``)."""
+    rng = np.random.default_rng(seed)
+    paths = list(json_paths(json.loads(blob)))
+    for _ in range(count):
+        doc = json.loads(blob)
+        *parents, last = paths[rng.integers(len(paths))]
+        node = doc
+        for key in parents:
+            node = node[key]
+        choice = int(rng.integers(len(JSON_VALUES) + 1))
+        if choice == len(JSON_VALUES):
+            del node[last]
+        else:
+            node[last] = JSON_VALUES[choice]
+        yield json.dumps(doc).replace("Infinity", "1e999").encode()
+
+
+def json_paths(node, path=()):
+    """The key path of every object member and list item under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
 def load_checked(kind: str, paths: dict) -> None:
     """Load one file set as the CLI and harness do and check what the model
     relies on; a ValueError passes through."""
@@ -528,7 +565,10 @@ def test_mutated_text_files_raise_value_error_or_load_checked_data(kind, tmp_pat
     with open(paths[kind], "rb") as fh:
         blob = fh.read()
     outcomes = {"raised": 0, "loaded": 0}
-    for mutated in mutations(blob, 400, seed=len(kind)):
+    mutated_files = list(mutations(blob, 400, seed=len(kind)))
+    if kind in ("graph", "plan"):  # and key-level edits that keep the JSON well-formed
+        mutated_files += json_mutations(blob, 400, seed=len(kind))
+    for mutated in mutated_files:
         with open(paths[kind], "wb") as fh:
             fh.write(mutated)
         try:

@@ -502,6 +502,45 @@ def test_train_rejects_a_non_finite_value_before_the_first_step(observed):
     assert not changed_paths(model.params, before)
 
 
+def test_train_skips_a_batch_with_no_observed_entry(monkeypatch):
+    # one window per batch, two of them wholly hidden: those batches run no
+    # forward pass (so draw no dropout), take no Adam step and have no
+    # share in the epoch's mean loss
+    _, train_w, _ = training_windows()
+    masks = train_w.masks.copy()
+    masks[[1, 4]] = 0.0
+    windows = type(train_w)(train_w.values, masks, train_w.week, train_w.hour,
+                            train_w.minute_bucket, train_w.starts)
+    model = tiny_model()
+    losses, steps = [], []
+    real_objective, real_adam_step = model.objective, model_module.adam_step
+
+    def objective(values, batch_masks, *args, **kwargs):
+        assert batch_masks.any()
+        total, l1, l2 = real_objective(values, batch_masks, *args, **kwargs)
+        losses.append(l1)
+        return total, l1, l2
+
+    monkeypatch.setattr(model, "objective", objective)
+    monkeypatch.setattr(model_module, "adam_step", lambda *a: steps.append(real_adam_step(*a)))
+    epochs, kept = 2, len(windows) - 2
+    _, history = train(model, windows, TrainConfig(lr=1e-3, batch_size=1, epochs=epochs))
+    assert len(losses) == len(steps) == epochs * kept
+    for e in range(epochs):
+        assert history.loss1[e] == sum(losses[e * kept : (e + 1) * kept]) / kept
+
+
+def test_train_rejects_windows_with_no_observed_entry_before_the_first_step():
+    _, train_w, _ = training_windows()
+    windows = type(train_w)(train_w.values, np.zeros_like(train_w.masks), train_w.week,
+                            train_w.hour, train_w.minute_bucket, train_w.starts)
+    model = tiny_model()
+    before = snapshot(model.params)
+    with pytest.raises(ValueError, match="no training window holds an observed entry"):
+        train(model, windows, TrainConfig(epochs=1))
+    assert not changed_paths(model.params, before)
+
+
 def test_train_early_stop_on_plateau():
     # zero loss weights freeze the parameters and dropout is off, so the loss
     # cannot improve after epoch 0; duplicating one window makes every batch
