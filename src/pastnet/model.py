@@ -422,7 +422,8 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
             f"window {w} holds a non-finite value at step {t}, node {u}: "
             f"{windows.values[at]} (the losses read hidden entries too)"
         )
-    observed = (windows.masks == 1.0).reshape(len(windows), -1).any(axis=1)
+    # any nonzero entry counts, so a mask that is not 0/1 still reaches masked_mse's check
+    observed = (windows.masks != 0.0).reshape(len(windows), -1).any(axis=1)
     if not observed.any():
         raise ValueError("no training window holds an observed entry: the losses average over none")
     history = TrainHistory()

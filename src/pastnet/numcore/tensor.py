@@ -132,8 +132,8 @@ class ScratchPool:
     buffer goes idle at the next ``settle()`` after it was taken, unless the
     tape keeps a view of it, and then when the last such view is consumed.
     The count decides only when a buffer goes idle: nothing writes into an
-    adjoint the tape holds.  ``live`` counts the arena bytes handed out and not yet idle, ``peak``
-    its largest value since the last rewind.
+    adjoint the tape holds.  ``live`` counts the arena bytes handed out and
+    not yet idle, ``peak`` its largest value since the last rewind.
     """
 
     def __init__(self):
