@@ -46,10 +46,3 @@ def test_seed_gate_reports_each_seed_and_the_spread_of_each_ratio(tmp_path, monk
     assert spread["block"]["past/past_wo_cgm"] == pytest.approx(
         {"median": 0.8, "q1": 0.8, "q3": 0.8, "n": 4})
 
-
-def test_seed_gate_runs_fiber_and_block_with_three_methods():
-    seed_gate = _seed_gate()
-    plan = json.loads(Path(seed_gate.PLAN).read_text())
-    kinds = [sc["kind"] for sc in plan["scenarios"]]
-    assert set(seed_gate.SCENARIOS) <= set(kinds)
-    assert set(seed_gate.METHODS) <= set(plan["methods"])
