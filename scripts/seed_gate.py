@@ -1,20 +1,23 @@
 """Seed distribution of the desk plan's fiber and block rows.
 
-    python3 scripts/seed_gate.py --out SEED_GATE.json [--seeds 10]
+    python3 scripts/seed_gate.py --out SEED_GATE.json
 
 Runs ``plans/desk_plan.json``'s fiber and block scenarios with the methods
-``past``, ``past_wo_cgm`` and ``linear`` at plan seeds 0, 1, ..., seeds-1.
+``past``, ``past_wo_cgm`` and ``linear`` at plan seeds 0, 1, ..., 9.
 A plan seed s sets what ``pastnet experiment --seed s`` sets: the dataset,
 model and training seeds, and each scenario's mask seed s * 1000 + its
 index in the full plan, so every cell equals that cell of
 ``pastnet experiment --config plans/desk_plan.json --seed s``.  Each seed
-runs in its own process with one BLAS thread, one after another, and
-takes about 50 s on one core (2-core host, 10 seeds in 9 minutes).
+runs in its own process, one after another, with the environment
+``scripts/ab_bench.py`` gives its cases under glibc's default allocator
+(one BLAS thread, this checkout's ``src/``), and takes about 50 s on one
+core (2-core host, 10 seeds in 9 minutes).
 
 The JSON file holds, per seed and scenario, each method's online RMSE and
 the ratios ``past/linear`` and ``past/past_wo_cgm`` (the second asks
 whether the calendar branch pays, the paper's claim for fiber missing),
-and per scenario and ratio the median and quartiles over the seeds.  One
+and per scenario and ratio the median and quartiles over the seeds
+(``ab_bench``'s summary, to three decimals).  One
 seed is one draw from this distribution (Bouthillier et al., MLSys 2021,
 "Accounting for Variance in Machine Learning Benchmarks"); a change that
 may move seeded results is judged against the whole of it.
@@ -28,13 +31,13 @@ import subprocess
 import sys
 import tempfile
 
-import numpy as np
+from ab_bench import PINNED, _child_env, _summary
 
 PLAN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "plans", "desk_plan.json")
 SCENARIOS = ("fiber", "block")
 METHODS = ("past", "past_wo_cgm", "linear")
 RATIOS = {"past/linear": ("past", "linear"), "past/past_wo_cgm": ("past", "past_wo_cgm")}
-PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SEEDS = range(10)
 
 
 def run_seed(seed: int) -> dict:
@@ -62,29 +65,22 @@ def run_seed(seed: int) -> dict:
 
 def summarize(runs: dict[int, dict]) -> dict:
     """Per seed the online RMSEs and ratios, per scenario and ratio their spread."""
-    seeds, spread = {}, {}
+    seeds = {}
     for seed, rmse in sorted(runs.items()):
         seeds[str(seed)] = {
             sc: {"online_rmse": rmse[sc],
                  **{name: rmse[sc][a] / rmse[sc][b] for name, (a, b) in RATIOS.items()}}
             for sc in SCENARIOS
         }
-    for sc in SCENARIOS:
-        spread[sc] = {}
-        for name in RATIOS:
-            values = [seeds[s][sc][name] for s in seeds]
-            q1, median, q3 = np.percentile(values, [25, 50, 75])
-            spread[sc][name] = {"median": float(median), "q1": float(q1), "q3": float(q3),
-                                "n": len(values)}
+    spread = {sc: {name: _summary([seeds[s][sc][name] for s in seeds]) for name in RATIOS}
+              for sc in SCENARIOS}
     return {"seeds": seeds, "distribution": spread}
 
 
 def _run_child(seed: int) -> dict:
-    src = os.path.join(os.path.dirname(PLAN), "..", "src")
-    env = dict(os.environ, **PINNED, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", str(seed)],
-        env=env, stdout=subprocess.PIPE, text=True, check=True,
+        env=_child_env(os.path.join(os.path.dirname(PLAN), ".."), "default"), stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -92,20 +88,19 @@ def _run_child(seed: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON report to write")
-    parser.add_argument("--seeds", type=int, default=10, help="plan seeds 0..seeds-1 (default: 10)")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
         print(json.dumps(run_seed(args.child)))
         return 0
-    if not args.out or args.seeds < 1:
-        parser.error("--out is required and --seeds must be positive")
+    if not args.out:
+        parser.error("--out is required")
     runs = {}
-    for seed in range(args.seeds):
+    for seed in SEEDS:
         runs[seed] = _run_child(seed)
         print(f"seed {seed}: {json.dumps(runs[seed])}", file=sys.stderr)
     report = {
-        "command": f"python3 scripts/seed_gate.py --seeds {args.seeds}",
+        "command": "python3 scripts/seed_gate.py",
         "plan": "plans/desk_plan.json",
         "scenarios": list(SCENARIOS),
         "methods": list(METHODS),

@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _seed_gate():
+def _seed_gate(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # seed_gate imports ab_bench
     spec = importlib.util.spec_from_file_location("seed_gate", ROOT / "scripts" / "seed_gate.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -19,7 +20,7 @@ def _seed_gate():
 def test_seed_gate_reports_each_seed_and_the_spread_of_each_ratio(tmp_path, monkeypatch):
     # stubbed seed runs, no child process: past/linear is (seed + 1) / 10 on
     # fiber and half that on block, past/past_wo_cgm 0.8 everywhere
-    seed_gate = _seed_gate()
+    seed_gate = _seed_gate(monkeypatch)
     seeds = []
 
     def run_child(seed):
@@ -30,19 +31,20 @@ def test_seed_gate_reports_each_seed_and_the_spread_of_each_ratio(tmp_path, monk
 
     out = tmp_path / "gate.json"
     monkeypatch.setattr(seed_gate, "_run_child", run_child)
-    monkeypatch.setattr(sys, "argv", ["seed_gate.py", "--seeds", "4", "--out", str(out)])
+    monkeypatch.setattr(sys, "argv", ["seed_gate.py", "--out", str(out)])
     assert seed_gate.main() == 0
-    assert seeds == [0, 1, 2, 3]
+    assert seeds == list(range(10))
     report = json.loads(out.read_text())
-    assert list(report["seeds"]) == ["0", "1", "2", "3"]
+    assert report["command"] == "python3 scripts/seed_gate.py"
+    assert list(report["seeds"]) == [str(seed) for seed in range(10)]
     fiber = report["seeds"]["2"]["fiber"]
     assert fiber["online_rmse"] == {"past": 0.3, "past_wo_cgm": 0.3 / 0.8, "linear": 1.0}
     assert fiber["past/linear"] == pytest.approx(0.3)
     assert fiber["past/past_wo_cgm"] == pytest.approx(0.8)
     spread = report["distribution"]
     assert spread["fiber"]["past/linear"] == pytest.approx(
-        {"median": 0.25, "q1": 0.175, "q3": 0.325, "n": 4})
-    assert spread["block"]["past/linear"]["median"] == pytest.approx(0.125)
+        {"median": 0.55, "q1": 0.325, "q3": 0.775, "n": 10})
+    assert spread["block"]["past/linear"]["median"] == pytest.approx(0.275)
     assert spread["block"]["past/past_wo_cgm"] == pytest.approx(
-        {"median": 0.8, "q1": 0.8, "q3": 0.8, "n": 4})
+        {"median": 0.8, "q1": 0.8, "q3": 0.8, "n": 10})
 
