@@ -72,8 +72,9 @@ step after a call's first, cut at every ``adam_step`` return, so an epoch's
 smaller last batch trains but is not sampled; ``rss_mib`` is the peak of
 the process.  Each of those step ends also reports, from the ``stats()`` of
 the pool ``train`` holds, ``pool_step_mib`` (its step buffers),
-``arena_mib`` (its arena buffers) and ``arena_peak_mib`` (the most the
-arena had handed out at once during the step).
+``arena_mib`` (its arena buffers) and ``arena_peak_mib`` (the most arena
+bytes that arrays still viewed at once during the step, as seen at each
+request).
 
 Every case hashes its output outside the timed region: the imputed bytes of
 a span case, the history and trained parameter bytes of a training case.

@@ -33,8 +33,9 @@ node with two outputs, it computes its projections, gates, sigmoids, tanhs
 and updates a block of slot rows at a time in views of one scratch request,
 and its one VJP recomputes them once per stream from the gate's inputs,
 which the tape keeps anyway, and returns an adjoint for every input.  The
-stream adjoints the gates and the head return are scratch; a gate's
-weight adjoints are new (d, d) arrays.
+stream adjoints the gates and the head return are scratch, as is the work
+request, and an arena buffer serves a later request once no array views
+it; a gate's weight adjoints are new (d, d) arrays.
 """
 from __future__ import annotations
 
@@ -200,8 +201,8 @@ def _work_arrays(streams, block, *more) -> tuple[list[np.ndarray], ...]:
     stream's shape when ``block`` is None), then an array of each shape in
     ``more``: views of one ``scratch`` request.
 
-    One request takes at most one arena buffer, and the call hands it back
-    whole; separate plain arrays of a few hundred KiB would be mapped and
+    One request takes at most one arena buffer, free again whole once the
+    call drops its views; separate plain arrays of a few hundred KiB would be mapped and
     faulted in again on every call under a fixed mmap threshold.
     """
     shapes = [v.shape if block is None else block for v, _, _ in streams for _ in range(3)]

@@ -36,9 +36,9 @@ its adjoints from a stack of its own, the output adjoint's products with
 the transposed powers, and from ``h``.  Inside a pool (``train``,
 ``impute_span``) step buffers go by position, so a step's k-th request
 reuses the previous step's k-th buffer, and scratch shares the pool's
-arena: forward scratch goes back when the kernel's node is made, and
-``backward`` hands each returned adjoint's buffer on to a later VJP once
-the adjoint is consumed.  Outside any pool every array is fresh.
+arena, whose buffers serve a later request once no array views them: a
+kernel's temporaries once it returns, an adjoint once ``backward`` has
+consumed it.  Outside any pool every array is fresh.
 """
 from __future__ import annotations
 

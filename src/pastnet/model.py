@@ -407,9 +407,8 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     of every optimizer step, so each step's kernels write into the previous
     step's buffers instead of mapping fresh pages.  Forward scratch (the
     dropout draw among it) and the VJPs' scratch and adjoints share the
-    pool's arena: scratch goes back once its kernel's node is made, and
-    ``backward`` reuses each adjoint's buffer once the adjoint is consumed.
-    A step's kernel outputs and saved arrays are therefore valid only until
+    pool's arena, whose buffers serve a later request once no array views
+    them.  A step's kernel outputs and saved arrays are therefore valid only until
     the next step; nothing that outlives a step (parameters, gradients,
     moments, history) is one.
     """

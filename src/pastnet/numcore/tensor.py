@@ -23,12 +23,12 @@ one tensor per output, whose only parent is the kernel's node.
 ``backward()`` calls no VJP for such an output: it hands the output's
 complete adjoint on to the kernel node, which runs its one VJP after all
 of its outputs, with one adjoint per output and ``None`` for an output no
-consumer reached.  The tape still owns the adjoints it hands on: the VJP
-only reads them, and ``backward()`` releases them all when the VJP
-returns, as it releases a one-output node's adjoint.  A VJP reads only
-its inputs, what its forward pass saved and its own scratch, and writes
-only into arrays it allocated or took as scratch in that call, so
-``backward()`` can run more than once.
+consumer reached.  A VJP reads only its inputs, what its forward pass
+saved, its incoming adjoints and its own scratch, and writes only into
+arrays it allocated or took as scratch in that call, so ``backward()``
+can run more than once.  It returns no step buffer (nor a view of one),
+because ``backward()`` keeps what it returns as interior adjoints and
+leaf gradients.
 
 Only the operations the models run are implemented: broadcasting ``+``,
 ``-`` and ``*`` with a tensor on the left, batched matmul, sums, reshape,
@@ -67,36 +67,28 @@ dtype asked for, and it serves one of two lifetimes:
   a request is too small for it.  ``train()`` makes the same requests in
   the same order every step, so each request gets the same pages every
   step, and an epoch's smaller last batch views the full batch's.
-- ``scratch(shape)`` is call-local: a temporary (a random draw, a relu
-  mask, a VJP's intermediates) or an adjoint a VJP returns.  One of
+- ``scratch(shape)`` is everything else: a temporary (a random draw, a
+  relu mask, a VJP's intermediates) or an adjoint a VJP returns.  One of
   ``HEAP_ADJOINT_BYTES`` or more is a view of one of the pool's arena
-  buffers, a smaller one a plain array.  An arena buffer goes back when the
-  next tape node is made (``Tensor._make``, the kernel's own node) or,
-  inside ``backward()``, when the VJP returns, unless ``backward()`` keeps
-  it as an interior adjoint.  It counts the interior adjoints that view
-  each buffer (a reshape, transpose, split piece or broadcast of an adjoint
-  views the same buffer) and hands the buffer back when the last of them
-  is consumed.
+  buffers, a smaller one a plain array.
 
-An idle arena buffer serves the next request it fits, as a view; when none
-fits, the idle buffers are dropped and a new one is mapped, so the arena
-never holds more than it once had in use at the same time.
+An arena buffer is free once no array views it.  Every view numpy makes of
+it (a reshape, a transpose, a split piece, a broadcast) keeps it alive
+through ``.base``, so it is free when the pool's list holds its only
+reference.  A free buffer serves the next request it fits, as a view; when
+none fits, the free buffers are dropped and a new one is mapped, so the
+arena never holds more than it once had in use at the same time.  An array
+kept longer than it is read therefore costs arena memory, never values.
 ``ScratchPool.stats()`` reports the step-buffer and arena bytes.
 
-The rules that make reuse safe: a scratch buffer leaves the call that asked
-for it only as an adjoint its VJP returns, and that call makes no tape node
-while it still reads the buffer; nothing holds a step buffer past the
-pool's next rewind.  Who may write an adjoint: the VJP that took it from
-``scratch``, until it returns it, and no one after that; ``backward()``
-writes only into leaf accumulators.  A VJP never writes into its incoming
-adjoint and returns no step buffer (nor a view of one), because
-``backward()`` keeps what it returns as interior adjoints and leaf
-gradients.
+The one rule that makes reuse safe: nothing holds a step buffer past the
+pool's next rewind.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -120,45 +112,46 @@ def _float64s(shape: tuple[int, ...], dtype) -> int:
     return -(-math.prod(shape) * np.dtype(dtype).itemsize // 8)
 
 
+def _refcounts(flats: list[Array]) -> list[int]:
+    """Each array's reference count, as this one expression sees it."""
+    return [sys.getrefcount(flat) for flat in flats]
+
+
+# the count of a buffer nothing but the pool's list holds; measured, since
+# what getrefcount adds for its own argument differs between interpreters
+_FREE = _refcounts([np.empty(1)])[0]
+
+
 class ScratchPool:
     """One thread's reusable buffers (see the module docstring).
 
     Every buffer is a flat float64 array, handed out as a view of any shape
     and dtype.  ``steps`` holds the step buffers by position: the k-th
-    ``step()`` since the last ``rewind()`` gets ``steps[k]``.  The rest is
-    the arena, scratch's memory.  ``idle`` holds the arena buffers nothing
-    uses, smallest first.  ``viewed`` maps each handed-out arena buffer to
-    the number of interior adjoints the tape holds that view it.  An arena
-    buffer goes idle at the next ``settle()`` after it was taken, unless the
-    tape keeps a view of it, and then when the last such view is consumed.
-    The count decides only when a buffer goes idle: nothing writes into an
-    adjoint the tape holds.  ``live`` counts the arena bytes handed out and
-    not yet idle, ``peak`` its largest value since the last rewind.
+    ``step()`` since the last ``rewind()`` gets ``steps[k]``.  ``arena``
+    holds scratch's buffers, smallest first; one is free when the list
+    holds its only reference.  ``peak`` is the most arena bytes in use at
+    once since the last rewind, as seen at each ``take``.
     """
 
     def __init__(self):
         self.steps: list[Array] = []
         self._next = 0  # position of the next step buffer
-        self.idle: list[Array] = []
-        self.viewed: dict[int, list] = {}  # id(flat) -> [flat, interior adjoints viewing it]
-        self._handed: list[Array] = []  # taken from the arena since the last settle()
-        self.live = self.peak = 0
+        self.arena: list[Array] = []
+        self.peak = 0
 
     def rewind(self) -> None:
         """Start a new step: step buffers are handed out again from the first."""
         self._next = 0
-        self.peak = self.live
-
-    def arena_buffers(self) -> list[Array]:
-        """Every arena buffer, idle or handed out."""
-        return self.idle + [flat for flat, _ in self.viewed.values()]
+        self.peak = sum(
+            flat.nbytes for flat, refs in zip(self.arena, _refcounts(self.arena)) if refs != _FREE
+        )
 
     def stats(self) -> dict[str, int]:
         """Bytes held as step buffers and in the arena, and the most the
-        arena had handed out at once since the last rewind."""
+        arena had in use at once since the last rewind."""
         return {
             "step_bytes": sum(flat.nbytes for flat in self.steps),
-            "arena_bytes": sum(flat.nbytes for flat in self.arena_buffers()),
+            "arena_bytes": sum(flat.nbytes for flat in self.arena),
             "arena_peak_bytes": self.peak,
         }
 
@@ -173,56 +166,19 @@ class ScratchPool:
         return _view(self.steps[k], shape, dtype)
 
     def take(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
-        """A view of ``shape`` on the smallest idle arena buffer it fits, or a new one."""
+        """A view of ``shape`` on the smallest free arena buffer it fits, or a new one."""
         size = _float64s(shape, dtype)
-        i = bisect.bisect_left(self.idle, size, key=len)
-        if i < len(self.idle):
-            flat = self.idle.pop(i)
-        else:
-            self.idle.clear()  # each is too small for this request: drop, do not keep beside
+        free = [refs == _FREE for refs in _refcounts(self.arena)]
+        in_use = sum(flat.nbytes for flat, f in zip(self.arena, free) if not f)
+        fits = [flat for flat, f in zip(self.arena, free) if f and flat.size >= size]
+        if fits:
+            flat = fits[0]
+        else:  # each free buffer is too small for this request: drop, do not keep beside
+            self.arena = [flat for flat, f in zip(self.arena, free) if not f]
             flat = np.empty(size)
-        self.viewed[id(flat)] = [flat, 0]
-        self._handed.append(flat)
-        self.live += flat.nbytes
-        self.peak = max(self.peak, self.live)
+            bisect.insort(self.arena, flat, key=len)
+        self.peak = max(self.peak, in_use + flat.nbytes)
         return _view(flat, shape, dtype)
-
-    def _entry(self, adjoint: Array) -> list | None:
-        base = adjoint.base  # numpy points every view at the array that owns the memory
-        return None if base is None else self.viewed.get(id(base))
-
-    def hold(self, adjoint: Array) -> None:
-        """The tape keeps ``adjoint`` as an interior node's adjoint."""
-        entry = self._entry(adjoint)
-        if entry is not None:
-            entry[1] += 1
-
-    def release(self, adjoint: Array) -> None:
-        """The tape drops ``adjoint``; its buffer is idle once no view is left."""
-        entry = self._entry(adjoint)
-        if entry is not None:
-            entry[1] -= 1
-            if entry[1] == 0:
-                self._idle(entry[0])
-
-    def settle(self) -> None:
-        """Take back what was handed out since the last settle and the tape did not keep."""
-        for flat in self._handed:
-            entry = self.viewed.get(id(flat))
-            if entry is not None and entry[1] == 0:
-                self._idle(flat)
-        self._handed.clear()
-
-    def finish(self) -> None:
-        """End a ``backward()``.  Buffers still viewed (it raised) leave the arena."""
-        self.viewed.clear()
-        self._handed.clear()
-        self.live = 0
-
-    def _idle(self, flat: Array) -> None:
-        del self.viewed[id(flat)]
-        self.live -= flat.nbytes
-        bisect.insort(self.idle, flat, key=len)
 
 
 @contextmanager
@@ -254,11 +210,10 @@ def buffer_pool():
 def scratch(shape: tuple[int, ...], dtype=np.float64) -> Array:
     """An uninitialized array for one kernel call: a temporary or an adjoint its VJP returns.
 
-    Inside a pool, one of ``HEAP_ADJOINT_BYTES`` or more is arena memory,
-    handed back at the next ``Tensor._make`` or, in ``backward()``, when the
-    VJP returns, unless the tape keeps it as an adjoint; else a fresh array.
-    The caller must not keep it past the call or make a tape node while it
-    still reads it, and returns it only as a VJP's adjoint.
+    Inside a pool, one of ``HEAP_ADJOINT_BYTES`` or more is a view of an
+    arena buffer that no other array views, and the buffer is handed out
+    again only once this one and every view of it are gone; else a fresh
+    array.
     """
     pool = _pool.get()
     if pool is None or math.prod(shape) * np.dtype(dtype).itemsize < HEAP_ADJOINT_BYTES:
@@ -368,9 +323,6 @@ class Tensor:
         calls ``vjp(g_0, g_1, ...)`` once, with every output's complete
         adjoint, ``None`` for one that no consumer reached.
         """
-        pool = _pool.get()
-        if pool is not None:
-            pool.settle()  # the kernel that made ``data`` is done with its scratch
         several = isinstance(data, tuple)
         if not (_recording.get() and any(p.requires_grad for p in parents)):
             return tuple(Tensor(d) for d in data) if several else Tensor(data)
@@ -394,8 +346,8 @@ class Tensor:
         shared with other nodes, so none is written: a second contribution
         is added out of place into scratch.  An output of a kernel node
         hands its adjoint on, and the kernel's VJP runs once with every
-        output's adjoint.  Inside a pool, every arena buffer goes back once
-        the last interior adjoint viewing it is consumed.
+        output's adjoint.  An interior adjoint is dropped once consumed, and
+        with it its hold on an arena buffer.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -418,45 +370,22 @@ class Tensor:
             self.grad = np.ones_like(self.data)
         else:
             self.grad = self.grad + np.ones_like(self.data)
-        # outside a pool nothing is pooled, so an unshared pool counts nothing
-        pool = _pool.get() or ScratchPool()
-        try:
-            for node in reversed(topo):
-                if node._vjp is None or node.grad is None:
-                    continue
-                if type(node._vjp) is _Output:  # hand the adjoint on to the kernel node
-                    kernel, k = node._parents[0], node._vjp.index
-                    if kernel.grad is None:
-                        kernel.grad = [None] * node._vjp.count
-                    kernel.grad[k] = node.grad  # the kernel node releases it
-                    if node is not self:
-                        node.grad = None
-                    continue
-                adjoints = node.grad if type(node.grad) is list else (node.grad,)
-                for parent, g in zip(node._parents, node._vjp(*adjoints)):
-                    if g is None or not parent.requires_grad:
-                        continue
-                    if parent._vjp is None:  # a leaf
-                        if parent.grad is None:
-                            parent.grad = np.array(g)  # the leaf's own writable accumulator
-                        else:
-                            np.add(parent.grad, g, out=parent.grad)
-                    elif parent.grad is None:
-                        parent.grad = g
-                        pool.hold(g)
-                    else:  # g or the adjoint so far may be shared: never write into either
-                        total = np.add(parent.grad, g, out=scratch(parent.grad.shape))
-                        pool.release(parent.grad)
-                        parent.grad = total
-                        pool.hold(total)
-                pool.settle()
+        for node in reversed(topo):
+            if node._vjp is None or node.grad is None:
+                continue
+            if type(node._vjp) is _Output:  # hand the adjoint on to the kernel node
+                kernel, k = node._parents[0], node._vjp.index
+                if kernel.grad is None:
+                    kernel.grad = [None] * node._vjp.count
+                kernel.grad[k] = node.grad
                 if node is not self:
-                    for g in adjoints:
-                        if g is not None:
-                            pool.release(g)
-                    node.grad = None  # free interior adjoints as soon as consumed
-        finally:
-            pool.finish()
+                    node.grad = None
+                continue
+            adjoints = node.grad if type(node.grad) is list else (node.grad,)
+            _accumulate(node._parents, node._vjp(*adjoints))
+            del adjoints  # no reference of backward's own keeps a consumed adjoint in use
+            if node is not self:
+                node.grad = None  # free interior adjoints as soon as consumed
 
     # ---- arithmetic ----
 
@@ -535,6 +464,22 @@ class Tensor:
             return (np.transpose(g, inverse),)
 
         return Tensor._make(data, (a,), vjp)
+
+
+def _accumulate(parents: tuple[Tensor, ...], adjoints) -> None:
+    """Add a VJP's ``adjoints`` into its ``parents``' ``.grad`` (see ``backward``)."""
+    for parent, g in zip(parents, adjoints):
+        if g is None or not parent.requires_grad:
+            continue
+        if parent._vjp is None:  # a leaf
+            if parent.grad is None:
+                parent.grad = np.array(g)  # the leaf's own writable accumulator
+            else:
+                np.add(parent.grad, g, out=parent.grad)
+        elif parent.grad is None:
+            parent.grad = g
+        else:  # g or the adjoint so far may be shared: never write into either
+            parent.grad = np.add(parent.grad, g, out=scratch(parent.grad.shape))
 
 
 class _Output:

@@ -17,15 +17,19 @@ as plain tape nodes on ``Tensor._make``, each with its own numpy VJP.
 and ``_batch_interval_dropout`` removes from it the edges gim's dropout
 draws: the dense references of the temporal kernel.
 
-``poison_returned_buffers`` makes a read of a pool buffer after it was
-handed back change the result.  ``param_arrays`` and ``pool_buffers`` read
-a parameter store's values and a pool's buffers.
+``poison_returned_buffers`` makes an array that still views a pool buffer
+handed out again, or a read of scratch before it is written, change the
+result.  ``param_arrays`` reads a parameter store's values;
+``pool_buffers`` and ``arena_in_use`` name a pool's buffers by weak
+reference, so that a test holding them keeps no arena buffer in use.
 """
+import weakref
+
 import numpy as np
 
 from pastnet.gim import interval_dropout_mask
 from pastnet.numcore import ParamStore, Tensor, constant, grad_check
-from pastnet.numcore.tensor import ScratchPool, _unbroadcast
+from pastnet.numcore.tensor import _FREE, ScratchPool, _refcounts, _unbroadcast
 
 TOL = 1e-12
 
@@ -230,39 +234,43 @@ def param_arrays(params: ParamStore) -> dict[str, np.ndarray]:
     return {p: t.data for p, t in params.items()}
 
 
-def pool_buffers(pool: ScratchPool) -> list[np.ndarray]:
-    """Every buffer the pool holds: its step buffers, then its arena."""
-    return pool.steps + pool.arena_buffers()
+def pool_buffers(pool: ScratchPool) -> list[weakref.ref]:
+    """Weak references to every buffer the pool holds: its step buffers, then its arena."""
+    return [weakref.ref(flat) for flat in pool.steps + pool.arena]
 
 
-def _poison(view: np.ndarray, flat: np.ndarray) -> None:
-    if view.dtype == bool:
-        np.logical_not(view, out=view)
+def arena_in_use(pool: ScratchPool) -> list[weakref.ref]:
+    """Weak references to the pool's arena buffers that some array still views."""
+    counts = _refcounts(pool.arena)
+    return [weakref.ref(flat) for flat, refs in zip(pool.arena, counts) if refs != _FREE]
+
+
+def _poison(flat: np.ndarray, dtype) -> None:
+    if dtype == bool:
+        np.logical_not(flat.view(bool), out=flat.view(bool))
     else:
         flat.fill(np.nan)
 
 
 def poison_returned_buffers(monkeypatch) -> None:
-    """From now on, overwrite every arena buffer as it is handed back and
-    every step buffer as its pool rewinds: NaN, or for a bool view its
-    negation, so that any later read of one changes what it computes."""
-    real_take, real_idle, real_rewind = ScratchPool.take, ScratchPool._idle, ScratchPool.rewind
-    views = {}  # id(flat) -> the view last handed out on it
+    """From now on, overwrite every arena buffer as ``take`` hands it out and
+    every buffer as its pool rewinds: NaN, or the negation of a buffer last
+    handed out as bool.  An array that still viewed a buffer handed out
+    again, or a read of scratch before a write, then changes what it
+    computes."""
+    real_take, real_rewind = ScratchPool.take, ScratchPool.rewind
+    dtypes = {}  # id(flat) -> the dtype last handed out on it; no reference is kept
 
     def take(pool, shape, dtype=np.float64):
         view = real_take(pool, shape, dtype)
-        views[id(view.base)] = view
+        _poison(view.base, dtypes.get(id(view.base), np.float64))
+        dtypes[id(view.base)] = view.dtype
         return view
 
-    def idle(pool, flat):
-        _poison(views.pop(id(flat)), flat)
-        real_idle(pool, flat)
-
     def rewind(pool):
-        for flat in pool_buffers(pool):  # nothing is read across a rewind
-            _poison(flat, flat)
+        for flat in pool.steps + pool.arena:  # nothing is read across a rewind
+            _poison(flat, np.float64)
         real_rewind(pool)
 
     monkeypatch.setattr(ScratchPool, "take", take)
-    monkeypatch.setattr(ScratchPool, "_idle", idle)
     monkeypatch.setattr(ScratchPool, "rewind", rewind)

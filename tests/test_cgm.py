@@ -184,7 +184,7 @@ def test_cross_gate_outputs_never_alias_the_scratch_pool(monkeypatch):
     streams.clear()
     with buffer_pool() as pool, no_grad():
         outs = layers()
-        arena = pool.arena_buffers()
+        arena = list(pool.arena)
         steps = pool.steps
     assert len(streams) == 2 * len(weights)
     # the gate keeps nothing but its outputs: they are the pool's step buffers

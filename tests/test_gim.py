@@ -12,6 +12,7 @@ from kernel_check import (
     TOL,
     _batch_interval_dropout,
     _batch_temporal_adjacency,
+    arena_in_use,
     build_temporal_adjacency,
     check_kernel,
     divide,
@@ -526,11 +527,12 @@ def test_kernels_match_composites_inside_a_training_pool():
 @pytest.mark.usefixtures("arena_for_all")
 def test_kernel_vjps_rebuild_only_from_inputs_that_outlive_the_forward(monkeypatch):
     # the temporal kernel feeding the spatial one, as in a layer, in a pool
-    # that poisons every buffer handed back: the forward's adjacency and
-    # aggregations go back when each node is made, so a VJP that read them
-    # instead of rebuilding from the drop mask, the columns and the temporal
-    # output would see NaN.  Two backward passes give the bits of the same
-    # kernels outside any pool, and both match the composite references.
+    # that poisons every arena buffer it hands out.  No arena buffer is in
+    # use once the forward is done, so the VJPs keep neither the forward's
+    # adjacency nor its aggregations: they rebuild from the drop mask, the
+    # columns and the temporal output.  Two backward passes give the bits of
+    # the same kernels outside any pool, and both match the composite
+    # references.
     rng = np.random.default_rng(41)
     B, N, L, d = 2, 4, 7, 3
     cols = (rng.random((B * N, L)) > 0.5).astype(float)
@@ -555,6 +557,8 @@ def test_kernel_vjps_rebuild_only_from_inputs_that_outlive_the_forward(monkeypat
         states, injection, logits, wt, bt, ws, bs = tensors
         h = temporal(states, injection, logits, wt, bt).reshape(L * B, N, d)
         out = spatial(h, ws, bs)
+        pool = tensor._pool.get()
+        assert pool is None or not arena_in_use(pool)
         passes = []
         for _ in range(2):
             (out * constant(cotangent)).sum().backward()
@@ -591,7 +595,7 @@ def assert_outputs_stay_apart(kernel, inputs):
         first = kernel(*inputs[0]).data
         kept = first.copy()
         second = kernel(*inputs[1]).data
-        arena = pool.arena_buffers()
+        arena = list(pool.arena)
     assert arena, "the kernel took no temporary from the arena"
     assert np.array_equal(first, kept) and np.array_equal(first, recorded[0])
     assert np.array_equal(second, recorded[1])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import pastnet.model as model_module
-from kernel_check import param_arrays, poison_returned_buffers, pool_buffers
+from kernel_check import arena_in_use, param_arrays, poison_returned_buffers, pool_buffers
 from pastnet import checkpoint
 from pastnet.checkpoint import load_checkpoint, save_checkpoint
 from pastnet.data import WindowBatch, synthesize_dataset, window_split
@@ -634,29 +635,32 @@ def test_train_steady_step_adds_no_buffer_to_its_pool(monkeypatch):
         *(a[:4] for a in (windows.values, windows.masks, windows.week, windows.hour,
                           windows.minute_bucket, windows.starts))
     )
-    handed, steps = [], []
+    handed, steps = [], []  # weak references: a reference held here would keep a buffer in use
     real_take = ScratchPool.take
 
     def take_and_note(pool, shape, dtype=np.float64):
         view = real_take(pool, shape, dtype)
-        handed.append(view.base)
+        handed.append(weakref.ref(view.base))
         return view
 
     def step_and_look(params, state):
         adam_step(params, state)
         pool = _pool.get()
-        steps.append((pool_buffers(pool), list(handed), list(pool.idle), pool.viewed))
+        buffers = pool_buffers(pool)
+        warm = steps[0][0] if steps else []
+        same = len(buffers) == len(warm) and all(any(b() is a() for a in warm) for b in buffers)
+        kept = [any(ref() is flat for flat in pool.arena) for ref in handed]
+        steps.append((buffers, same, kept, arena_in_use(pool)))
         handed.clear()
 
     monkeypatch.setattr(ScratchPool, "take", take_and_note)
     monkeypatch.setattr(model_module, "adam_step", step_and_look)
     train(PastModel.build(config, adjacency=ring_adjacency(config.N)), four,
           TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5))
-    (warm, _, _, _), (steady, taken, idle, viewed) = steps
-    assert len(steady) == len(warm) and all(any(b is a for a in warm) for b in steady)
-    # the step drew from the arena and every buffer it took is idle again
-    assert taken and not viewed
-    assert all(any(flat is b for b in idle) for flat in taken)
+    _, (_, same, taken, in_use) = steps
+    assert same  # the steady step holds the warm step's buffers and no other
+    # the step drew from the arena, every buffer it took is still there, and all are free
+    assert taken and all(taken) and not in_use
 
 
 def test_train_keeps_neither_the_temporal_adjacency_nor_the_spatial_aggregations(monkeypatch):
@@ -680,9 +684,11 @@ def test_train_keeps_neither_the_temporal_adjacency_nor_the_spatial_aggregations
     assert held and max(held) < min(adjacency, aggregations)
 
 
-def test_train_reads_no_buffer_after_handing_it_back(monkeypatch):
+@pytest.mark.parametrize("heap_bytes", [tensor.HEAP_ADJOINT_BYTES, 0], ids=["heap", "all-arena"])
+def test_train_reads_no_buffer_after_handing_it_back(heap_bytes, monkeypatch):
     # desk size, so the dropout draw, the kernels' temporaries and the
-    # adjoints are arena memory; two epochs end with a partial batch
+    # adjoints are arena memory (all of them with no heap threshold); two
+    # epochs end with a partial batch
     config = ModelConfig(L=96, N=20, d=32, n=2, K=2, p_dropout=0.1, seed=9)
     _, windows, _ = training_windows(L=96, n_nodes=20, rate=0.4, n_days=8)
     cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5)
@@ -692,10 +698,32 @@ def test_train_reads_no_buffer_after_handing_it_back(monkeypatch):
         return (history.loss1, history.loss2), param_arrays(model.params)
 
     plain_history, plain = trained()
+    monkeypatch.setattr(tensor, "HEAP_ADJOINT_BYTES", heap_bytes)
     poison_returned_buffers(monkeypatch)
     history, poisoned = trained()
     assert history == plain_history
     assert all(plain[p].tobytes() == poisoned[p].tobytes() for p in plain)
+
+
+def test_train_ignores_hidden_values_bit_for_bit():
+    # noise written over every hidden entry of the training windows leaves
+    # the histories and the trained parameter bytes as they were, with
+    # dropout on at desk size
+    config = ModelConfig(L=96, N=20, d=32, n=2, K=2, p_dropout=0.1, seed=9)
+    _, windows, _ = training_windows(L=96, n_nodes=20, rate=0.4, n_days=8)
+    cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=2, early_stop_patience=2, seed=5)
+    hidden = windows.masks == 0.0
+    noise = np.random.default_rng(13).normal(scale=1e3, size=windows.values.shape)
+    noisy = dataclasses.replace(windows, values=np.where(hidden, noise, windows.values))
+    assert hidden.sum() == 4585 and not np.array_equal(noisy.values, windows.values)
+
+    def trained(batch):
+        model, history = train(PastModel.build(config, adjacency=ring_adjacency(20)), batch, cfg)
+        return (history.loss1, history.loss2), param_arrays(model.params)
+
+    (history, params), (noisy_history, noisy_params) = trained(windows), trained(noisy)
+    assert len(history[0]) == 2 and noisy_history == history
+    assert all(params[p].tobytes() == noisy_params[p].tobytes() for p in params)
 
 
 @pytest.mark.parametrize("heap_bytes", [tensor.HEAP_ADJOINT_BYTES, 0], ids=["heap", "all-arena"])
@@ -724,7 +752,7 @@ def test_impute_span_pool_holds_the_same_buffers_whatever_the_span(monkeypatch):
     def kept_pool():
         with real_pool() as pool:
             yield pool
-            held.append(sorted((buf.nbytes, buf.dtype.str) for buf in pool_buffers(pool)))
+            held.append(sorted((ref().nbytes, ref().dtype.str) for ref in pool_buffers(pool)))
 
     monkeypatch.setattr(model_module, "buffer_pool", kept_pool)
     for windows in (2, 10):
@@ -740,7 +768,7 @@ def test_train_drops_its_pool_when_it_returns_or_raises(raises, monkeypatch):
 
     def step_and_watch(params, state):
         adam_step(params, state)
-        refs.extend(weakref.ref(buf) for buf in pool_buffers(_pool.get()))
+        refs.extend(pool_buffers(_pool.get()))
         if raises:
             raise RuntimeError("raised after a step")
 

@@ -13,6 +13,7 @@ import pytest
 
 import pastnet.numcore
 from kernel_check import (
+    arena_in_use,
     broadcast_to,
     divide,
     mean,
@@ -334,29 +335,42 @@ def test_no_grad_opens_no_pool():
         assert _pool.get() is pool
 
 
-def test_scratch_inside_a_pool_is_arena_memory_until_the_next_node():
-    x = Tensor(np.ones(3), requires_grad=True)
+def test_scratch_inside_a_pool_is_arena_memory_until_no_array_views_it():
     with buffer_pool() as pool:
         small = scratch((3, 4))  # below HEAP_ADJOINT_BYTES: a plain array
-        assert small.base is None and not pool.viewed
+        assert small.base is None and pool.arena == []
         draw = scratch((128, 128))
         mask = scratch((256, 1024), bool)
         assert draw.base is not None and mask.base is not None
         assert not np.shares_memory(draw, mask)  # both in use: two buffers
         assert pool.stats() == {"step_bytes": 0, "arena_bytes": 3 << 17, "arena_peak_bytes": 3 << 17}
-        y = x * 2.0  # making the kernel's node hands its scratch back
-        assert not pool.viewed and pool.live == 0
-        assert [flat.nbytes for flat in pool.idle] == [1 << 17, 1 << 18]
-        again = scratch((128, 128))  # the smallest idle buffer that fits
-        assert again.base is draw.base
+        first = weakref.ref(draw.base)
+        piece = draw.T[:4]
+        del draw, mask  # the piece still views the first buffer, nothing the second
+        again = scratch((128, 128))  # the only free buffer, though larger
+        assert again.base is not first() and not np.shares_memory(again, piece)
+        del piece
+        third = scratch((128, 128))  # the smallest free buffer that fits
+        assert third.base is first() and len(pool.arena) == 2
         out = step_buffer((128, 128))  # step buffers are not arena memory
-        assert not any(np.shares_memory(out, flat) for flat in pool.arena_buffers())
+        assert not any(np.shares_memory(out, flat) for flat in pool.arena)
+        del third
         pool.rewind()
         stats = pool.stats()
         assert stats["step_bytes"] == 1 << 17 and stats["arena_bytes"] == 3 << 17
-        assert stats["arena_peak_bytes"] == 1 << 17  # what is still handed out
-        y.sum()
-        assert pool.live == 0
+        assert stats["arena_peak_bytes"] == 1 << 18  # again's buffer is still in use
+
+
+def test_scratch_kept_past_a_tape_node_is_not_handed_out_again():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with buffer_pool():
+        kept = scratch((128, 128))
+        kept[...] = 7.0
+        y = x * 2.0  # any tape node
+        other = scratch((128, 128))
+        other[...] = -1.0
+        assert y._parents and not np.shares_memory(kept, other)
+        assert np.all(kept == 7.0)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["exit", "exception"])
@@ -392,7 +406,7 @@ def test_scratch_pool_is_per_thread():
         assert not thread.is_alive() and len(seen) == 3 and seen[0] is None
         assert seen[1].base is None and seen[2].base is not None
         assert all(not np.shares_memory(mine, b) for b in seen[1:])
-        assert [flat for flat, _ in pool.viewed.values()] == [mine.base]
+        assert len(pool.arena) == 1 and pool.arena[0] is mine.base
 
 
 def test_step_buffers_are_per_occurrence_and_come_back_after_a_rewind():
@@ -465,12 +479,12 @@ def test_step_buffers_outside_a_training_pool_are_fresh(monkeypatch):
 
     def impute_then_step(params, state):
         pool = _pool.get()
-        held = [(buf, buf.tobytes()) for buf in pool_buffers(pool)]
+        held = [(ref, ref().tobytes()) for ref in pool_buffers(pool)]
         impute_span(model, values, masks, **calendar)
         now = pool_buffers(pool)
         intact.append(
             _pool.get() is pool and len(now) == len(held)
-            and all(a is buf and a.tobytes() == data for a, (buf, data) in zip(now, held))
+            and all(a() is ref() and a().tobytes() == data for a, (ref, data) in zip(now, held))
         )
         adam_step(params, state)
 
@@ -505,7 +519,7 @@ def test_training_pool_is_dropped_when_its_block_exits(raises):
         with buffer_pool():
             step_buffer((64, 64))
             scratch((128, 128))
-            refs.extend(weakref.ref(buf) for buf in pool_buffers(_pool.get()))
+            refs.extend(pool_buffers(_pool.get()))
             if raises:
                 raise RuntimeError("raised inside buffer_pool")
     assert len(refs) == 2 and all(r() is None for r in refs) and _pool.get() is None
@@ -513,8 +527,8 @@ def test_training_pool_is_dropped_when_its_block_exits(raises):
 
 # ---- adjoint ownership: pooled adjoints give the bits of fresh ones ----
 # Shapes are chosen so the adjoints are 128 KiB or more and come from the
-# pool's arena; a buffer that went idle while an adjoint
-# still viewed it would be handed to a later VJP and overwritten.
+# pool's arena; a buffer handed out again while an adjoint still viewed it
+# would be overwritten by a later VJP.
 
 
 def split_between_parents(x1, x2, w, v):
@@ -579,40 +593,37 @@ def test_gradients_in_a_training_pool_are_the_bits_of_fresh_adjoints(graph, runs
     plain, _ = leaf_grads(build, values, runs, contextlib.nullcontext())
     pooled, pool = leaf_grads(build, values, runs, buffer_pool())
     assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, pooled))
-    assert pool.idle and not pool.viewed  # every buffer came back once consumed
-    assert pool.live == 0
+    assert pool.arena and not arena_in_use(pool)  # every buffer is free once consumed
 
 
 def test_adjoint_arena_reuses_the_smallest_idle_buffer_that_fits():
     pool = ScratchPool()
     small, large = pool.take((4, 8)), pool.take((100,))
-    assert len(pool.viewed) == 2 and pool.peak == 132 * 8
-    pool.settle()  # the tape kept neither
-    assert [flat.size for flat in pool.idle] == [32, 100] and pool.live == 0
+    assert len(pool.arena) == 2 and pool.peak == 132 * 8
+    first, second = weakref.ref(small.base), weakref.ref(large.base)
+    del small, large  # no array views either buffer: both are free
     view = pool.take((5, 5))  # fits both: the smaller buffer serves it, as a view
-    assert view.base is small.base and view.shape == (5, 5)
+    assert view.base is first() and view.shape == (5, 5)
     mask = pool.take((6, 50), bool)  # 300 bytes in the 100-element buffer
-    assert mask.base is large.base and mask.dtype == bool
-    pool.settle()
-    bigger = pool.take((200,))  # fits no idle buffer: they are dropped, not kept beside
-    assert pool.idle == [] and not any(np.shares_memory(bigger, b) for b in (small, large))
+    assert mask.base is second() and mask.dtype == bool
+    del view
+    bigger = pool.take((200,))  # fits no free buffer: the free ones are dropped, not kept beside
+    assert first() is None and [flat.size for flat in pool.arena] == [100, 200]
+    assert mask.base is second() and not np.shares_memory(bigger, mask)
+    assert pool.peak == 300 * 8
 
 
-def test_adjoint_arena_counts_the_views_the_tape_holds():
+def test_arena_buffer_is_in_use_while_any_view_of_it_lives():
     pool = ScratchPool()
     g = pool.take((4, 6))
+    flat = weakref.ref(g.base)
     left, right = np.split(g, [3], axis=1)
-    pool.hold(left)
-    pool.hold(right.T)  # a transposed piece views the same buffer
-    pool.settle()  # held: not idle
-    assert not pool.idle
-    pool.release(right.T)
-    assert not pool.idle  # left still views the buffer
-    pool.release(left)  # the last view: the buffer goes idle
-    assert [flat.base for flat in pool.idle] == [None] and pool.idle[0] is g.base
-    plain = np.ones(3)
-    pool.hold(plain)  # arrays the pool never handed out are not counted
-    assert not pool.viewed
+    views = [left, right.T, np.broadcast_to(g[0], (5, 6)), g.reshape(24)]
+    del g, left, right
+    while views:
+        assert pool.take((4, 6)).base is not flat()  # any one view keeps the buffer
+        views.pop()
+    assert pool.take((4, 6)).base is flat() and len(pool.arena) == 2
 
 
 def test_adjoint_buffers_come_from_the_arena_inside_any_pool():
@@ -627,12 +638,13 @@ def test_adjoint_buffers_come_from_the_arena_inside_any_pool():
     with buffer_pool() as pool, no_grad():
         a, b = scratch((128, 128)), scratch((128, 128))
         assert not np.shares_memory(a, b)
-        assert {id(a.base), id(b.base)} == set(pool.viewed)
-        pool.settle()  # what no tape node keeps goes back
-        assert scratch((128, 128)).base in (a.base, b.base)
+        assert {id(flat) for flat in pool.arena} == {id(a.base), id(b.base)}
+        freed = weakref.ref(a.base)
+        del a  # what no array views goes back
+        assert scratch((128, 128)).base is freed()
 
 
-def test_backward_that_raises_leaves_no_buffer_counted():
+def test_backward_that_raises_frees_its_buffers_with_its_graph():
     x = Tensor(np.ones((8, 64, 48)), requires_grad=True)
     w = Tensor(np.ones((48, 48)), requires_grad=True)
 
@@ -641,10 +653,13 @@ def test_backward_that_raises_leaves_no_buffer_counted():
 
     with buffer_pool() as pool:
         h = x @ w
-        broken = Tensor._make(h.data.sum(), (h,), raising)
+        broken = Tensor._make(h.data.copy(), (h,), raising)
+        loss = (broken @ w).sum() + (h @ w).sum()
         with pytest.raises(RuntimeError, match="inside a VJP"):
-            ((broken + (h @ w).sum()) * 1.0).backward()
-        assert not pool.viewed and pool.live == 0
+            loss.backward()
+        assert arena_in_use(pool)  # the broken node's adjoint, which the graph still holds
+        del loss, broken, h
+        assert pool.arena and not arena_in_use(pool)
 
 
 # ---- a kernel node with two outputs ----
@@ -745,7 +760,7 @@ def test_two_output_node_in_a_poisoned_pool_gives_the_bits_of_no_pool(monkeypatc
     poison_returned_buffers(monkeypatch)
     with buffer_pool() as pool:
         pooled = two_output_grads(matmul_and_tanh, (0, 1), runs=2)
-        assert not pool.viewed and pool.live == 0
+        assert pool.arena and not arena_in_use(pool)
     for p, q in zip(plain, pooled, strict=True):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(p, q, strict=True))
 
