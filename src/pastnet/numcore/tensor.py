@@ -130,7 +130,7 @@ class ScratchPool:
     ``step()`` since the last ``rewind()`` gets ``steps[k]``.  ``arena``
     holds scratch's buffers, smallest first; one is free when the list
     holds its only reference.  ``peak`` is the most arena bytes in use at
-    once since the last rewind, as seen at each ``take``.
+    a ``take`` since the last rewind.
     """
 
     def __init__(self):
@@ -141,14 +141,11 @@ class ScratchPool:
 
     def rewind(self) -> None:
         """Start a new step: step buffers are handed out again from the first."""
-        self._next = 0
-        self.peak = sum(
-            flat.nbytes for flat, refs in zip(self.arena, _refcounts(self.arena)) if refs != _FREE
-        )
+        self._next = self.peak = 0
 
     def stats(self) -> dict[str, int]:
         """Bytes held as step buffers and in the arena, and the most the
-        arena had in use at once since the last rewind."""
+        arena had in use at a ``take`` since the last rewind."""
         return {
             "step_bytes": sum(flat.nbytes for flat in self.steps),
             "arena_bytes": sum(flat.nbytes for flat in self.arena),
