@@ -6,6 +6,7 @@ import pytest
 
 from kernel_check import (
     TOL,
+    arena_in_use,
     check_kernel,
     logistic,
     mean,
@@ -224,11 +225,10 @@ def test_cross_gate_kernel_matches_composite(s_shape, t_shape):
 @pytest.mark.parametrize("differentiable", ["s", "t", "both"])
 @pytest.mark.parametrize("streams", ["broadcast", "full"])
 def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, differentiable):
-    # two gate layers in a pool that poisons every buffer handed back, every
-    # temporary from the arena: the forward keeps only its outputs and hands
-    # its projections, sigmoids, tanhs and updates back when the layer's
-    # node is made, so a VJP that read one instead of recomputing it would
-    # see NaN.
+    # two gate layers in a pool that poisons every arena buffer it hands
+    # out, every temporary from the arena: no arena buffer is in use once
+    # the forward is done, so the forward keeps only its outputs and the
+    # VJPs recompute its projections, sigmoids, tanhs and updates.
     # Only one stream's input and weights, or both streams', take adjoints,
     # so the VJP also passes back through each stream alone.  Two backward
     # passes give the bits of the same layers outside any pool, and both
@@ -246,6 +246,8 @@ def test_cross_gate_vjps_recompute_from_inputs_alone(monkeypatch, streams, diffe
         tensors = [Tensor(a.copy(), requires_grad=i in wanted) for i, a in enumerate(arrays)]
         v_s, v_t, *weights = tensors
         out_s, out_t = gate(*gate(v_s, v_t, *weights), *weights)
+        pool = tensor._pool.get()
+        assert pool is None or not arena_in_use(pool)
         passes = []
         for _ in range(2):
             loss = (out_s * constant(cotangents[0])).sum() + (out_t * constant(cotangents[1])).sum()

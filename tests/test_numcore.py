@@ -640,7 +640,7 @@ def test_adjoint_buffers_come_from_the_arena_inside_any_pool():
         assert not np.shares_memory(a, b)
         assert {id(flat) for flat in pool.arena} == {id(a.base), id(b.base)}
         freed = weakref.ref(a.base)
-        del a  # what no array views goes back
+        del a  # a buffer no array views is free
         assert scratch((128, 128)).base is freed()
 
 
@@ -752,9 +752,9 @@ def test_two_output_node_under_no_grad_returns_plain_tensors():
 
 
 def test_two_output_node_in_a_poisoned_pool_gives_the_bits_of_no_pool(monkeypatch):
-    # every buffer is poisoned as it is handed back and every temporary comes
-    # from the arena: an adjoint handed to the kernel node that went back to
-    # the arena before its VJP ran would read NaN
+    # every arena buffer is poisoned as it is handed out and every temporary
+    # comes from the arena: an adjoint handed to the kernel node whose buffer
+    # was handed out again before its VJP ran would read NaN
     plain = two_output_grads(matmul_and_tanh, (0, 1), runs=2)
     monkeypatch.setattr(tensor_module, "HEAP_ADJOINT_BYTES", 0)
     poison_returned_buffers(monkeypatch)
