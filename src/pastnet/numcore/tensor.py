@@ -379,8 +379,8 @@ class Tensor:
                     node.grad = None
                 continue
             adjoints = node.grad if type(node.grad) is list else (node.grad,)
+            # a helper's locals die with it: none holds an adjoint into the next VJP
             _accumulate(node._parents, node._vjp(*adjoints))
-            del adjoints  # no reference of backward's own keeps a consumed adjoint in use
             if node is not self:
                 node.grad = None  # free interior adjoints as soon as consumed
 
