@@ -202,8 +202,9 @@ def _work_arrays(streams, block, *more) -> tuple[list[np.ndarray], ...]:
     ``more``: views of one ``scratch`` request.
 
     One request takes at most one arena buffer, free again whole once the
-    call drops its views; separate plain arrays of a few hundred KiB would be mapped and
-    faulted in again on every call under a fixed mmap threshold.
+    call drops its views; separate plain arrays of a few hundred KiB would
+    be mapped and faulted in again on every call under a fixed mmap
+    threshold.
     """
     shapes = [v.shape if block is None else block for v, _, _ in streams for _ in range(3)]
     shapes += more

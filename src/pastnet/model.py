@@ -408,9 +408,9 @@ def train(model: PastModel, windows, cfg: TrainConfig) -> tuple[PastModel, Train
     step's buffers instead of mapping fresh pages.  Forward scratch (the
     dropout draw among it) and the VJPs' scratch and adjoints share the
     pool's arena, whose buffers serve a later request once no array views
-    them.  A step's kernel outputs and saved arrays are therefore valid only until
-    the next step; nothing that outlives a step (parameters, gradients,
-    moments, history) is one.
+    them.  A step's kernel outputs and saved arrays are step buffers, valid
+    only until the next step; nothing that outlives a step (parameters,
+    gradients, moments, history) is one.
     """
     if len(windows) == 0:
         raise ValueError("cannot train on an empty window batch")
